@@ -13,11 +13,11 @@ from enum import Enum
 import numpy as np
 
 from .geometry import VisibilityMap
-from .manifest import VideoManifest
+from .manifest import VideoManifest, segment_bits
 from .netsim import BandwidthEstimate
 
-# Same feasibility slack rationale as the popularity quantizer: level steps
-# are whole bytes, so relative 1e-9 cannot flip a genuinely infeasible case.
+# Feasibility slack for float budget comparisons. Level steps are whole bytes
+# (>= 8 bits), so a relative 1e-9 can never flip a genuinely infeasible case.
 _BUDGET_EPS = 1e-9
 
 
@@ -36,6 +36,36 @@ def select_naive(manifest: VideoManifest, segment: int) -> np.ndarray:
     )
 
 
+def greedy_levels(
+    sizes_row: np.ndarray, order: np.ndarray, cap_bits: float
+) -> np.ndarray:
+    """Budgeted greedy upgrade walk over one segment's (tiles, levels) byte
+    sizes, from an all-lowest baseline.
+
+    Tiles are visited in `order`. Each is raised to the highest level that
+    keeps the whole segment within `cap_bits` (every not-yet-visited tile
+    counted at level 0), never above the previous tile's level; the first
+    tile that cannot be raised at all stops the walk (its attempted upgrade is
+    the one "reset").
+    """
+    cap = cap_bits * (1.0 + _BUDGET_EPS)
+    base = 8 * sizes_row[:, 0].astype(np.int64)
+    levels = np.zeros(sizes_row.shape[0], dtype=np.int64)
+    current = int(base.sum())
+    ceiling = sizes_row.shape[1] - 1
+    for tile in order:
+        for level in range(ceiling, 0, -1):
+            delta = int(8 * sizes_row[tile, level]) - int(base[tile])
+            if current + delta <= cap:
+                break
+        else:  # not even level 1 fits
+            break
+        levels[tile] = level
+        current += delta
+        ceiling = level
+    return levels
+
+
 def select_prediction(
     manifest: VideoManifest,
     segment: int,
@@ -45,44 +75,33 @@ def select_prediction(
     """Greedy visibility-ranked upgrades from an all-lowest baseline.
 
     Tiles are walked by descending visibility (ties by index; zero-visibility
-    tiles are never upgraded). Each is raised to the highest level keeping the
-    segment within budget, never above the previous tile's level; the first
-    tile that cannot be raised at all stops the walk (its attempted upgrade is
-    the one "reset"). No budget means visible tiles go straight to the top.
+    tiles are never upgraded) through greedy_levels, under a cap of
+    budget * segment_length bits. No budget means visible tiles go straight
+    to the top.
     """
-    q = manifest.quality_count
-    levels = np.zeros(manifest.grid.tile_count, dtype=np.int64)
     order = visibility.visible_tiles()
     if budget_bps is None:
-        levels[order] = q - 1
+        levels = np.zeros(manifest.grid.tile_count, dtype=np.int64)
+        levels[order] = manifest.quality_count - 1
         return levels
-    cap = budget_bps * manifest.segment_length * (1.0 + _BUDGET_EPS)
-    base = 8 * manifest.sizes[segment, :, 0].astype(np.int64)
-    current = int(base.sum())
-    ceiling = q - 1
-    for tile in order:
-        best = 0
-        for level in range(ceiling, 0, -1):
-            delta = int(8 * manifest.sizes[segment, tile, level]) - int(base[tile])
-            if current + delta <= cap:
-                best = level
-                break
-        if best == 0:
-            break
-        levels[tile] = best
-        current += int(8 * manifest.sizes[segment, tile, best]) - int(base[tile])
-        ceiling = best
-    return levels
+    return greedy_levels(
+        manifest.sizes[segment], order, budget_bps * manifest.segment_length
+    )
 
 
-def select_popularity(manifest: VideoManifest, segment: int) -> np.ndarray:
-    """The manifest's stored popularity levels, verbatim."""
+def require_popularity(manifest: VideoManifest) -> np.ndarray:
+    """The manifest's popularity trace; ValueError if it has none."""
     if manifest.popularity is None:
         raise ValueError(
             "manifest has no popularity trace; build one first "
             "(tilesim popularity, or popularity.quantize)"
         )
-    return manifest.popularity[segment].copy()
+    return manifest.popularity
+
+
+def select_popularity(manifest: VideoManifest, segment: int) -> np.ndarray:
+    """The manifest's stored popularity levels, verbatim."""
+    return require_popularity(manifest)[segment].copy()
 
 
 def select_prediction_ba(
@@ -103,11 +122,9 @@ def select_prediction_ba(
     if budget_bps is None:
         return desired
     cap = budget_bps * manifest.segment_length * (1.0 + _BUDGET_EPS)
-    tiles = np.arange(manifest.grid.tile_count)
     for shift in range(q):
         shifted = np.maximum(desired - shift, 0)
-        bits = int(8 * manifest.sizes[segment, tiles, shifted].sum())
-        if bits <= cap:
+        if segment_bits(manifest, segment, shifted) <= cap:
             return shifted
     return np.zeros_like(desired)
 

@@ -26,7 +26,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .geometry import FovSpec, TimedOrientation, tile_visibility
+from .geometry import FovSpec, TimedOrientation, rank_tiles, tile_visibility
 from .manifest import VideoManifest, segment_requests
 from .prediction import nearest_sample
 
@@ -75,7 +75,9 @@ class Cache:
         self._entries: dict[Hashable, _Entry] = {}
         self._clock = 0
         # Min-heap of (priority, last_access, seq, key); stale items are
-        # skipped when their stamp no longer matches the live entry.
+        # skipped when their stamp no longer matches the live entry, and the
+        # heap is rebuilt from the live entries once it holds more than twice
+        # as many items as there are entries.
         self._heap: list[tuple[float, int, int, Hashable]] = []
         self._seq = 0
 
@@ -97,6 +99,15 @@ class Cache:
             self._heap, (entry.priority, entry.last_access, self._seq, key)
         )
         self._seq += 1
+        if len(self._heap) > 2 * len(self._entries):
+            # last_access is unique per live entry, so (priority, last_access)
+            # orders the rebuilt heap exactly as before: eviction is unchanged.
+            self._heap = [
+                (e.priority, e.last_access, self._seq + n, k)
+                for n, (k, e) in enumerate(self._entries.items())
+            ]
+            self._seq += len(self._heap)
+            heapq.heapify(self._heap)
 
     def _evict_one(self) -> None:
         while self._heap:
@@ -163,13 +174,9 @@ def quality_bands(scores: np.ndarray, quality_count: int) -> np.ndarray:
     zero-visibility tiles get level 0.
     """
     levels = np.zeros(scores.shape[0], dtype=np.int64)
-    if quality_count < 2:
-        return levels
-    visible = sorted(np.flatnonzero(scores > 0).tolist(), key=lambda t: (-scores[t], t))
-    count = len(visible)
-    for rank, tile in enumerate(visible):
-        band = rank * (quality_count - 1) // count
-        levels[tile] = (quality_count - 1) - band
+    visible = rank_tiles(scores)
+    bands = np.arange(visible.size) * (quality_count - 1) // visible.size
+    levels[visible] = (quality_count - 1) - bands
     return levels
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -118,7 +119,10 @@ def _load_network(flag: str, path: str, scale_factor: float) -> netsim.NetworkTr
     except netsim.TraceError as e:
         raise UsageError(f"{flag}: {e}") from None
     if scale_factor != 1.0:
-        trace = netsim.scale(trace, scale_factor)
+        try:
+            trace = netsim.scale(trace, scale_factor)
+        except ValueError as e:
+            raise UsageError(f"--network-scale: {e}") from None
     return trace
 
 
@@ -171,6 +175,8 @@ def cmd_popularity(args: argparse.Namespace) -> int:
     m = _load_manifest("--manifest", args.manifest)
     traces = _load_traces("--traces", args.traces)
     fov = _parse_fov(args.fov)
+    if args.samples < 1:
+        raise UsageError("--samples: must be >= 1")
     heat = popularity.build_heat(
         traces,
         m.grid,
@@ -199,20 +205,9 @@ PRED_SUMMARY_COLUMNS = ["trace", "interval", "timeframe", "steps", "mean_deg", "
 def prediction_summary_rows(step_rows: list[dict]) -> list[dict]:
     """Aggregate per-step error rows; shared with the verifier."""
     out = []
-    seen: list[tuple] = []
-    for row in step_rows:
-        key = (row["trace"], row["interval"], row["timeframe"])
-        if key not in seen:
-            seen.append(key)
-    for trace, interval, timeframe in seen:
-        errors = np.array(
-            [
-                r["error_deg"]
-                for r in step_rows
-                if (r["trace"], r["interval"], r["timeframe"])
-                == (trace, interval, timeframe)
-            ]
-        )
+    groups = playback.group_rows(step_rows, "trace", "interval", "timeframe")
+    for (trace, interval, timeframe), mine in groups.items():
+        errors = np.array([r["error_deg"] for r in mine])
         out.append(
             {
                 "trace": trace,
@@ -230,8 +225,13 @@ def cmd_predict_error(args: argparse.Namespace) -> int:
     out_dir = _default_out(args.out)
     intervals = _parse_floats_list("--intervals", args.intervals)
     timeframes = _parse_floats_list("--timeframes", args.timeframes)
-    if args.step <= 0:
-        raise UsageError("--step: must be positive")
+    # NaN fails every comparison, so these also reject it.
+    if not all(0.0 <= x < math.inf for x in intervals):
+        raise UsageError("--intervals: must be finite and >= 0")
+    if not all(0.0 < x < math.inf for x in timeframes):
+        raise UsageError("--timeframes: must be finite and positive")
+    if not 0.0 < args.step < math.inf:
+        raise UsageError("--step: must be finite and positive")
     try:
         names = sorted(
             n for n in os.listdir(args.traces) if n.endswith(".csv")
@@ -243,15 +243,22 @@ def cmd_predict_error(args: argparse.Namespace) -> int:
     os.makedirs(out_dir, exist_ok=True)
     step_rows = []
     for name in names:
+        path = os.path.join(args.traces, name)
         try:
-            trace = traceio.load_viewing_trace(os.path.join(args.traces, name))
+            trace = traceio.load_viewing_trace(path)
         except traceio.ViewingTraceError as e:
             raise UsageError(f"--traces: {e}") from None
         for interval in intervals:
             for timeframe in timeframes:
-                errors = prediction.error_experiment(
-                    trace, interval, timeframe, args.step
-                )
+                try:
+                    errors = prediction.error_experiment(
+                        trace, interval, timeframe, args.step
+                    )
+                except ValueError as e:
+                    raise UsageError(
+                        f"--traces: {path} (interval {interval}, timeframe "
+                        f"{timeframe}): {e}"
+                    ) from None
                 for k, err in enumerate(errors):
                     step_rows.append(
                         {
@@ -323,17 +330,29 @@ def _merge_run_config(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _spec_number(spec: dict, key: str, kind: type) -> int | float:
+    """spec[key] converted by `kind`. argparse has already typed the flags, so
+    a value that does not convert came from the config file."""
+    try:
+        return kind(spec[key])
+    except (TypeError, ValueError):
+        raise UsageError(
+            f"--config: {key}: expected {kind.__name__}, got {spec[key]!r}"
+        ) from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     spec = _merge_run_config(args)
     out_dir = _default_out(spec["out"])
     m = _load_manifest("--manifest", spec["manifest"])
     traces = _load_traces("--traces", spec["traces"])
-    network = _load_network("--network", spec["network"], float(spec["network_scale"]))
-    policies = (
-        _parse_policies(spec["policies"])
-        if isinstance(spec["policies"], str)
-        else [PolicyKind(p) for p in spec["policies"]]
+    network = _load_network(
+        "--network", spec["network"], _spec_number(spec, "network_scale", float)
     )
+    names = spec["policies"]  # a comma-separated string, or a list in a config file
+    if isinstance(names, list):
+        names = ",".join(map(str, names))
+    policies = _parse_policies(str(names))
     cache_policy = None
     if spec["cache_policy"]:
         try:
@@ -343,6 +362,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise UsageError(
                 f"--cache-policy: unknown policy {spec['cache_policy']!r} (valid: {valid})"
             ) from None
+    cache_capacity = _spec_number(spec, "cache_capacity_bytes", int)
+    if cache_capacity < 0:
+        raise UsageError("--cache-capacity: must be >= 0")
     needs_popularity = {PolicyKind.POPULARITY, PolicyKind.TRANSITION} & set(policies)
     if needs_popularity and not m.has_popularity:
         raise UsageError(
@@ -350,34 +372,39 @@ def cmd_run(args: argparse.Namespace) -> int:
             "trace; run `tilesim popularity` first"
         )
     fov = _parse_fov(str(spec["fov"]))
-    predictor = prediction.PredictorConfig(timeframe=float(spec["timeframe"]))
+    try:
+        predictor = prediction.PredictorConfig(
+            timeframe=_spec_number(spec, "timeframe", float)
+        )
+    except ValueError as e:
+        raise UsageError(f"--timeframe: {e}") from None
     try:
         report = playback.run_experiment(
             manifest=m,
             viewing_traces=traces,
             network_trace=network,
             policies=policies,
-            iterations=int(spec["iterations"]),
+            iterations=_spec_number(spec, "iterations", int),
             cache_policy=cache_policy,
-            cache_capacity_bytes=int(spec["cache_capacity_bytes"]),
-            seed=int(spec["seed"]),
-            warm_trace_count=int(spec["warm_traces"]),
+            cache_capacity_bytes=cache_capacity,
+            seed=_spec_number(spec, "seed", int),
+            warm_trace_count=_spec_number(spec, "warm_traces", int),
             fov=fov,
             predictor=predictor,
-            samples_per_axis=int(spec["samples_per_axis"]),
-            cache_rate_bps=float(spec["cache_rate_bps"]),
-            hysteresis=float(spec["hysteresis"]),
+            samples_per_axis=_spec_number(spec, "samples_per_axis", int),
+            cache_rate_bps=_spec_number(spec, "cache_rate_bps", float),
+            hysteresis=_spec_number(spec, "hysteresis", float),
         )
     except ValueError as e:
         raise UsageError(str(e)) from None
 
     os.makedirs(out_dir, exist_ok=True)
     rows = playback.segment_rows(report)
+    summary_rows = playback.policy_summary_rows(rows)
+    gain = report.quality_gain_percent()
     _write_csv(os.path.join(out_dir, "segments.csv"), playback.SEGMENT_COLUMNS, rows)
     _write_csv(
-        os.path.join(out_dir, "policy_summary.csv"),
-        playback.SUMMARY_COLUMNS,
-        playback.policy_summary_rows(rows),
+        os.path.join(out_dir, "policy_summary.csv"), playback.SUMMARY_COLUMNS, summary_rows
     )
     _write_csv(
         os.path.join(out_dir, "popularity_share.csv"),
@@ -392,20 +419,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     summary = {
         "spec": {k: spec[k] for k in sorted(spec)},
         "network_average_bps": network.average_bps(),
-        "policies": playback.policy_summary_rows(rows),
-        "quality_gain_transition_over_prediction_ba_percent": report.quality_gain_percent(),
+        "policies": summary_rows,
+        "quality_gain_transition_over_prediction_ba_percent": gain,
     }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
 
     print(f"network: {network.average_bps() / 1e6:.2f} Mbit/s average after scaling")
-    for row in playback.policy_summary_rows(rows):
+    for row in summary_rows:
         print(
             f"{row['policy']:>14}: stall {row['stall_mean']:.3f}s (std {row['stall_std']:.3f}), "
             f"quality {row['quality_mean']:.3f}, savings {row['savings_mean'] * 100:.1f}%"
         )
-    gain = report.quality_gain_percent()
     if gain is not None:
         print(f"transition avg-quality gain over prediction-ba: {gain:+.2f}%")
     print(f"wrote segments/policy_summary/popularity_share/estimates CSV + summary.json to {out_dir}")

@@ -124,9 +124,14 @@ class VisibilityMap:
     def visible_tiles(self) -> np.ndarray:
         """Flat indices with nonzero score, ordered by descending score
         (ties by flat index)."""
-        nz = np.flatnonzero(self.scores > 0.0)
-        order = sorted(nz.tolist(), key=lambda t: (-self.scores[t], t))
-        return np.array(order, dtype=np.int64)
+        return rank_tiles(self.scores)
+
+
+def rank_tiles(scores: np.ndarray) -> np.ndarray:
+    """Flat indices of the tiles with a positive score, by descending score
+    (ties by flat index)."""
+    idx = np.flatnonzero(scores > 0.0)
+    return idx[np.lexsort((idx, -scores[idx]))]
 
 
 def _local_frame(o: Orientation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -11,7 +11,6 @@ start stalls the player and shifts the remaining schedule.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +19,7 @@ import numpy as np
 from .adaptation import (
     PolicyKind,
     TransitionState,
+    require_popularity,
     select_naive,
     select_popularity,
     select_prediction,
@@ -82,43 +82,6 @@ class SessionMetrics:
     def total_bytes(self) -> int:
         return int(sum(r.bytes_total for r in self.records))
 
-    def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "total_stall": self.total_stall,
-            "avg_quality": self.avg_quality,
-            "total_bytes": self.total_bytes,
-            "cache_hit_rate": self.cache_hit_rate,
-            "cache_byte_hit_rate": self.cache_byte_hit_rate,
-            "savings": [float(s) for s in self.savings],
-            "segments": [
-                {
-                    "segment": r.segment,
-                    "policy": r.policy,
-                    "levels": list(r.levels),
-                    "bytes_total": r.bytes_total,
-                    "bytes_from_cache": r.bytes_from_cache,
-                    "bytes_from_origin": r.bytes_from_origin,
-                    "download_start": r.download_start,
-                    "download_end": r.download_end,
-                    "stall": r.stall,
-                    "mean_quality": r.mean_quality,
-                    "estimate_bps": r.estimate_bps,
-                }
-                for r in self.records
-            ],
-        }
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-
-def savings_vs_naive(metrics: SessionMetrics, naive: SessionMetrics) -> np.ndarray:
-    """Per-segment byte savings of one session against a naive session."""
-    ours = np.array([r.bytes_total for r in metrics.records], dtype=float)
-    theirs = np.array([r.bytes_total for r in naive.records], dtype=float)
-    return 1.0 - ours / theirs
-
 
 def simulate(cfg: SessionConfig) -> SessionMetrics:
     """Run one streaming session; deterministic for identical configs.
@@ -138,11 +101,8 @@ def simulate(cfg: SessionConfig) -> SessionMetrics:
             f"viewing trace spans {span:.3f}s, shorter than the "
             f"{cfg.predictor.timeframe:.3f}s regression window"
         )
-    if cfg.policy in (PolicyKind.POPULARITY, PolicyKind.TRANSITION) and not m.has_popularity:
-        raise ValueError(
-            "manifest has no popularity trace; build one first "
-            "(tilesim popularity, or popularity.quantize)"
-        )
+    if cfg.policy in (PolicyKind.POPULARITY, PolicyKind.TRANSITION):
+        require_popularity(m)
     interval = cfg.predictor.interval if cfg.predictor.interval is not None else s
     estimator = LastSampleEstimator()
     state = TransitionState(hysteresis=cfg.hysteresis)
@@ -379,25 +339,25 @@ SUMMARY_COLUMNS = [
 ]
 
 
+def group_rows(rows: list[dict], *columns: str) -> dict[tuple, list[dict]]:
+    """Rows grouped by their values in `columns`: groups in first-seen order,
+    rows in input order within each group."""
+    groups: dict[tuple, list[dict]] = {}
+    for row in rows:
+        groups.setdefault(tuple(row[c] for c in columns), []).append(row)
+    return groups
+
+
 def policy_summary_rows(rows: list[dict]) -> list[dict]:
     """Per-policy aggregates, computed only from flattened segment rows so a
     verifier can reproduce them from the CSV alone."""
-    policies: list[str] = []
-    for row in rows:
-        if row["policy"] not in policies:
-            policies.append(row["policy"])
     out = []
-    for policy in policies:
-        mine = [r for r in rows if r["policy"] == policy]
-        iterations = sorted({r["iteration"] for r in mine})
-        stalls = np.array(
-            [sum(r["stall"] for r in mine if r["iteration"] == i) for i in iterations]
-        )
+    for (policy,), mine in group_rows(rows, "policy").items():
+        runs = group_rows(mine, "iteration")
+        iterations = sorted(runs)
+        stalls = np.array([sum(r["stall"] for r in runs[i]) for i in iterations])
         quality = np.array(
-            [
-                np.mean([r["mean_quality"] for r in mine if r["iteration"] == i])
-                for i in iterations
-            ]
+            [np.mean([r["mean_quality"] for r in runs[i]]) for i in iterations]
         )
         out.append(
             {
@@ -420,15 +380,7 @@ def popularity_share_rows(rows: list[dict]) -> list[dict]:
     """Fraction of iterations whose active mechanism was popularity, per
     (policy, segment)."""
     out = []
-    seen: list[tuple[str, int]] = []
-    for row in rows:
-        key = (row["policy"], row["segment"])
-        if key not in seen:
-            seen.append(key)
-    for policy, segment in seen:
-        mine = [
-            r for r in rows if r["policy"] == policy and r["segment"] == segment
-        ]
+    for (policy, segment), mine in group_rows(rows, "policy", "segment").items():
         share = float(
             np.mean([1.0 if r["active"] == "popularity" else 0.0 for r in mine])
         )
@@ -443,19 +395,8 @@ def estimate_rows(rows: list[dict]) -> list[dict]:
     """Mean/std of the bandwidth-estimate trajectory per (policy, segment),
     over the iterations that had an estimate."""
     out = []
-    seen: list[tuple[str, int]] = []
-    for row in rows:
-        key = (row["policy"], row["segment"])
-        if key not in seen:
-            seen.append(key)
-    for policy, segment in seen:
-        values = [
-            r["estimate_bps"]
-            for r in rows
-            if r["policy"] == policy
-            and r["segment"] == segment
-            and r["estimate_bps"] is not None
-        ]
+    for (policy, segment), mine in group_rows(rows, "policy", "segment").items():
+        values = [r["estimate_bps"] for r in mine if r["estimate_bps"] is not None]
         if values:
             arr = np.array(values, dtype=float)
             mean: float | None = float(arr.mean())

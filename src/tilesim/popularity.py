@@ -13,12 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import FovSpec, TileGrid, TimedOrientation, tile_visibility
+from .adaptation import greedy_levels
+from .geometry import FovSpec, TileGrid, TimedOrientation, rank_tiles, tile_visibility
 from .manifest import VideoManifest, count_segments
-
-# Feasibility slack for float budget comparisons. Level steps are whole bytes
-# (>= 8 bits), so a relative 1e-9 can never flip a genuinely infeasible case.
-_BUDGET_EPS = 1e-9
 
 
 @dataclass
@@ -78,12 +75,10 @@ def quantize(
 ) -> np.ndarray:
     """Per segment, assign quality levels by descending heat under the budget.
 
-    Tiles with nonzero heat are walked hottest first (ties by tile index);
-    each is raised to the highest level that keeps the whole segment's bits -
-    counting every not-yet-visited tile at level 0 - within budget *
-    segment_length. Assigned levels never increase along the walk; once a tile
-    cannot be raised at all the walk stops. Tiles nobody ever looked at stay
-    at level 0 no matter the budget, like invisible tiles under prediction.
+    Tiles with nonzero heat are walked hottest first (ties by tile index)
+    through adaptation.greedy_levels, under a cap of budget * segment_length
+    bits. Tiles nobody ever looked at stay at level 0 no matter the budget,
+    like invisible tiles under prediction.
     A budget below the all-lowest bitrate yields all level 0, not an error.
     """
     if budget_bps is None:
@@ -93,34 +88,8 @@ def quantize(
             f"heat shape {heat.heat.shape} does not match manifest "
             f"({manifest.segment_count} segments x {manifest.grid.tile_count} tiles)"
         )
-    q = manifest.quality_count
-    tiles = manifest.grid.tile_count
     cap = budget_bps * manifest.segment_length
-    cap_slack = cap * (1.0 + _BUDGET_EPS)
-    out = np.zeros((manifest.segment_count, tiles), dtype=np.int64)
+    out = np.zeros((manifest.segment_count, manifest.grid.tile_count), dtype=np.int64)
     for seg in range(manifest.segment_count):
-        row = heat.heat[seg]
-        order = sorted(
-            (t for t in range(tiles) if row[t] > 0), key=lambda t: (-row[t], t)
-        )
-        base = 8 * manifest.sizes[seg, :, 0].astype(np.int64)
-        current = int(base.sum())
-        ceiling = q - 1
-        for tile in order:
-            best = 0
-            for level in range(ceiling, 0, -1):
-                delta = int(8 * manifest.sizes[seg, tile, level]) - int(base[tile])
-                if current + delta <= cap_slack:
-                    best = level
-                    break
-            if best == 0:
-                break
-            out[seg, tile] = best
-            current += int(8 * manifest.sizes[seg, tile, best]) - int(base[tile])
-            ceiling = best
+        out[seg] = greedy_levels(manifest.sizes[seg], rank_tiles(heat.heat[seg]), cap)
     return out
-
-
-def average_quality_map(popularity: np.ndarray) -> np.ndarray:
-    """Mean assigned level per tile across segments (for reporting)."""
-    return np.asarray(popularity, dtype=float).mean(axis=0)

@@ -7,6 +7,8 @@ independent derivations.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from tilesim import manifest as mf
@@ -144,3 +146,193 @@ def record_dicts(metrics) -> list[dict]:
         }
         for r in metrics.records
     ]
+
+
+# --- helpers only the tests use ----------------------------------------------
+
+
+def session_dict(metrics) -> dict:
+    """A session's totals, per-segment savings and records as plain data."""
+    return {
+        "policy": metrics.policy,
+        "total_stall": metrics.total_stall,
+        "avg_quality": metrics.avg_quality,
+        "total_bytes": metrics.total_bytes,
+        "cache_hit_rate": metrics.cache_hit_rate,
+        "cache_byte_hit_rate": metrics.cache_byte_hit_rate,
+        "savings": [float(s) for s in metrics.savings],
+        "segments": record_dicts(metrics),
+    }
+
+
+def canonical_json(metrics) -> str:
+    return json.dumps(session_dict(metrics), sort_keys=True, separators=(",", ":"))
+
+
+def savings_vs_naive(metrics, naive) -> np.ndarray:
+    """Per-segment byte savings of one session against a naive session."""
+    ours = np.array([r.bytes_total for r in metrics.records], dtype=float)
+    theirs = np.array([r.bytes_total for r in naive.records], dtype=float)
+    return 1.0 - ours / theirs
+
+
+def average_quality_map(popularity: np.ndarray) -> np.ndarray:
+    """Mean assigned level per tile across segments (for reporting)."""
+    return np.asarray(popularity, dtype=float).mean(axis=0)
+
+
+# --- scalar oracles: the loop-and-sort code the shared helpers replaced -------
+
+ORACLE_BUDGET_EPS = 1e-9
+
+
+def ranked_tiles_oracle(scores: np.ndarray) -> np.ndarray:
+    """Tiles with a positive score by (-score, index), via a Python sort."""
+    nz = np.flatnonzero(scores > 0.0)
+    order = sorted(nz.tolist(), key=lambda t: (-scores[t], t))
+    return np.array(order, dtype=np.int64)
+
+
+def greedy_walk_oracle(manifest, segment: int, order, cap: float) -> np.ndarray:
+    """The budgeted greedy upgrade walk as select_prediction and quantize each
+    wrote it; `cap` already includes the feasibility slack."""
+    q = manifest.quality_count
+    levels = np.zeros(manifest.grid.tile_count, dtype=np.int64)
+    base = 8 * manifest.sizes[segment, :, 0].astype(np.int64)
+    current = int(base.sum())
+    ceiling = q - 1
+    for tile in order:
+        best = 0
+        for level in range(ceiling, 0, -1):
+            delta = int(8 * manifest.sizes[segment, tile, level]) - int(base[tile])
+            if current + delta <= cap:
+                best = level
+                break
+        if best == 0:
+            break
+        levels[tile] = best
+        current += int(8 * manifest.sizes[segment, tile, best]) - int(base[tile])
+        ceiling = best
+    return levels
+
+
+def select_prediction_oracle(manifest, segment: int, scores, budget_bps):
+    order = ranked_tiles_oracle(scores)
+    if budget_bps is None:
+        levels = np.zeros(manifest.grid.tile_count, dtype=np.int64)
+        levels[order] = manifest.quality_count - 1
+        return levels
+    cap = budget_bps * manifest.segment_length * (1.0 + ORACLE_BUDGET_EPS)
+    return greedy_walk_oracle(manifest, segment, order, cap)
+
+
+def quantize_oracle(heat: np.ndarray, manifest, budget_bps: float) -> np.ndarray:
+    cap = budget_bps * manifest.segment_length
+    cap_slack = cap * (1.0 + ORACLE_BUDGET_EPS)
+    out = np.zeros((manifest.segment_count, manifest.grid.tile_count), dtype=np.int64)
+    for seg in range(manifest.segment_count):
+        order = ranked_tiles_oracle(heat[seg])
+        out[seg] = greedy_walk_oracle(manifest, seg, order, cap_slack)
+    return out
+
+
+def quality_bands_oracle(scores: np.ndarray, quality_count: int) -> np.ndarray:
+    levels = np.zeros(scores.shape[0], dtype=np.int64)
+    if quality_count < 2:
+        return levels
+    visible = ranked_tiles_oracle(scores).tolist()
+    count = len(visible)
+    for rank, tile in enumerate(visible):
+        band = rank * (quality_count - 1) // count
+        levels[tile] = (quality_count - 1) - band
+    return levels
+
+
+def _seen_keys(rows: list[dict], columns: tuple) -> list[tuple]:
+    """Distinct keys in first-seen order, found by scanning a list."""
+    seen: list[tuple] = []
+    for row in rows:
+        key = tuple(row[c] for c in columns)
+        if key not in seen:
+            seen.append(key)
+    return seen
+
+
+def policy_summary_oracle(rows: list[dict]) -> list[dict]:
+    out = []
+    for (policy,) in _seen_keys(rows, ("policy",)):
+        mine = [r for r in rows if r["policy"] == policy]
+        iterations = sorted({r["iteration"] for r in mine})
+        stalls = np.array(
+            [sum(r["stall"] for r in mine if r["iteration"] == i) for i in iterations]
+        )
+        quality = np.array(
+            [
+                np.mean([r["mean_quality"] for r in mine if r["iteration"] == i])
+                for i in iterations
+            ]
+        )
+        out.append(
+            {
+                "policy": policy,
+                "runs": len(iterations),
+                "stall_mean": float(stalls.mean()),
+                "stall_std": float(stalls.std()),
+                "quality_mean": float(quality.mean()),
+                "quality_std": float(quality.std()),
+                "savings_mean": float(np.mean([r["savings"] for r in mine])),
+            }
+        )
+    return out
+
+
+def popularity_share_oracle(rows: list[dict]) -> list[dict]:
+    out = []
+    for policy, segment in _seen_keys(rows, ("policy", "segment")):
+        mine = [r for r in rows if r["policy"] == policy and r["segment"] == segment]
+        share = float(
+            np.mean([1.0 if r["active"] == "popularity" else 0.0 for r in mine])
+        )
+        out.append({"policy": policy, "segment": segment, "popularity_share": share})
+    return out
+
+
+def estimate_oracle(rows: list[dict]) -> list[dict]:
+    out = []
+    for policy, segment in _seen_keys(rows, ("policy", "segment")):
+        values = [
+            r["estimate_bps"]
+            for r in rows
+            if r["policy"] == policy
+            and r["segment"] == segment
+            and r["estimate_bps"] is not None
+        ]
+        if values:
+            arr = np.array(values, dtype=float)
+            mean, std = float(arr.mean()), float(arr.std())
+        else:
+            mean = std = None
+        out.append(
+            {"policy": policy, "segment": segment, "estimate_mean": mean, "estimate_std": std}
+        )
+    return out
+
+
+def prediction_summary_oracle(step_rows: list[dict]) -> list[dict]:
+    out = []
+    columns = ("trace", "interval", "timeframe")
+    for key in _seen_keys(step_rows, columns):
+        errors = np.array(
+            [r["error_deg"] for r in step_rows if tuple(r[c] for c in columns) == key]
+        )
+        out.append(
+            {
+                "trace": key[0],
+                "interval": key[1],
+                "timeframe": key[2],
+                "steps": int(errors.size),
+                "mean_deg": float(errors.mean()),
+                "std_deg": float(errors.std()),
+            }
+        )
+    return out

@@ -11,7 +11,13 @@ import json
 import numpy as np
 import pytest
 
-from helpers import ScanCache, record_dicts, staircase_scenario
+from helpers import (
+    ScanCache,
+    record_dicts,
+    savings_vs_naive,
+    session_dict,
+    staircase_scenario,
+)
 from tilesim.adaptation import PolicyKind
 from tilesim.cachesim import Cache, EvictionPolicy
 from tilesim.cli import main
@@ -22,7 +28,6 @@ from tilesim.netsim import save_trace
 from tilesim.playback import (
     SessionConfig,
     run_experiment,
-    savings_vs_naive,
     simulate,
 )
 from tilesim.popularity import build_heat, quantize
@@ -194,8 +199,8 @@ def test_criterion_08_convergence_to_pure_policies():
     ample = constant_rate_network(1e9, 2.0)
     always_high = {p: session(p, ample)
                    for p in (PolicyKind.TRANSITION, PolicyKind.PREDICTION)}
-    d_t = always_high[PolicyKind.TRANSITION].to_dict()
-    d_p = always_high[PolicyKind.PREDICTION].to_dict()
+    d_t = session_dict(always_high[PolicyKind.TRANSITION])
+    d_p = session_dict(always_high[PolicyKind.PREDICTION])
     assert d_t.pop("policy") == "transition"
     assert d_p.pop("policy") == "prediction"
     assert json.dumps(d_t, sort_keys=True) == json.dumps(d_p, sort_keys=True)

@@ -255,6 +255,29 @@ class TestAgainstScanOracle:
             assert cache.request(k, int(sizes[k])) == oracle.request(k, int(sizes[k]))
         assert cache.occupancy == oracle.occupancy <= 600
 
+    @pytest.mark.parametrize("policy", ["lru", "lfuda", "gdsf"])
+    def test_hit_heavy_stream_keeps_heap_bounded(self, policy):
+        # 10 live entries hit over and over: the heap is rebuilt from the live
+        # entries instead of keeping one stale item per hit.
+        cache = Cache(1000, EvictionPolicy(policy))
+        for k in range(20_000):
+            cache.request(k % 10, 10)
+        assert len(cache) == 10
+        assert len(cache._heap) <= 2 * len(cache)
+        # Mostly hits with some churn: decisions still match the scan oracle,
+        # and the heap never holds more than twice the entries that were live
+        # before the call plus its newcomer.
+        rng = np.random.default_rng(5)
+        sizes = rng.integers(1, 30, size=40)
+        cache = Cache(300, EvictionPolicy(policy))
+        oracle = ScanCache(300, policy)
+        for _ in range(20_000):
+            k = int(rng.integers(0, 12)) if rng.random() < 0.9 else int(rng.integers(0, 40))
+            before = len(cache)
+            assert cache.request(k, int(sizes[k])) == oracle.request(k, int(sizes[k]))
+            assert cache.aging_level == oracle.level
+            assert len(cache._heap) <= 2 * (before + 1)
+
     @given(
         policy=st.sampled_from(["lru", "lfuda", "gdsf"]),
         seed=st.integers(0, 10**6),

@@ -118,6 +118,13 @@ class TestPopularity:
         ]) == 2
         assert "--manifest" in capsys.readouterr().err
 
+    def test_zero_samples(self, ws, capsys):
+        assert main([
+            "popularity", "--manifest", ws["manifest"], "--traces", ws["traces"],
+            "--samples", "0",
+        ]) == 2
+        assert "--samples" in capsys.readouterr().err
+
 
 class TestPredictError:
     def test_linear_traces_have_zero_error(self, ws, tmp_path):
@@ -152,6 +159,31 @@ class TestPredictError:
             "predict-error", "--traces", ws["traces_linear"],
             "--out", str(tmp_path), "--step", "0",
         ]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--intervals", "nan"), ("--intervals", "-5"), ("--timeframes", "0"),
+         ("--step", "nan")],
+    )
+    def test_bad_value_names_its_flag(self, ws, tmp_path, capsys, flag, value):
+        assert main([
+            "predict-error", "--traces", ws["traces_linear"],
+            "--out", str(tmp_path / "out"), f"{flag}={value}",
+        ]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_trace_too_sparse_for_the_window(self, tmp_path, capsys):
+        sparse = tmp_path / "sparse"
+        sparse.mkdir()
+        traceio.save_viewing_trace(
+            linear_gaze(0.0, 10.0, 20.0, hz=1.0), str(sparse / "slow.csv")
+        )
+        assert main([
+            "predict-error", "--traces", str(sparse), "--out", str(tmp_path / "out"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--traces" in err and "slow.csv" in err
 
 
 class TestRun:
@@ -252,6 +284,28 @@ class TestRun:
             "--network", ws["network"], "--iterations", "0",
             "--out", str(tmp_path),
         ]) == 2
+
+    @pytest.mark.parametrize(
+        "flags, config, named",
+        [
+            (["--timeframe", "0"], None, "--timeframe"),
+            (["--cache-policy", "lru", "--cache-capacity", "-5"], None, "--cache-capacity"),
+            (["--network-scale", "0"], None, "--network-scale"),
+            ([], {"iterations": "abc"}, "iterations"),
+            ([], {"policies": ["psychic"]}, "psychic"),
+        ],
+    )
+    def test_bad_value_names_its_source(self, ws, tmp_path, capsys, flags, config, named):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            flags = flags + ["--config", str(path)]
+        assert main([
+            "run", "--manifest", ws["manifest"], "--traces", ws["traces"],
+            "--network", ws["network"], "--out", str(tmp_path / "out"),
+        ] + flags) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_popularity_policy_needs_popularity_manifest(self, tmp_path, ws, capsys):
         bare = tmp_path / "bare.json"

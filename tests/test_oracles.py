@@ -1,0 +1,155 @@
+"""The shared greedy walk, tile ranking and group-by against the scalar code
+they replaced (kept in helpers.py). Results must be bit-identical: levels
+array-equal, report rows equal down to the repr of every float.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    estimate_oracle,
+    policy_summary_oracle,
+    popularity_share_oracle,
+    prediction_summary_oracle,
+    quality_bands_oracle,
+    quantize_oracle,
+    ranked_tiles_oracle,
+    select_prediction_oracle,
+)
+from tilesim.adaptation import select_prediction
+from tilesim.cachesim import quality_bands
+from tilesim.cli import prediction_summary_rows
+from tilesim.geometry import TileGrid, VisibilityMap, rank_tiles
+from tilesim.manifest import naive_segment_bytes, segment_bits, synthesize
+from tilesim.playback import estimate_rows, policy_summary_rows, popularity_share_rows
+from tilesim.popularity import HeatMap, quantize
+
+TIE_DENOM = 4  # scores are multiples of 1/TIE_DENOM**2, so ties are common
+
+
+@st.composite
+def manifests(draw):
+    grid = TileGrid(draw(st.integers(1, 6)), draw(st.integers(1, 4)))
+    return synthesize(
+        "prop",
+        duration=draw(st.sampled_from([1.5, 4.5, 6.0])),
+        segment_length=1.5,
+        grid=grid,
+        quality_count=draw(st.integers(1, 4)),
+        base_bitrate_bps=draw(st.sampled_from([1e6, 20e6])),
+        variability=draw(st.sampled_from([0.0, 0.3, 0.9])),
+        seed=draw(st.integers(0, 1000)),
+    )
+
+
+def tie_scores(draw, tiles: int) -> np.ndarray:
+    counts = draw(
+        st.lists(st.integers(0, TIE_DENOM**2), min_size=tiles, max_size=tiles)
+    )
+    return np.array(counts, dtype=float) / TIE_DENOM**2
+
+
+def budgets(draw, manifest, segment: int, scores: np.ndarray) -> float | None:
+    """None; the bit rate of the walk's own top-level prefix over the first k
+    ranked tiles, or one ulp below it, where only the walk's float slack
+    keeps the prefix feasible; or up to 1.2x the all-top bit rate."""
+    kind = draw(st.sampled_from(["none", "prefix", "range"]))
+    if kind == "none":
+        return None
+    if kind == "prefix":
+        levels = np.zeros(manifest.grid.tile_count, dtype=np.int64)
+        prefix = ranked_tiles_oracle(scores)[: draw(st.integers(0, manifest.grid.tile_count))]
+        levels[prefix] = manifest.quality_count - 1
+        bits = float(segment_bits(manifest, segment, levels))
+        if draw(st.booleans()):
+            bits = float(np.nextafter(bits, 0.0))
+        return bits / manifest.segment_length
+    top_bps = 8 * naive_segment_bytes(manifest, segment) / manifest.segment_length
+    return draw(st.floats(0.0, 1.2)) * top_bps
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_rank_tiles_and_visible_tiles_match_python_sort(data):
+    scores = tie_scores(data.draw, data.draw(st.integers(1, 40)))
+    expected = ranked_tiles_oracle(scores)
+    ranked = rank_tiles(scores)
+    assert ranked.dtype == expected.dtype
+    np.testing.assert_array_equal(ranked, expected)
+    grid = TileGrid(scores.size, 1)
+    np.testing.assert_array_equal(VisibilityMap(grid, scores).visible_tiles(), expected)
+
+
+@given(data=st.data(), quality_count=st.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+def test_quality_bands_match_rank_loop(data, quality_count):
+    scores = tie_scores(data.draw, data.draw(st.integers(1, 40)))
+    np.testing.assert_array_equal(
+        quality_bands(scores, quality_count), quality_bands_oracle(scores, quality_count)
+    )
+
+
+@given(m=manifests(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_select_prediction_matches_scalar_walk(m, data):
+    segment = data.draw(st.integers(0, m.segment_count - 1))
+    scores = tie_scores(data.draw, m.grid.tile_count)
+    budget = budgets(data.draw, m, segment, scores)
+    vis = VisibilityMap(m.grid, scores)
+    np.testing.assert_array_equal(
+        select_prediction(m, segment, vis, budget),
+        select_prediction_oracle(m, segment, scores, budget),
+    )
+
+
+@given(m=manifests(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_quantize_matches_scalar_walk(m, data):
+    heat = np.stack([tie_scores(data.draw, m.grid.tile_count) for _ in range(m.segment_count)])
+    heat *= data.draw(st.sampled_from([1.0, 7.0, 300.0]))  # heat sums many samples
+    budget = budgets(data.draw, m, 0, heat[0]) or 0.0
+    got = quantize(HeatMap(m.grid, m.segment_length, heat), m, budget)
+    np.testing.assert_array_equal(got, quantize_oracle(heat, m, budget))
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+segment_row = st.fixed_dictionaries(
+    {
+        "policy": st.sampled_from(["transition", "prediction", "popularity"]),
+        "iteration": st.integers(0, 3),
+        "segment": st.integers(0, 3),
+        "active": st.sampled_from(["prediction", "popularity"]),
+        "stall": finite,
+        "mean_quality": finite,
+        "savings": finite,
+        "estimate_bps": st.none() | finite,
+    }
+)
+
+step_row = st.fixed_dictionaries(
+    {
+        "trace": st.sampled_from(["a.csv", "b.csv"]),
+        "interval": st.sampled_from([0.5, 1.0, 1.5]),
+        "timeframe": st.sampled_from([0.1, 1.0]),
+        "error_deg": st.floats(0.0, 180.0),
+    }
+)
+
+
+@given(rows=st.lists(segment_row, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_report_group_bys_match_seen_list_scans(rows):
+    for fast, slow in (
+        (policy_summary_rows, policy_summary_oracle),
+        (popularity_share_rows, popularity_share_oracle),
+        (estimate_rows, estimate_oracle),
+    ):
+        assert repr(fast(rows)) == repr(slow(rows))
+
+
+@given(rows=st.lists(step_row, min_size=1, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_prediction_summary_matches_seen_list_scan(rows):
+    assert repr(prediction_summary_rows(rows)) == repr(prediction_summary_oracle(rows))

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from helpers import record_dicts, staircase_scenario
+from helpers import canonical_json, record_dicts, savings_vs_naive, staircase_scenario
 from tilesim.adaptation import PolicyKind
 from tilesim.cachesim import Cache, EvictionPolicy, warm
 from tilesim.geometry import FovSpec, TileGrid
@@ -18,7 +18,6 @@ from tilesim.playback import (
     policy_summary_rows,
     popularity_share_rows,
     run_experiment,
-    savings_vs_naive,
     segment_rows,
     simulate,
 )
@@ -278,7 +277,7 @@ class TestDeterminism:
             cache.reset_stats()
             cfg = stationary_session(m, PolicyKind.TRANSITION, net, cache=cache,
                                      samples_per_axis=8)
-            outs.append(simulate(cfg).canonical_json())
+            outs.append(canonical_json(simulate(cfg)))
         assert outs[0] == outs[1]
 
 

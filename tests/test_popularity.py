@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from helpers import average_quality_map
 from tilesim.geometry import FovSpec, Orientation, TileGrid, TimedOrientation
 from tilesim.manifest import segment_bits, synthesize
 from tilesim.popularity import (
     HeatMap,
-    average_quality_map,
     build_heat,
     default_budget_bps,
     quantize,
