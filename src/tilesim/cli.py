@@ -18,6 +18,8 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,6 +53,14 @@ def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
             writer.writerow([_fmt(row[c]) for c in columns])
 
 
+def _checked(source: str, convert: Callable, value):
+    """convert(value), with a ValueError reported against `source`."""
+    try:
+        return convert(value)
+    except ValueError as e:
+        raise UsageError(f"{source}: {e}") from None
+
+
 def _parse_grid(text: str) -> TileGrid:
     try:
         cols, rows = text.lower().split("x")
@@ -59,12 +69,12 @@ def _parse_grid(text: str) -> TileGrid:
         raise UsageError(f"--grid: expected COLSxROWS, got {text!r}") from None
 
 
-def _parse_fov(text: str) -> FovSpec:
+def _parse_fov(text) -> FovSpec:
     try:
-        h, v = text.lower().split("x")
+        h, v = str(text).lower().split("x")
         return FovSpec(h_deg=float(h), v_deg=float(v))
-    except (ValueError, TypeError):
-        raise UsageError(f"--fov: expected HxV degrees, got {text!r}") from None
+    except ValueError:
+        raise ValueError(f"expected HxV degrees, got {text!r}") from None
 
 
 def _parse_floats_list(flag: str, text: str) -> list[float]:
@@ -77,9 +87,12 @@ def _parse_floats_list(flag: str, text: str) -> list[float]:
     return values
 
 
-def _parse_policies(text: str) -> list[PolicyKind]:
+def _parse_policies(names) -> list[PolicyKind]:
+    """A comma-separated string, or a list in a config file."""
+    if isinstance(names, list):
+        names = ",".join(map(str, names))
     out = []
-    for name in text.split(","):
+    for name in str(names).split(","):
         name = name.strip()
         if not name:
             continue
@@ -87,9 +100,9 @@ def _parse_policies(text: str) -> list[PolicyKind]:
             out.append(PolicyKind(name))
         except ValueError:
             valid = ", ".join(p.value for p in PolicyKind)
-            raise UsageError(f"--policies: unknown policy {name!r} (valid: {valid})") from None
+            raise ValueError(f"unknown policy {name!r} (valid: {valid})") from None
     if not out:
-        raise UsageError("--policies: empty list")
+        raise ValueError("empty list")
     return out
 
 
@@ -102,13 +115,14 @@ def _load_manifest(flag: str, path: str):
         raise UsageError(f"{flag}: {path}: {e}") from None
 
 
-def _load_traces(flag: str, path: str) -> list:
+def _read_traces(path: str, read: Callable):
+    """read(path), reporting an unreadable or malformed trace against --traces."""
     try:
-        return traceio.load_trace_dir(path)
+        return read(path)
     except OSError as e:
-        raise UsageError(f"{flag}: cannot read {path}: {e}") from None
+        raise UsageError(f"--traces: cannot read {path}: {e}") from None
     except traceio.ViewingTraceError as e:
-        raise UsageError(f"{flag}: {e}") from None
+        raise UsageError(f"--traces: {e}") from None
 
 
 def _load_network(flag: str, path: str, scale_factor: float) -> netsim.NetworkTrace:
@@ -126,9 +140,17 @@ def _load_network(flag: str, path: str, scale_factor: float) -> netsim.NetworkTr
     return trace
 
 
+def _path(value):
+    if not value:
+        raise ValueError("required (flag or config file)")
+    if not isinstance(value, str):
+        raise ValueError(f"expected a path, got {value!r}")
+    return value
+
+
 def _default_out(value: str | None) -> str:
     if value:
-        return value
+        return _path(value)
     env = os.environ.get(_ENV_OUT)
     if env:
         return env
@@ -173,8 +195,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_popularity(args: argparse.Namespace) -> int:
     m = _load_manifest("--manifest", args.manifest)
-    traces = _load_traces("--traces", args.traces)
-    fov = _parse_fov(args.fov)
+    traces = _read_traces(args.traces, traceio.load_trace_dir)
+    fov = _checked("--fov", _parse_fov, args.fov)
     if args.samples < 1:
         raise UsageError("--samples: must be >= 1")
     heat = popularity.build_heat(
@@ -232,22 +254,12 @@ def cmd_predict_error(args: argparse.Namespace) -> int:
         raise UsageError("--timeframes: must be finite and positive")
     if not 0.0 < args.step < math.inf:
         raise UsageError("--step: must be finite and positive")
-    try:
-        names = sorted(
-            n for n in os.listdir(args.traces) if n.endswith(".csv")
-        )
-    except OSError as e:
-        raise UsageError(f"--traces: cannot read {args.traces}: {e}") from None
-    if not names:
-        raise UsageError(f"--traces: no .csv viewing traces in {args.traces}")
+    names = _read_traces(args.traces, traceio.trace_files)
     os.makedirs(out_dir, exist_ok=True)
     step_rows = []
     for name in names:
         path = os.path.join(args.traces, name)
-        try:
-            trace = traceio.load_viewing_trace(path)
-        except traceio.ViewingTraceError as e:
-            raise UsageError(f"--traces: {e}") from None
+        trace = _read_traces(path, traceio.load_viewing_trace)
         for interval in intervals:
             for timeframe in timeframes:
                 try:
@@ -285,27 +297,85 @@ def cmd_predict_error(args: argparse.Namespace) -> int:
 
 # --- run ---------------------------------------------------------------------
 
-_RUN_DEFAULTS = {
-    "network_scale": 1.0,
-    "policies": "transition",
-    "iterations": 1,
-    "seed": 0,
-    "cache_policy": None,
-    "cache_capacity_bytes": 0,
-    "cache_rate_bps": 100e6,
-    "warm_traces": 30,
-    "fov": "100x100",
-    "timeframe": 0.1,
-    "samples_per_axis": 32,
-    "hysteresis": 1.0,
-    "out": None,
-}
+
+@dataclass(frozen=True)
+class _Number:
+    """Converts a setting to `kind` and requires low <= value < inf, or
+    low < value < inf when `strict`. NaN fails both comparisons."""
+
+    kind: type
+    low: float = -math.inf
+    strict: bool = False
+
+    def __call__(self, value):
+        try:
+            x = self.kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"expected {self.kind.__name__}, got {value!r}") from None
+        if not ((x > self.low if self.strict else x >= self.low) and x < math.inf):
+            op = ">" if self.strict else ">="
+            raise ValueError(
+                f"expected finite {self.kind.__name__} {op} {self.low:g}, got {value!r}"
+            )
+        return x
 
 
-def _merge_run_config(args: argparse.Namespace) -> dict:
-    """flags > config file > defaults."""
-    merged = dict(_RUN_DEFAULTS)
-    merged.update({"manifest": None, "traces": None, "network": None})
+def _cache_policy(value):
+    if not value:
+        return None
+    try:
+        return EvictionPolicy(value)
+    except ValueError:
+        valid = ", ".join(p.value for p in EvictionPolicy)
+        raise ValueError(f"unknown policy {value!r} (valid: {valid})") from None
+
+
+class Setting(NamedTuple):
+    """One `run` setting: its flag, its config-file key, its default, its help
+    and the converter that checks a value from either source."""
+
+    flag: str
+    key: str
+    default: object
+    help: str
+    convert: Callable
+
+
+RUN_SETTINGS = (
+    Setting("--manifest", "manifest", None,
+            "manifest JSON (needs popularity for some policies); required", _path),
+    Setting("--traces", "traces", None, "directory of viewing-trace CSVs; required", _path),
+    Setting("--network", "network", None,
+            "packet-trace file (1500-byte slots, ms per line); required", _path),
+    Setting("--network-scale", "network_scale", 1.0, "throughput scale factor",
+            _Number(float, 0.0, strict=True)),
+    Setting("--policies", "policies", "transition",
+            "comma-separated: naive,prediction,popularity,prediction-ba,transition",
+            _parse_policies),
+    Setting("--iterations", "iterations", 1, "runs per policy", _Number(int, 1)),
+    Setting("--seed", "seed", 0, "experiment seed", _Number(int)),
+    Setting("--cache-policy", "cache_policy", None,
+            "lru, lfuda, or gdsf; without one there is no cache", _cache_policy),
+    Setting("--cache-capacity", "cache_capacity_bytes", 0, "cache bytes; 0 = no cache",
+            _Number(int, 0)),
+    Setting("--cache-rate", "cache_rate_bps", 100e6, "cache-to-client bit/s",
+            _Number(float, 0.0, strict=True)),
+    Setting("--warm-traces", "warm_traces", 30, "viewings replayed to warm the cache",
+            _Number(int, 0)),
+    Setting("--fov", "fov", "100x100", "field of view HxV degrees", _parse_fov),
+    Setting("--timeframe", "timeframe", 0.1, "regression window seconds",
+            _Number(float, 0.0, strict=True)),
+    Setting("--samples", "samples_per_axis", 32, "visibility samples per axis",
+            _Number(int, 1)),
+    Setting("--hysteresis", "hysteresis", 1.0, "transition hysteresis", _Number(float, 1.0)),
+    Setting("--out", "out", None, f"output directory (default: ${_ENV_OUT})", _default_out),
+)
+
+
+def _run_settings(args: argparse.Namespace) -> tuple[dict, dict]:
+    """Each `run` setting as given (flags > config file > defaults) and as
+    converted and checked; a bad value names its flag or config key."""
+    doc = {}
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as f:
@@ -316,87 +386,61 @@ def _merge_run_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"--config: {args.config} is not valid JSON: {e}") from None
         if not isinstance(doc, dict):
             raise UsageError("--config: expected a JSON object")
-        unknown = set(doc) - set(merged)
+        unknown = set(doc) - {s.key for s in RUN_SETTINGS}
         if unknown:
             raise UsageError(f"--config: unknown keys {sorted(unknown)}")
-        merged.update(doc)
-    for key in merged:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    for key in ("manifest", "traces", "network"):
-        if not merged[key]:
-            raise UsageError(f"--{key}: required (flag or config file)")
-    return merged
-
-
-def _spec_number(spec: dict, key: str, kind: type) -> int | float:
-    """spec[key] converted by `kind`. argparse has already typed the flags, so
-    a value that does not convert came from the config file."""
-    try:
-        return kind(spec[key])
-    except (TypeError, ValueError):
-        raise UsageError(
-            f"--config: {key}: expected {kind.__name__}, got {spec[key]!r}"
-        ) from None
+    given, checked = {}, {}
+    for s in RUN_SETTINGS:
+        source = s.flag
+        value = getattr(args, s.key)
+        if value is None:
+            if s.key in doc:
+                value, source = doc[s.key], f"--config: {s.key}"
+            else:
+                value = s.default
+        given[s.key] = value
+        checked[s.key] = _checked(source, s.convert, value)
+    return given, checked
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    spec = _merge_run_config(args)
-    out_dir = _default_out(spec["out"])
-    m = _load_manifest("--manifest", spec["manifest"])
-    traces = _load_traces("--traces", spec["traces"])
-    network = _load_network(
-        "--network", spec["network"], _spec_number(spec, "network_scale", float)
-    )
-    names = spec["policies"]  # a comma-separated string, or a list in a config file
-    if isinstance(names, list):
-        names = ",".join(map(str, names))
-    policies = _parse_policies(str(names))
-    cache_policy = None
-    if spec["cache_policy"]:
-        try:
-            cache_policy = EvictionPolicy(spec["cache_policy"])
-        except ValueError:
-            valid = ", ".join(p.value for p in EvictionPolicy)
-            raise UsageError(
-                f"--cache-policy: unknown policy {spec['cache_policy']!r} (valid: {valid})"
-            ) from None
-    cache_capacity = _spec_number(spec, "cache_capacity_bytes", int)
-    if cache_capacity < 0:
-        raise UsageError("--cache-capacity: must be >= 0")
-    needs_popularity = {PolicyKind.POPULARITY, PolicyKind.TRANSITION} & set(policies)
+    spec, run = _run_settings(args)
+    out_dir = run["out"]
+    m = _load_manifest("--manifest", run["manifest"])
+    traces = _read_traces(run["traces"], traceio.load_trace_dir)
+    network = _load_network("--network", run["network"], run["network_scale"])
+    needs_popularity = {PolicyKind.POPULARITY, PolicyKind.TRANSITION} & set(run["policies"])
     if needs_popularity and not m.has_popularity:
         raise UsageError(
             "--policies: popularity/transition need a manifest with a popularity "
             "trace; run `tilesim popularity` first"
         )
-    fov = _parse_fov(str(spec["fov"]))
-    try:
-        predictor = prediction.PredictorConfig(
-            timeframe=_spec_number(spec, "timeframe", float)
-        )
-    except ValueError as e:
-        raise UsageError(f"--timeframe: {e}") from None
-    try:
-        report = playback.run_experiment(
-            manifest=m,
-            viewing_traces=traces,
-            network_trace=network,
-            policies=policies,
-            iterations=_spec_number(spec, "iterations", int),
-            cache_policy=cache_policy,
-            cache_capacity_bytes=cache_capacity,
-            seed=_spec_number(spec, "seed", int),
-            warm_trace_count=_spec_number(spec, "warm_traces", int),
-            fov=fov,
-            predictor=predictor,
-            samples_per_axis=_spec_number(spec, "samples_per_axis", int),
-            cache_rate_bps=_spec_number(spec, "cache_rate_bps", float),
-            hysteresis=_spec_number(spec, "hysteresis", float),
-        )
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    # Iteration i replays traces[i % len], and `simulate` needs each
+    # replayed trace to span the regression window.
+    for i, trace in enumerate(traces[: run["iterations"]]):
+        span = trace[-1].t - trace[0].t
+        if span < run["timeframe"]:
+            path = os.path.join(run["traces"], traceio.trace_files(run["traces"])[i])
+            raise UsageError(
+                f"--traces: {path} spans {span:.3f}s, shorter than the "
+                f"{run['timeframe']}s --timeframe window"
+            )
+    report = playback.run_experiment(
+        manifest=m,
+        viewing_traces=traces,
+        network_trace=network,
+        policies=run["policies"],
+        iterations=run["iterations"],
+        cache_policy=run["cache_policy"],
+        cache_capacity_bytes=run["cache_capacity_bytes"],
+        seed=run["seed"],
+        warm_trace_count=run["warm_traces"],
+        fov=run["fov"],
+        predictor=prediction.PredictorConfig(timeframe=run["timeframe"]),
+        samples_per_axis=run["samples_per_axis"],
+        cache_rate_bps=run["cache_rate_bps"],
+        hysteresis=run["hysteresis"],
+    )
 
     os.makedirs(out_dir, exist_ok=True)
     rows = playback.segment_rows(report)
@@ -417,7 +461,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         playback.estimate_rows(rows),
     )
     summary = {
-        "spec": {k: spec[k] for k in sorted(spec)},
+        "spec": spec,
         "network_average_bps": network.average_bps(),
         "policies": summary_rows,
         "quality_gain_transition_over_prediction_ba_percent": gain,
@@ -628,67 +672,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict_error)
 
     p = sub.add_parser("run", help="run streaming sessions and write QoE reports")
-    p.add_argument("--config", default=None, help="JSON file with the keys of these flags")
-    p.add_argument("--manifest", default=None, help="manifest JSON (needs popularity for some policies)")
-    p.add_argument("--traces", default=None, help="directory of viewing-trace CSVs")
-    p.add_argument("--network", default=None, help="packet-trace file (1500-byte slots, ms per line)")
-    p.add_argument(
-        "--network-scale",
-        dest="network_scale",
-        type=float,
-        default=None,
-        help="throughput scale factor (default: 1.0)",
-    )
-    p.add_argument(
-        "--policies",
-        default=None,
-        help="comma-separated: naive,prediction,popularity,prediction-ba,transition "
-        "(default: transition)",
-    )
-    p.add_argument("--iterations", type=int, default=None, help="runs per policy (default: 1)")
-    p.add_argument("--seed", type=int, default=None, help="experiment seed (default: 0)")
-    p.add_argument(
-        "--cache-policy",
-        dest="cache_policy",
-        default=None,
-        help="lru, lfuda, or gdsf (default: no cache)",
-    )
-    p.add_argument(
-        "--cache-capacity",
-        dest="cache_capacity_bytes",
-        type=int,
-        default=None,
-        help="cache bytes (default: 0 = no cache)",
-    )
-    p.add_argument(
-        "--cache-rate",
-        dest="cache_rate_bps",
-        type=float,
-        default=None,
-        help="cache-to-client bit/s (default: 100e6)",
-    )
-    p.add_argument(
-        "--warm-traces",
-        dest="warm_traces",
-        type=int,
-        default=None,
-        help="viewings replayed to warm the cache (default: 30)",
-    )
-    p.add_argument("--fov", default=None, help="field of view HxV degrees (default: 100x100)")
-    p.add_argument(
-        "--timeframe", type=float, default=None, help="regression window seconds (default: 0.1)"
-    )
-    p.add_argument(
-        "--samples",
-        dest="samples_per_axis",
-        type=int,
-        default=None,
-        help="visibility samples per axis (default: 32)",
-    )
-    p.add_argument(
-        "--hysteresis", type=float, default=None, help="transition hysteresis >= 1 (default: 1.0)"
-    )
-    p.add_argument("--out", default=None, help=f"output directory (default: ${_ENV_OUT})")
+    p.add_argument("--config", default=None, help="JSON file with the keys of these settings")
+    for setting in RUN_SETTINGS:
+        shown = "" if setting.default is None else f" (default: {setting.default})"
+        p.add_argument(
+            setting.flag,
+            dest=setting.key,
+            # Numbers are typed here, so `summary.json` records them as given.
+            type=getattr(setting.convert, "kind", None),
+            default=None,
+            help=setting.help + shown,
+        )
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify", help="recompute derived CSVs in an output directory")

@@ -11,7 +11,6 @@ start stalls the player and shifts the remaining schedule.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -113,12 +113,20 @@ def drifting_gaze(
     ]
 
 
+def packet_slots(rate: float, t0: float, t1: float) -> list[int]:
+    """Millisecond stamps of 1500-byte packet slots spread evenly over
+    (t0, t1] seconds at `rate` bit/s; at least one slot if t1 > t0."""
+    if t1 <= t0:
+        return []
+    packets = max(1, int(round(rate * (t1 - t0) / 8.0 / 1500.0)))
+    gap_ms = (t1 - t0) * 1000.0 / packets
+    return [int(round(t0 * 1000.0 + (k + 1) * gap_ms)) for k in range(packets)]
+
+
 def constant_rate_network(bits_per_second: float, duration_s: float) -> NetworkTrace:
     """Evenly spaced packet slots approximating a constant-rate link."""
-    packets = max(1, int(round(bits_per_second * duration_s / 8.0 / 1500.0)))
-    gap_ms = duration_s * 1000.0 / packets
-    stamps = np.rint((np.arange(packets) + 1) * gap_ms).astype(np.int64)
-    return NetworkTrace(timestamps_ms=stamps)
+    stamps = packet_slots(bits_per_second, 0.0, duration_s)
+    return NetworkTrace(timestamps_ms=np.array(stamps, dtype=np.int64))
 
 
 def two_phase_network(
@@ -130,17 +138,9 @@ def two_phase_network(
 ) -> NetworkTrace:
     """Ample until cut_s, starved after; optionally ample again from
     recover_s. Used to provoke adaptation-mechanism transitions."""
-
-    def slots(rate: float, t0: float, t1: float) -> list[int]:
-        if t1 <= t0:
-            return []
-        packets = max(1, int(round(rate * (t1 - t0) / 8.0 / 1500.0)))
-        gap_ms = (t1 - t0) * 1000.0 / packets
-        return [int(round(t0 * 1000.0 + (k + 1) * gap_ms)) for k in range(packets)]
-
     end_starved = recover_s if recover_s is not None else duration_s
-    stamps = slots(ample_bps, 0.0, cut_s)
-    stamps += slots(starved_bps, cut_s, end_starved)
+    stamps = packet_slots(ample_bps, 0.0, cut_s)
+    stamps += packet_slots(starved_bps, cut_s, end_starved)
     if recover_s is not None:
-        stamps += slots(ample_bps, recover_s, duration_s)
+        stamps += packet_slots(ample_bps, recover_s, duration_s)
     return NetworkTrace(timestamps_ms=np.array(stamps, dtype=np.int64))

@@ -120,9 +120,14 @@ def save_viewing_trace(trace: list[TimedOrientation], path: str) -> None:
             writer.writerow([repr(s.t), repr(s.o.yaw), repr(s.o.pitch), repr(s.o.roll)])
 
 
-def load_trace_dir(path: str) -> list[list[TimedOrientation]]:
-    """All *.csv traces under a directory, ordered by file name."""
+def trace_files(path: str) -> list[str]:
+    """The names of the *.csv traces in a directory, sorted."""
     names = sorted(n for n in os.listdir(path) if n.endswith(".csv"))
     if not names:
         raise ViewingTraceError(f"{path}: no .csv viewing traces found")
-    return [load_viewing_trace(os.path.join(path, n)) for n in names]
+    return names
+
+
+def load_trace_dir(path: str) -> list[list[TimedOrientation]]:
+    """All *.csv traces under a directory, ordered by file name."""
+    return [load_viewing_trace(os.path.join(path, n)) for n in trace_files(path)]

@@ -336,3 +336,11 @@ def prediction_summary_oracle(step_rows: list[dict]) -> list[dict]:
             }
         )
     return out
+
+
+def constant_rate_network_oracle(bits_per_second: float, duration_s: float) -> np.ndarray:
+    """`synthetic.constant_rate_network`'s timestamps from its own numpy
+    body, before it shared `packet_slots` with `two_phase_network`."""
+    packets = max(1, int(round(bits_per_second * duration_s / 8.0 / 1500.0)))
+    gap_ms = duration_s * 1000.0 / packets
+    return np.rint((np.arange(packets) + 1) * gap_ms).astype(np.int64)

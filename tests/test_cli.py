@@ -2,6 +2,7 @@ import csv
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,8 +14,8 @@ import pytest
 import tilesim
 from helpers import staircase_scenario
 from tilesim import manifest as manifest_mod
-from tilesim import netsim, traceio
-from tilesim.cli import main
+from tilesim import netsim, playback, traceio
+from tilesim.cli import RUN_SETTINGS, main
 from tilesim.synthetic import (
     constant_gaze,
     constant_rate_network,
@@ -293,9 +294,26 @@ class TestRun:
             (["--network-scale", "0"], None, "--network-scale"),
             ([], {"iterations": "abc"}, "iterations"),
             ([], {"policies": ["psychic"]}, "psychic"),
+            (["--samples", "0"], None, "--samples"),
+            (["--hysteresis", "0.5"], None, "--hysteresis"),
+            (["--hysteresis", "nan"], None, "--hysteresis"),
+            (["--timeframe", "nan"], None, "--timeframe"),
+            (["--timeframe", "50"], None, "--traces viewer0.csv"),  # traces span 41 s
+            (["--cache-rate", "-1"], None, "--cache-rate"),
+            (["--cache-rate", "nan"], None, "--cache-rate"),
+            (["--cache-policy", "lru", "--cache-capacity", "100000000",
+              "--cache-rate", "0"], None, "--cache-rate"),
+            (["--cache-policy", "lru", "--cache-capacity", "100000000",
+              "--warm-traces", "-1"], None, "--warm-traces"),
+            ([], {"samples_per_axis": 0}, "--config: samples_per_axis"),
+            ([], {"hysteresis": "nan"}, "--config: hysteresis"),
+            ([], {"fov": "wide"}, "--config: fov"),
+            ([], {"policies": []}, "--config: policies"),
+            ([], {"cache_policy": "fifo"}, "--config: cache_policy"),
         ],
     )
     def test_bad_value_names_its_source(self, ws, tmp_path, capsys, flags, config, named):
+        """Exit 2, and stderr holds each word of `named`."""
         if config is not None:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(config))
@@ -304,8 +322,48 @@ class TestRun:
             "run", "--manifest", ws["manifest"], "--traces", ws["traces"],
             "--network", ws["network"], "--out", str(tmp_path / "out"),
         ] + flags) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert all(word in err for word in named.split()), err
         assert not (tmp_path / "out").exists()
+
+    def test_config_path_must_be_a_string(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"manifest": 5}))
+        assert main([
+            "run", "--config", str(cfg), "--traces", ws["traces"],
+            "--network", ws["network"], "--out", str(tmp_path / "out"),
+        ]) == 2
+        assert "--config: manifest" in capsys.readouterr().err
+
+    def test_simulation_failure_exits_1(self, ws, tmp_path, capsys, monkeypatch):
+        def fail(**kwargs):
+            raise ValueError("simulation failed")
+
+        monkeypatch.setattr(playback, "run_experiment", fail)
+        assert main([
+            "run", "--manifest", ws["manifest"], "--traces", ws["traces"],
+            "--network", ws["network"], "--out", str(tmp_path / "out"),
+        ]) == 1
+        assert "simulation failed" in capsys.readouterr().err
+
+    def test_help_shows_each_setting_and_its_default(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        options = " ".join(capsys.readouterr().out.split()).split(" options: ")[1]
+        entries = {e.split()[0]: e for e in re.split(r" (?=--[a-z])", options)}
+        for setting in RUN_SETTINGS:
+            assert setting.flag in entries
+            if setting.default is not None:
+                assert f"(default: {setting.default})" in entries[setting.flag]
+
+    def test_readme_names_each_config_key_that_differs_from_its_flag(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        mapping = readme.split("Settings can also come from a JSON file")[1].split("\n\n")[0]
+        renamed = [s for s in RUN_SETTINGS if s.key != s.flag[2:].replace("-", "_")]
+        assert renamed
+        for setting in renamed:
+            assert f"`{setting.flag}`" in mapping and f"`{setting.key}`" in mapping
 
     def test_popularity_policy_needs_popularity_manifest(self, tmp_path, ws, capsys):
         bare = tmp_path / "bare.json"

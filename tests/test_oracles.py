@@ -1,13 +1,15 @@
-"""The shared greedy walk, tile ranking and group-by against the scalar code
-they replaced (kept in helpers.py). Results must be bit-identical: levels
-array-equal, report rows equal down to the repr of every float.
+"""The shared greedy walk, tile ranking, group-by and packet-slot builder
+against the code they replaced (kept in helpers.py). Results must be
+bit-identical: levels and timestamps array-equal, report rows equal down to
+the repr of every float.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    constant_rate_network_oracle,
     estimate_oracle,
     policy_summary_oracle,
     popularity_share_oracle,
@@ -24,6 +26,7 @@ from tilesim.geometry import TileGrid, VisibilityMap, rank_tiles
 from tilesim.manifest import naive_segment_bytes, segment_bits, synthesize
 from tilesim.playback import estimate_rows, policy_summary_rows, popularity_share_rows
 from tilesim.popularity import HeatMap, quantize
+from tilesim.synthetic import constant_rate_network
 
 TIE_DENOM = 4  # scores are multiples of 1/TIE_DENOM**2, so ties are common
 
@@ -153,3 +156,14 @@ def test_report_group_bys_match_seen_list_scans(rows):
 @settings(max_examples=300, deadline=None)
 def test_prediction_summary_matches_seen_list_scan(rows):
     assert repr(prediction_summary_rows(rows)) == repr(prediction_summary_oracle(rows))
+
+
+@given(rate=st.floats(1e3, 4e8), duration=st.floats(0.001, 5.0))
+@example(rate=1e9, duration=2.0)
+@example(rate=2e6, duration=30.0)
+@settings(max_examples=100, deadline=None)
+def test_constant_rate_network_matches_its_old_body(rate, duration):
+    np.testing.assert_array_equal(
+        constant_rate_network(rate, duration).timestamps_ms,
+        constant_rate_network_oracle(rate, duration),
+    )
