@@ -18,6 +18,7 @@ than the capacity are never stored.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import random
 from dataclasses import dataclass
@@ -165,6 +166,19 @@ class Cache:
         """Zero the counters (separates warm-up from measurement)."""
         self.stats = CacheStats()
 
+    def copy(self) -> Cache:
+        """An independent cache in the same state: entries, heap, clocks,
+        aging level, occupancy and stats. Requests on either leave the other
+        untouched, and both evict the same keys for the same requests."""
+        twin = copy.copy(self)
+        twin.stats = copy.copy(self.stats)
+        twin._entries = {
+            k: _Entry(e.size, e.frequency, e.last_access, e.priority)
+            for k, e in self._entries.items()
+        }
+        twin._heap = list(self._heap)
+        return twin
+
 
 def quality_bands(scores: np.ndarray, quality_count: int) -> np.ndarray:
     """Warm-up quality mapping for one pose's visibility scores.
@@ -204,18 +218,27 @@ def warm(
     seed: int,
     trace_count: int = 30,
     samples_per_axis: int = 32,
+    assignments: dict[int, np.ndarray] | None = None,
 ) -> None:
     """Pre-populate a cache by replaying full viewings of random traces.
 
-    A seeded draw picks min(trace_count, len(traces)) traces in random order
-    (drawing without replacement doubles as the permutation); each viewing
-    requests every tile of every segment at its warm-up quality, segments and
-    tiles ascending. Call cache.reset_stats() afterwards to measure cleanly.
+    A seeded draw picks min(trace_count, len(traces)) trace indices in random
+    order (drawing without replacement doubles as the permutation); each
+    viewing requests every tile of every segment at its warm-up quality,
+    segments and tiles ascending. Call cache.reset_stats() afterwards to
+    measure cleanly. `assignments` memoizes viewing_assignments by trace
+    index across calls that share the traces, manifest, fov and
+    samples_per_axis.
     """
     rng = random.Random(seed)
-    chosen = rng.sample(list(traces), min(trace_count, len(traces)))
-    for trace in chosen:
-        assignments = viewing_assignments(manifest, trace, fov, samples_per_axis)
+    if assignments is None:
+        assignments = {}
+    for index in rng.sample(range(len(traces)), min(trace_count, len(traces))):
+        if index not in assignments:
+            assignments[index] = viewing_assignments(
+                manifest, traces[index], fov, samples_per_axis
+            )
+        levels = assignments[index]
         for seg in range(manifest.segment_count):
-            for key, size in segment_requests(manifest, seg, assignments[seg]):
+            for key, size in segment_requests(manifest, seg, levels[seg]):
                 cache.request(key, size)

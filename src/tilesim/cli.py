@@ -162,8 +162,13 @@ def _default_out(value: str | None) -> str:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
-    if args.duration <= 0 or args.segment_length <= 0:
-        raise UsageError("--duration/--segment-length: must be positive")
+    for flag, value in (
+        ("--duration", args.duration),
+        ("--segment-length", args.segment_length),
+        ("--base-bitrate", args.base_bitrate),
+    ):
+        if not (math.isfinite(value) and value > 0):
+            raise UsageError(f"{flag}: must be finite and positive")
     if args.qualities < 1:
         raise UsageError("--qualities: must be >= 1")
     if not 0.0 <= args.variability < 1.0:
@@ -199,6 +204,8 @@ def cmd_popularity(args: argparse.Namespace) -> int:
     fov = _checked("--fov", _parse_fov, args.fov)
     if args.samples < 1:
         raise UsageError("--samples: must be >= 1")
+    if args.budget is not None and not (math.isfinite(args.budget) and args.budget >= 0):
+        raise UsageError("--budget: must be finite and >= 0")
     heat = popularity.build_heat(
         traces,
         m.grid,

@@ -235,8 +235,9 @@ def run_experiment(
 
     Iteration i uses viewing_traces[i % len] and a warm-up seed derived from
     (seed, i) for every policy, so runs are comparable pairwise across
-    policies. Each run gets a freshly warmed cache with counters reset before
-    measurement.
+    policies. The cache is warmed once per iteration, with counters reset
+    before measurement, and each run gets a copy of its iteration's warmed
+    cache. Each trace's warm-up assignments are computed once per experiment.
     """
     if not viewing_traces:
         raise ValueError("need at least one viewing trace")
@@ -244,35 +245,41 @@ def run_experiment(
         raise ValueError("iterations must be >= 1")
     fov = fov or FovSpec()
     predictor = predictor or PredictorConfig()
-    runs: dict[str, list[SessionMetrics]] = {p.value: [] for p in policies}
-    for policy in policies:
-        for i in range(iterations):
-            cache = None
-            if cache_policy is not None and cache_capacity_bytes > 0:
-                cache = Cache(cache_capacity_bytes, cache_policy)
-                warm(
-                    cache,
-                    manifest,
-                    viewing_traces,
-                    fov,
-                    seed=seed * 100003 + i,
-                    trace_count=warm_trace_count,
-                    samples_per_axis=samples_per_axis,
-                )
-                cache.reset_stats()
+    sessions: list[list[SessionMetrics]] = [[] for _ in policies]
+    assignments: dict[int, np.ndarray] = {}
+    for i in range(iterations):
+        warmed = None
+        if cache_policy is not None and cache_capacity_bytes > 0:
+            warmed = Cache(cache_capacity_bytes, cache_policy)
+            warm(
+                warmed,
+                manifest,
+                viewing_traces,
+                fov,
+                seed=seed * 100003 + i,
+                trace_count=warm_trace_count,
+                samples_per_axis=samples_per_axis,
+                assignments=assignments,
+            )
+            warmed.reset_stats()
+        for policy, runs_of_policy in zip(policies, sessions):
             cfg = SessionConfig(
                 manifest=manifest,
                 viewing_trace=viewing_traces[i % len(viewing_traces)],
                 network_trace=network_trace,
                 policy=policy,
-                cache=cache,
+                cache=warmed.copy() if warmed is not None else None,
                 cache_rate_bps=cache_rate_bps,
                 fov=fov,
                 predictor=predictor,
                 samples_per_axis=samples_per_axis,
                 hysteresis=hysteresis,
             )
-            runs[policy.value].append(simulate(cfg))
+            runs_of_policy.append(simulate(cfg))
+    # Policy-major, so a policy listed twice keeps its listings' runs apart.
+    runs: dict[str, list[SessionMetrics]] = {p.value: [] for p in policies}
+    for policy, runs_of_policy in zip(policies, sessions):
+        runs[policy.value].extend(runs_of_policy)
     return ExperimentReport(
         policies=[p.value for p in policies],
         iterations=iterations,

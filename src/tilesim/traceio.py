@@ -101,7 +101,10 @@ def load_viewing_trace(path: str) -> list[TimedOrientation]:
             pose = Orientation(yaw=yaw, pitch=pitch, roll=roll)
         else:
             t = values[0]
-            pose = quaternion_to_orientation(*values[1:])
+            try:
+                pose = quaternion_to_orientation(*values[1:])
+            except ValueError as e:
+                raise ViewingTraceError(f"{path}:{lineno}: {e} in {row!r}") from None
         if trace and t <= trace[-1].t:
             raise ViewingTraceError(
                 f"{path}:{lineno}: timestamps must strictly increase "

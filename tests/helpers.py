@@ -8,12 +8,16 @@ independent derivations.
 from __future__ import annotations
 
 import json
+import random
 
 import numpy as np
 
 from tilesim import manifest as mf
 from tilesim.adaptation import select_prediction
+from tilesim.cachesim import Cache, viewing_assignments
 from tilesim.geometry import FovSpec, Orientation, TileGrid, tile_visibility
+from tilesim.playback import ExperimentReport, SessionConfig, simulate
+from tilesim.prediction import PredictorConfig
 from tilesim.synthetic import constant_gaze
 
 
@@ -344,3 +348,65 @@ def constant_rate_network_oracle(bits_per_second: float, duration_s: float) -> n
     packets = max(1, int(round(bits_per_second * duration_s / 8.0 / 1500.0)))
     gap_ms = duration_s * 1000.0 / packets
     return np.rint((np.arange(packets) + 1) * gap_ms).astype(np.int64)
+
+
+def warm_oracle(cache, manifest, traces, fov, seed, trace_count, samples_per_axis):
+    """`cachesim.warm` before it sampled trace indices and shared one
+    `viewing_assignments` per trace: it samples the traces themselves and
+    recomputes each viewing's assignments."""
+    rng = random.Random(seed)
+    chosen = rng.sample(list(traces), min(trace_count, len(traces)))
+    for trace in chosen:
+        assignments = viewing_assignments(manifest, trace, fov, samples_per_axis)
+        for seg in range(manifest.segment_count):
+            for key, size in mf.segment_requests(manifest, seg, assignments[seg]):
+                cache.request(key, size)
+
+
+def run_experiment_oracle(
+    manifest,
+    viewing_traces,
+    network_trace,
+    policies,
+    iterations,
+    cache_policy=None,
+    cache_capacity_bytes=0,
+    seed=0,
+    warm_trace_count=30,
+    fov=None,
+    predictor=None,
+    samples_per_axis=32,
+    cache_rate_bps=100e6,
+    hysteresis=1.0,
+) -> ExperimentReport:
+    """`playback.run_experiment` before it warmed one cache per iteration:
+    policy is the outer loop, and every session gets a freshly warmed cache."""
+    fov = fov or FovSpec()
+    predictor = predictor or PredictorConfig()
+    runs = {p.value: [] for p in policies}
+    for policy in policies:
+        for i in range(iterations):
+            cache = None
+            if cache_policy is not None and cache_capacity_bytes > 0:
+                cache = Cache(cache_capacity_bytes, cache_policy)
+                warm_oracle(
+                    cache, manifest, viewing_traces, fov, seed * 100003 + i,
+                    warm_trace_count, samples_per_axis,
+                )
+                cache.reset_stats()
+            cfg = SessionConfig(
+                manifest=manifest,
+                viewing_trace=viewing_traces[i % len(viewing_traces)],
+                network_trace=network_trace,
+                policy=policy,
+                cache=cache,
+                cache_rate_bps=cache_rate_bps,
+                fov=fov,
+                predictor=predictor,
+                samples_per_axis=samples_per_axis,
+                hysteresis=hysteresis,
+            )
+            runs[policy.value].append(simulate(cfg))
+    return ExperimentReport(
+        policies=[p.value for p in policies], iterations=iterations, seed=seed, runs=runs
+    )

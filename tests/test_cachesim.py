@@ -229,6 +229,44 @@ class TestWarm:
         assert len(c) > 0
 
 
+class TestCopy:
+    @staticmethod
+    def state(cache):
+        return (
+            copy.deepcopy(cache._entries), list(cache._heap), cache._seq, cache._clock,
+            cache.aging_level, cache.occupancy, copy.copy(cache.stats),
+        )
+
+    @staticmethod
+    def replay(cache, stream, sizes):
+        """Hits, and the keys each request evicted."""
+        out = []
+        for k in stream:
+            before = set(cache._entries)
+            hit = cache.request(k, int(sizes[k]))
+            out.append((hit, before - set(cache._entries)))
+        return out
+
+    @pytest.mark.parametrize("policy", ["lru", "lfuda", "gdsf"])
+    def test_copy_is_independent_and_evicts_alike(self, policy):
+        rng = np.random.default_rng(9)
+        sizes = rng.integers(1, 30, size=40)
+        original = Cache(200, EvictionPolicy(policy))
+        self.replay(original, [int(k) for k in rng.integers(0, 40, size=500)], sizes)
+        assert original.aging_level > 0 or policy == "lru"
+        twin = original.copy()
+        assert self.state(twin) == self.state(original)
+        kept = self.state(original)
+        # Hit every resident first, then churn.
+        stream = sorted(original._entries)
+        stream += [int(k) for k in rng.integers(0, 40, size=2000)]
+        on_twin = self.replay(twin, stream, sizes)
+        assert self.state(original) == kept
+        assert any(evicted for _, evicted in on_twin)
+        assert self.replay(original, stream, sizes) == on_twin
+        assert self.state(original) == self.state(twin)
+
+
 class TestAgainstScanOracle:
     @pytest.mark.parametrize("policy", ["lru", "lfuda", "gdsf"])
     def test_exact_decision_trace(self, policy):

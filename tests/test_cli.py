@@ -93,6 +93,18 @@ class TestSynth:
             "synth", "--out", str(tmp_path / "m.json"), "--variability", "1.0",
         ]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--duration", "nan"), ("--duration", "inf"), ("--segment-length", "nan"),
+         ("--segment-length", "0"), ("--base-bitrate", "nan"), ("--base-bitrate", "0"),
+         ("--base-bitrate", "-1"), ("--base-bitrate", "inf")],
+    )
+    def test_bad_value_names_its_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "m.json"
+        assert main(["synth", "--out", str(out), f"{flag}={value}"]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_out_flag_is_argparse_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["synth"])
@@ -125,6 +137,44 @@ class TestPopularity:
             "--samples", "0",
         ]) == 2
         assert "--samples" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-inf", "-5"])
+    def test_bad_budget(self, ws, tmp_path, capsys, budget):
+        manifest = tmp_path / "m.json"
+        shutil.copy(ws["manifest"], manifest)
+        before = manifest.read_bytes()
+        assert main([
+            "popularity", "--manifest", str(manifest), "--traces", ws["traces"],
+            f"--budget={budget}",
+        ]) == 2
+        assert "--budget" in capsys.readouterr().err
+        assert manifest.read_bytes() == before
+
+    @pytest.mark.parametrize("budget", ["0", "1"])
+    def test_budget_below_all_lowest_keeps_every_tile_at_level_0(
+        self, ws, tmp_path, budget
+    ):
+        manifest = tmp_path / "m.json"
+        shutil.copy(ws["manifest"], manifest)
+        assert main([
+            "popularity", "--manifest", str(manifest), "--traces", ws["traces"],
+            "--budget", budget,
+        ]) == 0
+        plan = manifest_mod.load(str(manifest)).popularity
+        assert plan.shape == (27, 16) and (plan == 0).all()
+
+    def test_zero_quaternion_names_traces_and_file(self, ws, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "zero.csv").write_text("t,qw,qx,qy,qz\n0.0,1,0,0,0\n0.1,0,0,0,0\n")
+        manifest = tmp_path / "m.json"
+        shutil.copy(ws["manifest"], manifest)
+        assert main([
+            "popularity", "--manifest", str(manifest), "--traces", str(traces),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--traces" in err and "zero.csv:3" in err
 
 
 class TestPredictError:
@@ -173,6 +223,16 @@ class TestPredictError:
         ]) == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_zero_quaternion_names_traces_and_file(self, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "zero.csv").write_text("0.0,1,0,0,0\n0.1,0,0,0,0\n")
+        assert main([
+            "predict-error", "--traces", str(traces), "--out", str(tmp_path / "out"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--traces" in err and "zero.csv:2" in err
 
     def test_trace_too_sparse_for_the_window(self, tmp_path, capsys):
         sparse = tmp_path / "sparse"
@@ -324,6 +384,18 @@ class TestRun:
         ] + flags) == 2
         err = capsys.readouterr().err
         assert all(word in err for word in named.split()), err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_quaternion_names_traces_and_file(self, ws, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "zero.csv").write_text("0.0,1,0,0,0\n0.1,0,0,0,0\n")
+        assert main([
+            "run", "--manifest", ws["manifest"], "--traces", str(traces),
+            "--network", ws["network"], "--out", str(tmp_path / "out"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--traces" in err and "zero.csv:2" in err
         assert not (tmp_path / "out").exists()
 
     def test_config_path_must_be_a_string(self, ws, tmp_path, capsys):

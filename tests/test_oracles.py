@@ -1,7 +1,7 @@
-"""The shared greedy walk, tile ranking, group-by and packet-slot builder
-against the code they replaced (kept in helpers.py). Results must be
-bit-identical: levels and timestamps array-equal, report rows equal down to
-the repr of every float.
+"""The shared greedy walk, tile ranking, group-by, packet-slot builder and
+experiment driver against the code they replaced (kept in helpers.py).
+Results must be bit-identical: levels and timestamps array-equal, report rows
+equal down to the repr of every float.
 """
 
 import numpy as np
@@ -17,16 +17,23 @@ from helpers import (
     quality_bands_oracle,
     quantize_oracle,
     ranked_tiles_oracle,
+    run_experiment_oracle,
     select_prediction_oracle,
 )
-from tilesim.adaptation import select_prediction
-from tilesim.cachesim import quality_bands
+from tilesim.adaptation import PolicyKind, select_prediction
+from tilesim.cachesim import EvictionPolicy, quality_bands
 from tilesim.cli import prediction_summary_rows
-from tilesim.geometry import TileGrid, VisibilityMap, rank_tiles
+from tilesim.geometry import FovSpec, TileGrid, VisibilityMap, rank_tiles
 from tilesim.manifest import naive_segment_bytes, segment_bits, synthesize
-from tilesim.playback import estimate_rows, policy_summary_rows, popularity_share_rows
+from tilesim.playback import (
+    estimate_rows,
+    policy_summary_rows,
+    popularity_share_rows,
+    run_experiment,
+    segment_rows,
+)
 from tilesim.popularity import HeatMap, quantize
-from tilesim.synthetic import constant_rate_network
+from tilesim.synthetic import constant_gaze, constant_rate_network, linear_gaze
 
 TIE_DENOM = 4  # scores are multiples of 1/TIE_DENOM**2, so ties are common
 
@@ -167,3 +174,87 @@ def test_constant_rate_network_matches_its_old_body(rate, duration):
         constant_rate_network(rate, duration).timestamps_ms,
         constant_rate_network_oracle(rate, duration),
     )
+
+
+@st.composite
+def experiments(draw):
+    """run_experiment arguments: a manifest with a popularity plan; viewers
+    that share or miss each other's tiles; no cache, or a cache from one that
+    evicts on nearly every request to one that holds the whole manifest;
+    more iterations and warm-up viewings than traces; policy lists with
+    repeats and with transition."""
+    m = draw(manifests())
+    m.popularity = np.array(
+        draw(st.lists(
+            st.integers(0, m.quality_count - 1),
+            min_size=m.segment_count * m.grid.tile_count,
+            max_size=m.segment_count * m.grid.tile_count,
+        )),
+        dtype=np.int64,
+    ).reshape(m.segment_count, m.grid.tile_count)
+    span = m.duration + 1.0
+    traces = []
+    for _ in range(draw(st.integers(1, 3))):
+        yaw = draw(st.sampled_from([-120.0, 0.0, 5.0, 90.0]))
+        pitch = draw(st.sampled_from([-30.0, 0.0, 20.0]))
+        rate = draw(st.sampled_from([0.0, 30.0]))
+        traces.append(
+            constant_gaze(yaw, pitch, span, hz=4.0) if rate == 0.0
+            else linear_gaze(yaw, rate, span, hz=4.0, pitch0=pitch)
+        )
+    cache_policy = draw(st.sampled_from([None, *EvictionPolicy]))
+    share = draw(st.sampled_from([0.0, 0.01, 0.1, 0.4, 2.0]))
+    policies = draw(st.lists(st.sampled_from(list(PolicyKind)), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        policies.append(PolicyKind.TRANSITION)
+    return dict(
+        manifest=m,
+        viewing_traces=traces,
+        network_trace=constant_rate_network(
+            draw(st.sampled_from([0.3e6, 3e6, 50e6])), 8.0
+        ),
+        policies=policies,
+        iterations=draw(st.integers(1, len(traces) + 2)),
+        cache_policy=cache_policy,
+        cache_capacity_bytes=int(share * int(m.sizes.sum())),
+        seed=draw(st.integers(0, 50)),
+        warm_trace_count=draw(
+            st.sampled_from([0, 1, len(traces) + 1]) | st.integers(0, len(traces))
+        ),
+        fov=FovSpec(*draw(st.sampled_from([(100.0, 100.0), (60.0, 40.0)]))),
+        samples_per_axis=4,
+        cache_rate_bps=draw(st.sampled_from([1e6, 100e6])),
+        hysteresis=draw(st.sampled_from([1.0, 1.5])),
+    )
+
+
+def _cache_rates(report):
+    return [
+        (m.cache_hit_rate, m.cache_byte_hit_rate)
+        for policy in report.policies
+        for m in report.runs[policy]
+    ]
+
+
+REPEATED_POLICY = dict(  # a policy listed twice, over two differing iterations
+    manifest=synthesize("rep", duration=6.0, segment_length=1.5, grid=TileGrid(3, 2)),
+    viewing_traces=[constant_gaze(yaw, 0.0, 7.0, hz=4.0) for yaw in (0.0, 120.0)],
+    network_trace=constant_rate_network(3e6, 8.0),
+    policies=[PolicyKind.PREDICTION, PolicyKind.PREDICTION],
+    iterations=2,
+    cache_policy=EvictionPolicy.LRU,
+    cache_capacity_bytes=10**9,
+    seed=1,
+    warm_trace_count=1,
+    samples_per_axis=4,
+)
+
+
+@given(kwargs=experiments())
+@example(kwargs=REPEATED_POLICY)
+@settings(max_examples=150, deadline=None)
+def test_run_experiment_matches_a_fresh_warm_up_per_session(kwargs):
+    new = run_experiment(**kwargs)
+    old = run_experiment_oracle(**kwargs)
+    assert repr(segment_rows(new)) == repr(segment_rows(old))
+    assert _cache_rates(new) == _cache_rates(old)

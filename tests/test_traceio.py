@@ -98,6 +98,12 @@ class TestEulerFiles:
         assert got[0].o.yaw == pytest.approx(90.0, abs=1e-9)
         assert got[1].o.yaw == pytest.approx(0.0, abs=1e-9)
 
+    def test_zero_quaternion_names_file_and_line(self, tmp_path):
+        path = tmp_path / "z.csv"
+        path.write_text("t,qw,qx,qy,qz\n0.0,1,0,0,0\n0.1,0,0,0,0\n")
+        with pytest.raises(ViewingTraceError, match=r"z\.csv:3: zero quaternion"):
+            load_viewing_trace(str(path))
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("")
