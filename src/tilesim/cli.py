@@ -38,11 +38,7 @@ class UsageError(Exception):
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "" if value is None else str(value)  # a float's str is its full-precision repr
 
 
 def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
@@ -97,10 +93,13 @@ def _parse_policies(names) -> list[PolicyKind]:
         if not name:
             continue
         try:
-            out.append(PolicyKind(name))
+            policy = PolicyKind(name)
         except ValueError:
             valid = ", ".join(p.value for p in PolicyKind)
             raise ValueError(f"unknown policy {name!r} (valid: {valid})") from None
+        if policy in out:
+            raise ValueError(f"policy {name!r} listed twice")
+        out.append(policy)
     if not out:
         raise ValueError("empty list")
     return out
@@ -227,7 +226,9 @@ def cmd_popularity(args: argparse.Namespace) -> int:
 
 # --- predict-error -----------------------------------------------------------
 
-STEP_COLUMNS = ["trace", "interval", "timeframe", "step", "error_deg"]
+STEP_COLUMNS = {  # column -> parser that reads its cell back
+    "trace": str, "interval": float, "timeframe": float, "step": int, "error_deg": float,
+}
 PRED_SUMMARY_COLUMNS = ["trace", "interval", "timeframe", "steps", "mean_deg", "std_deg"]
 
 
@@ -288,18 +289,51 @@ def cmd_predict_error(args: argparse.Namespace) -> int:
                             "error_deg": float(err),
                         }
                     )
-    _write_csv(os.path.join(out_dir, "prediction_error_steps.csv"), STEP_COLUMNS, step_rows)
-    summary = prediction_summary_rows(step_rows)
-    _write_csv(
-        os.path.join(out_dir, "prediction_error_summary.csv"),
-        PRED_SUMMARY_COLUMNS,
-        summary,
-    )
+    derived = _write_outputs(out_dir, "prediction_error_steps.csv", step_rows)
+    summary = derived["prediction_error_summary.csv"]
     print(
         f"wrote {len(step_rows)} step errors over {len(summary)} (trace, interval, "
         f"timeframe) combinations to {out_dir}"
     )
     return 0
+
+
+# --- output CSVs -------------------------------------------------------------
+
+# Source CSV -> (its {column: parser}, its derived CSVs as (name, columns,
+# derive)); read by the writers and by `verify`. Each derive function is looked
+# up on its module at call time, so a wrapper set on that attribute sees it.
+OUTPUTS = {
+    "segments.csv": (
+        playback.SEGMENT_COLUMNS,
+        (
+            ("policy_summary.csv", playback.SUMMARY_COLUMNS,
+             lambda rows: playback.policy_summary_rows(rows)),
+            ("popularity_share.csv", playback.SHARE_COLUMNS,
+             lambda rows: playback.popularity_share_rows(rows)),
+            ("estimates.csv", playback.ESTIMATE_COLUMNS,
+             lambda rows: playback.estimate_rows(rows)),
+        ),
+    ),
+    "prediction_error_steps.csv": (
+        STEP_COLUMNS,
+        (
+            ("prediction_error_summary.csv", PRED_SUMMARY_COLUMNS,
+             lambda rows: prediction_summary_rows(rows)),
+        ),
+    ),
+}
+
+
+def _write_outputs(out_dir: str, source: str, rows: list[dict]) -> dict[str, list[dict]]:
+    """Write a source CSV and its derived CSVs; returns the derived rows by name."""
+    parsers, derived = OUTPUTS[source]
+    _write_csv(os.path.join(out_dir, source), list(parsers), rows)
+    out = {}
+    for name, columns, derive in derived:
+        out[name] = derive(rows)
+        _write_csv(os.path.join(out_dir, name), columns, out[name])
+    return out
 
 
 # --- run ---------------------------------------------------------------------
@@ -451,22 +485,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     rows = playback.segment_rows(report)
-    summary_rows = playback.policy_summary_rows(rows)
+    summary_rows = _write_outputs(out_dir, "segments.csv", rows)["policy_summary.csv"]
     gain = report.quality_gain_percent()
-    _write_csv(os.path.join(out_dir, "segments.csv"), playback.SEGMENT_COLUMNS, rows)
-    _write_csv(
-        os.path.join(out_dir, "policy_summary.csv"), playback.SUMMARY_COLUMNS, summary_rows
-    )
-    _write_csv(
-        os.path.join(out_dir, "popularity_share.csv"),
-        playback.SHARE_COLUMNS,
-        playback.popularity_share_rows(rows),
-    )
-    _write_csv(
-        os.path.join(out_dir, "estimates.csv"),
-        playback.ESTIMATE_COLUMNS,
-        playback.estimate_rows(rows),
-    )
     summary = {
         "spec": spec,
         "network_average_bps": network.average_bps(),
@@ -492,63 +512,44 @@ def cmd_run(args: argparse.Namespace) -> int:
 # --- verify ------------------------------------------------------------------
 
 
-def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+def _read_csv(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """A CSV's header ([] when empty) and each other row with its line number."""
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
-        rows = list(reader)
-    if not rows:
-        raise UsageError(f"{path}: empty CSV")
-    return rows[0], rows[1:]
+        header = next(reader, [])
+        return header, [(reader.line_num, cells) for cells in reader]
 
 
-_SEGMENT_TYPES = {
-    "iteration": int,
-    "segment": int,
-    "bytes_total": int,
-    "bytes_from_cache": int,
-    "bytes_from_origin": int,
-    "download_start": float,
-    "download_end": float,
-    "stall": float,
-    "mean_quality": float,
-    "estimate_bps": lambda s: float(s) if s else None,
-    "savings": float,
-}
-
-_STEP_TYPES = {
-    "interval": float,
-    "timeframe": float,
-    "step": int,
-    "error_deg": float,
-}
-
-
-def _typed_rows(header: list[str], raw: list[list[str]], types: dict) -> list[dict]:
-    out = []
-    for cells in raw:
-        row = {}
-        for name, cell in zip(header, cells):
-            row[name] = types.get(name, str)(cell)
-        out.append(row)
-    return out
+def _read_source(path: str, parsers: dict[str, Callable]) -> list[dict]:
+    """A source CSV's rows read back by `parsers`; any defect is a UsageError
+    naming the file and line."""
+    header, raw = _read_csv(path)
+    if header != list(parsers):
+        raise UsageError(f"{path}: header {header} != expected {list(parsers)}")
+    rows = []
+    for line, cells in raw:
+        if len(cells) != len(header):
+            raise UsageError(f"{path}:{line}: {len(cells)} cells, expected {len(header)}")
+        rows.append({
+            column: _checked(f"{path}:{line}: {column}", parse, cell)
+            for (column, parse), cell in zip(parsers.items(), cells)
+        })
+    return rows
 
 
 def _compare(path: str, columns: list[str], expected: list[dict]) -> list[str]:
-    header, raw = _read_csv(path)
-    problems = []
+    """Up to five ways a derived CSV differs from its recomputed rows."""
+    try:
+        header, raw = _read_csv(path)
+    except OSError as e:
+        return [f"{path}: cannot read: {e.strerror}"]
     if header != columns:
-        problems.append(f"{path}: header {header} != expected {columns}")
-        return problems
+        return [f"{path}: header {header} != expected {columns}"]
     want = [[_fmt(row[c]) for c in columns] for row in expected]
     if len(raw) != len(want):
-        problems.append(f"{path}: {len(raw)} rows, recomputed {len(want)}")
-        return problems
-    for i, (got, exp) in enumerate(zip(raw, want)):
-        if got != exp:
-            problems.append(f"{path}: row {i + 1} differs: {got} != {exp}")
-            if len(problems) >= 5:
-                break
-    return problems
+        return [f"{path}: {len(raw)} rows, recomputed {len(want)}"]
+    diffs = [(line, got, exp) for (line, got), exp in zip(raw, want) if got != exp]
+    return [f"{path}:{line}: {got} != recomputed {exp}" for line, got, exp in diffs[:5]]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -557,45 +558,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"--out: {out_dir} is not a directory")
     problems: list[str] = []
     checked = 0
-
-    segments_path = os.path.join(out_dir, "segments.csv")
-    if os.path.exists(segments_path):
-        header, raw = _read_csv(segments_path)
-        if header != playback.SEGMENT_COLUMNS:
-            problems.append(f"{segments_path}: unexpected header {header}")
-        else:
-            rows = _typed_rows(header, raw, _SEGMENT_TYPES)
-            problems += _compare(
-                os.path.join(out_dir, "policy_summary.csv"),
-                playback.SUMMARY_COLUMNS,
-                playback.policy_summary_rows(rows),
-            )
-            problems += _compare(
-                os.path.join(out_dir, "popularity_share.csv"),
-                playback.SHARE_COLUMNS,
-                playback.popularity_share_rows(rows),
-            )
-            problems += _compare(
-                os.path.join(out_dir, "estimates.csv"),
-                playback.ESTIMATE_COLUMNS,
-                playback.estimate_rows(rows),
-            )
-            checked += 3
-
-    steps_path = os.path.join(out_dir, "prediction_error_steps.csv")
-    if os.path.exists(steps_path):
-        header, raw = _read_csv(steps_path)
-        if header != STEP_COLUMNS:
-            problems.append(f"{steps_path}: unexpected header {header}")
-        else:
-            rows = _typed_rows(header, raw, _STEP_TYPES)
-            problems += _compare(
-                os.path.join(out_dir, "prediction_error_summary.csv"),
-                PRED_SUMMARY_COLUMNS,
-                prediction_summary_rows(rows),
-            )
-            checked += 1
-
+    for source, (parsers, derived) in OUTPUTS.items():
+        path = os.path.join(out_dir, source)
+        if not os.path.exists(path):
+            continue
+        rows = _read_source(path, parsers)
+        for name, columns, derive in derived:
+            problems += _compare(os.path.join(out_dir, name), columns, derive(rows))
+        checked += len(derived)
     if checked == 0:
         raise UsageError(f"--out: {out_dir} holds no verifiable outputs")
     if problems:

@@ -84,9 +84,6 @@ class TileGrid:
         """Row-major flat index of tile (i, j)."""
         return j * self.cols + i
 
-    def tile_coords(self, flat: int) -> tuple[int, int]:
-        return flat % self.cols, flat // self.cols
-
 
 def tile_of_direction(o: Orientation, grid: TileGrid) -> tuple[int, int]:
     """Map a pose to the (column, row) of the tile containing its direction."""

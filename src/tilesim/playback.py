@@ -77,10 +77,6 @@ class SessionMetrics:
     def avg_quality(self) -> float:
         return float(np.mean([r.levels for r in self.records]))
 
-    @property
-    def total_bytes(self) -> int:
-        return int(sum(r.bytes_total for r in self.records))
-
 
 def simulate(cfg: SessionConfig) -> SessionMetrics:
     """Run one streaming session; deterministic for identical configs.
@@ -231,7 +227,7 @@ def run_experiment(
     cache_rate_bps: float = 100e6,
     hysteresis: float = 1.0,
 ) -> ExperimentReport:
-    """Paired multi-run experiment over one or more policies.
+    """Paired multi-run experiment over one or more distinct policies.
 
     Iteration i uses viewing_traces[i % len] and a warm-up seed derived from
     (seed, i) for every policy, so runs are comparable pairwise across
@@ -243,9 +239,11 @@ def run_experiment(
         raise ValueError("need at least one viewing trace")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if len(set(policies)) != len(policies):
+        raise ValueError(f"each policy may be listed once, got {[p.value for p in policies]}")
     fov = fov or FovSpec()
     predictor = predictor or PredictorConfig()
-    sessions: list[list[SessionMetrics]] = [[] for _ in policies]
+    runs: dict[str, list[SessionMetrics]] = {p.value: [] for p in policies}
     assignments: dict[int, np.ndarray] = {}
     for i in range(iterations):
         warmed = None
@@ -262,7 +260,7 @@ def run_experiment(
                 assignments=assignments,
             )
             warmed.reset_stats()
-        for policy, runs_of_policy in zip(policies, sessions):
+        for policy in policies:
             cfg = SessionConfig(
                 manifest=manifest,
                 viewing_trace=viewing_traces[i % len(viewing_traces)],
@@ -275,11 +273,7 @@ def run_experiment(
                 samples_per_axis=samples_per_axis,
                 hysteresis=hysteresis,
             )
-            runs_of_policy.append(simulate(cfg))
-    # Policy-major, so a policy listed twice keeps its listings' runs apart.
-    runs: dict[str, list[SessionMetrics]] = {p.value: [] for p in policies}
-    for policy, runs_of_policy in zip(policies, sessions):
-        runs[policy.value].extend(runs_of_policy)
+            runs[policy.value].append(simulate(cfg))
     return ExperimentReport(
         policies=[p.value for p in policies],
         iterations=iterations,
@@ -290,22 +284,22 @@ def run_experiment(
 
 # --- report flattening (shared by the CLI writer and verifier) ---------------
 
-SEGMENT_COLUMNS = [
-    "policy",
-    "iteration",
-    "segment",
-    "active",
-    "levels",
-    "bytes_total",
-    "bytes_from_cache",
-    "bytes_from_origin",
-    "download_start",
-    "download_end",
-    "stall",
-    "mean_quality",
-    "estimate_bps",
-    "savings",
-]
+SEGMENT_COLUMNS = {  # column -> parser that reads its cell back
+    "policy": str,
+    "iteration": int,
+    "segment": int,
+    "active": str,
+    "levels": str,
+    "bytes_total": int,
+    "bytes_from_cache": int,
+    "bytes_from_origin": int,
+    "download_start": float,
+    "download_end": float,
+    "stall": float,
+    "mean_quality": float,
+    "estimate_bps": lambda cell: float(cell) if cell else None,
+    "savings": float,
+}
 
 
 def segment_rows(report: ExperimentReport) -> list[dict]:

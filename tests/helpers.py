@@ -155,13 +155,23 @@ def record_dicts(metrics) -> list[dict]:
 # --- helpers only the tests use ----------------------------------------------
 
 
+def tile_coords(grid: TileGrid, flat: int) -> tuple[int, int]:
+    """(column, row) of a row-major flat tile index."""
+    return flat % grid.cols, flat // grid.cols
+
+
+def total_bytes(metrics) -> int:
+    """Bytes a session downloaded, from cache and origin."""
+    return int(sum(r.bytes_total for r in metrics.records))
+
+
 def session_dict(metrics) -> dict:
     """A session's totals, per-segment savings and records as plain data."""
     return {
         "policy": metrics.policy,
         "total_stall": metrics.total_stall,
         "avg_quality": metrics.avg_quality,
-        "total_bytes": metrics.total_bytes,
+        "total_bytes": total_bytes(metrics),
         "cache_hit_rate": metrics.cache_hit_rate,
         "cache_byte_hit_rate": metrics.cache_byte_hit_rate,
         "savings": [float(s) for s in metrics.savings],

@@ -370,6 +370,8 @@ class TestRun:
             ([], {"fov": "wide"}, "--config: fov"),
             ([], {"policies": []}, "--config: policies"),
             ([], {"cache_policy": "fifo"}, "--config: cache_policy"),
+            (["--policies", "prediction,prediction"], None, "--policies prediction twice"),
+            ([], {"policies": ["prediction", "prediction"]}, "--config: policies twice"),
         ],
     )
     def test_bad_value_names_its_source(self, ws, tmp_path, capsys, flags, config, named):
@@ -500,6 +502,63 @@ class TestVerify:
             "predict-error", "--traces", ws["traces_linear"], "--out", str(out),
         ]) == 0
         assert main(["verify", "--out", str(out)]) == 0
+
+    @pytest.fixture(scope="class")
+    def outputs(self, ws, tmp_path_factory):
+        """`run` and `predict-error` outputs in one directory."""
+        out = tmp_path_factory.mktemp("verify") / "out"
+        assert main([
+            "run", "--manifest", ws["manifest"], "--traces", ws["traces"],
+            "--network", ws["network"], "--policies", "transition,popularity",
+            "--samples", "8", "--out", str(out),
+        ]) == 0
+        assert main([
+            "predict-error", "--traces", ws["traces_linear"], "--out", str(out),
+        ]) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "name, line, edit, named",
+        [
+            ("segments.csv", 2, lambda c: c[:1] + ["one"] + c[2:], "segments.csv:3: iteration"),
+            ("segments.csv", 2, lambda c: c[:-1], "segments.csv:3: 13 cells"),
+            ("segments.csv", 2, lambda c: c + ["7"], "segments.csv:3: 15 cells"),
+            ("segments.csv", 0, lambda c: [x.replace("stall", "stalls") for x in c],
+             "segments.csv: 'stalls'"),
+            ("prediction_error_steps.csv", 1, lambda c: c[:3] + ["1.5"] + c[4:],
+             "prediction_error_steps.csv:2: step"),
+        ],
+        ids=["bad-cell", "too-few-cells", "extra-cell", "renamed-column", "bad-step-cell"],
+    )
+    def test_malformed_source_exits_2_naming_file_and_line(
+        self, outputs, tmp_path, capsys, name, line, edit, named
+    ):
+        """Exit 2, and stderr holds each word of `named`."""
+        out = tmp_path / "out"
+        shutil.copytree(outputs, out)
+        lines = (out / name).read_text().splitlines()
+        lines[line] = ",".join(edit(lines[line].split(",")))
+        (out / name).write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(word in err for word in named.split()), err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda path: path.unlink(),
+            lambda path: path.write_text(""),
+            lambda path: path.write_text(path.read_text().replace("estimate_mean", "mean")),
+        ],
+        ids=["missing", "empty", "re-headed"],
+    )
+    def test_derived_file_defect_is_a_listed_mismatch(self, outputs, tmp_path, capsys, damage):
+        out = tmp_path / "out"
+        shutil.copytree(outputs, out)
+        damage(out / "estimates.csv")
+        assert main(["verify", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "estimates.csv" in err and "verify: 1 mismatch(es)" in err, err
 
     def test_empty_dir(self, tmp_path, capsys):
         assert main(["verify", "--out", str(tmp_path)]) == 2

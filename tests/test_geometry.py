@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import visibility_oracle
+from helpers import tile_coords, visibility_oracle
 from tilesim.geometry import (
     FovSpec,
     Orientation,
@@ -107,7 +107,7 @@ class TestTileGrid:
     def test_flat_index_round_trip(self, grid44):
         for j in range(4):
             for i in range(4):
-                assert grid44.tile_coords(grid44.flat_index(i, j)) == (i, j)
+                assert tile_coords(grid44, grid44.flat_index(i, j)) == (i, j)
 
     def test_corner_and_center_tiles(self, grid44):
         assert tile_of_direction(Orientation(-180.0, 90.0), grid44) == (0, 0)

@@ -3,7 +3,13 @@ import copy
 import numpy as np
 import pytest
 
-from helpers import canonical_json, record_dicts, savings_vs_naive, staircase_scenario
+from helpers import (
+    canonical_json,
+    record_dicts,
+    savings_vs_naive,
+    staircase_scenario,
+    total_bytes,
+)
 from tilesim.adaptation import PolicyKind
 from tilesim.cachesim import Cache, EvictionPolicy, warm
 from tilesim.geometry import FovSpec, TileGrid
@@ -128,7 +134,7 @@ class TestPolicies:
     def test_naive_totals_and_zero_savings(self, flat_manifest):
         net = constant_rate_network(1e9, 2.0)
         got = simulate(stationary_session(flat_manifest, PolicyKind.NAIVE, net))
-        assert got.total_bytes == 27 * 16 * 3_750_000
+        assert total_bytes(got) == 27 * 16 * 3_750_000
         assert got.avg_quality == 2.0
         np.testing.assert_array_equal(got.savings, np.zeros(27))
 
@@ -397,7 +403,7 @@ class TestReportRows:
         )
         rows = segment_rows(report)
         assert len(rows) == 27
-        assert all(list(r) == SEGMENT_COLUMNS for r in rows)
+        assert all(list(r) == list(SEGMENT_COLUMNS) for r in rows)
         assert rows[0]["levels"] == "|".join(["2"] * 16)
 
 
