@@ -201,13 +201,14 @@ def viewing_assignments(
     samples_per_axis: int = 32,
 ) -> np.ndarray:
     """Per-segment warm-up assignments for one viewer (actual poses, no
-    prediction): the pose nearest each segment start drives quality_bands."""
-    out = np.zeros((manifest.segment_count, manifest.grid.tile_count), dtype=np.int64)
-    for seg in range(manifest.segment_count):
-        pose = nearest_sample(trace, seg * manifest.segment_length).o
-        vis = tile_visibility(pose, fov, manifest.grid, samples_per_axis)
-        out[seg] = quality_bands(vis.scores, manifest.quality_count)
-    return out
+    prediction): the pose nearest each segment start drives quality_bands.
+    Every segment's pose is scored in one tile_visibility call."""
+    poses = tuple(
+        nearest_sample(trace, seg * manifest.segment_length).o
+        for seg in range(manifest.segment_count)
+    )
+    scores = tile_visibility(poses, fov, manifest.grid, samples_per_axis)
+    return np.array([quality_bands(row, manifest.quality_count) for row in scores])
 
 
 def warm(

@@ -49,6 +49,10 @@ def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
             writer.writerow([_fmt(row[c]) for c in columns])
 
 
+def _not_utf8(e: UnicodeDecodeError) -> str:
+    return f"not UTF-8 text ({e.reason} at byte {e.start})"
+
+
 def _checked(source: str, convert: Callable, value):
     """convert(value), with a ValueError reported against `source`."""
     try:
@@ -110,6 +114,8 @@ def _load_manifest(flag: str, path: str):
         return manifest_mod.load(path)
     except OSError as e:
         raise UsageError(f"{flag}: cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{flag}: {path}: {_not_utf8(e)}") from None
     except manifest_mod.ManifestError as e:
         raise UsageError(f"{flag}: {path}: {e}") from None
 
@@ -129,6 +135,8 @@ def _load_network(flag: str, path: str, scale_factor: float) -> netsim.NetworkTr
         trace = netsim.load_trace(path)
     except OSError as e:
         raise UsageError(f"{flag}: cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{flag}: {path}: {_not_utf8(e)}") from None
     except netsim.TraceError as e:
         raise UsageError(f"{flag}: {e}") from None
     if scale_factor != 1.0:
@@ -423,6 +431,8 @@ def _run_settings(args: argparse.Namespace) -> tuple[dict, dict]:
                 doc = json.load(f)
         except OSError as e:
             raise UsageError(f"--config: cannot read {args.config}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise UsageError(f"--config: {args.config}: {_not_utf8(e)}") from None
         except json.JSONDecodeError as e:
             raise UsageError(f"--config: {args.config} is not valid JSON: {e}") from None
         if not isinstance(doc, dict):
@@ -513,16 +523,22 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _read_csv(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """A CSV's header ([] when empty) and each other row with its line number."""
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, [])
-        return header, [(reader.line_num, cells) for cells in reader]
+    """A CSV's header ([] when empty) and each other row with its line number;
+    a file that cannot be opened or decoded is a UsageError naming it."""
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            reader = csv.reader(f)
+            header = next(reader, [])
+            return header, [(reader.line_num, cells) for cells in reader]
+    except OSError as e:
+        raise UsageError(f"{path}: cannot read: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path}: {_not_utf8(e)}") from None
 
 
 def _read_source(path: str, parsers: dict[str, Callable]) -> list[dict]:
     """A source CSV's rows read back by `parsers`; any defect is a UsageError
-    naming the file and line."""
+    naming the file, and the line where it has one."""
     header, raw = _read_csv(path)
     if header != list(parsers):
         raise UsageError(f"{path}: header {header} != expected {list(parsers)}")
@@ -541,8 +557,8 @@ def _compare(path: str, columns: list[str], expected: list[dict]) -> list[str]:
     """Up to five ways a derived CSV differs from its recomputed rows."""
     try:
         header, raw = _read_csv(path)
-    except OSError as e:
-        return [f"{path}: cannot read: {e.strerror}"]
+    except UsageError as e:
+        return [str(e)]
     if header != columns:
         return [f"{path}: header {header} != expected {columns}"]
     want = [[_fmt(row[c]) for c in columns] for row in expected]

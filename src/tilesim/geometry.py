@@ -8,8 +8,10 @@ The unit view direction for (yaw, pitch) is
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -131,58 +133,105 @@ def rank_tiles(scores: np.ndarray) -> np.ndarray:
     return idx[np.lexsort((idx, -scores[idx]))]
 
 
-def _local_frame(o: Orientation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forward/right/up unit vectors of the (roll-free) camera frame at o."""
-    y = math.radians(o.yaw)
-    p = math.radians(o.pitch)
-    cy, sy, cp, sp = math.cos(y), math.sin(y), math.cos(p), math.sin(p)
-    forward = np.array([cp * cy, cp * sy, sp])
-    right = np.array([-sy, cy, 0.0])
-    up = np.array([-sp * cy, -sp * sy, cp])
-    return forward, right, up
+# Direction samples (poses x samples_per_axis**2) that tile_visibility scores
+# per pass: its transient arrays stay a few buffers of this many floats.
+CHUNK_SAMPLES = 16_384
 
 
-def tile_visibility(
-    o: Orientation,
-    fov: FovSpec,
-    grid: TileGrid,
-    samples_per_axis: int = 32,
-) -> VisibilityMap:
-    """Score each tile by the fraction of FoV samples that land on it.
-
-    samples_per_axis**2 directions are cast on a uniform angular grid over the
-    FoV rectangle centered on o. Offsets are applied along great circles of
-    the local camera frame (not a planar projection), each sample contributing
-    1 / samples_per_axis**2 to the tile its direction falls in.
-    """
-    if samples_per_axis < 1:
-        raise ValueError("samples_per_axis must be >= 1")
-    n = samples_per_axis
+@functools.lru_cache(maxsize=8)
+def _fov_offsets(fov: FovSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward, right and up offsets (cos b cos a, cos b sin a, sin b) of the
+    n*n FoV samples (alpha-major), read-only and shared by every call."""
     alpha = np.radians(np.linspace(-fov.h_deg / 2.0, fov.h_deg / 2.0, n))
     beta = np.radians(np.linspace(-fov.v_deg / 2.0, fov.v_deg / 2.0, n))
     aa, bb = np.meshgrid(alpha, beta, indexing="ij")
     aa = aa.ravel()
     bb = bb.ravel()
-
-    forward, right, up = _local_frame(o)
     # Local (alpha, beta) behaves like yaw/pitch in the camera frame.
     ca, sa = np.cos(aa), np.sin(aa)
     cb, sb = np.cos(bb), np.sin(bb)
-    dirs = (
-        np.outer(cb * ca, forward)
-        + np.outer(cb * sa, right)
-        + np.outer(sb, up)
-    )
+    offsets = (cb * ca, cb * sa, sb)
+    for a in offsets:
+        a.setflags(write=False)
+    return offsets
 
-    yaw = np.degrees(np.arctan2(dirs[:, 1], dirs[:, 0]))
-    yaw = (yaw + 180.0) % 360.0 - 180.0
-    pitch = np.degrees(np.arcsin(np.clip(dirs[:, 2], -1.0, 1.0)))
 
-    i = np.floor((yaw + 180.0) * grid.cols / 360.0).astype(np.int64)
-    j = np.floor((90.0 - pitch) * grid.rows / 180.0).astype(np.int64)
-    np.clip(i, 0, grid.cols - 1, out=i)
-    np.clip(j, 0, grid.rows - 1, out=j)
+def _local_frame(o: Orientation) -> tuple[tuple[float, float, float], ...]:
+    """Forward/right/up unit vectors of the (roll-free) camera frame at o."""
+    y = math.radians(o.yaw)
+    p = math.radians(o.pitch)
+    cy, sy, cp, sp = math.cos(y), math.sin(y), math.cos(p), math.sin(p)
+    forward = (cp * cy, cp * sy, sp)
+    right = (-sy, cy, 0.0)
+    up = (-sp * cy, -sp * sy, cp)
+    return forward, right, up
 
-    counts = np.bincount(j * grid.cols + i, minlength=grid.tile_count)
-    scores = counts / float(n * n)
-    return VisibilityMap(grid=grid, scores=scores)
+
+def tile_visibility(
+    poses: Sequence[Orientation],
+    fov: FovSpec,
+    grid: TileGrid,
+    samples_per_axis: int = 32,
+) -> np.ndarray:
+    """Score each tile, for each pose, by the fraction of FoV samples that land
+    on it; row k of the (len(poses), tile_count) result is poses[k]'s scores.
+
+    samples_per_axis**2 directions are cast on a uniform angular grid over the
+    FoV rectangle centered on the pose. Offsets are applied along great circles
+    of the local camera frame (not a planar projection), each sample
+    contributing 1 / samples_per_axis**2 to the tile its direction falls in.
+    The batch is scored CHUNK_SAMPLES directions at a time, with the same
+    float operations for every pose, so a row does not depend on the batch
+    it was scored in.
+    """
+    if samples_per_axis < 1:
+        raise ValueError("samples_per_axis must be >= 1")
+    offsets = _fov_offsets(fov, samples_per_axis)
+    samples = samples_per_axis * samples_per_axis
+    # frames[k, v, c]: component c of pose k's forward (v=0), right, up vector.
+    frames = np.array([_local_frame(o) for o in poses]).reshape(len(poses), 3, 3)
+    scores = np.empty((len(poses), grid.tile_count))
+    step = max(1, CHUNK_SAMPLES // samples)
+    buffers = np.empty((4, min(step, len(poses)), samples))
+    for start in range(0, len(poses), step):
+        frame = frames[start : start + step]
+        k = frame.shape[0]
+        x, y, z, term = (b[:k] for b in buffers)
+        for c, out in enumerate((x, y, z)):
+            # forward + right + up, summed in that order.
+            np.multiply(frame[:, 0, c, None], offsets[0], out=out)
+            for v in (1, 2):
+                np.multiply(frame[:, v, c, None], offsets[v], out=term)
+                out += term
+        yaw = np.degrees(np.arctan2(y, x, out=y), out=y)
+        # (yaw + 180) % 360 - 180, without the slow float %: arctan2 keeps
+        # yaw + 180 in [0, 360], and on (-360, 720) % only subtracts or adds
+        # 360, exactly as below.
+        yaw += 180.0
+        np.subtract(yaw, 360.0, out=yaw, where=yaw >= 360.0)
+        np.add(yaw, 360.0, out=yaw, where=yaw < 0.0)
+        yaw -= 180.0
+        pitch = np.degrees(np.arcsin(np.clip(z, -1.0, 1.0, out=z), out=z), out=z)
+        # Tile column and row. Adding back the 180 just taken off rounds
+        # like the wrap did.
+        yaw += 180.0
+        yaw *= grid.cols
+        yaw /= 360.0
+        pitch = np.subtract(90.0, pitch, out=pitch)
+        pitch *= grid.rows
+        pitch /= 180.0
+        # The int indices reuse the memory of x and term, free by now; the
+        # assignments cast like astype(np.int64).
+        i = term.view(np.int64)
+        i[...] = np.floor(yaw, out=yaw)
+        j = x.view(np.int64)
+        j[...] = np.floor(pitch, out=pitch)
+        np.clip(i, 0, grid.cols - 1, out=i)
+        np.clip(j, 0, grid.rows - 1, out=j)
+        # Flat tile index, offset by tile_count per pose for one bincount.
+        j *= grid.cols
+        j += i
+        j += np.arange(k)[:, None] * grid.tile_count
+        counts = np.bincount(j.ravel(), minlength=k * grid.tile_count)
+        scores[start : start + k] = counts.reshape(k, grid.tile_count) / float(samples)
+    return scores

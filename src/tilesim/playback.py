@@ -26,7 +26,7 @@ from .adaptation import (
     transition_step,
 )
 from .cachesim import Cache, EvictionPolicy, warm
-from .geometry import FovSpec, TimedOrientation, tile_visibility
+from .geometry import FovSpec, TimedOrientation, VisibilityMap, tile_visibility
 from .manifest import VideoManifest, naive_segment_bytes, segment_bits, segment_requests
 from .netsim import LastSampleEstimator, Link, NetworkTrace
 from .prediction import PredictorConfig, fit, nearest_sample, predict, select_window
@@ -115,7 +115,8 @@ def simulate(cfg: SessionConfig) -> SessionMetrics:
         if not window:
             window = [nearest_sample(cfg.viewing_trace, now)]
         predicted = predict(fit(window, now), target)
-        vis = tile_visibility(predicted, cfg.fov, m.grid, cfg.samples_per_axis)
+        scores = tile_visibility((predicted,), cfg.fov, m.grid, cfg.samples_per_axis)
+        vis = VisibilityMap(m.grid, scores[0])
 
         estimate = estimator.current()
         budget = estimate.bits_per_second if estimate is not None else None

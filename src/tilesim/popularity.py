@@ -7,6 +7,7 @@ bitrate budget. The result is stored on the manifest as its popularity trace.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -16,6 +17,10 @@ import numpy as np
 from .adaptation import greedy_levels
 from .geometry import FovSpec, TileGrid, TimedOrientation, rank_tiles, tile_visibility
 from .manifest import VideoManifest, count_segments
+
+
+# Samples that build_heat scores per tile_visibility call.
+HEAT_BATCH = 256
 
 
 @dataclass
@@ -43,20 +48,24 @@ def build_heat(
 
     A sample at time t lands in segment floor(t / segment_length); samples at
     or past `duration` are ignored. Total heat per segment equals the number
-    of samples that fell into it (each visibility map sums to 1).
+    of samples that fell into it (each visibility map sums to 1). A trace's
+    samples are scored HEAT_BATCH at a time, one tile_visibility call each,
+    and their maps are added in sample order, so every float sum is the
+    per-sample loop's and memory does not grow with trace length.
     """
     segments = count_segments(duration, segment_length)
     heat = np.zeros((segments, grid.tile_count))
     for trace in traces:
-        for sample in trace:
-            if sample.t < 0 or sample.t >= duration:
-                continue
-            seg = int(sample.t // segment_length)
-            if seg >= segments:
-                continue
-            heat[seg] += tile_visibility(
-                sample.o, fov, grid, samples_per_axis
-            ).scores
+        binned = (
+            (seg, s.o)
+            for s in trace
+            if not (s.t < 0 or s.t >= duration)
+            and (seg := int(s.t // segment_length)) < segments
+        )
+        while batch := tuple(itertools.islice(binned, HEAT_BATCH)):
+            segs, poses = zip(*batch)
+            scores = tile_visibility(poses, fov, grid, samples_per_axis)
+            np.add.at(heat, np.array(segs), scores)
     return HeatMap(grid=grid, segment_length=segment_length, heat=heat)
 
 

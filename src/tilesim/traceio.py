@@ -66,8 +66,13 @@ def _parse_floats(path: str, lineno: int, row: list[str]) -> list[float]:
 
 def load_viewing_trace(path: str) -> list[TimedOrientation]:
     """Read one viewing trace, auto-detecting Euler vs quaternion columns."""
-    with open(path, encoding="utf-8", newline="") as f:
-        rows = [row for row in csv.reader(f) if row and any(x.strip() for x in row)]
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            rows = [row for row in csv.reader(f) if row and any(x.strip() for x in row)]
+    except UnicodeDecodeError as e:
+        raise ViewingTraceError(
+            f"{path}: not UTF-8 text ({e.reason} at byte {e.start})"
+        ) from None
     if not rows:
         raise ViewingTraceError(f"{path}: empty trace file")
     start = 0

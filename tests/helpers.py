@@ -8,16 +8,23 @@ independent derivations.
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import numpy as np
 
 from tilesim import manifest as mf
 from tilesim.adaptation import select_prediction
-from tilesim.cachesim import Cache, viewing_assignments
-from tilesim.geometry import FovSpec, Orientation, TileGrid, tile_visibility
+from tilesim.cachesim import Cache, quality_bands, viewing_assignments
+from tilesim.geometry import (
+    FovSpec,
+    Orientation,
+    TileGrid,
+    VisibilityMap,
+    tile_visibility,
+)
 from tilesim.playback import ExperimentReport, SessionConfig, simulate
-from tilesim.prediction import PredictorConfig
+from tilesim.prediction import PredictorConfig, nearest_sample
 from tilesim.synthetic import constant_gaze
 
 
@@ -113,6 +120,76 @@ def visibility_oracle(
     return counts / float(samples * samples)
 
 
+def visibility_map(
+    o: Orientation, fov: FovSpec, grid: TileGrid, samples_per_axis: int = 32
+) -> VisibilityMap:
+    """One pose's map from the batched kernel, as `simulate` builds it."""
+    return VisibilityMap(grid, tile_visibility((o,), fov, grid, samples_per_axis)[0])
+
+
+def scalar_tile_visibility(
+    o: Orientation, fov: FovSpec, grid: TileGrid, samples_per_axis: int = 32
+) -> np.ndarray:
+    """`geometry.tile_visibility` before it scored batches: one pose, its FoV
+    offsets recomputed on every call, np.outer per camera axis and the float
+    % yaw wrap. Returns the flat scores."""
+    n = samples_per_axis
+    alpha = np.radians(np.linspace(-fov.h_deg / 2.0, fov.h_deg / 2.0, n))
+    beta = np.radians(np.linspace(-fov.v_deg / 2.0, fov.v_deg / 2.0, n))
+    aa, bb = np.meshgrid(alpha, beta, indexing="ij")
+    aa = aa.ravel()
+    bb = bb.ravel()
+    y = math.radians(o.yaw)
+    p = math.radians(o.pitch)
+    cy, sy, cp, sp = math.cos(y), math.sin(y), math.cos(p), math.sin(p)
+    forward = np.array([cp * cy, cp * sy, sp])
+    right = np.array([-sy, cy, 0.0])
+    up = np.array([-sp * cy, -sp * sy, cp])
+    ca, sa = np.cos(aa), np.sin(aa)
+    cb, sb = np.cos(bb), np.sin(bb)
+    dirs = (
+        np.outer(cb * ca, forward)
+        + np.outer(cb * sa, right)
+        + np.outer(sb, up)
+    )
+    yaw = np.degrees(np.arctan2(dirs[:, 1], dirs[:, 0]))
+    yaw = (yaw + 180.0) % 360.0 - 180.0
+    pitch = np.degrees(np.arcsin(np.clip(dirs[:, 2], -1.0, 1.0)))
+    i = np.floor((yaw + 180.0) * grid.cols / 360.0).astype(np.int64)
+    j = np.floor((90.0 - pitch) * grid.rows / 180.0).astype(np.int64)
+    np.clip(i, 0, grid.cols - 1, out=i)
+    np.clip(j, 0, grid.rows - 1, out=j)
+    counts = np.bincount(j * grid.cols + i, minlength=grid.tile_count)
+    return counts / float(n * n)
+
+
+def build_heat_oracle(traces, grid, fov, segment_length, duration, samples_per_axis):
+    """`popularity.build_heat`'s heat array before it batched: one scalar map
+    per sample, added into its segment's row."""
+    segments = mf.count_segments(duration, segment_length)
+    heat = np.zeros((segments, grid.tile_count))
+    for trace in traces:
+        for sample in trace:
+            if sample.t < 0 or sample.t >= duration:
+                continue
+            seg = int(sample.t // segment_length)
+            if seg >= segments:
+                continue
+            heat[seg] += scalar_tile_visibility(sample.o, fov, grid, samples_per_axis)
+    return heat
+
+
+def viewing_assignments_oracle(manifest, trace, fov, samples_per_axis):
+    """`cachesim.viewing_assignments` before it batched: one scalar map per
+    segment."""
+    out = np.zeros((manifest.segment_count, manifest.grid.tile_count), dtype=np.int64)
+    for seg in range(manifest.segment_count):
+        pose = nearest_sample(trace, seg * manifest.segment_length).o
+        scores = scalar_tile_visibility(pose, fov, manifest.grid, samples_per_axis)
+        out[seg] = quality_bands(scores, manifest.quality_count)
+    return out
+
+
 def staircase_scenario(duration: float, base_bitrate_bps: float = 2e6):
     """A stationary viewer whose popularity trace equals the unconstrained
     prediction assignment, so prediction and popularity request identical
@@ -125,7 +202,7 @@ def staircase_scenario(duration: float, base_bitrate_bps: float = 2e6):
         grid=TileGrid(4, 4),
         base_bitrate_bps=base_bitrate_bps,
     )
-    vis = tile_visibility(Orientation(0.0, 0.0), FovSpec(), m.grid, 32)
+    vis = visibility_map(Orientation(0.0, 0.0), FovSpec(), m.grid, 32)
     stair = select_prediction(m, 0, vis, None)
     m.popularity = np.tile(stair, (m.segment_count, 1))
     gaze = constant_gaze(0.0, 0.0, duration + 1.0, hz=30.0)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import visibility_map
 from tilesim.adaptation import (
     PolicyKind,
     TransitionState,
@@ -12,7 +13,7 @@ from tilesim.adaptation import (
     select_prediction_ba,
     transition_step,
 )
-from tilesim.geometry import FovSpec, Orientation, tile_visibility
+from tilesim.geometry import FovSpec, Orientation
 from tilesim.manifest import segment_bits
 from tilesim.netsim import BandwidthEstimate
 
@@ -37,7 +38,7 @@ class TestNaive:
 
 class TestPrediction:
     def test_unconstrained_tops_visible_only(self, flat_manifest, grid44):
-        vm = tile_visibility(Orientation(0, 0), WIDE, grid44, 32)
+        vm = visibility_map(Orientation(0, 0), WIDE, grid44, 32)
         for budget in (None, 1e15):
             levels = select_prediction(flat_manifest, 0, vm, budget)
             visible = set(vm.visible_tiles())
@@ -45,12 +46,12 @@ class TestPrediction:
                 assert levels[t] == (2 if t in visible else 0)
 
     def test_starved_budget_all_lowest(self, flat_manifest, grid44):
-        vm = tile_visibility(Orientation(0, 0), WIDE, grid44, 32)
+        vm = visibility_map(Orientation(0, 0), WIDE, grid44, 32)
         levels = select_prediction(flat_manifest, 0, vm, 1e3)
         assert (levels == 0).all()
 
     def test_exact_two_tile_budget(self, flat_manifest, grid44):
-        vm = tile_visibility(Orientation(0, 0), QUAD, grid44, 32)
+        vm = visibility_map(Orientation(0, 0), QUAD, grid44, 32)
         assert len(vm.visible_tiles()) == 4
         # room for two top tiles over the all-lowest floor
         levels = select_prediction(flat_manifest, 0, vm, 57.5e6)
@@ -60,7 +61,7 @@ class TestPrediction:
         np.testing.assert_array_equal(levels, expected)
 
     def test_ceiling_never_rises_along_the_walk(self, flat_manifest, grid44):
-        vm = tile_visibility(Orientation(0, 0), QUAD, grid44, 32)
+        vm = visibility_map(Orientation(0, 0), QUAD, grid44, 32)
         # 105e6 bits: two tops fit, the third and fourth tiles fit at level 1;
         # the walk downgrades and continues instead of stopping outright
         levels = select_prediction(flat_manifest, 0, vm, 70e6)
@@ -74,7 +75,7 @@ class TestPrediction:
     )
     @settings(max_examples=40, deadline=None)
     def test_budget_respected_and_rank_monotone(self, flat_manifest, yaw, pitch, budget):
-        vm = tile_visibility(Orientation(yaw, pitch), WIDE, flat_manifest.grid, 8)
+        vm = visibility_map(Orientation(yaw, pitch), WIDE, flat_manifest.grid, 8)
         levels = select_prediction(flat_manifest, 0, vm, budget)
         cap = budget * 1.5 * (1 + 1e-9)
         # the all-zero assignment is the floor; caps below it cannot bind
@@ -118,14 +119,14 @@ class TestPopularity:
 
 class TestPredictionBa:
     def test_ample_budget_matches_unconstrained_prediction(self, flat_manifest, grid44):
-        vm = tile_visibility(Orientation(20, 10), WIDE, grid44, 16)
+        vm = visibility_map(Orientation(20, 10), WIDE, grid44, 16)
         np.testing.assert_array_equal(
             select_prediction_ba(flat_manifest, 0, vm, 1e15),
             select_prediction(flat_manifest, 0, vm, None),
         )
 
     def test_mid_budget_downshifts_uniformly(self, flat_manifest, grid44):
-        vm = tile_visibility(Orientation(0, 0), QUAD, grid44, 32)
+        vm = visibility_map(Orientation(0, 0), QUAD, grid44, 32)
         # delta=0 needs 142.5e6 bits, delta=1 needs 52.5e6; 100e6 sits between
         levels = select_prediction_ba(flat_manifest, 0, vm, 100e6 / 1.5)
         visible = set(vm.visible_tiles())
@@ -133,12 +134,12 @@ class TestPredictionBa:
             assert levels[t] == (1 if t in visible else 0)
 
     def test_floor_is_all_zero_even_over_budget(self, flat_manifest, grid44):
-        vm = tile_visibility(Orientation(0, 0), QUAD, grid44, 32)
+        vm = visibility_map(Orientation(0, 0), QUAD, grid44, 32)
         levels = select_prediction_ba(flat_manifest, 0, vm, 1.0)
         assert (levels == 0).all()
 
     def test_shift_candidates_enumerated(self, flat_manifest, grid44):
-        vm = tile_visibility(Orientation(0, 0), QUAD, grid44, 32)
+        vm = visibility_map(Orientation(0, 0), QUAD, grid44, 32)
         base = select_prediction(flat_manifest, 0, vm, None)
         for delta, budget_bits in ((0, 142.5e6), (1, 52.5e6), (2, 30e6)):
             levels = select_prediction_ba(flat_manifest, 0, vm, budget_bits / 1.5)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ScanCache
+from helpers import ScanCache, visibility_map
 from tilesim.cachesim import (
     Cache,
     EvictionPolicy,
@@ -13,7 +13,7 @@ from tilesim.cachesim import (
     viewing_assignments,
     warm,
 )
-from tilesim.geometry import FovSpec, Orientation, TileGrid, tile_visibility
+from tilesim.geometry import FovSpec, Orientation, TileGrid
 from tilesim.manifest import synthesize
 from tilesim.synthetic import constant_gaze, gaussian_gaze_population
 
@@ -163,7 +163,7 @@ class TestGdsf:
 
 class TestQualityBands:
     def test_three_levels_eight_tiles(self, grid44):
-        vm = tile_visibility(Orientation(0.0, 0.0), FovSpec(100, 100), grid44, 32)
+        vm = visibility_map(Orientation(0.0, 0.0), FovSpec(100, 100), grid44, 32)
         levels = quality_bands(vm.scores, quality_count=3)
         assert levels.shape == (16,)
         visible = sorted(vm.visible_tiles().tolist())
@@ -173,14 +173,14 @@ class TestQualityBands:
         assert all(levels[t] == 0 for t in hidden)
 
     def test_band_arithmetic(self, grid44):
-        vm = tile_visibility(Orientation(0.0, 0.0), FovSpec(89, 89), grid44, 32)
+        vm = visibility_map(Orientation(0.0, 0.0), FovSpec(89, 89), grid44, 32)
         assert len(vm.visible_tiles()) == 4
         levels = quality_bands(vm.scores, quality_count=4)
         # ranks 0..3 map to bands 0,0,1,2 under rank*(q-1)//count
         assert sorted(levels[vm.visible_tiles()], reverse=True) == [3, 3, 2, 1]
 
     def test_single_quality_video(self, grid44):
-        vm = tile_visibility(Orientation(0.0, 0.0), FovSpec(100, 100), grid44, 16)
+        vm = visibility_map(Orientation(0.0, 0.0), FovSpec(100, 100), grid44, 16)
         assert (quality_bands(vm.scores, quality_count=1) == 0).all()
 
 
@@ -189,7 +189,7 @@ class TestViewingAssignments:
         trace = constant_gaze(0.0, 0.0, duration=41.0, hz=10.0)
         rows = viewing_assignments(flat_manifest, trace, FovSpec(100, 100), 16)
         assert rows.shape == (27, 16)
-        vm = tile_visibility(Orientation(0.0, 0.0), FovSpec(100, 100), flat_manifest.grid, 16)
+        vm = visibility_map(Orientation(0.0, 0.0), FovSpec(100, 100), flat_manifest.grid, 16)
         expected = quality_bands(vm.scores, 3)
         np.testing.assert_array_equal(rows, np.tile(expected, (27, 1)))
 

@@ -74,6 +74,55 @@ def ws(tmp_path_factory):
     }
 
 
+def append_undecodable(path):
+    """Make a file invalid UTF-8 by appending a UTF-16 byte-order mark."""
+    with open(path, "ab") as f:
+        f.write(b"\xff\xfe")
+
+
+class TestUndecodableInput:
+    """Every input file a subcommand reads that is not UTF-8 exits 2, naming
+    its flag and the file, before any output file is written."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("popularity", "--manifest"),
+            ("popularity", "--traces"),
+            ("predict-error", "--traces"),
+            ("run", "--manifest"),
+            ("run", "--traces"),
+            ("run", "--network"),
+            ("run", "--config"),
+        ],
+    )
+    def test_names_its_flag_and_file(self, ws, tmp_path, capsys, command, flag):
+        traces = tmp_path / "traces"
+        shutil.copytree(ws["traces"], traces)
+        files = {
+            "--manifest": tmp_path / "manifest.json",
+            "--traces": traces / "viewer1.csv",
+            "--network": tmp_path / "network.txt",
+            "--config": tmp_path / "config.json",
+        }
+        shutil.copy(ws["manifest"], files["--manifest"])
+        shutil.copy(ws["network"], files["--network"])
+        files["--config"].write_text(json.dumps({"seed": 1}))
+        append_undecodable(files[flag])
+        out = tmp_path / "out"
+        argv = {
+            "popularity": ["--manifest", files["--manifest"], "--traces", traces],
+            "predict-error": ["--traces", traces, "--out", out],
+            "run": ["--manifest", files["--manifest"], "--traces", traces,
+                    "--network", files["--network"], "--config", files["--config"],
+                    "--out", out],
+        }[command]
+        assert main([command, *map(str, argv)]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: " in err and str(files[flag]) in err and "UTF-8" in err, err
+        assert not list(out.glob("*"))
+
+
 class TestSynth:
     def test_deterministic_and_reports_file_count(self, tmp_path, capsys):
         args = ["synth", "--duration", "40", "--segment-length", "1.5",
@@ -549,8 +598,9 @@ class TestVerify:
             lambda path: path.unlink(),
             lambda path: path.write_text(""),
             lambda path: path.write_text(path.read_text().replace("estimate_mean", "mean")),
+            lambda path: append_undecodable(path),
         ],
-        ids=["missing", "empty", "re-headed"],
+        ids=["missing", "empty", "re-headed", "not-utf8"],
     )
     def test_derived_file_defect_is_a_listed_mismatch(self, outputs, tmp_path, capsys, damage):
         out = tmp_path / "out"
@@ -559,6 +609,25 @@ class TestVerify:
         assert main(["verify", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "estimates.csv" in err and "verify: 1 mismatch(es)" in err, err
+
+    @pytest.mark.parametrize(
+        "name, damage, named",
+        [
+            ("segments.csv", append_undecodable, "UTF-8"),
+            ("prediction_error_steps.csv", lambda path: (path.unlink(), path.mkdir()),
+             "cannot read"),
+        ],
+        ids=["not-utf8", "a-directory"],
+    )
+    def test_unreadable_source_exits_2_naming_it(
+        self, outputs, tmp_path, capsys, name, damage, named
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(outputs, out)
+        damage(out / name)
+        assert main(["verify", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert name in err and named in err, err
 
     def test_empty_dir(self, tmp_path, capsys):
         assert main(["verify", "--out", str(tmp_path)]) == 2

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import tile_coords, visibility_oracle
+from helpers import tile_coords, visibility_map, visibility_oracle
 from tilesim.geometry import (
     FovSpec,
     Orientation,
@@ -134,7 +134,7 @@ class TestVisibility:
 
     def test_narrow_fov_hits_single_tile(self, grid44):
         # center of tile (2, 2): yaw in [0, 90), pitch in (-45, 0]
-        vm = tile_visibility(
+        vm = visibility_map(
             Orientation(45.0, -22.5), FovSpec(0.1, 0.1), grid44, samples_per_axis=8
         )
         assert vm.score(2, 2) == 1.0
@@ -142,7 +142,7 @@ class TestVisibility:
         assert vm.visible_tiles().tolist() == [grid44.flat_index(2, 2)]
 
     def test_forward_gaze_exact_scores(self, grid44):
-        vm = tile_visibility(Orientation(0.0, 0.0), FovSpec(100.0, 100.0), grid44, 32)
+        vm = visibility_map(Orientation(0.0, 0.0), FovSpec(100.0, 100.0), grid44, 32)
         expected = np.array(
             [
                 [0.0, 0.03125, 0.03125, 0.0],
@@ -154,7 +154,7 @@ class TestVisibility:
         np.testing.assert_array_equal(vm.scores, expected.ravel())
 
     def test_forward_gaze_symmetry(self, grid44):
-        vm = tile_visibility(Orientation(0.0, 0.0), FovSpec(100.0, 100.0), grid44, 24)
+        vm = visibility_map(Orientation(0.0, 0.0), FovSpec(100.0, 100.0), grid44, 24)
         for j in range(4):
             assert vm.score(1, j) == vm.score(2, j)
         for i in range(4):
@@ -162,7 +162,7 @@ class TestVisibility:
             assert vm.score(i, 1) == vm.score(i, 2)
 
     def test_antimeridian_gaze_splits_across_edge_columns(self, grid44):
-        vm = tile_visibility(Orientation(-180.0, 0.0), FovSpec(100.0, 100.0), grid44, 32)
+        vm = visibility_map(Orientation(-180.0, 0.0), FovSpec(100.0, 100.0), grid44, 32)
         # the wrap seam sits mid-view: columns 0 and 3 share the weight
         assert vm.score(0, 1) > 0.0
         assert vm.score(3, 1) > 0.0
@@ -172,12 +172,12 @@ class TestVisibility:
     def test_matches_dense_rotation_oracle(self, grid44):
         o = Orientation(33.0, -21.0)
         fov = FovSpec(100.0, 100.0)
-        vm = tile_visibility(o, fov, grid44, samples_per_axis=64)
+        vm = visibility_map(o, fov, grid44, samples_per_axis=64)
         dense = visibility_oracle(o, fov, grid44, samples=1024)
         np.testing.assert_allclose(vm.scores, dense, atol=0.02)
 
     def test_visible_tiles_sorted_desc_ties_by_index(self, grid44):
-        vm = tile_visibility(Orientation(0.0, 0.0), FovSpec(100.0, 100.0), grid44, 32)
+        vm = visibility_map(Orientation(0.0, 0.0), FovSpec(100.0, 100.0), grid44, 32)
         tiles = vm.visible_tiles().tolist()
         scores = [vm.scores[t] for t in tiles]
         assert scores == sorted(scores, reverse=True)
@@ -185,9 +185,13 @@ class TestVisibility:
         # equal-score groups keep ascending flat order
         assert tiles[:4] == [5, 6, 9, 10]
 
+    def test_rejects_zero_samples(self, grid44):
+        with pytest.raises(ValueError, match="samples_per_axis"):
+            tile_visibility((Orientation(0.0, 0.0),), FovSpec(), grid44, 0)
+
     @given(orientations, st.integers(2, 12))
     @settings(max_examples=30, deadline=None)
     def test_scores_form_distribution(self, o, samples):
-        vm = tile_visibility(o, FovSpec(100.0, 80.0), TileGrid(4, 4), samples)
+        vm = visibility_map(o, FovSpec(100.0, 80.0), TileGrid(4, 4), samples)
         assert vm.scores.min() >= 0.0
         assert vm.scores.sum() == pytest.approx(1.0, abs=1e-9)

@@ -1,7 +1,8 @@
-"""The shared greedy walk, tile ranking, group-by, packet-slot builder and
-experiment driver against the code they replaced (kept in helpers.py).
-Results must be bit-identical: levels and timestamps array-equal, report rows
-equal down to the repr of every float.
+"""The shared greedy walk, tile ranking, group-by, packet-slot builder,
+batched visibility kernel and experiment driver against the code they
+replaced (kept in helpers.py). Results must be bit-identical: levels and
+timestamps array-equal, visibility rows and heat arrays byte-equal, report
+rows equal down to the repr of every float.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    build_heat_oracle,
     constant_rate_network_oracle,
     estimate_oracle,
     policy_summary_oracle,
@@ -19,13 +21,24 @@ from helpers import (
     quantize_oracle,
     ranked_tiles_oracle,
     run_experiment_oracle,
+    scalar_tile_visibility,
     select_prediction_oracle,
+    viewing_assignments_oracle,
 )
 from tilesim.adaptation import PolicyKind, select_prediction
-from tilesim.cachesim import EvictionPolicy, quality_bands
+from tilesim.cachesim import EvictionPolicy, quality_bands, viewing_assignments
 from tilesim.cli import prediction_summary_rows
-from tilesim.geometry import FovSpec, TileGrid, VisibilityMap, rank_tiles
-from tilesim.manifest import naive_segment_bytes, segment_bits, synthesize
+from tilesim.geometry import (
+    CHUNK_SAMPLES,
+    FovSpec,
+    Orientation,
+    TileGrid,
+    TimedOrientation,
+    VisibilityMap,
+    rank_tiles,
+    tile_visibility,
+)
+from tilesim.manifest import count_segments, naive_segment_bytes, segment_bits, synthesize
 from tilesim.playback import (
     estimate_rows,
     policy_summary_rows,
@@ -33,8 +46,8 @@ from tilesim.playback import (
     run_experiment,
     segment_rows,
 )
-from tilesim.popularity import HeatMap, quantize
-from tilesim.synthetic import constant_gaze, constant_rate_network, linear_gaze
+from tilesim.popularity import HeatMap, build_heat, quantize
+from tilesim.synthetic import constant_gaze, constant_rate_network, drifting_gaze, linear_gaze
 
 TIE_DENOM = 4  # scores are multiples of 1/TIE_DENOM**2, so ties are common
 
@@ -122,6 +135,99 @@ def test_quantize_matches_scalar_walk(m, data):
     budget = budgets(data.draw, m, 0, heat[0]) or 0.0
     got = quantize(HeatMap(m.grid, m.segment_length, heat), m, budget)
     np.testing.assert_array_equal(got, quantize_oracle(heat, m, budget))
+
+
+@st.composite
+def fovs(draw):
+    """Up to 360x180, the full sphere included."""
+    return FovSpec(
+        draw(st.sampled_from([360.0, 100.0, 0.5]) | st.floats(0.01, 360.0)),
+        draw(st.sampled_from([180.0, 100.0, 0.5]) | st.floats(0.01, 180.0)),
+    )
+
+
+@st.composite
+def poses(draw, grid):
+    """Random poses, the poles, yaw +-180 and angles exactly on tile edges."""
+    edge_yaws = [-180.0 + i * 360.0 / grid.cols for i in range(grid.cols + 1)]
+    edge_pitches = [90.0 - j * 180.0 / grid.rows for j in range(grid.rows + 1)]
+    yaw = draw(st.sampled_from(edge_yaws) | st.floats(-180.0, 180.0))
+    pitch = draw(st.sampled_from([90.0, -90.0, *edge_pitches]) | st.floats(-90.0, 90.0))
+    return Orientation(yaw, pitch)
+
+
+@given(data=st.data(), n=st.integers(1, 40), fov=fovs())
+@settings(max_examples=150, deadline=None)
+def test_tile_visibility_rows_match_the_scalar_kernel(data, n, fov):
+    """Batches of 0, 1, chunk-1, chunk and chunk+1 poses, cycling through a
+    few distinct poses so every chunk position is checked against the
+    scalar map of its pose."""
+    grid = TileGrid(data.draw(st.integers(1, 12)), data.draw(st.integers(1, 8)))
+    chunk = max(1, CHUNK_SAMPLES // (n * n))
+    length = data.draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1]))
+    pool = data.draw(st.lists(poses(grid), min_size=1, max_size=5))
+    batch = tuple(pool[k % len(pool)] for k in range(length))
+    rows = tile_visibility(batch, fov, grid, n)
+    assert rows.shape == (length, grid.tile_count)
+    expected = [scalar_tile_visibility(o, fov, grid, n).tobytes() for o in pool]
+    for k, row in enumerate(rows):
+        assert row.tobytes() == expected[k % len(pool)], (k, batch[k])
+
+
+@st.composite
+def heat_traces(draw, duration, segment_length):
+    """Samples before 0, at 0, on segment boundaries, just below and at the
+    duration, past it and in between; sorted, or in any order."""
+    special = st.sampled_from([
+        -segment_length, -1e-9, 0.0, duration, duration + segment_length,
+        float(np.nextafter(duration, 0.0)),
+        *(k * segment_length for k in range(count_segments(duration, segment_length) + 1)),
+    ])
+    grid = TileGrid(4, 3)
+    traces = []
+    for _ in range(draw(st.integers(1, 3))):
+        times = draw(st.lists(
+            special | st.floats(-1.0, duration + 1.0), max_size=25, unique=True
+        ))
+        if draw(st.booleans()):
+            times.sort()
+        traces.append([TimedOrientation(t, draw(poses(grid))) for t in times])
+    return traces
+
+
+@given(data=st.data(), n=st.integers(1, 12), fov=fovs())
+@settings(max_examples=150, deadline=None)
+def test_build_heat_matches_the_per_sample_loop(data, n, fov):
+    grid = TileGrid(data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4)))
+    segment_length, duration = data.draw(
+        st.sampled_from([(1.5, 4.5), (1.0, 3.0), (0.1, 0.3), (1.5, 4.0)])
+    )
+    traces = data.draw(heat_traces(duration, segment_length))
+    heat = build_heat(traces, grid, fov, segment_length, duration, n)
+    expected = build_heat_oracle(traces, grid, fov, segment_length, duration, n)
+    assert heat.heat.shape == expected.shape
+    assert heat.heat.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 7, 32])
+def test_build_heat_matches_the_per_sample_loop_on_dense_traces(n):
+    """Three wandering 90 Hz viewers, so each heat cell sums hundreds of maps
+    whose scores are not dyadic: any change in summation order shows."""
+    traces = [drifting_gaze(seed, 3.0, hz=90.0) for seed in range(3)]
+    args = (traces, TileGrid(8, 4), FovSpec(100.0, 90.0), 1.0, 3.0, n)
+    assert build_heat(*args).heat.tobytes() == build_heat_oracle(*args).tobytes()
+
+
+@given(m=manifests(), data=st.data(), n=st.integers(1, 12), fov=fovs())
+@settings(max_examples=100, deadline=None)
+def test_viewing_assignments_match_one_scalar_map_per_segment(m, data, n, fov):
+    times = sorted(data.draw(st.lists(
+        st.floats(-1.0, m.duration + 1.0), min_size=1, max_size=20, unique=True
+    )))
+    trace = [TimedOrientation(t, data.draw(poses(m.grid))) for t in times]
+    got = viewing_assignments(m, trace, fov, n)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, viewing_assignments_oracle(m, trace, fov, n))
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,25 @@ class TestBuildHeat:
         hottest = np.unravel_index(per_tile.argmax(), per_tile.shape)
         assert hottest[1] in (1, 2)  # front columns
         assert hottest[0] in (1, 2)  # equatorial rows
+
+
+    def test_peak_memory_does_not_grow_with_trace_length(self):
+        """Memory follows the live objects, not the run length: on one
+        600 s manifest, a 600 s 90 Hz trace peaks within 1 MB of a 60 s one,
+        so no (samples x tiles) array spans a whole trace."""
+        grid, fov = TileGrid(8, 4), FovSpec(100.0, 100.0)
+
+        def peak(seconds):
+            trace = constant_gaze(10.0, -5.0, seconds, hz=90.0)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                build_heat([trace], grid, fov, 1.0, 600.0, 8)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(600.0) - peak(60.0)) <= 2**20
 
 
 class TestQuantize:
