@@ -15,7 +15,7 @@ from .geometry import (
     FovSpec,
     Orientation,
     TileGrid,
-    TimedOrientation,
+    ViewingTrace,
     VisibilityMap,
     orthodromic_distance,
     tile_of_direction,
@@ -54,9 +54,9 @@ __all__ = [
     "SessionConfig",
     "SessionMetrics",
     "TileGrid",
-    "TimedOrientation",
     "TransitionState",
     "VideoManifest",
+    "ViewingTrace",
     "VisibilityMap",
     "build_heat",
     "default_budget_bps",

@@ -27,7 +27,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .geometry import FovSpec, TimedOrientation, rank_tiles, tile_visibility
+from .geometry import FovSpec, ViewingTrace, rank_tiles, tile_visibility
 from .manifest import VideoManifest, segment_requests
 from .prediction import nearest_sample
 
@@ -196,7 +196,7 @@ def quality_bands(scores: np.ndarray, quality_count: int) -> np.ndarray:
 
 def viewing_assignments(
     manifest: VideoManifest,
-    trace: Sequence[TimedOrientation],
+    trace: ViewingTrace,
     fov: FovSpec,
     samples_per_axis: int = 32,
 ) -> np.ndarray:
@@ -204,7 +204,7 @@ def viewing_assignments(
     prediction): the pose nearest each segment start drives quality_bands.
     Every segment's pose is scored in one tile_visibility call."""
     poses = tuple(
-        nearest_sample(trace, seg * manifest.segment_length).o
+        trace.pose(nearest_sample(trace, seg * manifest.segment_length))
         for seg in range(manifest.segment_count)
     )
     scores = tile_visibility(poses, fov, manifest.grid, samples_per_axis)
@@ -214,7 +214,7 @@ def viewing_assignments(
 def warm(
     cache: Cache,
     manifest: VideoManifest,
-    traces: Sequence[Sequence[TimedOrientation]],
+    traces: Sequence[ViewingTrace],
     fov: FovSpec,
     seed: int,
     trace_count: int = 30,

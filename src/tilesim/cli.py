@@ -271,7 +271,6 @@ def cmd_predict_error(args: argparse.Namespace) -> int:
     if not 0.0 < args.step < math.inf:
         raise UsageError("--step: must be finite and positive")
     names = _read_traces(args.traces, traceio.trace_files)
-    os.makedirs(out_dir, exist_ok=True)
     step_rows = []
     for name in names:
         path = os.path.join(args.traces, name)
@@ -297,6 +296,7 @@ def cmd_predict_error(args: argparse.Namespace) -> int:
                             "error_deg": float(err),
                         }
                     )
+    os.makedirs(out_dir, exist_ok=True)
     derived = _write_outputs(out_dir, "prediction_error_steps.csv", step_rows)
     summary = derived["prediction_error_summary.csv"]
     print(
@@ -469,7 +469,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # Iteration i replays traces[i % len], and `simulate` needs each
     # replayed trace to span the regression window.
     for i, trace in enumerate(traces[: run["iterations"]]):
-        span = trace[-1].t - trace[0].t
+        span = trace.t.item(-1) - trace.t.item(0)
         if span < run["timeframe"]:
             path = os.path.join(run["traces"], traceio.trace_files(run["traces"])[i])
             raise UsageError(

@@ -17,8 +17,13 @@ import numpy as np
 
 
 def normalize_yaw(yaw: float) -> float:
-    """Wrap a yaw angle into [-180, 180)."""
-    return (yaw + 180.0) % 360.0 - 180.0
+    """Wrap a yaw angle (a float or an array of them) into [-180, 180).
+
+    The first % rounds to 360.0 when yaw + 180 is a tiny negative number (yaw
+    just below -180); the second maps that to 0, which keeps the result in
+    range and makes the wrap idempotent.
+    """
+    return (yaw + 180.0) % 360.0 % 360.0 - 180.0
 
 
 @dataclass(frozen=True)
@@ -43,11 +48,49 @@ class Orientation:
 
 
 @dataclass(frozen=True)
-class TimedOrientation:
-    """One viewing-trace sample."""
+class ViewingTrace:
+    """A viewing trace as read-only float64 arrays, one entry per sample:
+    sample k is at time t[k] (strictly increasing) with pose yaw[k],
+    pitch[k], roll[k], yaw and pitch held normalized as Orientation holds
+    them. Slicing gives a ViewingTrace of views."""
 
-    t: float
-    o: Orientation
+    t: np.ndarray = field(repr=False)
+    yaw: np.ndarray = field(repr=False)
+    pitch: np.ndarray = field(repr=False)
+    roll: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        names = ("t", "yaw", "pitch", "roll")
+        arrays = [np.asarray(getattr(self, n), dtype=np.float64).view() for n in names]
+        if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
+            raise ValueError("t, yaw, pitch and roll must be 1-D and of one length")
+        for name, a in zip(names, arrays):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @classmethod
+    def from_angles(cls, t, yaw, pitch, roll) -> ViewingTrace:
+        """Samples from raw angles, wrapped and clamped as Orientation does
+        (numpy's float % is Python's, so each yaw is normalize_yaw's)."""
+        return cls(
+            t=t,
+            yaw=normalize_yaw(np.asarray(yaw, dtype=np.float64)),
+            pitch=np.clip(np.asarray(pitch, dtype=np.float64), -90.0, 90.0),
+            roll=roll,
+        )
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __getitem__(self, k: slice) -> ViewingTrace:
+        if not isinstance(k, slice):
+            raise TypeError("index a ViewingTrace with a slice; use pose(k) for one sample")
+        return ViewingTrace(self.t[k], self.yaw[k], self.pitch[k], self.roll[k])
+
+    def pose(self, k: int) -> Orientation:
+        """Sample k's pose (rebuilding it changes no bit: normalize_yaw is
+        idempotent on its own output)."""
+        return Orientation(self.yaw.item(k), self.pitch.item(k), self.roll.item(k))
 
 
 @dataclass(frozen=True)

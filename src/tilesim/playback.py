@@ -26,7 +26,7 @@ from .adaptation import (
     transition_step,
 )
 from .cachesim import Cache, EvictionPolicy, warm
-from .geometry import FovSpec, TimedOrientation, VisibilityMap, tile_visibility
+from .geometry import FovSpec, ViewingTrace, VisibilityMap, tile_visibility
 from .manifest import VideoManifest, naive_segment_bytes, segment_bits, segment_requests
 from .netsim import LastSampleEstimator, Link, NetworkTrace
 from .prediction import PredictorConfig, fit, nearest_sample, predict, select_window
@@ -35,7 +35,7 @@ from .prediction import PredictorConfig, fit, nearest_sample, predict, select_wi
 @dataclass
 class SessionConfig:
     manifest: VideoManifest
-    viewing_trace: list[TimedOrientation]
+    viewing_trace: ViewingTrace
     network_trace: NetworkTrace
     policy: PolicyKind
     cache: Cache | None = None
@@ -90,7 +90,7 @@ def simulate(cfg: SessionConfig) -> SessionMetrics:
     s = m.segment_length
     if not cfg.viewing_trace:
         raise ValueError("viewing trace is empty")
-    span = cfg.viewing_trace[-1].t - cfg.viewing_trace[0].t
+    span = cfg.viewing_trace.t.item(-1) - cfg.viewing_trace.t.item(0)
     if span < cfg.predictor.timeframe:
         raise ValueError(
             f"viewing trace spans {span:.3f}s, shorter than the "
@@ -113,7 +113,8 @@ def simulate(cfg: SessionConfig) -> SessionMetrics:
         now = max(0.0, target - interval)
         window = select_window(cfg.viewing_trace, now, cfg.predictor.timeframe)
         if not window:
-            window = [nearest_sample(cfg.viewing_trace, now)]
+            k = nearest_sample(cfg.viewing_trace, now)
+            window = cfg.viewing_trace[k : k + 1]
         predicted = predict(fit(window, now), target)
         scores = tile_visibility((predicted,), cfg.fov, m.grid, cfg.samples_per_axis)
         vis = VisibilityMap(m.grid, scores[0])
@@ -214,7 +215,7 @@ class ExperimentReport:
 
 def run_experiment(
     manifest: VideoManifest,
-    viewing_traces: list[list[TimedOrientation]],
+    viewing_traces: list[ViewingTrace],
     network_trace: NetworkTrace,
     policies: list[PolicyKind],
     iterations: int,

@@ -7,7 +7,6 @@ bitrate budget. The result is stored on the manifest as its popularity trace.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -15,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .adaptation import greedy_levels
-from .geometry import FovSpec, TileGrid, TimedOrientation, rank_tiles, tile_visibility
+from .geometry import FovSpec, TileGrid, ViewingTrace, rank_tiles, tile_visibility
 from .manifest import VideoManifest, count_segments
 
 
@@ -37,7 +36,7 @@ class HeatMap:
 
 
 def build_heat(
-    traces: Sequence[Sequence[TimedOrientation]],
+    traces: Sequence[ViewingTrace],
     grid: TileGrid,
     fov: FovSpec,
     segment_length: float,
@@ -56,16 +55,13 @@ def build_heat(
     segments = count_segments(duration, segment_length)
     heat = np.zeros((segments, grid.tile_count))
     for trace in traces:
-        binned = (
-            (seg, s.o)
-            for s in trace
-            if not (s.t < 0 or s.t >= duration)
-            and (seg := int(s.t // segment_length)) < segments
-        )
-        while batch := tuple(itertools.islice(binned, HEAT_BATCH)):
-            segs, poses = zip(*batch)
+        seg = trace.t // segment_length
+        kept = np.flatnonzero((trace.t >= 0) & (trace.t < duration) & (seg < segments))
+        for start in range(0, kept.size, HEAT_BATCH):
+            batch = kept[start : start + HEAT_BATCH]
+            poses = tuple(trace.pose(k) for k in batch.tolist())
             scores = tile_visibility(poses, fov, grid, samples_per_axis)
-            np.add.at(heat, np.array(segs), scores)
+            np.add.at(heat, seg[batch].astype(np.int64), scores)
     return HeatMap(grid=grid, segment_length=segment_length, heat=heat)
 
 

@@ -7,14 +7,12 @@ minimize jumps) so a pan across the antimeridian fits a single line.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .geometry import Orientation, TimedOrientation, orthodromic_distance
+from .geometry import Orientation, ViewingTrace, orthodromic_distance
 
 
 @dataclass(frozen=True)
@@ -48,14 +46,11 @@ class RegressionModel:
     sample_count: int
 
 
-def select_window(
-    trace: Sequence[TimedOrientation], now: float, timeframe: float
-) -> list[TimedOrientation]:
-    """Samples of `trace` with t in [now - timeframe, now] (trace sorted by t)."""
-    times = [s.t for s in trace]
-    lo = bisect.bisect_left(times, now - timeframe)
-    hi = bisect.bisect_right(times, now)
-    return list(trace[lo:hi])
+def select_window(trace: ViewingTrace, now: float, timeframe: float) -> ViewingTrace:
+    """Samples of `trace` with t in [now - timeframe, now]."""
+    lo = int(trace.t.searchsorted(now - timeframe, side="left"))
+    hi = int(trace.t.searchsorted(now, side="right"))
+    return trace[lo:hi]
 
 
 def _fit_axis(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -72,7 +67,7 @@ def _fit_axis(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, intercept
 
 
-def fit(window: Sequence[TimedOrientation], now: float) -> RegressionModel:
+def fit(window: ViewingTrace, now: float) -> RegressionModel:
     """Fit yaw and pitch lines over `window`, anchored at `now`.
 
     A single sample yields a constant model. Raises ValueError on an empty
@@ -80,11 +75,9 @@ def fit(window: Sequence[TimedOrientation], now: float) -> RegressionModel:
     """
     if not window:
         raise ValueError("cannot fit a head-movement model on an empty window")
-    x = np.array([s.t - now for s in window])
-    yaw = np.unwrap(np.array([s.o.yaw for s in window]), period=360.0)
-    pitch = np.array([s.o.pitch for s in window])
-    ys, yi = _fit_axis(x, yaw)
-    ps, pi = _fit_axis(x, pitch)
+    x = window.t - now
+    ys, yi = _fit_axis(x, np.unwrap(window.yaw, period=360.0))
+    ps, pi = _fit_axis(x, window.pitch)
     return RegressionModel(
         yaw_slope=ys,
         yaw_intercept=yi,
@@ -104,20 +97,20 @@ def predict(model: RegressionModel, t_future: float) -> Orientation:
     )
 
 
-def nearest_sample(trace: Sequence[TimedOrientation], t: float) -> TimedOrientation:
-    """The trace sample whose timestamp is closest to t (earlier one on ties)."""
-    times = [s.t for s in trace]
-    pos = bisect.bisect_left(times, t)
+def nearest_sample(trace: ViewingTrace, t: float) -> int:
+    """The index of the trace sample whose timestamp is closest to t (the
+    earlier one on ties)."""
+    pos = int(trace.t.searchsorted(t, side="left"))
     if pos == 0:
-        return trace[0]
+        return 0
     if pos == len(trace):
-        return trace[-1]
-    before, after = trace[pos - 1], trace[pos]
-    return after if (after.t - t) < (t - before.t) else before
+        return pos - 1
+    before, after = trace.t.item(pos - 1), trace.t.item(pos)
+    return pos if (after - t) < (t - before) else pos - 1
 
 
 def error_experiment(
-    trace: Sequence[TimedOrientation],
+    trace: ViewingTrace,
     interval: float,
     timeframe: float,
     step: float,
@@ -136,7 +129,7 @@ def error_experiment(
         raise ValueError("step must be positive")
     if not trace:
         raise ValueError("empty trace")
-    t0, t_end = trace[0].t, trace[-1].t
+    t0, t_end = trace.t.item(0), trace.t.item(-1)
     if t_end - t0 <= interval + timeframe:
         raise ValueError("trace shorter than interval + timeframe")
     errors = []
@@ -145,7 +138,7 @@ def error_experiment(
         now = t0 + k * step
         model = fit(select_window(trace, now, timeframe), now)
         predicted = predict(model, now + interval)
-        actual = nearest_sample(trace, now + interval)
-        errors.append(orthodromic_distance(predicted, actual.o))
+        actual = trace.pose(nearest_sample(trace, now + interval))
+        errors.append(orthodromic_distance(predicted, actual))
         k += 1
     return np.array(errors)

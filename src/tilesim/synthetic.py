@@ -10,17 +10,22 @@ import math
 
 import numpy as np
 
-from .geometry import Orientation, TimedOrientation
+from .geometry import ViewingTrace
 from .netsim import NetworkTrace
+
+
+def _sampled(hz: float, steps: int, yaw: list[float], pitch: list[float]) -> ViewingTrace:
+    """Samples at t = k / hz, k < steps, roll 0."""
+    t = [k / hz for k in range(steps)]
+    return ViewingTrace.from_angles(t, yaw, pitch, np.zeros(steps))
 
 
 def constant_gaze(
     yaw: float, pitch: float, duration: float, hz: float = 90.0
-) -> list[TimedOrientation]:
+) -> ViewingTrace:
     """A viewer staring at one point."""
     steps = int(duration * hz) + 1
-    pose = Orientation(yaw=yaw, pitch=pitch)
-    return [TimedOrientation(t=k / hz, o=pose) for k in range(steps)]
+    return _sampled(hz, steps, [yaw] * steps, [pitch] * steps)
 
 
 def linear_gaze(
@@ -30,16 +35,15 @@ def linear_gaze(
     hz: float = 90.0,
     pitch0: float = 0.0,
     pitch_rate: float = 0.0,
-) -> list[TimedOrientation]:
+) -> ViewingTrace:
     """Constant-velocity pan; exactly reproducible by a linear predictor."""
     steps = int(duration * hz) + 1
-    return [
-        TimedOrientation(
-            t=k / hz,
-            o=Orientation(yaw=yaw0 + yaw_rate * k / hz, pitch=pitch0 + pitch_rate * k / hz),
-        )
-        for k in range(steps)
-    ]
+    return _sampled(
+        hz,
+        steps,
+        [yaw0 + yaw_rate * k / hz for k in range(steps)],
+        [pitch0 + pitch_rate * k / hz for k in range(steps)],
+    )
 
 
 def sinusoid_gaze(
@@ -50,20 +54,18 @@ def sinusoid_gaze(
     phase: float = 0.0,
     center_yaw: float = 0.0,
     pitch: float = 0.0,
-) -> list[TimedOrientation]:
+) -> ViewingTrace:
     """Yaw oscillating sinusoidally; increasingly hard to extrapolate."""
     steps = int(duration * hz) + 1
-    return [
-        TimedOrientation(
-            t=k / hz,
-            o=Orientation(
-                yaw=center_yaw
-                + amplitude * math.sin(2.0 * math.pi * (k / hz) / period + phase),
-                pitch=pitch,
-            ),
-        )
-        for k in range(steps)
-    ]
+    return _sampled(
+        hz,
+        steps,
+        [
+            center_yaw + amplitude * math.sin(2.0 * math.pi * (k / hz) / period + phase)
+            for k in range(steps)
+        ],
+        [pitch] * steps,
+    )
 
 
 def gaussian_gaze_population(
@@ -74,7 +76,7 @@ def gaussian_gaze_population(
     yaw_std: float = 30.0,
     pitch_std: float = 10.0,
     seed: int = 0,
-) -> list[list[TimedOrientation]]:
+) -> list[ViewingTrace]:
     """`count` viewers, each staring at a pose drawn from a wrapped normal
     around (yaw_mean, 0); models a shared content hot spot."""
     rng = np.random.default_rng(seed)
@@ -91,7 +93,7 @@ def drifting_gaze(
     duration: float,
     hz: float = 90.0,
     center_yaw: float = 0.0,
-) -> list[TimedOrientation]:
+) -> ViewingTrace:
     """A smoothly wandering viewer: one sinusoid with seeded amplitude,
     period, phase, and a gentle pitch sway."""
     rng = np.random.default_rng(seed)
@@ -100,17 +102,15 @@ def drifting_gaze(
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
     pitch_amp = float(rng.uniform(0.0, 15.0))
     steps = int(duration * hz) + 1
-    return [
-        TimedOrientation(
-            t=k / hz,
-            o=Orientation(
-                yaw=center_yaw
-                + amplitude * math.sin(2.0 * math.pi * (k / hz) / period + phase),
-                pitch=pitch_amp * math.sin(2.0 * math.pi * (k / hz) / (period * 1.7)),
-            ),
-        )
-        for k in range(steps)
-    ]
+    return _sampled(
+        hz,
+        steps,
+        [
+            center_yaw + amplitude * math.sin(2.0 * math.pi * (k / hz) / period + phase)
+            for k in range(steps)
+        ],
+        [pitch_amp * math.sin(2.0 * math.pi * (k / hz) / (period * 1.7)) for k in range(steps)],
+    )
 
 
 def packet_slots(rate: float, t0: float, t1: float) -> list[int]:

@@ -16,8 +16,11 @@ from __future__ import annotations
 import csv
 import math
 import os
+import warnings
 
-from .geometry import Orientation, TimedOrientation
+import numpy as np
+
+from .geometry import Orientation, ViewingTrace
 
 _EULER_HEADER = ["t_seconds", "yaw_deg", "pitch_deg", "roll_deg"]
 
@@ -57,15 +60,91 @@ def quaternion_to_orientation(qw: float, qx: float, qy: float, qz: float) -> Ori
 
 def _parse_floats(path: str, lineno: int, row: list[str]) -> list[float]:
     try:
-        return [float(x) for x in row]
+        values = [float(x) for x in row]
     except ValueError:
         raise ViewingTraceError(
             f"{path}:{lineno}: non-numeric value in {row!r}"
         ) from None
+    if not all(map(math.isfinite, values)):
+        raise ViewingTraceError(f"{path}:{lineno}: non-finite value in {row!r}")
+    return values
 
 
-def load_viewing_trace(path: str) -> list[TimedOrientation]:
-    """Read one viewing trace, auto-detecting Euler vs quaternion columns."""
+def load_viewing_trace(path: str) -> ViewingTrace:
+    """Read one viewing trace, auto-detecting Euler vs quaternion columns.
+
+    A file of plain rows is parsed with one numpy call; any other file goes
+    through the row scanner, which reads what the csv module reads and names
+    the first bad line.
+    """
+    with open(path, "rb") as f:
+        trace = _parse_plain(f.read())
+    return trace if trace is not None else _scan_rows(path)
+
+
+def _parse_plain(data: bytes) -> ViewingTrace | None:
+    """The trace in `data`, or None unless every row is plain: ASCII with no
+    quote or NUL, CR only before LF, a header only as the first line, no
+    blank line, one column count, no whitespace in a sample row, finite
+    values and increasing times. On such files csv's rows are the lines split
+    at commas, so the scanner would return the same trace. (np.fromstring
+    reads a blank cell as -1, hence no whitespace.)"""
+    if not data.isascii() or b'"' in data or b"\0" in data:
+        return None
+    if data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    data = data.replace(b"\r\n", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    end = data.index(b"\n")
+    fields = data[:end].decode().split(",")
+    if not any(x.strip() for x in fields):
+        return None
+    try:
+        float(fields[0])
+        body = data
+    except ValueError:
+        body = data[end + 1 :]
+    if any(c in body for c in (b" ", b"\t", b"\v", b"\f")):
+        return None
+    width = body[: body.find(b"\n")].count(b",") + 1
+    if not body or width not in (4, 5):
+        return None
+    # The separators, in order, must be width - 1 commas and a newline per row.
+    raw = np.frombuffer(body, dtype=np.uint8)
+    seps = raw[(raw == ord(",")) | (raw == ord("\n"))]
+    rows = seps.size // width
+    pattern = np.frombuffer(b"," * (width - 1) + b"\n", dtype=np.uint8)
+    if seps.size != rows * width or (seps.reshape(rows, width) != pattern).any():
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.fromstring(body.replace(b"\n", b","), dtype=np.float64, sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+    if values.size != rows * width or not np.isfinite(values).all():
+        return None
+    columns = values.reshape(rows, width).T.copy()
+    t = columns[0]
+    if not (t[1:] > t[:-1]).all():
+        return None
+    if width == 4:
+        return ViewingTrace.from_angles(*columns)
+    try:
+        return _packed(t, [quaternion_to_orientation(*q) for q in columns[1:].T.tolist()])
+    except ValueError:
+        return None
+
+
+def _packed(t, poses: list[Orientation]) -> ViewingTrace:
+    return ViewingTrace(
+        t, [o.yaw for o in poses], [o.pitch for o in poses], [o.roll for o in poses]
+    )
+
+
+def _scan_rows(path: str) -> ViewingTrace:
+    """load_viewing_trace row by row, for files that are not plain."""
     try:
         with open(path, encoding="utf-8", newline="") as f:
             rows = [row for row in csv.reader(f) if row and any(x.strip() for x in row)]
@@ -94,7 +173,8 @@ def load_viewing_trace(path: str) -> list[TimedOrientation]:
         raise ViewingTraceError(
             f"{path}: expected 4 (euler) or 5 (quaternion) columns, got {width}"
         )
-    trace: list[TimedOrientation] = []
+    ts: list[float] = []
+    poses: list[Orientation] = []
     for lineno, row in enumerate(rows[start:], start=start + 1):
         if len(row) != width:
             raise ViewingTraceError(
@@ -110,22 +190,23 @@ def load_viewing_trace(path: str) -> list[TimedOrientation]:
                 pose = quaternion_to_orientation(*values[1:])
             except ValueError as e:
                 raise ViewingTraceError(f"{path}:{lineno}: {e} in {row!r}") from None
-        if trace and t <= trace[-1].t:
+        if ts and t <= ts[-1]:
             raise ViewingTraceError(
                 f"{path}:{lineno}: timestamps must strictly increase "
-                f"({t} after {trace[-1].t})"
+                f"({t} after {ts[-1]})"
             )
-        trace.append(TimedOrientation(t=t, o=pose))
-    return trace
+        ts.append(t)
+        poses.append(pose)
+    return _packed(ts, poses)
 
 
-def save_viewing_trace(trace: list[TimedOrientation], path: str) -> None:
+def save_viewing_trace(trace: ViewingTrace, path: str) -> None:
     """Write the native Euler CSV format."""
+    columns = (trace.t.tolist(), trace.yaw.tolist(), trace.pitch.tolist(), trace.roll.tolist())
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(_EULER_HEADER)
-        for s in trace:
-            writer.writerow([repr(s.t), repr(s.o.yaw), repr(s.o.pitch), repr(s.o.roll)])
+        writer.writerows([repr(v) for v in row] for row in zip(*columns))
 
 
 def trace_files(path: str) -> list[str]:
@@ -136,6 +217,6 @@ def trace_files(path: str) -> list[str]:
     return names
 
 
-def load_trace_dir(path: str) -> list[list[TimedOrientation]]:
+def load_trace_dir(path: str) -> list[ViewingTrace]:
     """All *.csv traces under a directory, ordered by file name."""
     return [load_viewing_trace(os.path.join(path, n)) for n in trace_files(path)]

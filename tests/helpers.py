@@ -7,9 +7,12 @@ independent derivations.
 
 from __future__ import annotations
 
+import bisect
+import csv
 import json
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,12 +23,15 @@ from tilesim.geometry import (
     FovSpec,
     Orientation,
     TileGrid,
+    ViewingTrace,
     VisibilityMap,
     tile_visibility,
 )
+from tilesim.netsim import NetworkTrace, TraceError
 from tilesim.playback import ExperimentReport, SessionConfig, simulate
-from tilesim.prediction import PredictorConfig, nearest_sample
+from tilesim.prediction import PredictorConfig
 from tilesim.synthetic import constant_gaze
+from tilesim.traceio import ViewingTraceError, quaternion_to_orientation
 
 
 class ScanCache:
@@ -163,13 +169,138 @@ def scalar_tile_visibility(
     return counts / float(n * n)
 
 
+class Sample(NamedTuple):
+    """One sample of a viewing trace held as a list of samples, the form the
+    arrays of `ViewingTrace` replaced."""
+
+    t: float
+    o: Orientation
+
+
+def samples(trace: ViewingTrace) -> list[Sample]:
+    return [Sample(trace.t.item(k), trace.pose(k)) for k in range(len(trace))]
+
+
+def trace_of(samples_: list) -> ViewingTrace:
+    """The ViewingTrace of (t, Orientation) pairs."""
+    return ViewingTrace(
+        [t for t, _ in samples_],
+        [o.yaw for _, o in samples_],
+        [o.pitch for _, o in samples_],
+        [o.roll for _, o in samples_],
+    )
+
+
+def load_trace_oracle(path: str) -> NetworkTrace:
+    """`netsim.load_trace` before numpy parsed it: int() per line."""
+    stamps = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                value = int(text)
+            except ValueError:
+                raise TraceError(
+                    f"{path}:{lineno}: not an integer millisecond: {text!r}"
+                ) from None
+            if value < 0:
+                raise TraceError(f"{path}:{lineno}: negative timestamp {value}")
+            if stamps and value < stamps[-1]:
+                raise TraceError(
+                    f"{path}:{lineno}: timestamp {value} decreases below {stamps[-1]}"
+                )
+            stamps.append(value)
+    if not stamps:
+        raise TraceError(f"{path}: trace holds no packet slots")
+    return NetworkTrace(timestamps_ms=np.array(stamps, dtype=np.int64))
+
+
+def load_viewing_trace_oracle(path: str) -> list[Sample]:
+    """`traceio.load_viewing_trace` before numpy parsed it: csv rows, float()
+    per cell and one Orientation per row. It differs from that body only in
+    rejecting a non-finite value, which the array loader also does."""
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            rows = [row for row in csv.reader(f) if row and any(x.strip() for x in row)]
+    except UnicodeDecodeError as e:
+        raise ViewingTraceError(
+            f"{path}: not UTF-8 text ({e.reason} at byte {e.start})"
+        ) from None
+    if not rows:
+        raise ViewingTraceError(f"{path}: empty trace file")
+    start = 0
+    width = len(rows[0])
+    try:
+        float(rows[0][0])
+    except ValueError:
+        start = 1
+        if not rows[1:]:
+            raise ViewingTraceError(f"{path}: header but no samples")
+        width = len(rows[1])
+    if width not in (4, 5):
+        raise ViewingTraceError(
+            f"{path}: expected 4 (euler) or 5 (quaternion) columns, got {width}"
+        )
+    trace: list[Sample] = []
+    for lineno, row in enumerate(rows[start:], start=start + 1):
+        if len(row) != width:
+            raise ViewingTraceError(
+                f"{path}:{lineno}: expected {width} columns, got {len(row)}"
+            )
+        try:
+            values = [float(x) for x in row]
+        except ValueError:
+            raise ViewingTraceError(f"{path}:{lineno}: non-numeric value in {row!r}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise ViewingTraceError(f"{path}:{lineno}: non-finite value in {row!r}")
+        if width == 4:
+            t, yaw, pitch, roll = values
+            pose = Orientation(yaw=yaw, pitch=pitch, roll=roll)
+        else:
+            t = values[0]
+            try:
+                pose = quaternion_to_orientation(*values[1:])
+            except ValueError as e:
+                raise ViewingTraceError(f"{path}:{lineno}: {e} in {row!r}") from None
+        if trace and t <= trace[-1].t:
+            raise ViewingTraceError(
+                f"{path}:{lineno}: timestamps must strictly increase "
+                f"({t} after {trace[-1].t})"
+            )
+        trace.append(Sample(t, pose))
+    return trace
+
+
+def select_window_oracle(trace: list[Sample], now: float, timeframe: float) -> list[Sample]:
+    """`prediction.select_window` before searchsorted: bisect on a rebuilt
+    list of times."""
+    times = [s.t for s in trace]
+    lo = bisect.bisect_left(times, now - timeframe)
+    hi = bisect.bisect_right(times, now)
+    return list(trace[lo:hi])
+
+
+def nearest_sample_oracle(trace: list[Sample], t: float) -> Sample:
+    """`prediction.nearest_sample` before searchsorted (earlier one on ties)."""
+    times = [s.t for s in trace]
+    pos = bisect.bisect_left(times, t)
+    if pos == 0:
+        return trace[0]
+    if pos == len(trace):
+        return trace[-1]
+    before, after = trace[pos - 1], trace[pos]
+    return after if (after.t - t) < (t - before.t) else before
+
+
 def build_heat_oracle(traces, grid, fov, segment_length, duration, samples_per_axis):
     """`popularity.build_heat`'s heat array before it batched: one scalar map
     per sample, added into its segment's row."""
     segments = mf.count_segments(duration, segment_length)
     heat = np.zeros((segments, grid.tile_count))
     for trace in traces:
-        for sample in trace:
+        for sample in samples(trace):
             if sample.t < 0 or sample.t >= duration:
                 continue
             seg = int(sample.t // segment_length)
@@ -183,8 +314,9 @@ def viewing_assignments_oracle(manifest, trace, fov, samples_per_axis):
     """`cachesim.viewing_assignments` before it batched: one scalar map per
     segment."""
     out = np.zeros((manifest.segment_count, manifest.grid.tile_count), dtype=np.int64)
+    trace = samples(trace)
     for seg in range(manifest.segment_count):
-        pose = nearest_sample(trace, seg * manifest.segment_length).o
+        pose = nearest_sample_oracle(trace, seg * manifest.segment_length).o
         scores = scalar_tile_visibility(pose, fov, manifest.grid, samples_per_axis)
         out[seg] = quality_bands(scores, manifest.quality_count)
     return out

@@ -120,7 +120,63 @@ class TestUndecodableInput:
         assert main([command, *map(str, argv)]) == 2
         err = capsys.readouterr().err
         assert f"{flag}: " in err and str(files[flag]) in err and "UTF-8" in err, err
-        assert not list(out.glob("*"))
+        assert not out.exists()
+
+
+class TestNonFiniteTraceValues:
+    """A nan or inf time, angle or quaternion component exits 2, naming
+    --traces, the file and its line, before any output is written."""
+
+    @pytest.mark.parametrize("command", ["popularity", "predict-error", "run"])
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["t_seconds,yaw_deg,pitch_deg,roll_deg", "0.0,0,0,0", "nan,0,0,0"],
+            ["t_seconds,yaw_deg,pitch_deg,roll_deg", "0.0,0,0,0", "0.1,nan,0,0"],
+            ["t_seconds,yaw_deg,pitch_deg,roll_deg", "0.0,0,0,0", "0.1,0,inf,0"],
+            ["t,qw,qx,qy,qz", "0.0,1,0,0,0", "0.1,1,-inf,0,0"],
+        ],
+    )
+    def test_names_file_and_line(self, ws, tmp_path, capsys, command, lines):
+        traces = tmp_path / "traces"
+        shutil.copytree(ws["traces"], traces)
+        bad = traces / "viewer1.csv"
+        bad.write_text("\n".join(lines + ["41.0,0,0,0"]) + "\n")
+        manifest = tmp_path / "m.json"
+        shutil.copy(ws["manifest"], manifest)
+        before = manifest.read_bytes()
+        out = tmp_path / "out"
+        argv = {
+            "popularity": ["--manifest", manifest, "--traces", traces],
+            "predict-error": ["--traces", traces, "--out", out],
+            "run": ["--manifest", manifest, "--traces", traces,
+                    "--network", ws["network"], "--out", out],
+        }[command]
+        assert main([command, *map(str, argv)]) == 2
+        err = capsys.readouterr().err
+        assert f"--traces: {bad}:3: non-finite value" in err, err
+        assert not out.exists()
+        assert manifest.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("1\n2\n1.5\n", "3: not an integer millisecond: '1.5'"),
+     ("5\n9\n4\n", "3: timestamp 4 decreases below 9")],
+)
+def test_malformed_network_trace_prints_only_its_error(ws, tmp_path, text, message):
+    """With every warning shown, stderr holds the trace error line alone: the
+    loader's numpy parse lets no warning out."""
+    network = tmp_path / "bad.pps"
+    network.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "tilesim", "run",
+         "--manifest", ws["manifest"], "--traces", ws["traces"],
+         "--network", str(network), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=checkout_env(),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"tilesim: error: --network: {network}:{message}\n"
 
 
 class TestSynth:

@@ -28,6 +28,13 @@ class TestNormalizeYaw:
         assert normalize_yaw(540.0) == -180.0
         assert normalize_yaw(0.0) == 0.0
         assert normalize_yaw(359.0) == -1.0
+        # yaw + 180 is -2.8e-14 here, and its first % 360 rounds to 360.0.
+        assert normalize_yaw(-180.00000000000003) == -180.0
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_idempotent(self, y):
+        w = normalize_yaw(y)
+        assert normalize_yaw(w) == w and -180.0 <= w < 180.0
 
     @given(yaws)
     def test_range_and_periodicity(self, y):

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +59,13 @@ class TestNetworkTrace:
 
 
 class TestTraceIo:
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        """A numpy warning from the loader's parse must not escape it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "t.txt"
         save_trace(trace_of(GAPPY), str(path))
@@ -79,6 +89,41 @@ class TestTraceIo:
         path.write_text("5\n4\n")
         with pytest.raises(TraceError, match=r":2:"):
             load_trace(str(path))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1\n2\n1.5\n", "3: not an integer millisecond: '1.5'"),
+            ("1\n7 8\n\n9\n", "2: not an integer millisecond: '7 8'"),
+            ("1\n-3\n", "2: negative timestamp -3"),
+            ("1\n2\nnan\n", "3: not an integer millisecond: 'nan'"),
+        ],
+    )
+    def test_malformed_line_message(self, tmp_path, text, message):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with pytest.raises(TraceError) as exc:
+            load_trace(str(path))
+        assert str(exc.value) == f"{path}:{message}"
+
+    def test_int_forms_and_blank_lines_read_like_plain_ones(self, tmp_path):
+        path = tmp_path / "odd.txt"
+        path.write_bytes(b"+1\r\n 2 \r\n\r\n1_000\r\n007000")
+        np.testing.assert_array_equal(load_trace(str(path)).timestamps_ms, [1, 2, 1000, 7000])
+
+    def test_peak_memory_stays_below_four_stamp_arrays(self, tmp_path):
+        """700k lines, about the size of a two-minute 100 Mbit/s trace."""
+        path = tmp_path / "long.txt"
+        stamps = np.arange(700_000) * 2 // 3
+        path.write_text("\n".join(map(str, stamps.tolist())) + "\n")
+        tracemalloc.start()
+        try:
+            trace = load_trace(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(trace.timestamps_ms, stamps)
+        assert peak < 4 * trace.timestamps_ms.nbytes
 
 
 class TestScale:

@@ -1,9 +1,12 @@
 """The shared greedy walk, tile ranking, group-by, packet-slot builder,
-batched visibility kernel and experiment driver against the code they
-replaced (kept in helpers.py). Results must be bit-identical: levels and
-timestamps array-equal, visibility rows and heat arrays byte-equal, report
-rows equal down to the repr of every float.
+batched visibility kernel, trace loaders and lookups, and run_experiment
+against the code they replaced (kept in helpers.py). Results must be
+bit-identical: levels and timestamps array-equal, visibility rows, heat
+arrays and loaded traces byte-equal, errors word for word, report rows equal
+down to the repr of every float.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +17,9 @@ from helpers import (
     build_heat_oracle,
     constant_rate_network_oracle,
     estimate_oracle,
+    load_trace_oracle,
+    load_viewing_trace_oracle,
+    nearest_sample_oracle,
     policy_summary_oracle,
     popularity_share_oracle,
     prediction_summary_oracle,
@@ -21,8 +27,11 @@ from helpers import (
     quantize_oracle,
     ranked_tiles_oracle,
     run_experiment_oracle,
+    samples,
     scalar_tile_visibility,
     select_prediction_oracle,
+    select_window_oracle,
+    trace_of,
     viewing_assignments_oracle,
 )
 from tilesim.adaptation import PolicyKind, select_prediction
@@ -33,12 +42,14 @@ from tilesim.geometry import (
     FovSpec,
     Orientation,
     TileGrid,
-    TimedOrientation,
+    ViewingTrace,
     VisibilityMap,
+    normalize_yaw,
     rank_tiles,
     tile_visibility,
 )
 from tilesim.manifest import count_segments, naive_segment_bytes, segment_bits, synthesize
+from tilesim.netsim import load_trace
 from tilesim.playback import (
     estimate_rows,
     policy_summary_rows,
@@ -47,7 +58,9 @@ from tilesim.playback import (
     segment_rows,
 )
 from tilesim.popularity import HeatMap, build_heat, quantize
+from tilesim.prediction import nearest_sample, select_window
 from tilesim.synthetic import constant_gaze, constant_rate_network, drifting_gaze, linear_gaze
+from tilesim.traceio import load_viewing_trace
 
 TIE_DENOM = 4  # scores are multiples of 1/TIE_DENOM**2, so ties are common
 
@@ -191,7 +204,7 @@ def heat_traces(draw, duration, segment_length):
         ))
         if draw(st.booleans()):
             times.sort()
-        traces.append([TimedOrientation(t, draw(poses(grid))) for t in times])
+        traces.append(trace_of([(t, draw(poses(grid))) for t in times]))
     return traces
 
 
@@ -224,7 +237,7 @@ def test_viewing_assignments_match_one_scalar_map_per_segment(m, data, n, fov):
     times = sorted(data.draw(st.lists(
         st.floats(-1.0, m.duration + 1.0), min_size=1, max_size=20, unique=True
     )))
-    trace = [TimedOrientation(t, data.draw(poses(m.grid))) for t in times]
+    trace = trace_of([(t, data.draw(poses(m.grid))) for t in times])
     got = viewing_assignments(m, trace, fov, n)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, viewing_assignments_oracle(m, trace, fov, n))
@@ -371,3 +384,204 @@ def test_run_experiment_matches_a_fresh_warm_up_per_session(kwargs):
 def test_run_experiment_rejects_a_repeated_policy():
     with pytest.raises(ValueError, match="listed once"):
         run_experiment(**REPEATED_POLICY)
+
+
+# --- trace loaders and lookups ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def trace_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("oracle_traces")
+
+
+def _outcome(load, path: str):
+    """What load(path) returns, or the type and text of what it raises; a
+    warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return load(path)
+        except (ValueError, OverflowError) as e:
+            return type(e), str(e)
+
+
+@st.composite
+def text_files(draw, lines: list[str], messy: bool) -> bytes:
+    """`lines` joined with LF or CRLF, with or without a final line break;
+    if messy, with blank lines and invalid UTF-8 at random places."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 2)) if messy else 0):
+        blank = draw(st.sampled_from(["", " ", "\t", ",,,"]))
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    data = (newline.join(lines) + draw(st.sampled_from(["", newline]))).encode()
+    if messy and draw(st.integers(0, 4)) == 0:
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + b"\xff" + data[k:]
+    return data
+
+
+def _mutated(draw, cells: list[str], junk) -> list[str]:
+    """`cells` with one to three replaced by junk."""
+    cells = list(cells)
+    for _ in range(draw(st.integers(1, 3))):
+        if cells:
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(junk)
+    return cells
+
+
+PACKET_JUNK = st.sampled_from([
+    "+7", "-0", "007", "1_000", "1.5", "1e3", "nan", "inf", "-3", "x", "7 8", "7\t8",
+    "0x10", str(2**63 - 1), str(2**63), str(-(2**63) - 1), "\u0663", "\x00", "\x0b5",
+]) | st.integers(0, 3000).map(lambda v: f" {v} ")
+
+
+@st.composite
+def packet_files(draw) -> bytes:
+    """Non-decreasing stamps (ties included); half the files are messy, with
+    junk at random lines: signs, spaces, underscores, decimals, nan, inf,
+    hex, out-of-range values, two values on one line, a non-ASCII digit,
+    NUL."""
+    stamps = sorted(draw(st.lists(st.integers(0, 3000) | st.just(0), max_size=30)))
+    lines = [str(v) for v in stamps]
+    messy = draw(st.booleans())
+    return draw(text_files(_mutated(draw, lines, PACKET_JUNK) if messy else lines, messy))
+
+
+@given(data=packet_files())
+@settings(max_examples=400, deadline=None)
+@example(data=b"1\n2\n3\n")
+@example(data=b"7 8\n\n9\n")
+@example(data=b"7\n \n8 9\n")
+@example(data=b"9223372036854775808\n")
+@example(data=b"0\n0\n")
+def test_load_trace_matches_the_line_scanner(trace_dir, data):
+    path = trace_dir / "trace.pps"
+    path.write_bytes(data)
+    new = _outcome(load_trace, str(path))
+    old = _outcome(load_trace_oracle, str(path))
+    if isinstance(old, tuple):
+        assert new == old
+    else:
+        assert new.timestamps_ms.dtype == old.timestamps_ms.dtype
+        assert new.timestamps_ms.tobytes() == old.timestamps_ms.tobytes()
+
+
+EDGE_ANGLES = [
+    180.0, -180.0, 540.0, -540.0, 360.0, -0.0, 0.0, 90.0, -90.0, 90.5, -90.5,
+    5e-324, -5e-324, 1e-300, -1e-300, 179.99999999999997, -180.00000000000003,
+    359.99999999999994, 1e16, -1e16,
+]
+angles = st.floats(-1e3, 1e3) | st.sampled_from(EDGE_ANGLES)
+CELL_FORMATS = [repr, "{:.3f}".format, "{:e}".format, "{:+.17g}".format, " {} ".format]
+CELL_JUNK = st.sampled_from([
+    "", " ", "nan", "-nan", "inf", "-inf", "Infinity", "1e400", "1_000", "x", '"1.0"',
+    "0x10", "1 2", "1d5", "nan(1)", "\u0663", "\x00", "1\r2",
+])
+
+
+@st.composite
+def viewing_files(draw) -> bytes:
+    """Euler or quaternion rows under an optional header, values written in
+    several formats. Half the files are messy: times out of order, cells
+    padded with spaces, junk cells, zero quaternions, rows one cell short or
+    long, a quoted header."""
+    width = draw(st.sampled_from([4, 5]))
+    messy = draw(st.booleans())
+    times = sorted(draw(st.lists(st.floats(-10.0, 100.0), max_size=12, unique=True)))
+    if messy and draw(st.booleans()):
+        times = times[::-1]
+    formats = CELL_FORMATS if messy else CELL_FORMATS[:-1]
+    rows = []
+    for t in times:
+        cells = [t] + [draw(angles) for _ in range(width - 1)]
+        if messy and width == 5 and draw(st.integers(0, 4)) == 0:
+            cells[1:] = [0.0] * 4
+        rows.append([draw(st.sampled_from(formats))(v) for v in cells])
+    for _ in range(draw(st.integers(0, 2)) if messy else 0):
+        if rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            if draw(st.booleans()):
+                row.pop()
+            else:
+                row.append("0")
+    lines = [
+        ",".join(_mutated(draw, row, CELL_JUNK))
+        if messy and draw(st.integers(0, 3)) == 0 else ",".join(row)
+        for row in rows
+    ]
+    headers = [None, "t_seconds,yaw_deg,pitch_deg,roll_deg", "t,qw,qx,qy,qz", "time"]
+    header = draw(st.sampled_from(headers + ['"1",a,b,c'] if messy else headers))
+    return draw(text_files(([header] if header else []) + lines, messy))
+
+
+@given(data=viewing_files())
+@settings(max_examples=400, deadline=None)
+@example(data=b"t_seconds,yaw_deg,pitch_deg,roll_deg\n0.0,190,95,1\n0.5,-190,-95,2\n")
+@example(data=b"0.0,1,2,3\n0.5,1,2\n1.0,1,2,3,4\n")
+@example(data=b"0.0,1,0,0,0\n0.1,0,0,0,0\n")
+@example(data=b"0.0,1,2,3\r\n0.5,1,2,3\r\n")
+@example(data=b"0.0,1,2,3\n0.5,1,2\r,3\n")
+@example(data=b"0.0,nan,0,0\n")
+def test_load_viewing_trace_matches_the_row_scanner(trace_dir, data):
+    path = trace_dir / "trace.csv"
+    path.write_bytes(data)
+    new = _outcome(load_viewing_trace, str(path))
+    old = _outcome(load_viewing_trace_oracle, str(path))
+    if isinstance(old, tuple):
+        assert new == old
+        return
+    expected = {
+        "t": [s.t for s in old],
+        "yaw": [s.o.yaw for s in old],
+        "pitch": [s.o.pitch for s in old],
+        "roll": [s.o.roll for s in old],
+    }
+    for column, values in expected.items():
+        assert getattr(new, column).tobytes() == np.array(values).tobytes(), column
+
+
+@given(yaws=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                     | st.sampled_from(EDGE_ANGLES), max_size=30), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_vectorized_wrap_and_clamp_match_orientation(yaws, data):
+    """from_angles wraps yaw with numpy's float % and clamps pitch with
+    np.clip; each must give Orientation's value bit for bit, and pose(k) must
+    rebuild the stored pose without changing a bit."""
+    pitches = data.draw(st.lists(angles, min_size=len(yaws), max_size=len(yaws)))
+    trace = ViewingTrace.from_angles(range(len(yaws)), yaws, pitches, np.zeros(len(yaws)))
+    for k, (yaw, pitch) in enumerate(zip(yaws, pitches)):
+        o = Orientation(yaw, pitch)
+        assert trace.yaw[k].tobytes() == np.float64(o.yaw).tobytes()
+        assert trace.pitch[k].tobytes() == np.float64(o.pitch).tobytes()
+        assert np.float64(normalize_yaw(o.yaw)).tobytes() == np.float64(o.yaw).tobytes()
+        pose = trace.pose(k)
+        assert np.float64(pose.yaw).tobytes() == np.float64(o.yaw).tobytes()
+        assert np.float64(pose.pitch).tobytes() == np.float64(o.pitch).tobytes()
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_searchsorted_lookups_match_bisect(data):
+    """Times on a quarter-second grid, so queries land exactly on samples,
+    on midpoints between them (ties), before the first, after the last, and
+    on window edges."""
+    ticks = sorted(data.draw(st.lists(st.integers(-8, 40), min_size=1, max_size=20, unique=True)))
+    times = [k / 4.0 for k in ticks]
+    trace = trace_of([(t, Orientation(t * 7.0, t - 2.0)) for t in times])
+    old = samples(trace)
+    query = (
+        st.sampled_from(times)
+        | st.sampled_from([(a + b) / 2.0 for a, b in zip(times, times[1:])] or times)
+        | st.sampled_from([times[0] - 1.0, times[-1] + 1.0])
+        | st.integers(-12, 48).map(lambda k: k / 8.0)
+        | st.floats(-5.0, 15.0)
+    )
+    for _ in range(5):
+        now = data.draw(query)
+        timeframe = data.draw(st.sampled_from([0.25, 0.5, 1.0, 0.1]) | st.floats(0.0, 4.0))
+        window = select_window(trace, now, timeframe)
+        expected = select_window_oracle(old, now, timeframe)
+        assert samples(window) == expected
+        k = nearest_sample(trace, now)
+        assert (trace.t[k], trace.pose(k)) == nearest_sample_oracle(old, now)

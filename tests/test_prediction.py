@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tilesim.geometry import Orientation, TimedOrientation
+from helpers import trace_of
+from tilesim.geometry import Orientation, ViewingTrace
 from tilesim.prediction import (
     PredictorConfig,
     error_experiment,
@@ -14,10 +15,9 @@ from tilesim.synthetic import constant_gaze, linear_gaze, sinusoid_gaze
 
 
 def linear_trace(yaw0, yaw_rate, times, pitch0=0.0, pitch_rate=0.0):
-    return [
-        TimedOrientation(t, Orientation(yaw0 + yaw_rate * t, pitch0 + pitch_rate * t))
-        for t in times
-    ]
+    return trace_of(
+        [(t, Orientation(yaw0 + yaw_rate * t, pitch0 + pitch_rate * t)) for t in times]
+    )
 
 
 class TestConfig:
@@ -37,21 +37,28 @@ class TestSelectWindow:
     def test_inclusive_boundaries(self):
         trace = linear_trace(0, 0, [0.0, 0.5, 1.0, 1.5])
         window = select_window(trace, now=1.0, timeframe=0.5)
-        assert [s.t for s in window] == [0.5, 1.0]
+        assert window.t.tolist() == [0.5, 1.0]
 
     def test_excludes_future_samples(self):
         trace = linear_trace(0, 0, [0.0, 0.5, 1.0, 1.5])
         window = select_window(trace, now=1.4, timeframe=0.5)
-        assert [s.t for s in window] == [1.0]
+        assert window.t.tolist() == [1.0]
+
+    def test_returns_views(self):
+        trace = linear_trace(0, 0, [0.0, 0.5, 1.0, 1.5])
+        window = select_window(trace, now=1.0, timeframe=0.5)
+        assert isinstance(window, ViewingTrace)
+        assert np.shares_memory(window.t, trace.t)
+        assert not window.t.flags.writeable
 
 
 class TestFitPredict:
     def test_empty_window_raises(self):
         with pytest.raises(ValueError):
-            fit([], now=0.0)
+            fit(trace_of([]), now=0.0)
 
     def test_single_sample_gives_constant_model(self):
-        model = fit([TimedOrientation(2.0, Orientation(42.0, -5.0))], now=2.0)
+        model = fit(trace_of([(2.0, Orientation(42.0, -5.0))]), now=2.0)
         assert model.yaw_slope == 0.0
         assert model.pitch_slope == 0.0
         assert model.sample_count == 1
@@ -61,10 +68,10 @@ class TestFitPredict:
 
     def test_stationary_gaze_stays_put(self):
         trace = constant_gaze(42.0, -5.0, duration=1.0, hz=10.0)
-        model = fit(trace, now=trace[-1].t)
+        model = fit(trace, now=trace.t[-1])
         assert model.yaw_slope == pytest.approx(0.0, abs=1e-9)
         assert model.pitch_slope == pytest.approx(0.0, abs=1e-9)
-        o = predict(model, trace[-1].t + 3.0)
+        o = predict(model, trace.t[-1] + 3.0)
         assert o.yaw == pytest.approx(42.0, abs=1e-9)
         assert o.pitch == pytest.approx(-5.0, abs=1e-9)
 
@@ -79,11 +86,11 @@ class TestFitPredict:
         assert o.pitch == pytest.approx(6.0, abs=1e-8)
 
     def test_yaw_fit_crosses_antimeridian(self):
-        trace = [
-            TimedOrientation(0.0, Orientation(179.0, 0.0)),
-            TimedOrientation(0.1, Orientation(-180.0, 0.0)),
-            TimedOrientation(0.2, Orientation(-179.0, 0.0)),
-        ]
+        trace = trace_of([
+            (0.0, Orientation(179.0, 0.0)),
+            (0.1, Orientation(-180.0, 0.0)),
+            (0.2, Orientation(-179.0, 0.0)),
+        ])
         model = fit(trace, now=0.2)
         assert model.yaw_slope == pytest.approx(10.0, abs=1e-6)
         assert predict(model, 0.2).yaw == pytest.approx(-179.0, abs=1e-6)
@@ -98,9 +105,7 @@ class TestFitPredict:
     def test_anchor_shift_is_equivalent(self):
         times = np.arange(0.0, 1.0, 0.1)
         base = linear_trace(5.0, 8.0, times)
-        shifted = [
-            TimedOrientation(s.t + 7.25, s.o) for s in base
-        ]
+        shifted = ViewingTrace(base.t + 7.25, base.yaw, base.pitch, base.roll)
         a = predict(fit(base, now=0.9), 1.4)
         b = predict(fit(shifted, now=0.9 + 7.25), 1.4 + 7.25)
         assert a.yaw == pytest.approx(b.yaw, abs=1e-8)
@@ -110,14 +115,14 @@ class TestFitPredict:
 class TestNearestSample:
     def test_snaps_to_closest(self):
         trace = linear_trace(0, 1, [0.0, 1.0, 2.0])
-        assert nearest_sample(trace, 0.4).t == 0.0
-        assert nearest_sample(trace, 0.6).t == 1.0
-        assert nearest_sample(trace, -5.0).t == 0.0
-        assert nearest_sample(trace, 9.0).t == 2.0
+        assert nearest_sample(trace, 0.4) == 0
+        assert nearest_sample(trace, 0.6) == 1
+        assert nearest_sample(trace, -5.0) == 0
+        assert nearest_sample(trace, 9.0) == 2
 
     def test_tie_prefers_earlier(self):
         trace = linear_trace(0, 1, [1.0, 2.0])
-        assert nearest_sample(trace, 1.5).t == 1.0
+        assert nearest_sample(trace, 1.5) == 0
 
 
 class TestErrorExperiment:

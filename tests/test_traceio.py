@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import pytest
 
-from tilesim.geometry import Orientation, TimedOrientation
+from helpers import trace_of
+from tilesim.geometry import Orientation
 from tilesim.synthetic import sinusoid_gaze
 from tilesim.traceio import (
     ViewingTraceError,
@@ -11,6 +13,14 @@ from tilesim.traceio import (
     quaternion_to_orientation,
     save_viewing_trace,
 )
+
+
+@pytest.fixture(autouse=True)
+def warnings_are_errors():
+    """A numpy warning from a loader's parse must not escape it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
 
 
 def q_axis_angle(axis, degrees_):
@@ -73,18 +83,15 @@ class TestEulerFiles:
         path = tmp_path / "t.csv"
         save_viewing_trace(trace, str(path))
         got = load_viewing_trace(str(path))
-        assert len(got) == len(trace)
-        for a, b in zip(got, trace):
-            assert a.t == b.t
-            assert a.o.yaw == b.o.yaw
-            assert a.o.pitch == b.o.pitch
+        for column in ("t", "yaw", "pitch", "roll"):
+            assert getattr(got, column).tobytes() == getattr(trace, column).tobytes()
 
     def test_headerless_euler(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("0.0,10,5,0\n0.5,12,6,0\n")
         got = load_viewing_trace(str(path))
-        assert [s.t for s in got] == [0.0, 0.5]
-        assert got[1].o.yaw == 12.0
+        assert got.t.tolist() == [0.0, 0.5]
+        assert got.pose(1).yaw == 12.0
 
     def test_quaternion_file(self, tmp_path):
         q = q_axis_angle((0, 0, 1), 90.0)
@@ -95,8 +102,8 @@ class TestEulerFiles:
             + "0.1,1,0,0,0\n"
         )
         got = load_viewing_trace(str(path))
-        assert got[0].o.yaw == pytest.approx(90.0, abs=1e-9)
-        assert got[1].o.yaw == pytest.approx(0.0, abs=1e-9)
+        assert got.yaw[0] == pytest.approx(90.0, abs=1e-9)
+        assert got.yaw[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_quaternion_names_file_and_line(self, tmp_path):
         path = tmp_path / "z.csv"
@@ -134,6 +141,32 @@ class TestEulerFiles:
         with pytest.raises(ViewingTraceError, match="strictly increase"):
             load_viewing_trace(str(path))
 
+    @pytest.mark.parametrize(
+        "row",
+        ["nan,0,0,0", "inf,0,0,0", "0.5,nan,0,0", "0.5,0,-inf,0", "0.5,0,0,1e400"],
+    )
+    def test_non_finite_value_names_line(self, tmp_path, row):
+        path = tmp_path / "nf.csv"
+        path.write_text(f"t_seconds,yaw_deg,pitch_deg,roll_deg\n0.0,1,2,0\n{row}\n1.0,1,2,0\n")
+        with pytest.raises(ViewingTraceError, match=r"nf\.csv:3: non-finite value"):
+            load_viewing_trace(str(path))
+
+    @pytest.mark.parametrize("row", ["0.5,nan,0,0,0", "0.5,1,inf,0,0", "nan,1,0,0,0"])
+    def test_non_finite_quaternion_names_line(self, tmp_path, row):
+        path = tmp_path / "nq.csv"
+        path.write_text(f"0.0,1,0,0,0\n{row}\n")
+        with pytest.raises(ViewingTraceError, match=r"nq\.csv:2: non-finite value"):
+            load_viewing_trace(str(path))
+
+    def test_padded_and_crlf_rows_read_like_plain_ones(self, tmp_path):
+        plain, odd = tmp_path / "plain.csv", tmp_path / "odd.csv"
+        plain.write_text("0.0,190,95,1\n0.5,-190,-95,2\n")
+        odd.write_bytes(b"t,yaw,pitch,roll\r\n 0.0 ,+190,95,1\r\n\r\n0.5,-190, -95,2\r\n")
+        a, b = load_viewing_trace(str(plain)), load_viewing_trace(str(odd))
+        for column in ("t", "yaw", "pitch", "roll"):
+            assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
+        assert a.yaw.tolist() == [-170.0, 170.0] and a.pitch.tolist() == [90.0, -90.0]
+
     def test_mixed_width_row_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0.0,1,2,0\n0.5,1,2\n")
@@ -145,12 +178,12 @@ class TestTraceDir:
     def test_sorted_by_name(self, tmp_path):
         for name, yaw in (("b.csv", 2.0), ("a.csv", 1.0), ("c.csv", 3.0)):
             save_viewing_trace(
-                [TimedOrientation(0.0, Orientation(yaw, 0.0))],
+                trace_of([(0.0, Orientation(yaw, 0.0))]),
                 str(tmp_path / name),
             )
         (tmp_path / "ignore.txt").write_text("not a trace")
         traces = load_trace_dir(str(tmp_path))
-        assert [t[0].o.yaw for t in traces] == [1.0, 2.0, 3.0]
+        assert [t.yaw[0] for t in traces] == [1.0, 2.0, 3.0]
 
     def test_empty_dir_raises(self, tmp_path):
         with pytest.raises(ViewingTraceError):
