@@ -175,12 +175,13 @@ def segment_requests(
     The key identifies (video, segment, tile, level); it is what the cache
     simulator stores.
     """
-    out = []
-    for tile in range(manifest.grid.tile_count):
-        level = int(assignment[tile])
-        size = int(manifest.sizes[segment, tile, level])
-        out.append(((manifest.name, segment, tile, level), size))
-    return out
+    levels = np.asarray(assignment, dtype=np.int64)
+    sizes = manifest.sizes[segment, np.arange(manifest.grid.tile_count), levels]
+    name = manifest.name
+    return [
+        ((name, segment, tile, level), size)
+        for tile, (level, size) in enumerate(zip(levels.tolist(), sizes.tolist()))
+    ]
 
 
 def to_dict(manifest: VideoManifest) -> dict:

@@ -78,16 +78,24 @@ class SessionMetrics:
         return float(np.mean([r.levels for r in self.records]))
 
 
-def simulate(cfg: SessionConfig) -> SessionMetrics:
-    """Run one streaming session; deterministic for identical configs.
+# Policies whose selections read the predicted viewport's visibility.
+PLANNED_POLICIES = (PolicyKind.PREDICTION, PolicyKind.PREDICTION_BA, PolicyKind.TRANSITION)
 
-    The regression window ends at the playback position reached when each
-    segment's download starts, and the pose is predicted at that segment's
-    playback start. If the window interval holds no sample (sparse traces),
-    the nearest earlier sample is used as a constant fallback.
+
+@dataclass(frozen=True)
+class PredictionPlan:
+    """One viewing trace's predictions, per segment: the visibility map of the
+    pose predicted for the segment, and the bit rate that `transition`
+    compares against its estimate (the unconstrained prediction selection's
+    bits over the segment length). Neither depends on download timing, the
+    estimate or the policy, so every session replaying the trace shares them.
     """
-    m = cfg.manifest
-    s = m.segment_length
+
+    visibility: tuple[VisibilityMap, ...]  # views into one (segments, tiles) array
+    required_bps: tuple[float, ...]
+
+
+def _check_trace(cfg: SessionConfig) -> None:
     if not cfg.viewing_trace:
         raise ValueError("viewing trace is empty")
     span = cfg.viewing_trace.t.item(-1) - cfg.viewing_trace.t.item(0)
@@ -96,9 +104,58 @@ def simulate(cfg: SessionConfig) -> SessionMetrics:
             f"viewing trace spans {span:.3f}s, shorter than the "
             f"{cfg.predictor.timeframe:.3f}s regression window"
         )
+
+
+def prediction_plan(cfg: SessionConfig) -> PredictionPlan:
+    """The plan of cfg's viewing trace under its manifest, FoV, predictor and
+    samples_per_axis.
+
+    Segment k's regression window ends at media time max(0, k * s - interval),
+    whatever the download timing, and its pose is predicted at k * s, the
+    segment's playback position. If the window holds no sample (sparse
+    traces), the nearest sample is used as a constant fallback. Every
+    segment's pose is scored in one tile_visibility call.
+    """
+    _check_trace(cfg)
+    m = cfg.manifest
+    s = m.segment_length
+    trace = cfg.viewing_trace
+    interval = cfg.predictor.interval if cfg.predictor.interval is not None else s
+    poses = []
+    for seg in range(m.segment_count):
+        target = seg * s
+        now = max(0.0, target - interval)
+        window = select_window(trace, now, cfg.predictor.timeframe)
+        if not window:
+            k = nearest_sample(trace, now)
+            window = trace[k : k + 1]
+        poses.append(predict(fit(window, now), target))
+    scores = tile_visibility(tuple(poses), cfg.fov, m.grid, cfg.samples_per_axis)
+    scores.setflags(write=False)
+    visibility = tuple(VisibilityMap(m.grid, row) for row in scores)
+    required = tuple(
+        segment_bits(m, seg, select_prediction(m, seg, vis, None)) / s
+        for seg, vis in enumerate(visibility)
+    )
+    return PredictionPlan(visibility, required)
+
+
+def simulate(cfg: SessionConfig, plan: PredictionPlan | None = None) -> SessionMetrics:
+    """Run one streaming session; deterministic for identical configs.
+
+    Policies that read visibility take each segment's map, and `transition`
+    its required bit rate, from `plan`: prediction_plan(cfg), built here when
+    not given.
+    """
+    m = cfg.manifest
+    s = m.segment_length
+    _check_trace(cfg)
     if cfg.policy in (PolicyKind.POPULARITY, PolicyKind.TRANSITION):
         require_popularity(m)
-    interval = cfg.predictor.interval if cfg.predictor.interval is not None else s
+    if cfg.policy not in PLANNED_POLICIES:
+        plan = None
+    elif plan is None:
+        plan = prediction_plan(cfg)
     estimator = LastSampleEstimator()
     state = TransitionState(hysteresis=cfg.hysteresis)
     origin = Link(cfg.network_trace)
@@ -109,23 +166,13 @@ def simulate(cfg: SessionConfig) -> SessionMetrics:
 
     for seg in range(m.segment_count):
         dl_start = 0.0 if seg == 0 else max(end_prev, sched_prev)
-        target = seg * s
-        now = max(0.0, target - interval)
-        window = select_window(cfg.viewing_trace, now, cfg.predictor.timeframe)
-        if not window:
-            k = nearest_sample(cfg.viewing_trace, now)
-            window = cfg.viewing_trace[k : k + 1]
-        predicted = predict(fit(window, now), target)
-        scores = tile_visibility((predicted,), cfg.fov, m.grid, cfg.samples_per_axis)
-        vis = VisibilityMap(m.grid, scores[0])
+        vis = plan.visibility[seg] if plan is not None else None
 
         estimate = estimator.current()
         budget = estimate.bits_per_second if estimate is not None else None
         active = cfg.policy
         if cfg.policy is PolicyKind.TRANSITION:
-            wanted = select_prediction(m, seg, vis, None)
-            required = segment_bits(m, seg, wanted) / s
-            active = transition_step(state, estimate, required)
+            active = transition_step(state, estimate, plan.required_bps[seg])
 
         if active is PolicyKind.NAIVE:
             levels = select_naive(m, seg)
@@ -235,7 +282,8 @@ def run_experiment(
     (seed, i) for every policy, so runs are comparable pairwise across
     policies. The cache is warmed once per iteration, with counters reset
     before measurement, and each run gets a copy of its iteration's warmed
-    cache. Each trace's warm-up assignments are computed once per experiment.
+    cache. Each trace's warm-up assignments and prediction plan are computed
+    once per experiment.
     """
     if not viewing_traces:
         raise ValueError("need at least one viewing trace")
@@ -247,7 +295,9 @@ def run_experiment(
     predictor = predictor or PredictorConfig()
     runs: dict[str, list[SessionMetrics]] = {p.value: [] for p in policies}
     assignments: dict[int, np.ndarray] = {}
+    plans: dict[int, PredictionPlan] = {}
     for i in range(iterations):
+        k = i % len(viewing_traces)
         warmed = None
         if cache_policy is not None and cache_capacity_bytes > 0:
             warmed = Cache(cache_capacity_bytes, cache_policy)
@@ -265,7 +315,7 @@ def run_experiment(
         for policy in policies:
             cfg = SessionConfig(
                 manifest=manifest,
-                viewing_trace=viewing_traces[i % len(viewing_traces)],
+                viewing_trace=viewing_traces[k],
                 network_trace=network_trace,
                 policy=policy,
                 cache=warmed.copy() if warmed is not None else None,
@@ -275,7 +325,9 @@ def run_experiment(
                 samples_per_axis=samples_per_axis,
                 hysteresis=hysteresis,
             )
-            runs[policy.value].append(simulate(cfg))
+            if policy in PLANNED_POLICIES and k not in plans:
+                plans[k] = prediction_plan(cfg)
+            runs[policy.value].append(simulate(cfg, plans.get(k)))
     return ExperimentReport(
         policies=[p.value for p in policies],
         iterations=iterations,

@@ -144,10 +144,14 @@ def _packed(t, poses: list[Orientation]) -> ViewingTrace:
 
 
 def _scan_rows(path: str) -> ViewingTrace:
-    """load_viewing_trace row by row, for files that are not plain."""
+    """load_viewing_trace row by row, for files that are not plain. Errors
+    name the physical line a row ends on, blank lines counted."""
     try:
         with open(path, encoding="utf-8", newline="") as f:
-            rows = [row for row in csv.reader(f) if row and any(x.strip() for x in row)]
+            reader = csv.reader(f)
+            rows = [
+                (reader.line_num, row) for row in reader if row and any(x.strip() for x in row)
+            ]
     except UnicodeDecodeError as e:
         raise ViewingTraceError(
             f"{path}: not UTF-8 text ({e.reason} at byte {e.start})"
@@ -155,16 +159,14 @@ def _scan_rows(path: str) -> ViewingTrace:
     if not rows:
         raise ViewingTraceError(f"{path}: empty trace file")
     start = 0
-    width = len(rows[0])
+    width = len(rows[0][1])
     try:
-        float(rows[0][0])
-        has_header = False
+        float(rows[0][1][0])
     except ValueError:
-        has_header = True
         start = 1
         if not rows[1:]:
             raise ViewingTraceError(f"{path}: header but no samples")
-        width = len(rows[1])
+        width = len(rows[1][1])
     if width == 4:
         kind = "euler"
     elif width == 5:
@@ -175,7 +177,7 @@ def _scan_rows(path: str) -> ViewingTrace:
         )
     ts: list[float] = []
     poses: list[Orientation] = []
-    for lineno, row in enumerate(rows[start:], start=start + 1):
+    for lineno, row in rows[start:]:
         if len(row) != width:
             raise ViewingTraceError(
                 f"{path}:{lineno}: expected {width} columns, got {len(row)}"

@@ -17,7 +17,16 @@ from typing import NamedTuple
 import numpy as np
 
 from tilesim import manifest as mf
-from tilesim.adaptation import select_prediction
+from tilesim.adaptation import (
+    PolicyKind,
+    TransitionState,
+    require_popularity,
+    select_naive,
+    select_popularity,
+    select_prediction,
+    select_prediction_ba,
+    transition_step,
+)
 from tilesim.cachesim import Cache, quality_bands, viewing_assignments
 from tilesim.geometry import (
     FovSpec,
@@ -27,9 +36,14 @@ from tilesim.geometry import (
     VisibilityMap,
     tile_visibility,
 )
-from tilesim.netsim import NetworkTrace, TraceError
-from tilesim.playback import ExperimentReport, SessionConfig, simulate
-from tilesim.prediction import PredictorConfig
+from tilesim.netsim import LastSampleEstimator, Link, NetworkTrace, TraceError
+from tilesim.playback import (
+    ExperimentReport,
+    SegmentRecord,
+    SessionConfig,
+    SessionMetrics,
+)
+from tilesim.prediction import PredictorConfig, fit, nearest_sample, predict, select_window
 from tilesim.synthetic import constant_gaze
 from tilesim.traceio import ViewingTraceError, quaternion_to_orientation
 
@@ -220,10 +234,15 @@ def load_trace_oracle(path: str) -> NetworkTrace:
 def load_viewing_trace_oracle(path: str) -> list[Sample]:
     """`traceio.load_viewing_trace` before numpy parsed it: csv rows, float()
     per cell and one Orientation per row. It differs from that body only in
-    rejecting a non-finite value, which the array loader also does."""
+    rejecting a non-finite value, which the array loader also does, and in
+    naming the physical line a bad row ends on (csv's line_num, blank lines
+    counted), as the row scanner now does."""
     try:
         with open(path, encoding="utf-8", newline="") as f:
-            rows = [row for row in csv.reader(f) if row and any(x.strip() for x in row)]
+            reader = csv.reader(f)
+            rows = [
+                (reader.line_num, row) for row in reader if row and any(x.strip() for x in row)
+            ]
     except UnicodeDecodeError as e:
         raise ViewingTraceError(
             f"{path}: not UTF-8 text ({e.reason} at byte {e.start})"
@@ -231,20 +250,20 @@ def load_viewing_trace_oracle(path: str) -> list[Sample]:
     if not rows:
         raise ViewingTraceError(f"{path}: empty trace file")
     start = 0
-    width = len(rows[0])
+    width = len(rows[0][1])
     try:
-        float(rows[0][0])
+        float(rows[0][1][0])
     except ValueError:
         start = 1
         if not rows[1:]:
             raise ViewingTraceError(f"{path}: header but no samples")
-        width = len(rows[1])
+        width = len(rows[1][1])
     if width not in (4, 5):
         raise ViewingTraceError(
             f"{path}: expected 4 (euler) or 5 (quaternion) columns, got {width}"
         )
     trace: list[Sample] = []
-    for lineno, row in enumerate(rows[start:], start=start + 1):
+    for lineno, row in rows[start:]:
         if len(row) != width:
             raise ViewingTraceError(
                 f"{path}:{lineno}: expected {width} columns, got {len(row)}"
@@ -578,7 +597,7 @@ def warm_oracle(cache, manifest, traces, fov, seed, trace_count, samples_per_axi
     for trace in chosen:
         assignments = viewing_assignments(manifest, trace, fov, samples_per_axis)
         for seg in range(manifest.segment_count):
-            for key, size in mf.segment_requests(manifest, seg, assignments[seg]):
+            for key, size in segment_requests_oracle(manifest, seg, assignments[seg]):
                 cache.request(key, size)
 
 
@@ -598,8 +617,9 @@ def run_experiment_oracle(
     cache_rate_bps=100e6,
     hysteresis=1.0,
 ) -> ExperimentReport:
-    """`playback.run_experiment` before it warmed one cache per iteration:
-    policy is the outer loop, and every session gets a freshly warmed cache."""
+    """`playback.run_experiment` before it warmed one cache per iteration and
+    shared one prediction plan per trace: policy is the outer loop, every
+    session gets a freshly warmed cache and predicts its own poses."""
     fov = fov or FovSpec()
     predictor = predictor or PredictorConfig()
     runs = {p.value: [] for p in policies}
@@ -625,7 +645,138 @@ def run_experiment_oracle(
                 samples_per_axis=samples_per_axis,
                 hysteresis=hysteresis,
             )
-            runs[policy.value].append(simulate(cfg))
+            runs[policy.value].append(simulate_oracle(cfg))
     return ExperimentReport(
         policies=[p.value for p in policies], iterations=iterations, seed=seed, runs=runs
     )
+
+
+def simulate_oracle(cfg: SessionConfig) -> SessionMetrics:
+    """`playback.simulate` before it read a prediction plan: every session,
+    whatever its policy, selects, fits and scores each segment's window
+    itself (predicted_map_oracle), one single-pose tile_visibility call per
+    segment."""
+    m = cfg.manifest
+    s = m.segment_length
+    if not cfg.viewing_trace:
+        raise ValueError("viewing trace is empty")
+    span = cfg.viewing_trace.t.item(-1) - cfg.viewing_trace.t.item(0)
+    if span < cfg.predictor.timeframe:
+        raise ValueError(
+            f"viewing trace spans {span:.3f}s, shorter than the "
+            f"{cfg.predictor.timeframe:.3f}s regression window"
+        )
+    if cfg.policy in (PolicyKind.POPULARITY, PolicyKind.TRANSITION):
+        require_popularity(m)
+    estimator = LastSampleEstimator()
+    state = TransitionState(hysteresis=cfg.hysteresis)
+    origin = Link(cfg.network_trace)
+    records: list[SegmentRecord] = []
+    savings = np.zeros(m.segment_count)
+    sched_prev = 0.0
+    end_prev = 0.0
+
+    for seg in range(m.segment_count):
+        dl_start = 0.0 if seg == 0 else max(end_prev, sched_prev)
+        vis = predicted_map_oracle(cfg, seg)
+
+        estimate = estimator.current()
+        budget = estimate.bits_per_second if estimate is not None else None
+        active = cfg.policy
+        if cfg.policy is PolicyKind.TRANSITION:
+            wanted = select_prediction(m, seg, vis, None)
+            required = mf.segment_bits(m, seg, wanted) / s
+            active = transition_step(state, estimate, required)
+
+        if active is PolicyKind.NAIVE:
+            levels = select_naive(m, seg)
+        elif active is PolicyKind.PREDICTION:
+            levels = select_prediction(m, seg, vis, budget)
+        elif active is PolicyKind.POPULARITY:
+            levels = select_popularity(m, seg)
+        elif active is PolicyKind.PREDICTION_BA:
+            levels = select_prediction_ba(m, seg, vis, budget)
+        else:
+            raise ValueError(f"unknown policy {active}")
+
+        cache_bytes = 0
+        origin_bytes = 0
+        for key, size in segment_requests_oracle(m, seg, levels):
+            if cfg.cache is not None and cfg.cache.request(key, size):
+                cache_bytes += size
+            else:
+                origin_bytes += size
+
+        origin_end = origin.transfer_time(dl_start, origin_bytes)
+        cache_end = dl_start + cache_bytes * 8.0 / cfg.cache_rate_bps
+        dl_end = max(origin_end, cache_end)
+        if origin_bytes > 0:
+            estimator.update(origin_bytes * 8.0, dl_start, origin_end)
+
+        if seg == 0:
+            sched = dl_end
+            stall = 0.0
+        else:
+            sched = sched_prev + s
+            stall = max(0.0, dl_end - sched)
+            sched += stall
+
+        total = cache_bytes + origin_bytes
+        savings[seg] = 1.0 - total / mf.naive_segment_bytes(m, seg)
+        records.append(
+            SegmentRecord(
+                segment=seg,
+                policy=active.value,
+                levels=tuple(int(x) for x in levels),
+                bytes_total=total,
+                bytes_from_cache=cache_bytes,
+                bytes_from_origin=origin_bytes,
+                download_start=dl_start,
+                download_end=dl_end,
+                stall=stall,
+                mean_quality=float(np.mean(levels)),
+                estimate_bps=(
+                    float(estimate.bits_per_second) if estimate is not None else None
+                ),
+            )
+        )
+        sched_prev, end_prev = sched, dl_end
+
+    stats = cfg.cache.stats if cfg.cache is not None else None
+    return SessionMetrics(
+        policy=cfg.policy.value,
+        records=records,
+        savings=savings,
+        cache_hit_rate=stats.hit_rate if stats else None,
+        cache_byte_hit_rate=stats.byte_hit_rate if stats else None,
+    )
+
+
+def predicted_map_oracle(cfg: SessionConfig, seg: int) -> VisibilityMap:
+    """The map `simulate_oracle` scores for one segment: the window ending at
+    media time max(0, seg * s - interval) (or the sample nearest that time if
+    the window is empty), fitted and predicted at seg * s, one single-pose
+    tile_visibility call."""
+    m = cfg.manifest
+    s = m.segment_length
+    interval = cfg.predictor.interval if cfg.predictor.interval is not None else s
+    target = seg * s
+    now = max(0.0, target - interval)
+    window = select_window(cfg.viewing_trace, now, cfg.predictor.timeframe)
+    if not window:
+        k = nearest_sample(cfg.viewing_trace, now)
+        window = cfg.viewing_trace[k : k + 1]
+    predicted = predict(fit(window, now), target)
+    scores = tile_visibility((predicted,), cfg.fov, m.grid, cfg.samples_per_axis)
+    return VisibilityMap(m.grid, scores[0])
+
+
+def segment_requests_oracle(manifest, segment: int, assignment):
+    """`manifest.segment_requests` before it read a segment's sizes with one
+    fancy index: one numpy scalar read per tile."""
+    out = []
+    for tile in range(manifest.grid.tile_count):
+        level = int(assignment[tile])
+        size = int(manifest.sizes[segment, tile, level])
+        out.append(((manifest.name, segment, tile, level), size))
+    return out

@@ -1,6 +1,6 @@
 """The shared greedy walk, tile ranking, group-by, packet-slot builder,
-batched visibility kernel, trace loaders and lookups, and run_experiment
-against the code they replaced (kept in helpers.py). Results must be
+batched visibility kernel, trace loaders and lookups, segment requests, the
+plan-driven simulate and run_experiment against the code they replaced (kept in helpers.py). Results must be
 bit-identical: levels and timestamps array-equal, visibility rows, heat
 arrays and loaded traces byte-equal, errors word for word, report rows equal
 down to the repr of every float.
@@ -21,21 +21,25 @@ from helpers import (
     load_viewing_trace_oracle,
     nearest_sample_oracle,
     policy_summary_oracle,
+    predicted_map_oracle,
     popularity_share_oracle,
     prediction_summary_oracle,
     quality_bands_oracle,
     quantize_oracle,
     ranked_tiles_oracle,
+    record_dicts,
     run_experiment_oracle,
     samples,
     scalar_tile_visibility,
+    segment_requests_oracle,
     select_prediction_oracle,
     select_window_oracle,
+    simulate_oracle,
     trace_of,
     viewing_assignments_oracle,
 )
 from tilesim.adaptation import PolicyKind, select_prediction
-from tilesim.cachesim import EvictionPolicy, quality_bands, viewing_assignments
+from tilesim.cachesim import Cache, EvictionPolicy, quality_bands, viewing_assignments
 from tilesim.cli import prediction_summary_rows
 from tilesim.geometry import (
     CHUNK_SAMPLES,
@@ -48,17 +52,26 @@ from tilesim.geometry import (
     rank_tiles,
     tile_visibility,
 )
-from tilesim.manifest import count_segments, naive_segment_bytes, segment_bits, synthesize
+from tilesim.manifest import (
+    count_segments,
+    naive_segment_bytes,
+    segment_bits,
+    segment_requests,
+    synthesize,
+)
 from tilesim.netsim import load_trace
 from tilesim.playback import (
+    SessionConfig,
     estimate_rows,
     policy_summary_rows,
     popularity_share_rows,
+    prediction_plan,
     run_experiment,
     segment_rows,
+    simulate,
 )
 from tilesim.popularity import HeatMap, build_heat, quantize
-from tilesim.prediction import nearest_sample, select_window
+from tilesim.prediction import PredictorConfig, nearest_sample, select_window
 from tilesim.synthetic import constant_gaze, constant_rate_network, drifting_gaze, linear_gaze
 from tilesim.traceio import load_viewing_trace
 
@@ -381,6 +394,92 @@ def test_run_experiment_matches_a_fresh_warm_up_per_session(kwargs):
     assert _cache_rates(new) == _cache_rates(old)
 
 
+@given(m=manifests(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_segment_requests_match_one_scalar_read_per_tile(m, data):
+    segment = data.draw(st.integers(0, m.segment_count - 1))
+    levels = data.draw(st.lists(
+        st.integers(0, m.quality_count - 1),
+        min_size=m.grid.tile_count, max_size=m.grid.tile_count,
+    ))
+    for assignment in (np.array(levels, dtype=np.int64), levels):
+        new = segment_requests(m, segment, assignment)
+        old = segment_requests_oracle(m, segment, assignment)
+        assert new == old
+        assert [type(x) for key, size in new for x in (*key, size)] == [
+            type(x) for key, size in old for x in (*key, size)
+        ]
+
+
+@st.composite
+def viewing_traces(draw, duration):
+    """Traces covering [0, duration + 1] s: dense ones, where every window
+    holds samples, and sparse ones, where most windows are empty and the
+    nearest sample stands in; times start at or before 0."""
+    hz = draw(st.sampled_from([0.4, 1.0, 4.0, 30.0]))
+    start = draw(st.sampled_from([0.0, -0.25, -2.0]))
+    count = int((duration + 1.0 - start) * hz) + 2
+    t = start + np.arange(count) / hz
+    t[1:] += draw(st.floats(0.0, 0.5 / hz))  # shift off the window edges, or not
+    yaw = np.cumsum(draw(st.lists(st.floats(-40.0, 40.0), min_size=count, max_size=count)))
+    pitch = draw(st.lists(st.floats(-89.0, 89.0), min_size=count, max_size=count))
+    return ViewingTrace.from_angles(t, yaw, pitch, np.zeros(count))
+
+
+@given(m=manifests(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_simulate_matches_a_session_that_predicts_its_own_poses(m, data):
+    m.popularity = np.array(data.draw(st.lists(
+        st.integers(0, m.quality_count - 1),
+        min_size=m.segment_count * m.grid.tile_count,
+        max_size=m.segment_count * m.grid.tile_count,
+    )), dtype=np.int64).reshape(m.segment_count, m.grid.tile_count)
+    cache_policy = data.draw(st.sampled_from([None, *EvictionPolicy]))
+    kwargs = dict(
+        manifest=m,
+        viewing_trace=data.draw(viewing_traces(m.duration)),
+        network_trace=constant_rate_network(
+            data.draw(st.sampled_from([0.3e6, 3e6, 50e6])), 8.0
+        ),
+        policy=data.draw(st.sampled_from(list(PolicyKind))),
+        cache_rate_bps=data.draw(st.sampled_from([1e6, 100e6])),
+        fov=FovSpec(*data.draw(st.sampled_from([(100.0, 100.0), (60.0, 40.0)]))),
+        predictor=PredictorConfig(
+            timeframe=data.draw(st.sampled_from([0.1, 0.5, 1.0])),
+            interval=data.draw(st.sampled_from([None, 0.0, 0.7, 3.0])),
+        ),
+        samples_per_axis=data.draw(st.integers(1, 6)),
+        hysteresis=data.draw(st.sampled_from([1.0, 1.2, 2.0])),
+    )
+    share = data.draw(st.sampled_from([0.05, 0.5]))
+
+    def cache():  # the same cold cache for both runs
+        if cache_policy is None:
+            return None
+        c = Cache(int(share * int(m.sizes.sum())), cache_policy)
+        for seg in range(0, m.segment_count, 2):
+            for key, size in segment_requests(m, seg, m.popularity[seg]):
+                c.request(key, size)
+        c.reset_stats()
+        return c
+
+    cfg = SessionConfig(**kwargs)
+    plan = prediction_plan(cfg)
+    for seg, vis in enumerate(plan.visibility):
+        expected = predicted_map_oracle(cfg, seg)
+        assert vis.scores.tobytes() == expected.scores.tobytes()
+        wanted = select_prediction(m, seg, expected, None)
+        assert plan.required_bps[seg] == segment_bits(m, seg, wanted) / m.segment_length
+    new = simulate(SessionConfig(cache=cache(), **kwargs))
+    old = simulate_oracle(SessionConfig(cache=cache(), **kwargs))
+    assert new.policy == old.policy
+    assert repr(record_dicts(new)) == repr(record_dicts(old))
+    assert new.savings.tobytes() == old.savings.tobytes()
+    assert (new.cache_hit_rate, new.cache_byte_hit_rate) == (
+        old.cache_hit_rate, old.cache_byte_hit_rate
+    )
+
+
 def test_run_experiment_rejects_a_repeated_policy():
     with pytest.raises(ValueError, match="listed once"):
         run_experiment(**REPEATED_POLICY)
@@ -523,6 +622,8 @@ def viewing_files(draw) -> bytes:
 @example(data=b"0.0,1,2,3\r\n0.5,1,2,3\r\n")
 @example(data=b"0.0,1,2,3\n0.5,1,2\r,3\n")
 @example(data=b"0.0,nan,0,0\n")
+@example(data=b"0.0,1,2,3\n\n\n0.5,x,2,3\n")
+@example(data=b"\r\nt,yaw,pitch,roll\r\n,,,\r\n0.0,1,2,3\r\n 0.0,1,2,3\r\n")
 def test_load_viewing_trace_matches_the_row_scanner(trace_dir, data):
     path = trace_dir / "trace.csv"
     path.write_bytes(data)

@@ -10,6 +10,7 @@ from helpers import (
     staircase_scenario,
     total_bytes,
 )
+from tilesim import playback
 from tilesim.adaptation import PolicyKind
 from tilesim.cachesim import Cache, EvictionPolicy, warm
 from tilesim.geometry import FovSpec, TileGrid
@@ -348,6 +349,73 @@ class TestExperimentDriver:
         # ample bandwidth: transition stays on prediction, which matches
         # prediction-ba at delta = 0
         assert report.quality_gain_percent() == 0.0
+
+
+class TestPredictionPlans:
+    """run_experiment fits and scores each distinct trace's segments once,
+    whatever the number of policies and iterations; policies that read no
+    visibility build no plan."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"fit": 0, "tile_visibility": 0}
+        for name in counts:
+            original = getattr(playback, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(playback, name, counted)
+        return counts
+
+    def experiment(self, manifest, policies, iterations):
+        m = copy.deepcopy(manifest)
+        m.popularity = np.zeros((m.segment_count, m.grid.tile_count), dtype=np.int64)
+        return run_experiment(
+            manifest=m,
+            viewing_traces=[constant_gaze(yaw, 0.0, 41.0, hz=10.0) for yaw in (0, 90, 180)],
+            network_trace=two_phase_network(300e6, 3e6, cut_s=8.0, duration_s=120.0),
+            policies=policies,
+            iterations=iterations,
+            cache_policy=EvictionPolicy.LRU,
+            cache_capacity_bytes=10**8,
+            warm_trace_count=2,
+            samples_per_axis=4,
+        )
+
+    def test_one_plan_per_trace(self, flat_manifest, counts):
+        policies = [
+            PolicyKind.PREDICTION,
+            PolicyKind.POPULARITY,
+            PolicyKind.PREDICTION_BA,
+            PolicyKind.TRANSITION,
+        ]
+        report = self.experiment(flat_manifest, policies, iterations=3)
+        assert sum(len(runs) for runs in report.runs.values()) == 12
+        assert counts == {"fit": flat_manifest.segment_count * 3, "tile_visibility": 3}
+
+    def test_more_iterations_than_traces_fit_no_more(self, flat_manifest, counts):
+        self.experiment(flat_manifest, [PolicyKind.TRANSITION], iterations=7)
+        assert counts == {"fit": flat_manifest.segment_count * 3, "tile_visibility": 3}
+
+    def test_fewer_iterations_than_traces_plan_only_the_replayed(self, flat_manifest, counts):
+        self.experiment(flat_manifest, [PolicyKind.PREDICTION], iterations=2)
+        assert counts == {"fit": flat_manifest.segment_count * 2, "tile_visibility": 2}
+
+    @pytest.mark.parametrize(
+        "policies", [[PolicyKind.POPULARITY], [PolicyKind.NAIVE, PolicyKind.POPULARITY]]
+    )
+    def test_policies_without_visibility_build_no_plan(self, flat_manifest, counts, policies):
+        self.experiment(flat_manifest, policies, iterations=4)
+        assert counts == {"fit": 0, "tile_visibility": 0}
+
+    def test_direct_simulate_builds_its_own_plan(self, flat_manifest, counts):
+        net = constant_rate_network(300e6, 5.0)
+        simulate(stationary_session(flat_manifest, PolicyKind.PREDICTION, net))
+        assert counts == {"fit": flat_manifest.segment_count, "tile_visibility": 1}
+        simulate(stationary_session(flat_manifest, PolicyKind.NAIVE, net))
+        assert counts == {"fit": flat_manifest.segment_count, "tile_visibility": 1}
 
 
 class TestReportRows:

@@ -135,6 +135,26 @@ class TestEulerFiles:
         with pytest.raises(ViewingTraceError, match=":2:"):
             load_viewing_trace(str(path))
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"0.0,1,2,3\n\n\n0.5,x,2,3\n",
+            b"0.0,1,2,3\r\n\r\n,,,\r\n0.5,x,2,3\r\n",
+            b"0.0,1,2,3\n \n\t\n0.5,x,2,3",
+        ],
+    )
+    def test_blank_lines_count_in_the_named_line(self, tmp_path, data):
+        path = tmp_path / "b.csv"
+        path.write_bytes(data)
+        with pytest.raises(ViewingTraceError, match=r"b\.csv:4: non-numeric value"):
+            load_viewing_trace(str(path))
+
+    def test_header_and_blank_lines_count_in_the_named_line(self, tmp_path):
+        path = tmp_path / "hb.csv"
+        path.write_text("\nt_seconds,yaw_deg,pitch_deg,roll_deg\n\n0.0,1,2,3\n0.0,1,2,3\n")
+        with pytest.raises(ViewingTraceError, match=r"hb\.csv:5: timestamps must strictly"):
+            load_viewing_trace(str(path))
+
     def test_non_increasing_time_names_line(self, tmp_path):
         path = tmp_path / "ni.csv"
         path.write_text("0.0,1,2,0\n0.0,1,2,0\n")
