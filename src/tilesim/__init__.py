@@ -18,7 +18,6 @@ from .geometry import (
     ViewingTrace,
     VisibilityMap,
     orthodromic_distance,
-    tile_of_direction,
     tile_visibility,
 )
 from .manifest import VideoManifest, file_count, segment_bits, synthesize
@@ -72,7 +71,6 @@ __all__ = [
     "segment_bits",
     "simulate",
     "synthesize",
-    "tile_of_direction",
     "tile_visibility",
     "transition_step",
     "warm",

@@ -75,12 +75,13 @@ class Cache:
         self.stats = CacheStats()
         self._entries: dict[Hashable, _Entry] = {}
         self._clock = 0
-        # Min-heap of (priority, last_access, seq, key); stale items are
-        # skipped when their stamp no longer matches the live entry, and the
-        # heap is rebuilt from the live entries once it holds more than twice
-        # as many items as there are entries.
-        self._heap: list[tuple[float, int, int, Hashable]] = []
-        self._seq = 0
+        # Min-heap of (priority, last_access, key); stale items are skipped
+        # when their stamp no longer matches the live entry, and the heap is
+        # rebuilt from the live entries once it holds more than twice as many
+        # items as there are entries. Each request pushes at most once, at a
+        # fresh clock value, and the rebuild pushes live entries only, so no
+        # two items share a last_access and keys are never compared.
+        self._heap: list[tuple[float, int, Hashable]] = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -96,23 +97,14 @@ class Cache:
         return self.aging_level + frequency / size
 
     def _push(self, key: Hashable, entry: _Entry) -> None:
-        heapq.heappush(
-            self._heap, (entry.priority, entry.last_access, self._seq, key)
-        )
-        self._seq += 1
+        heapq.heappush(self._heap, (entry.priority, entry.last_access, key))
         if len(self._heap) > 2 * len(self._entries):
-            # last_access is unique per live entry, so (priority, last_access)
-            # orders the rebuilt heap exactly as before: eviction is unchanged.
-            self._heap = [
-                (e.priority, e.last_access, self._seq + n, k)
-                for n, (k, e) in enumerate(self._entries.items())
-            ]
-            self._seq += len(self._heap)
+            self._heap = [(e.priority, e.last_access, k) for k, e in self._entries.items()]
             heapq.heapify(self._heap)
 
     def _evict_one(self) -> None:
         while self._heap:
-            priority, last_access, _, key = heapq.heappop(self._heap)
+            priority, last_access, key = heapq.heappop(self._heap)
             entry = self._entries.get(key)
             if (
                 entry is not None

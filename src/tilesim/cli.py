@@ -4,7 +4,8 @@ Subcommands: synth, popularity, predict-error, run, verify. All outputs are
 deterministic for identical flags and seed: floats are written with full
 repr precision and every file is produced in a fixed order.
 
-Exit codes: 0 success, 2 bad flags or unreadable/invalid inputs (the
+Each subcommand's flags are one table of `Setting`s, checked before anything
+is read. Exit codes: 0 success, 2 bad flags or unreadable/invalid inputs (the
 diagnostic names the flag), 1 runtime failures and verification mismatches.
 The TILESIM_OUT environment variable supplies the default output directory
 and nothing else.
@@ -49,42 +50,99 @@ def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
             writer.writerow([_fmt(row[c]) for c in columns])
 
 
-def _not_utf8(e: UnicodeDecodeError) -> str:
-    return f"not UTF-8 text ({e.reason} at byte {e.start})"
-
-
-def _checked(source: str, convert: Callable, value):
+def _checked(source: str, convert: Callable, value, error: type = UsageError):
     """convert(value), with a ValueError reported against `source`."""
     try:
         return convert(value)
     except ValueError as e:
-        raise UsageError(f"{source}: {e}") from None
+        raise error(f"{source}: {e}") from None
 
 
-def _parse_grid(text: str) -> TileGrid:
+def _read_input(flag: str, path: str, load: Callable):
+    """load(path), with a file that cannot be read, is not UTF-8 or is
+    malformed reported against `flag`. Every loader reports a malformed file
+    as a ValueError whose message names the file."""
     try:
-        cols, rows = text.lower().split("x")
-        return TileGrid(cols=int(cols), rows=int(rows))
-    except (ValueError, TypeError):
-        raise UsageError(f"--grid: expected COLSxROWS, got {text!r}") from None
+        return load(path)
+    except OSError as e:
+        raise UsageError(f"{flag}: {e.filename or path}: cannot read: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise UsageError(
+            f"{flag}: {path}: not UTF-8 text ({e.reason} at byte {e.start})"
+        ) from None
+    except ValueError as e:
+        raise UsageError(f"{flag}: {e}") from None
 
 
-def _parse_fov(text) -> FovSpec:
-    try:
-        h, v = str(text).lower().split("x")
-        return FovSpec(h_deg=float(h), v_deg=float(v))
-    except ValueError:
-        raise ValueError(f"expected HxV degrees, got {text!r}") from None
+def _load_config(path: str) -> dict:
+    with open(path, encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return doc
 
 
-def _parse_floats_list(flag: str, text: str) -> list[float]:
-    try:
-        values = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise UsageError(f"{flag}: expected comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise UsageError(f"{flag}: empty list")
-    return values
+# --- settings ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Number:
+    """Converts a setting to `kind` and requires low <= value < high, or
+    low < value < high when `strict`; NaN fails every comparison. An
+    `optional` setting may also be None."""
+
+    kind: type
+    low: float = -math.inf
+    strict: bool = False
+    high: float = math.inf
+    optional: bool = False
+
+    def __call__(self, value):
+        if value is None and self.optional:
+            return None
+        try:
+            x = self.kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"expected {self.kind.__name__}, got {value!r}") from None
+        if not ((x > self.low if self.strict else x >= self.low) and x < self.high):
+            bound = f"{'>' if self.strict else '>='} {self.low:g}"
+            if self.high < math.inf:
+                bound += f" and < {self.high:g}"
+            raise ValueError(f"expected finite {self.kind.__name__} {bound}, got {value!r}")
+        return x
+
+
+@dataclass(frozen=True)
+class _Numbers:
+    """A comma-separated list of at least one `item`."""
+
+    item: _Number
+
+    def __call__(self, text):
+        values = [self.item(x) for x in str(text).split(",") if x.strip()]
+        if not values:
+            raise ValueError("empty list")
+        return values
+
+
+def _pair(kind: type, build: Callable, shape: str) -> Callable:
+    """A parser of `AxB` text into build(kind(A), kind(B))."""
+
+    def parse(text):
+        try:
+            a, b = str(text).lower().split("x")
+            return build(kind(a), kind(b))
+        except ValueError:
+            raise ValueError(f"expected {shape}, got {text!r}") from None
+
+    return parse
+
+
+_parse_grid = _pair(int, TileGrid, "COLSxROWS")
+_parse_fov = _pair(float, FovSpec, "HxV degrees")
 
 
 def _parse_policies(names) -> list[PolicyKind]:
@@ -109,47 +167,19 @@ def _parse_policies(names) -> list[PolicyKind]:
     return out
 
 
-def _load_manifest(flag: str, path: str):
+def _cache_policy(value):
+    if not value:
+        return None
     try:
-        return manifest_mod.load(path)
-    except OSError as e:
-        raise UsageError(f"{flag}: cannot read {path}: {e}") from None
-    except UnicodeDecodeError as e:
-        raise UsageError(f"{flag}: {path}: {_not_utf8(e)}") from None
-    except manifest_mod.ManifestError as e:
-        raise UsageError(f"{flag}: {path}: {e}") from None
-
-
-def _read_traces(path: str, read: Callable):
-    """read(path), reporting an unreadable or malformed trace against --traces."""
-    try:
-        return read(path)
-    except OSError as e:
-        raise UsageError(f"--traces: cannot read {path}: {e}") from None
-    except traceio.ViewingTraceError as e:
-        raise UsageError(f"--traces: {e}") from None
-
-
-def _load_network(flag: str, path: str, scale_factor: float) -> netsim.NetworkTrace:
-    try:
-        trace = netsim.load_trace(path)
-    except OSError as e:
-        raise UsageError(f"{flag}: cannot read {path}: {e}") from None
-    except UnicodeDecodeError as e:
-        raise UsageError(f"{flag}: {path}: {_not_utf8(e)}") from None
-    except netsim.TraceError as e:
-        raise UsageError(f"{flag}: {e}") from None
-    if scale_factor != 1.0:
-        try:
-            trace = netsim.scale(trace, scale_factor)
-        except ValueError as e:
-            raise UsageError(f"--network-scale: {e}") from None
-    return trace
+        return EvictionPolicy(value)
+    except ValueError:
+        valid = ", ".join(p.value for p in EvictionPolicy)
+        raise ValueError(f"unknown policy {value!r} (valid: {valid})") from None
 
 
 def _path(value):
     if not value:
-        raise ValueError("required (flag or config file)")
+        raise ValueError("required")
     if not isinstance(value, str):
         raise ValueError(f"expected a path, got {value!r}")
     return value
@@ -161,42 +191,142 @@ def _default_out(value: str | None) -> str:
     env = os.environ.get(_ENV_OUT)
     if env:
         return env
-    raise UsageError(f"--out: required (or set {_ENV_OUT})")
+    raise ValueError(f"required (or set {_ENV_OUT})")
+
+
+class Setting(NamedTuple):
+    """One setting of a subcommand: its flag, its key (`run`'s config-file
+    key), its default, its help and the converter that checks a value."""
+
+    flag: str
+    key: str
+    default: object
+    help: str
+    convert: Callable
+
+
+_TRACES = Setting("--traces", "traces", None, "directory of viewing-trace CSVs; required", _path)
+_FOV = Setting("--fov", "fov", "100x100", "field of view HxV degrees", _parse_fov)
+_SAMPLES = Setting("--samples", "samples_per_axis", 32, "visibility samples per axis",
+                   _Number(int, 1))
+_OUT = Setting("--out", "out", None, f"output directory (default: ${_ENV_OUT})", _default_out)
+
+SYNTH_SETTINGS = (
+    Setting("--out", "out", None, "manifest JSON path to write; required", _path),
+    Setting("--name", "name", "synthetic", "video name", str),
+    Setting("--duration", "duration", 40.0, "seconds", _Number(float, 0.0, strict=True)),
+    Setting("--segment-length", "segment_length", 1.5, "seconds",
+            _Number(float, 0.0, strict=True)),
+    Setting("--grid", "grid", "4x4", "tile grid COLSxROWS", _parse_grid),
+    Setting("--qualities", "qualities", 3, "quality levels", _Number(int, 1)),
+    Setting("--base-bitrate", "base_bitrate", 20e6, "bit/s of a tile at the top level",
+            _Number(float, 0.0, strict=True)),
+    Setting("--variability", "variability", 0.0, "per-(segment,tile) size jitter",
+            _Number(float, 0.0, high=1.0)),
+    Setting("--seed", "seed", 0, "size-jitter seed", _Number(int, 0)),
+)
+
+POPULARITY_SETTINGS = (
+    Setting("--manifest", "manifest", None, "manifest JSON to update in place; required", _path),
+    _TRACES,
+    Setting("--budget", "budget", None,
+            "bit/s quantization budget (default: 25%% of tiles at top, the rest lowest)",
+            _Number(float, 0.0, optional=True)),
+    _FOV,
+    _SAMPLES,
+)
+
+PREDICT_ERROR_SETTINGS = (
+    _TRACES,
+    Setting("--intervals", "intervals", "0.5,1.0,1.5,2.0", "comma-separated look-ahead seconds",
+            _Numbers(_Number(float, 0.0))),
+    Setting("--timeframes", "timeframes", "0.1,1.0", "comma-separated regression windows",
+            _Numbers(_Number(float, 0.0, strict=True))),
+    Setting("--step", "step", 1.5, "trace step seconds", _Number(float, 0.0, strict=True)),
+    _OUT,
+)
+
+RUN_SETTINGS = (
+    Setting("--manifest", "manifest", None,
+            "manifest JSON (needs popularity for some policies); required", _path),
+    _TRACES,
+    Setting("--network", "network", None,
+            "packet-trace file (1500-byte slots, ms per line); required", _path),
+    Setting("--network-scale", "network_scale", 1.0, "throughput scale factor",
+            _Number(float, 0.0, strict=True)),
+    Setting("--policies", "policies", "transition",
+            "comma-separated: naive,prediction,popularity,prediction-ba,transition",
+            _parse_policies),
+    Setting("--iterations", "iterations", 1, "runs per policy", _Number(int, 1)),
+    Setting("--seed", "seed", 0, "experiment seed", _Number(int)),
+    Setting("--cache-policy", "cache_policy", None,
+            "lru, lfuda, or gdsf; without one there is no cache", _cache_policy),
+    Setting("--cache-capacity", "cache_capacity_bytes", 0, "cache bytes; 0 = no cache",
+            _Number(int, 0)),
+    Setting("--cache-rate", "cache_rate_bps", 100e6, "cache-to-client bit/s",
+            _Number(float, 0.0, strict=True)),
+    Setting("--warm-traces", "warm_traces", 30, "viewings replayed to warm the cache",
+            _Number(int, 0)),
+    _FOV,
+    Setting("--timeframe", "timeframe", 0.1, "regression window seconds",
+            _Number(float, 0.0, strict=True)),
+    _SAMPLES,
+    Setting("--hysteresis", "hysteresis", 1.0, "transition hysteresis", _Number(float, 1.0)),
+    _OUT,
+)
+
+VERIFY_SETTINGS = (_OUT,)
+
+
+def _settings(args: argparse.Namespace, table: tuple[Setting, ...]) -> tuple[dict, dict]:
+    """Each setting of `table` as given (flags > `run`'s config file >
+    defaults) and as converted and checked; a bad value names its flag or
+    config key."""
+    doc = {}
+    if getattr(args, "config", None) is not None:
+        doc = _read_input("--config", args.config, _load_config)
+        unknown = set(doc) - {s.key for s in table}
+        if unknown:
+            raise UsageError(f"--config: unknown keys {sorted(unknown)}")
+    given, checked = {}, {}
+    for s in table:
+        source = s.flag
+        value = getattr(args, s.key)
+        if value is None:
+            if s.key in doc:
+                value, source = doc[s.key], f"--config: {s.key}"
+            else:
+                value = s.default
+        given[s.key] = value
+        checked[s.key] = _checked(source, s.convert, value)
+    return given, checked
 
 
 # --- synth -------------------------------------------------------------------
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    grid = _parse_grid(args.grid)
-    for flag, value in (
-        ("--duration", args.duration),
-        ("--segment-length", args.segment_length),
-        ("--base-bitrate", args.base_bitrate),
-    ):
-        if not (math.isfinite(value) and value > 0):
-            raise UsageError(f"{flag}: must be finite and positive")
-    if args.qualities < 1:
-        raise UsageError("--qualities: must be >= 1")
-    if not 0.0 <= args.variability < 1.0:
-        raise UsageError("--variability: must be in [0, 1)")
+    _, s = _settings(args, SYNTH_SETTINGS)
+    if not math.isfinite(s["duration"] / s["segment_length"]):
+        raise UsageError("--segment-length: too short for --duration")
+    grid = s["grid"]
     m = manifest_mod.synthesize(
-        name=args.name,
-        duration=args.duration,
-        segment_length=args.segment_length,
+        name=s["name"],
+        duration=s["duration"],
+        segment_length=s["segment_length"],
         grid=grid,
-        quality_count=args.qualities,
-        base_bitrate_bps=args.base_bitrate,
-        variability=args.variability,
-        seed=args.seed,
+        quality_count=s["qualities"],
+        base_bitrate_bps=s["base_bitrate"],
+        variability=s["variability"],
+        seed=s["seed"],
     )
-    manifest_mod.save(m, args.out)
+    manifest_mod.save(m, s["out"])
     files = file_count(
-        grid.cols, grid.rows, args.qualities, args.duration, args.segment_length
+        grid.cols, grid.rows, s["qualities"], s["duration"], s["segment_length"]
     )
-    print(f"wrote {args.out}")
+    print(f"wrote {s['out']}")
     print(
-        f"{grid.cols}x{grid.rows} tiles, {args.qualities} levels, "
+        f"{grid.cols}x{grid.rows} tiles, {s['qualities']} levels, "
         f"{m.segment_count} segments: a packager would emit {files} files"
     )
     return 0
@@ -206,28 +336,24 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_popularity(args: argparse.Namespace) -> int:
-    m = _load_manifest("--manifest", args.manifest)
-    traces = _read_traces(args.traces, traceio.load_trace_dir)
-    fov = _checked("--fov", _parse_fov, args.fov)
-    if args.samples < 1:
-        raise UsageError("--samples: must be >= 1")
-    if args.budget is not None and not (math.isfinite(args.budget) and args.budget >= 0):
-        raise UsageError("--budget: must be finite and >= 0")
+    _, s = _settings(args, POPULARITY_SETTINGS)
+    m = _read_input("--manifest", s["manifest"], manifest_mod.load)
+    traces = _read_input("--traces", s["traces"], traceio.load_trace_dir)
     heat = popularity.build_heat(
         traces,
         m.grid,
-        fov,
+        s["fov"],
         m.segment_length,
         m.duration,
-        samples_per_axis=args.samples,
+        samples_per_axis=s["samples_per_axis"],
     )
-    budget = args.budget if args.budget is not None else popularity.default_budget_bps(m)
+    budget = s["budget"] if s["budget"] is not None else popularity.default_budget_bps(m)
     m.popularity = popularity.quantize(heat, m, budget)
-    manifest_mod.save(m, args.manifest)
+    manifest_mod.save(m, s["manifest"])
     mean_level = float(m.popularity.mean())
     print(
         f"embedded popularity trace from {len(traces)} traces "
-        f"(budget {budget:.0f} bit/s, mean level {mean_level:.3f}) into {args.manifest}"
+        f"(budget {budget:.0f} bit/s, mean level {mean_level:.3f}) into {s['manifest']}"
     )
     return 0
 
@@ -260,26 +386,16 @@ def prediction_summary_rows(step_rows: list[dict]) -> list[dict]:
 
 
 def cmd_predict_error(args: argparse.Namespace) -> int:
-    out_dir = _default_out(args.out)
-    intervals = _parse_floats_list("--intervals", args.intervals)
-    timeframes = _parse_floats_list("--timeframes", args.timeframes)
-    # NaN fails every comparison, so these also reject it.
-    if not all(0.0 <= x < math.inf for x in intervals):
-        raise UsageError("--intervals: must be finite and >= 0")
-    if not all(0.0 < x < math.inf for x in timeframes):
-        raise UsageError("--timeframes: must be finite and positive")
-    if not 0.0 < args.step < math.inf:
-        raise UsageError("--step: must be finite and positive")
-    names = _read_traces(args.traces, traceio.trace_files)
+    _, s = _settings(args, PREDICT_ERROR_SETTINGS)
     step_rows = []
-    for name in names:
-        path = os.path.join(args.traces, name)
-        trace = _read_traces(path, traceio.load_viewing_trace)
-        for interval in intervals:
-            for timeframe in timeframes:
+    for name in _read_input("--traces", s["traces"], traceio.trace_files):
+        path = os.path.join(s["traces"], name)
+        trace = _read_input("--traces", path, traceio.load_viewing_trace)
+        for interval in s["intervals"]:
+            for timeframe in s["timeframes"]:
                 try:
                     errors = prediction.error_experiment(
-                        trace, interval, timeframe, args.step
+                        trace, interval, timeframe, s["step"]
                     )
                 except ValueError as e:
                     raise UsageError(
@@ -296,12 +412,12 @@ def cmd_predict_error(args: argparse.Namespace) -> int:
                             "error_deg": float(err),
                         }
                     )
-    os.makedirs(out_dir, exist_ok=True)
-    derived = _write_outputs(out_dir, "prediction_error_steps.csv", step_rows)
+    os.makedirs(s["out"], exist_ok=True)
+    derived = _write_outputs(s["out"], "prediction_error_steps.csv", step_rows)
     summary = derived["prediction_error_summary.csv"]
     print(
         f"wrote {len(step_rows)} step errors over {len(summary)} (trace, interval, "
-        f"timeframe) combinations to {out_dir}"
+        f"timeframe) combinations to {s['out']}"
     )
     return 0
 
@@ -347,119 +463,16 @@ def _write_outputs(out_dir: str, source: str, rows: list[dict]) -> dict[str, lis
 # --- run ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Number:
-    """Converts a setting to `kind` and requires low <= value < inf, or
-    low < value < inf when `strict`. NaN fails both comparisons."""
-
-    kind: type
-    low: float = -math.inf
-    strict: bool = False
-
-    def __call__(self, value):
-        try:
-            x = self.kind(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"expected {self.kind.__name__}, got {value!r}") from None
-        if not ((x > self.low if self.strict else x >= self.low) and x < math.inf):
-            op = ">" if self.strict else ">="
-            raise ValueError(
-                f"expected finite {self.kind.__name__} {op} {self.low:g}, got {value!r}"
-            )
-        return x
-
-
-def _cache_policy(value):
-    if not value:
-        return None
-    try:
-        return EvictionPolicy(value)
-    except ValueError:
-        valid = ", ".join(p.value for p in EvictionPolicy)
-        raise ValueError(f"unknown policy {value!r} (valid: {valid})") from None
-
-
-class Setting(NamedTuple):
-    """One `run` setting: its flag, its config-file key, its default, its help
-    and the converter that checks a value from either source."""
-
-    flag: str
-    key: str
-    default: object
-    help: str
-    convert: Callable
-
-
-RUN_SETTINGS = (
-    Setting("--manifest", "manifest", None,
-            "manifest JSON (needs popularity for some policies); required", _path),
-    Setting("--traces", "traces", None, "directory of viewing-trace CSVs; required", _path),
-    Setting("--network", "network", None,
-            "packet-trace file (1500-byte slots, ms per line); required", _path),
-    Setting("--network-scale", "network_scale", 1.0, "throughput scale factor",
-            _Number(float, 0.0, strict=True)),
-    Setting("--policies", "policies", "transition",
-            "comma-separated: naive,prediction,popularity,prediction-ba,transition",
-            _parse_policies),
-    Setting("--iterations", "iterations", 1, "runs per policy", _Number(int, 1)),
-    Setting("--seed", "seed", 0, "experiment seed", _Number(int)),
-    Setting("--cache-policy", "cache_policy", None,
-            "lru, lfuda, or gdsf; without one there is no cache", _cache_policy),
-    Setting("--cache-capacity", "cache_capacity_bytes", 0, "cache bytes; 0 = no cache",
-            _Number(int, 0)),
-    Setting("--cache-rate", "cache_rate_bps", 100e6, "cache-to-client bit/s",
-            _Number(float, 0.0, strict=True)),
-    Setting("--warm-traces", "warm_traces", 30, "viewings replayed to warm the cache",
-            _Number(int, 0)),
-    Setting("--fov", "fov", "100x100", "field of view HxV degrees", _parse_fov),
-    Setting("--timeframe", "timeframe", 0.1, "regression window seconds",
-            _Number(float, 0.0, strict=True)),
-    Setting("--samples", "samples_per_axis", 32, "visibility samples per axis",
-            _Number(int, 1)),
-    Setting("--hysteresis", "hysteresis", 1.0, "transition hysteresis", _Number(float, 1.0)),
-    Setting("--out", "out", None, f"output directory (default: ${_ENV_OUT})", _default_out),
-)
-
-
-def _run_settings(args: argparse.Namespace) -> tuple[dict, dict]:
-    """Each `run` setting as given (flags > config file > defaults) and as
-    converted and checked; a bad value names its flag or config key."""
-    doc = {}
-    if args.config is not None:
-        try:
-            with open(args.config, encoding="utf-8") as f:
-                doc = json.load(f)
-        except OSError as e:
-            raise UsageError(f"--config: cannot read {args.config}: {e}") from None
-        except UnicodeDecodeError as e:
-            raise UsageError(f"--config: {args.config}: {_not_utf8(e)}") from None
-        except json.JSONDecodeError as e:
-            raise UsageError(f"--config: {args.config} is not valid JSON: {e}") from None
-        if not isinstance(doc, dict):
-            raise UsageError("--config: expected a JSON object")
-        unknown = set(doc) - {s.key for s in RUN_SETTINGS}
-        if unknown:
-            raise UsageError(f"--config: unknown keys {sorted(unknown)}")
-    given, checked = {}, {}
-    for s in RUN_SETTINGS:
-        source = s.flag
-        value = getattr(args, s.key)
-        if value is None:
-            if s.key in doc:
-                value, source = doc[s.key], f"--config: {s.key}"
-            else:
-                value = s.default
-        given[s.key] = value
-        checked[s.key] = _checked(source, s.convert, value)
-    return given, checked
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    spec, run = _run_settings(args)
+    spec, run = _settings(args, RUN_SETTINGS)
     out_dir = run["out"]
-    m = _load_manifest("--manifest", run["manifest"])
-    traces = _read_traces(run["traces"], traceio.load_trace_dir)
-    network = _load_network("--network", run["network"], run["network_scale"])
+    m = _read_input("--manifest", run["manifest"], manifest_mod.load)
+    traces = _read_input("--traces", run["traces"], traceio.load_trace_dir)
+    network = _read_input("--network", run["network"], netsim.load_trace)
+    if run["network_scale"] != 1.0:
+        network = _checked(
+            "--network-scale", lambda f: netsim.scale(network, f), run["network_scale"]
+        )
     needs_popularity = {PolicyKind.POPULARITY, PolicyKind.TRANSITION} & set(run["policies"])
     if needs_popularity and not m.has_popularity:
         raise UsageError(
@@ -523,31 +536,28 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _read_csv(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """A CSV's header ([] when empty) and each other row with its line number;
-    a file that cannot be opened or decoded is a UsageError naming it."""
-    try:
-        with open(path, encoding="utf-8", newline="") as f:
-            reader = csv.reader(f)
+    """A CSV's header ([] when empty) and each other row with its line number."""
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        try:
             header = next(reader, [])
             return header, [(reader.line_num, cells) for cells in reader]
-    except OSError as e:
-        raise UsageError(f"{path}: cannot read: {e.strerror}") from None
-    except UnicodeDecodeError as e:
-        raise UsageError(f"{path}: {_not_utf8(e)}") from None
+        except csv.Error as e:  # a field over csv's size limit, say
+            raise ValueError(f"{path}:{reader.line_num}: {e}") from None
 
 
 def _read_source(path: str, parsers: dict[str, Callable]) -> list[dict]:
-    """A source CSV's rows read back by `parsers`; any defect is a UsageError
+    """A source CSV's rows read back by `parsers`; any defect is a ValueError
     naming the file, and the line where it has one."""
     header, raw = _read_csv(path)
     if header != list(parsers):
-        raise UsageError(f"{path}: header {header} != expected {list(parsers)}")
+        raise ValueError(f"{path}: header {header} != expected {list(parsers)}")
     rows = []
     for line, cells in raw:
         if len(cells) != len(header):
-            raise UsageError(f"{path}:{line}: {len(cells)} cells, expected {len(header)}")
+            raise ValueError(f"{path}:{line}: {len(cells)} cells, expected {len(header)}")
         rows.append({
-            column: _checked(f"{path}:{line}: {column}", parse, cell)
+            column: _checked(f"{path}:{line}: {column}", parse, cell, ValueError)
             for (column, parse), cell in zip(parsers.items(), cells)
         })
     return rows
@@ -556,7 +566,7 @@ def _read_source(path: str, parsers: dict[str, Callable]) -> list[dict]:
 def _compare(path: str, columns: list[str], expected: list[dict]) -> list[str]:
     """Up to five ways a derived CSV differs from its recomputed rows."""
     try:
-        header, raw = _read_csv(path)
+        header, raw = _read_input("--out", path, _read_csv)
     except UsageError as e:
         return [str(e)]
     if header != columns:
@@ -569,7 +579,7 @@ def _compare(path: str, columns: list[str], expected: list[dict]) -> list[str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    out_dir = _default_out(args.out)
+    out_dir = _settings(args, VERIFY_SETTINGS)[1]["out"]
     if not os.path.isdir(out_dir):
         raise UsageError(f"--out: {out_dir} is not a directory")
     problems: list[str] = []
@@ -578,7 +588,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         path = os.path.join(out_dir, source)
         if not os.path.exists(path):
             continue
-        rows = _read_source(path, parsers)
+        rows = _read_input("--out", path, lambda p: _read_source(p, parsers))
         for name, columns, derive in derived:
             problems += _compare(os.path.join(out_dir, name), columns, derive(rows))
         checked += len(derived)
@@ -606,82 +616,31 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="synthesize a tiled-video manifest")
-    p.add_argument("--out", required=True, help="manifest JSON path to write")
-    p.add_argument("--name", default="synthetic", help="video name (default: %(default)s)")
-    p.add_argument("--duration", type=float, default=40.0, help="seconds (default: %(default)s)")
-    p.add_argument(
-        "--segment-length", type=float, default=1.5, help="seconds (default: %(default)s)"
-    )
-    p.add_argument("--grid", default="4x4", help="tile grid COLSxROWS (default: %(default)s)")
-    p.add_argument("--qualities", type=int, default=3, help="quality levels (default: %(default)s)")
-    p.add_argument(
-        "--base-bitrate",
-        type=float,
-        default=20e6,
-        help="bit/s of a tile at the top level (default: %(default)s)",
-    )
-    p.add_argument(
-        "--variability",
-        type=float,
-        default=0.0,
-        help="per-(segment,tile) size jitter in [0,1) (default: %(default)s)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="size-jitter seed (default: %(default)s)")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser(
-        "popularity", help="build a popularity trace from viewing traces into a manifest"
-    )
-    p.add_argument("--manifest", required=True, help="manifest JSON to update in place")
-    p.add_argument("--traces", required=True, help="directory of viewing-trace CSVs")
-    p.add_argument(
-        "--budget",
-        type=float,
-        default=None,
-        help="bit/s quantization budget (default: 25%% of tiles at top + rest lowest)",
-    )
-    p.add_argument("--fov", default="100x100", help="field of view HxV degrees (default: %(default)s)")
-    p.add_argument(
-        "--samples", type=int, default=32, help="visibility samples per axis (default: %(default)s)"
-    )
-    p.set_defaults(func=cmd_popularity)
-
-    p = sub.add_parser("predict-error", help="viewport prediction error experiment")
-    p.add_argument("--traces", required=True, help="directory of viewing-trace CSVs")
-    p.add_argument(
-        "--intervals",
-        default="0.5,1.0,1.5,2.0",
-        help="comma-separated look-ahead seconds (default: %(default)s)",
-    )
-    p.add_argument(
-        "--timeframes",
-        default="0.1,1.0",
-        help="comma-separated regression windows (default: %(default)s)",
-    )
-    p.add_argument("--step", type=float, default=1.5, help="trace step seconds (default: %(default)s)")
-    p.add_argument("--out", default=None, help=f"output directory (default: ${_ENV_OUT})")
-    p.set_defaults(func=cmd_predict_error)
-
-    p = sub.add_parser("run", help="run streaming sessions and write QoE reports")
-    p.add_argument("--config", default=None, help="JSON file with the keys of these settings")
-    for setting in RUN_SETTINGS:
-        shown = "" if setting.default is None else f" (default: {setting.default})"
-        p.add_argument(
-            setting.flag,
-            dest=setting.key,
-            # Numbers are typed here, so `summary.json` records them as given.
-            type=getattr(setting.convert, "kind", None),
-            default=None,
-            help=setting.help + shown,
-        )
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("verify", help="recompute derived CSVs in an output directory")
-    p.add_argument("--out", default=None, help=f"output directory (default: ${_ENV_OUT})")
-    p.set_defaults(func=cmd_verify)
-
+    # Built per call, so a wrapper set on a cmd_* module attribute is the one run.
+    for name, help_, table, func in (
+        ("synth", "synthesize a tiled-video manifest", SYNTH_SETTINGS, cmd_synth),
+        ("popularity", "build a popularity trace from viewing traces into a manifest",
+         POPULARITY_SETTINGS, cmd_popularity),
+        ("predict-error", "viewport prediction error experiment",
+         PREDICT_ERROR_SETTINGS, cmd_predict_error),
+        ("run", "run streaming sessions and write QoE reports", RUN_SETTINGS, cmd_run),
+        ("verify", "recompute derived CSVs in an output directory", VERIFY_SETTINGS,
+         cmd_verify),
+    ):
+        p = sub.add_parser(name, help=help_)
+        if table is RUN_SETTINGS:
+            p.add_argument("--config", help="JSON file with the keys of these settings")
+        for setting in table:
+            shown = "" if setting.default is None else f" (default: {setting.default})"
+            p.add_argument(
+                setting.flag,
+                dest=setting.key,
+                # Numbers are typed here, so `summary.json` records them as given.
+                type=getattr(setting.convert, "kind", None),
+                default=None,
+                help=setting.help + shown,
+            )
+        p.set_defaults(func=func)
     return parser
 
 

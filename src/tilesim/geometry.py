@@ -125,20 +125,6 @@ class TileGrid:
     def tile_count(self) -> int:
         return self.cols * self.rows
 
-    def flat_index(self, i: int, j: int) -> int:
-        """Row-major flat index of tile (i, j)."""
-        return j * self.cols + i
-
-
-def tile_of_direction(o: Orientation, grid: TileGrid) -> tuple[int, int]:
-    """Map a pose to the (column, row) of the tile containing its direction."""
-    i = int(math.floor((o.yaw + 180.0) * grid.cols / 360.0))
-    j = int(math.floor((90.0 - o.pitch) * grid.rows / 180.0))
-    # yaw is already half-open; the south pole needs the clamp.
-    i = min(grid.cols - 1, max(0, i))
-    j = min(grid.rows - 1, max(0, j))
-    return i, j
-
 
 def orthodromic_distance(a: Orientation, b: Orientation) -> float:
     """Great-circle angle between two view directions, in degrees [0, 180].
@@ -159,9 +145,6 @@ class VisibilityMap:
 
     grid: TileGrid
     scores: np.ndarray = field(repr=False)  # flat, length grid.tile_count
-
-    def score(self, i: int, j: int) -> float:
-        return float(self.scores[self.grid.flat_index(i, j)])
 
     def visible_tiles(self) -> np.ndarray:
         """Flat indices with nonzero score, ordered by descending score

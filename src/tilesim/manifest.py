@@ -23,6 +23,8 @@ class ManifestError(ValueError):
 
 def count_segments(duration: float, segment_length: float) -> int:
     q = duration / segment_length
+    if not math.isfinite(q):
+        raise ManifestError(f"segment_length: {segment_length} is too short for {duration} s")
     qi = round(q)
     # Guard the float quotient: 3.0/0.1 must give 30 segments, not 31.
     return qi if abs(q - qi) < 1e-9 else math.ceil(q)
@@ -67,18 +69,21 @@ class VideoManifest:
         return self.popularity is not None
 
     def validate(self) -> None:
-        if self.duration <= 0 or self.segment_length <= 0:
-            raise ManifestError("duration/segment_length: must be positive")
+        for key in ("duration", "segment_length", "base_bitrate_bps"):
+            if not 0.0 < getattr(self, key) < math.inf:
+                raise ManifestError(f"{key}: must be finite and positive")
         if self.quality_count < 1:
             raise ManifestError("quality_count: must be >= 1")
-        if len(self.bitrate_factors) != self.quality_count:
+        factors = np.asarray(self.bitrate_factors, dtype=np.float64)
+        if factors.shape != (self.quality_count,):
             raise ManifestError(
                 "bitrate_factors: expected one factor per quality level"
             )
-        if any(
-            b <= a for a, b in zip(self.bitrate_factors, self.bitrate_factors[1:])
-        ):
-            raise ManifestError("bitrate_factors: must be strictly increasing")
+        # Strictly increasing, so the first is the smallest and the last the largest.
+        if not (0.0 < factors[0] and factors[-1] < math.inf and (np.diff(factors) > 0).all()):
+            raise ManifestError(
+                "bitrate_factors: must be finite, positive and strictly increasing"
+            )
         expect = (self.segment_count, self.grid.tile_count, self.quality_count)
         if self.sizes.shape != expect:
             raise ManifestError(
@@ -217,52 +222,69 @@ def save(manifest: VideoManifest, path: str) -> None:
         f.write("\n")
 
 
-def _require(doc: dict, key: str, kind: type | tuple) -> object:
+def _require(doc: dict, key: str, kind: type, name: str = "") -> object:
+    """doc[key], which must be a `kind`: a float may be written as an int, and
+    a bool is neither. Errors name the field as `name`, by default `key`."""
+    name = name or key
     if key not in doc:
-        raise ManifestError(f"{key}: missing")
+        raise ManifestError(f"{name}: missing")
     value = doc[key]
-    if not isinstance(value, kind):
-        raise ManifestError(f"{key}: expected {kind}, got {type(value).__name__}")
-    return value
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ManifestError(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
+    try:
+        return float(value) if kind is float else value
+    except OverflowError:
+        raise ManifestError(f"{name}: out of range") from None
+
+
+def _array(doc: dict, key: str, kind: type) -> np.ndarray:
+    """doc[key] as a rectangular array of `kind` values, checked as a whole:
+    a bool, a string, a ragged row or an int beyond int64 is a ManifestError."""
+    value = _require(doc, key, list)
+    # numpy reads [0, true] as int64, so cell types are checked on an object
+    # array (a ragged row leaves a list there); the typed array is built from
+    # the lists, since casting the object array allocates cast buffers.
+    cells = np.array(value, dtype=object).flat
+    if not set(map(type, cells)) <= ({int} if kind is int else {int, float}):
+        raise ManifestError(f"{key}: expected a rectangular array of {kind.__name__}s")
+    try:
+        return np.array(value, dtype=np.int64 if kind is int else np.float64)
+    except OverflowError:
+        raise ManifestError(f"{key}: value out of range") from None
+
+
+def _from_dict(doc) -> VideoManifest:
+    if not isinstance(doc, dict):
+        raise ManifestError("document: expected a JSON object")
+    grid_doc = _require(doc, "grid", dict)
+    dims = {k: _require(grid_doc, k, int, f"grid.{k}") for k in ("cols", "rows")}
+    for k, n in dims.items():
+        if n < 1:
+            raise ManifestError(f"grid.{k}: must be >= 1")
+    m = VideoManifest(
+        name=_require(doc, "name", str),
+        duration=_require(doc, "duration", float),
+        segment_length=_require(doc, "segment_length", float),
+        grid=TileGrid(**dims),
+        quality_count=_require(doc, "quality_count", int),
+        bitrate_factors=tuple(_array(doc, "bitrate_factors", float).tolist()),
+        base_bitrate_bps=_require(doc, "base_bitrate_bps", float),
+        sizes=_array(doc, "sizes_bytes", int),
+        popularity=_array(doc, "popularity", int) if "popularity" in doc else None,
+    )
+    m.validate()
+    return m
 
 
 def load(path: str) -> VideoManifest:
-    """Read a manifest written by save(); load(save(m)) == m field-for-field."""
+    """Read a manifest written by save(); load(save(m)) == m field-for-field.
+    A malformed file raises a ManifestError naming the file and the field."""
     with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as e:
-            raise ManifestError(f"not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ManifestError("document: expected a JSON object")
-    grid_doc = _require(doc, "grid", dict)
-    if "cols" not in grid_doc or "rows" not in grid_doc:
-        raise ManifestError("grid: needs cols and rows")
-    grid = TileGrid(cols=int(grid_doc["cols"]), rows=int(grid_doc["rows"]))
+            raise ManifestError(f"{path}: not valid JSON: {e}") from None
     try:
-        sizes = np.array(_require(doc, "sizes_bytes", list), dtype=np.int64)
-    except (ValueError, TypeError) as e:
-        raise ManifestError(f"sizes_bytes: not a rectangular int array ({e})") from e
-    if sizes.ndim != 3:
-        raise ManifestError(f"sizes_bytes: expected 3 dimensions, got {sizes.ndim}")
-    popularity = None
-    if "popularity" in doc:
-        try:
-            popularity = np.array(doc["popularity"], dtype=np.int64)
-        except (ValueError, TypeError) as e:
-            raise ManifestError(f"popularity: not a rectangular int array ({e})") from e
-    m = VideoManifest(
-        name=str(_require(doc, "name", str)),
-        duration=float(_require(doc, "duration", (int, float))),
-        segment_length=float(_require(doc, "segment_length", (int, float))),
-        grid=grid,
-        quality_count=int(_require(doc, "quality_count", int)),
-        bitrate_factors=tuple(
-            float(f) for f in _require(doc, "bitrate_factors", list)
-        ),
-        base_bitrate_bps=float(_require(doc, "base_bitrate_bps", (int, float))),
-        sizes=sizes,
-        popularity=popularity,
-    )
-    m.validate()
-    return m
+        return _from_dict(doc)
+    except ManifestError as e:
+        raise ManifestError(f"{path}: {e}") from None

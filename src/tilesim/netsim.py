@@ -62,7 +62,10 @@ def load_trace(path: str) -> NetworkTrace:
         stamps = _parse_plain(f.read())
     if stamps is None:
         stamps = _scan_lines(path)
-    return NetworkTrace(timestamps_ms=stamps)
+    try:
+        return NetworkTrace(timestamps_ms=stamps)
+    except TraceError as e:
+        raise TraceError(f"{path}: {e}") from None
 
 
 def _parse_plain(data: bytes) -> np.ndarray | None:

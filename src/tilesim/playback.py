@@ -245,16 +245,13 @@ class ExperimentReport:
     seed: int
     runs: dict[str, list[SessionMetrics]]
 
-    def quality_gain_percent(
-        self,
-        over: PolicyKind = PolicyKind.PREDICTION_BA,
-        of: PolicyKind = PolicyKind.TRANSITION,
-    ) -> float | None:
-        """Relative mean-quality gain of one policy over another, in percent."""
-        if of.value not in self.runs or over.value not in self.runs:
+    def quality_gain_percent(self) -> float | None:
+        """Relative mean-quality gain of transition over prediction-ba, in percent."""
+        of, over = PolicyKind.TRANSITION.value, PolicyKind.PREDICTION_BA.value
+        if of not in self.runs or over not in self.runs:
             return None
-        ours = float(np.mean([m.avg_quality for m in self.runs[of.value]]))
-        base = float(np.mean([m.avg_quality for m in self.runs[over.value]]))
+        ours = float(np.mean([m.avg_quality for m in self.runs[of]]))
+        base = float(np.mean([m.avg_quality for m in self.runs[over]]))
         if base == 0.0:
             return None
         return (ours - base) / base * 100.0

@@ -228,7 +228,10 @@ def load_trace_oracle(path: str) -> NetworkTrace:
             stamps.append(value)
     if not stamps:
         raise TraceError(f"{path}: trace holds no packet slots")
-    return NetworkTrace(timestamps_ms=np.array(stamps, dtype=np.int64))
+    try:
+        return NetworkTrace(timestamps_ms=np.array(stamps, dtype=np.int64))
+    except TraceError as e:
+        raise TraceError(f"{path}: {e}") from None
 
 
 def load_viewing_trace_oracle(path: str) -> list[Sample]:
@@ -386,6 +389,26 @@ def record_dicts(metrics) -> list[dict]:
 def tile_coords(grid: TileGrid, flat: int) -> tuple[int, int]:
     """(column, row) of a row-major flat tile index."""
     return flat % grid.cols, flat // grid.cols
+
+
+def flat_index(grid: TileGrid, i: int, j: int) -> int:
+    """Row-major flat index of tile (i, j)."""
+    return j * grid.cols + i
+
+
+def tile_of_direction(o: Orientation, grid: TileGrid) -> tuple[int, int]:
+    """Map a pose to the (column, row) of the tile containing its direction."""
+    i = int(math.floor((o.yaw + 180.0) * grid.cols / 360.0))
+    j = int(math.floor((90.0 - o.pitch) * grid.rows / 180.0))
+    # yaw is already half-open; the south pole needs the clamp.
+    i = min(grid.cols - 1, max(0, i))
+    j = min(grid.rows - 1, max(0, j))
+    return i, j
+
+
+def score(vm: VisibilityMap, i: int, j: int) -> float:
+    """Visibility score of tile (i, j)."""
+    return float(vm.scores[flat_index(vm.grid, i, j)])
 
 
 def total_bytes(metrics) -> int:

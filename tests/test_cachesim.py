@@ -233,7 +233,7 @@ class TestCopy:
     @staticmethod
     def state(cache):
         return (
-            copy.deepcopy(cache._entries), list(cache._heap), cache._seq, cache._clock,
+            copy.deepcopy(cache._entries), list(cache._heap), cache._clock,
             cache.aging_level, cache.occupancy, copy.copy(cache.stats),
         )
 

@@ -1,6 +1,7 @@
 import csv
 import importlib.metadata
 import json
+import math
 import os
 import re
 import shutil
@@ -14,7 +15,7 @@ import pytest
 import tilesim
 from helpers import staircase_scenario
 from tilesim import manifest as manifest_mod
-from tilesim import netsim, playback, traceio
+from tilesim import cli, netsim, playback, traceio
 from tilesim.cli import RUN_SETTINGS, main
 from tilesim.synthetic import (
     constant_gaze,
@@ -74,6 +75,67 @@ def ws(tmp_path_factory):
     }
 
 
+TABLES = {
+    "synth": cli.SYNTH_SETTINGS,
+    "popularity": cli.POPULARITY_SETTINGS,
+    "predict-error": cli.PREDICT_ERROR_SETTINGS,
+    "run": cli.RUN_SETTINGS,
+    "verify": cli.VERIFY_SETTINGS,
+}
+
+# The flags each subcommand requires. No file is read before every setting
+# is checked, so these paths need not exist.
+REQUIRED = {
+    "synth": ["--out", "m.json"],
+    "popularity": ["--manifest", "m.json", "--traces", "traces"],
+    "predict-error": ["--traces", "traces", "--out", "out"],
+    "run": ["--manifest", "m.json", "--traces", "traces", "--network", "n.pps", "--out", "out"],
+    "verify": ["--out", "out"],
+}
+
+
+def past_bounds(number):
+    """Values just outside a numeric setting's range, and nan for a float."""
+    out = []
+    if number.low > -math.inf:
+        if number.strict:
+            out.append(number.low)
+        else:
+            out.append(number.low - 1 if number.kind is int else
+                       float(np.nextafter(number.low, -math.inf)))
+    if number.high < math.inf:
+        out.append(number.high)
+    if number.kind is float:
+        out.append(math.nan)
+    return out
+
+
+BAD_VALUES = [
+    pytest.param(command, s.flag, value, id=f"{command} {s.flag}={value}")
+    for command, table in TABLES.items()
+    for s in table
+    # A comma-separated list holds its numbers' converter as `item`.
+    if isinstance(number := getattr(s.convert, "item", s.convert), cli._Number)
+    for value in past_bounds(number)
+]
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_VALUES)
+def test_every_value_past_a_bound_exits_2_naming_its_flag(
+    tmp_path, monkeypatch, capsys, command, flag, value
+):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *REQUIRED[command], f"{flag}={value}"]) == 2
+    assert f"error: {flag}: " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_bound_walk_covers_every_table():
+    walked = {(p.values[0], p.values[1]) for p in BAD_VALUES}
+    assert ("synth", "--seed") in walked and ("synth", "--variability") in walked
+    assert {command for command, _ in walked} == set(TABLES) - {"verify"}
+
+
 def append_undecodable(path):
     """Make a file invalid UTF-8 by appending a UTF-16 byte-order mark."""
     with open(path, "ab") as f:
@@ -121,6 +183,22 @@ class TestUndecodableInput:
         err = capsys.readouterr().err
         assert f"{flag}: " in err and str(files[flag]) in err and "UTF-8" in err, err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["popularity", "run"])
+@pytest.mark.parametrize(
+    "field, value", [("segment_length", 5e-324), ("quality_count", True)]
+)
+def test_manifest_defect_names_flag_file_and_field(ws, tmp_path, capsys, command, field, value):
+    manifest = tmp_path / "m.json"
+    doc = json.loads(Path(ws["manifest"]).read_text())
+    manifest.write_text(json.dumps({**doc, field: value}))
+    argv = [command, "--manifest", str(manifest), "--traces", ws["traces"]]
+    if command == "run":
+        argv += ["--network", ws["network"], "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"error: --manifest: {manifest}: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestNonFiniteTraceValues:
@@ -210,10 +288,17 @@ class TestSynth:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
-    def test_missing_out_flag_is_argparse_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["synth"])
-        assert exc.value.code == 2
+    def test_missing_out_flag_exits_2_naming_it(self, capsys):
+        assert main(["synth"]) == 2
+        assert "--out" in capsys.readouterr().err
+
+    def test_segment_count_overflow_names_segment_length(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main([
+            "synth", "--out", str(out), "--duration", "1e300", "--segment-length", "1e-300",
+        ]) == 2
+        assert "error: --segment-length: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPopularity:
@@ -526,15 +611,17 @@ class TestRun:
         assert "simulation failed" in capsys.readouterr().err
 
     def test_help_shows_each_setting_and_its_default(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--help"])
-        assert exc.value.code == 0
-        options = " ".join(capsys.readouterr().out.split()).split(" options: ")[1]
-        entries = {e.split()[0]: e for e in re.split(r" (?=--[a-z])", options)}
-        for setting in RUN_SETTINGS:
-            assert setting.flag in entries
-            if setting.default is not None:
-                assert f"(default: {setting.default})" in entries[setting.flag]
+        """For every subcommand's table, not only `run`'s."""
+        for command, table in TABLES.items():
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            options = " ".join(capsys.readouterr().out.split()).split(" options: ")[1]
+            entries = {e.split()[0]: e for e in re.split(r" (?=--[a-z])", options)}
+            for setting in table:
+                assert setting.flag in entries, (command, setting.flag)
+                if setting.default is not None:
+                    assert f"(default: {setting.default})" in entries[setting.flag]
 
     def test_readme_names_each_config_key_that_differs_from_its_flag(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -632,8 +719,11 @@ class TestVerify:
              "segments.csv: 'stalls'"),
             ("prediction_error_steps.csv", 1, lambda c: c[:3] + ["1.5"] + c[4:],
              "prediction_error_steps.csv:2: step"),
+            ("segments.csv", 2, lambda c: c[:1] + ["9" * 200_000] + c[2:],
+             "--out: segments.csv:3: field larger than field limit"),
         ],
-        ids=["bad-cell", "too-few-cells", "extra-cell", "renamed-column", "bad-step-cell"],
+        ids=["bad-cell", "too-few-cells", "extra-cell", "renamed-column", "bad-step-cell",
+             "oversized-cell"],
     )
     def test_malformed_source_exits_2_naming_file_and_line(
         self, outputs, tmp_path, capsys, name, line, edit, named

@@ -1,4 +1,7 @@
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +198,34 @@ class TestPersistence:
             (lambda d: d["sizes_bytes"][0][0].__setitem__(1, 50), "sizes_bytes"),
             (lambda d: d.__setitem__("popularity", [[5], [0], [0]]), "popularity"),
             (lambda d: d.__setitem__("duration", -1.0), "duration"),
+            pytest.param(lambda d: d["grid"].__setitem__("cols", "x"), "grid.cols", id="cols-str"),
+            pytest.param(lambda d: d["grid"].__setitem__("cols", None),
+                         "grid.cols", id="cols-null"),
+            pytest.param(lambda d: d["grid"].__setitem__("cols", 0), "grid.cols", id="cols-0"),
+            pytest.param(lambda d: d["grid"].__setitem__("cols", 2.7), "grid.cols", id="cols-2.7"),
+            pytest.param(lambda d: d["grid"].__setitem__("cols", "2"), "grid.cols", id='cols-"2"'),
+            pytest.param(lambda d: d.__setitem__("bitrate_factors", ["a", 1]),
+                         "bitrate_factors", id="factors-str"),
+            pytest.param(lambda d: d.__setitem__("bitrate_factors", [-1, 1]),
+                         "bitrate_factors", id="factors-negative"),
+            pytest.param(lambda d: d.__setitem__("bitrate_factors", [0.5, math.nan]),
+                         "bitrate_factors", id="factors-nan"),
+            pytest.param(lambda d: d.__setitem__("duration", math.nan),
+                         "duration", id="duration-nan"),
+            pytest.param(lambda d: d.__setitem__("duration", 10**400),
+                         "duration", id="duration-10**400"),
+            pytest.param(lambda d: d.__setitem__("segment_length", 5e-324),
+                         "segment_length", id="segment-count-overflow"),
+            pytest.param(lambda d: d.__setitem__("base_bitrate_bps", math.nan),
+                         "base_bitrate_bps", id="bitrate-nan"),
+            pytest.param(lambda d: d["sizes_bytes"][0][0].__setitem__(1, 2**70),
+                         "sizes_bytes", id="size-2**70"),
+            pytest.param(lambda d: d["sizes_bytes"][0][0].__setitem__(0, 1.5),
+                         "sizes_bytes", id="size-1.5"),
+            pytest.param(lambda d: d.__setitem__("popularity", [[0.9], [0], [0]]),
+                         "popularity", id="popularity-0.9"),
+            pytest.param(lambda d: d.__setitem__("popularity", [[True], [0], [0]]),
+                         "popularity", id="popularity-true"),
         ],
     )
     def test_malformed_files_name_the_field(self, tmp_path, mutate, field):
@@ -211,7 +242,7 @@ class TestPersistence:
         mutate(doc)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ManifestError, match=field):
+        with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}: .*{field}"):
             load(str(path))
 
     def test_not_json(self, tmp_path):
@@ -219,6 +250,89 @@ class TestPersistence:
         path.write_text("{]")
         with pytest.raises(ManifestError):
             load(str(path))
+
+
+SCHEMA = json.loads(
+    (Path(__file__).resolve().parent.parent / "docs" / "manifest.schema.json").read_text()
+)
+# The schema documents `srd` as informational: load() derives the layout from
+# `grid` and ignores it.
+IGNORED = {"srd"}
+DELETE = object()  # stands for "leave the property out"
+
+
+def typed_nodes(spec, path=(), field="", required=False):
+    """(path into a document, field name, schema, required) of every node
+    below `spec`. Array items sit at index 0 and keep the array's name."""
+    if path:
+        yield path, field, spec, required
+    for key, sub in spec.get("properties", {}).items():
+        if key not in IGNORED:
+            name = f"{field}.{key}" if field else key
+            yield from typed_nodes(sub, (*path, key), name, key in spec.get("required", ()))
+    if "items" in spec:
+        yield from typed_nodes(spec["items"], (*path, 0), field)
+
+
+def violations(spec, required):
+    """Values the node's schema rejects: another JSON type, NaN for a number,
+    a fraction for an integer, one below `minimum`, the `exclusiveMinimum`
+    itself, and no value at all for a required property."""
+    kind = spec["type"]
+    out = [1 if kind == "string" else "x"]
+    if kind in ("number", "integer"):
+        out.append(math.nan)
+    if kind == "integer":
+        out.append(1.5)
+    if "minimum" in spec:
+        out.append(spec["minimum"] - 1)
+    if "exclusiveMinimum" in spec:
+        out.append(spec["exclusiveMinimum"])
+    return out + [DELETE] * required
+
+
+SCHEMA_VIOLATIONS = [
+    pytest.param(path, field, bad, id=f"{'/'.join(map(str, path))}="
+                 + ("missing" if bad is DELETE else repr(bad)))
+    for path, field, spec, required in typed_nodes(SCHEMA)
+    for bad in violations(spec, required)
+]
+
+
+def test_schema_walk_reaches_nested_fields():
+    fields = {field for _, field, _ in (p.values for p in SCHEMA_VIOLATIONS)}
+    assert {"grid.cols", "grid.rows", "bitrate_factors", "sizes_bytes", "popularity"} <= fields
+    assert set(SCHEMA["properties"]) - IGNORED <= fields
+
+
+@pytest.mark.parametrize("path, field, bad", SCHEMA_VIOLATIONS)
+def test_load_rejects_every_schema_violation_naming_the_field(tmp_path, path, field, bad):
+    """The loader accepts no value that docs/manifest.schema.json rejects."""
+    doc = {
+        "name": "mini",
+        "duration": 3.2,
+        "segment_length": 1.5,
+        "grid": {"cols": 1, "rows": 1},
+        "quality_count": 2,
+        "bitrate_factors": [0.25, 1.0],
+        "base_bitrate_bps": 1e6,
+        "sizes_bytes": [[[100, 400]], [[100, 400]], [[100, 400]]],
+        "popularity": [[0], [1], [0]],
+    }
+    file = tmp_path / "m.json"
+    file.write_text(json.dumps(doc))
+    load(str(file))  # the base document is valid
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if bad is DELETE:
+        del node[last]
+    else:
+        node[last] = bad
+    file.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(file))}: {field}: "):
+        load(str(file))
 
 
 @given(

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import average_quality_map
+from helpers import average_quality_map, flat_index
 from tilesim.geometry import FovSpec, Orientation, TileGrid
 from tilesim.manifest import segment_bits, synthesize
 from tilesim.popularity import (
@@ -29,7 +29,7 @@ class TestBuildHeat:
         trace = constant_gaze(45.0, -22.5, duration=3.0, hz=10.0)
         heat = build_heat([trace], grid44, NARROW, 1.5, 3.0, samples_per_axis=8)
         assert heat.segment_count == 2
-        flat = grid44.flat_index(2, 2)
+        flat = flat_index(grid44, 2, 2)
         for seg in range(2):
             row = heat.heat[seg]
             assert row[flat] > 0.0
@@ -39,8 +39,8 @@ class TestBuildHeat:
         left = constant_gaze(-135.0, -22.5, duration=3.0, hz=10.0)
         right = constant_gaze(135.0, -22.5, duration=3.0, hz=10.0)
         heat = build_heat([left, right], grid44, NARROW, 1.5, 3.0, 8)
-        a = grid44.flat_index(0, 2)
-        b = grid44.flat_index(3, 2)
+        a = flat_index(grid44, 0, 2)
+        b = flat_index(grid44, 3, 2)
         np.testing.assert_allclose(heat.heat[:, a], heat.heat[:, b], atol=1e-9)
         assert (heat.heat[:, a] > 0).all()
 
