@@ -14,15 +14,18 @@ A missed object enters the cache before eviction runs, so a cold newcomer
 whose priority is the minimum evicts itself and popular residents survive
 (squid purges from the full heap, fresh entries included). Objects larger
 than the capacity are never stored.
+
+A run keys each tile by its flat id from `manifest.segment_requests`: the
+index of (segment, tile, level) in the one manifest's size table.
 """
 
 from __future__ import annotations
 
 import copy
-import heapq
 import random
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heapify, heappop, heappush
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -36,6 +39,11 @@ class EvictionPolicy(str, Enum):
     LRU = "lru"
     LFUDA = "lfuda"
     GDSF = "gdsf"
+
+
+# Bound once: `request` tests the policy on every call, and an enum member
+# lookup costs more than a global.
+_LRU, _LFUDA = EvictionPolicy.LRU, EvictionPolicy.LFUDA
 
 
 @dataclass
@@ -54,16 +62,10 @@ class CacheStats:
         return self.bytes_hit / self.bytes_requested if self.bytes_requested else 0.0
 
 
-@dataclass
-class _Entry:
-    size: int
-    frequency: int
-    last_access: int
-    priority: float
-
-
 class Cache:
-    """Byte-capacity cache; request() reports hit/miss and ingests misses."""
+    """Byte-capacity cache; request() reports hit/miss and ingests misses.
+    Entries are immutable (size, frequency, last_access, priority) tuples
+    that a request replaces, so a copy shares them."""
 
     def __init__(self, capacity_bytes: int, policy: EvictionPolicy):
         if capacity_bytes < 0:
@@ -73,14 +75,12 @@ class Cache:
         self.aging_level = 0.0  # L term; only LFUDA/GDSF read it
         self.occupancy = 0
         self.stats = CacheStats()
-        self._entries: dict[Hashable, _Entry] = {}
+        self._entries: dict[Hashable, tuple[int, int, int, float]] = {}
         self._clock = 0
-        # Min-heap of (priority, last_access, key); stale items are skipped
-        # when their stamp no longer matches the live entry, and the heap is
-        # rebuilt from the live entries once it holds more than twice as many
-        # items as there are entries. Each request pushes at most once, at a
-        # fresh clock value, and the rebuild pushes live entries only, so no
-        # two items share a last_access and keys are never compared.
+        # Min-heap of (priority, last_access, key), rebuilt from the live
+        # entries once it holds over twice as many items. Each request pushes
+        # once, at a fresh clock value, so keys are never compared and an item
+        # is live exactly when its last_access is its entry's.
         self._heap: list[tuple[float, int, Hashable]] = []
 
     def __len__(self) -> int:
@@ -88,34 +88,6 @@ class Cache:
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
-
-    def _priority(self, frequency: int, size: int, clock: int) -> float:
-        if self.policy is EvictionPolicy.LRU:
-            return float(clock)
-        if self.policy is EvictionPolicy.LFUDA:
-            return self.aging_level + frequency
-        return self.aging_level + frequency / size
-
-    def _push(self, key: Hashable, entry: _Entry) -> None:
-        heapq.heappush(self._heap, (entry.priority, entry.last_access, key))
-        if len(self._heap) > 2 * len(self._entries):
-            self._heap = [(e.priority, e.last_access, k) for k, e in self._entries.items()]
-            heapq.heapify(self._heap)
-
-    def _evict_one(self) -> None:
-        while self._heap:
-            priority, last_access, key = heapq.heappop(self._heap)
-            entry = self._entries.get(key)
-            if (
-                entry is not None
-                and entry.priority == priority
-                and entry.last_access == last_access
-            ):
-                del self._entries[key]
-                self.occupancy -= entry.size
-                self.aging_level = entry.priority
-                return
-        raise RuntimeError("eviction requested from an empty cache")
 
     def request(self, key: Hashable, size: int) -> bool:
         """Look up `key`; on a miss, insert it and evict down to capacity.
@@ -127,31 +99,42 @@ class Cache:
         """
         if size <= 0:
             raise ValueError("object size must be positive")
-        self._clock += 1
-        self.stats.requests += 1
-        self.stats.bytes_requested += size
-        entry = self._entries.get(key)
+        clock = self._clock = self._clock + 1
+        stats = self.stats
+        stats.requests += 1
+        stats.bytes_requested += size
+        entries = self._entries
+        entry = entries.get(key)
         if entry is not None:
-            self.stats.hits += 1
-            self.stats.bytes_hit += entry.size
-            entry.frequency += 1
-            entry.last_access = self._clock
-            entry.priority = self._priority(entry.frequency, entry.size, self._clock)
-            self._push(key, entry)
-            return True
-        if size > self.capacity:
+            size, frequency = entry[0], entry[1] + 1
+            stats.hits += 1
+            stats.bytes_hit += size
+        elif size > self.capacity:
             return False
-        entry = _Entry(
-            size=size,
-            frequency=1,
-            last_access=self._clock,
-            priority=self._priority(1, size, self._clock),
-        )
-        self._entries[key] = entry
-        self.occupancy += size
-        self._push(key, entry)
+        else:
+            frequency = 1
+            self.occupancy += size
+        if self.policy is _LRU:
+            priority = float(clock)
+        elif self.policy is _LFUDA:
+            priority = self.aging_level + frequency
+        else:
+            priority = self.aging_level + frequency / size
+        entries[key] = (size, frequency, clock, priority)
+        heap = self._heap
+        heappush(heap, (priority, clock, key))
+        if len(heap) > 2 * len(entries):
+            heap[:] = [(e[3], e[2], k) for k, e in entries.items()]
+            heapify(heap)
+        if entry is not None:
+            return True
         while self.occupancy > self.capacity:
-            self._evict_one()
+            priority, last_access, victim = heappop(heap)
+            entry = entries.get(victim)
+            if entry is not None and entry[2] == last_access:
+                del entries[victim]
+                self.occupancy -= entry[0]
+                self.aging_level = priority
         return False
 
     def reset_stats(self) -> None:
@@ -164,10 +147,7 @@ class Cache:
         untouched, and both evict the same keys for the same requests."""
         twin = copy.copy(self)
         twin.stats = copy.copy(self.stats)
-        twin._entries = {
-            k: _Entry(e.size, e.frequency, e.last_access, e.priority)
-            for k, e in self._entries.items()
-        }
+        twin._entries = dict(self._entries)
         twin._heap = list(self._heap)
         return twin
 

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -72,6 +73,15 @@ def _read_input(flag: str, path: str, load: Callable):
         ) from None
     except ValueError as e:
         raise UsageError(f"{flag}: {e}") from None
+
+
+def _write_output(flag: str, path: str, write: Callable):
+    """write(path), with a path that cannot be written reported against `flag`."""
+    try:
+        return write(path)
+    except OSError as e:
+        reason = e.strerror or e
+        raise UsageError(f"{flag}: {e.filename or path}: cannot write: {reason}") from None
 
 
 def _load_config(path: str) -> dict:
@@ -320,7 +330,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         variability=s["variability"],
         seed=s["seed"],
     )
-    manifest_mod.save(m, s["out"])
+    _write_output("--out", s["out"], lambda path: manifest_mod.save(m, path))
     files = file_count(
         grid.cols, grid.rows, s["qualities"], s["duration"], s["segment_length"]
     )
@@ -349,7 +359,7 @@ def cmd_popularity(args: argparse.Namespace) -> int:
     )
     budget = s["budget"] if s["budget"] is not None else popularity.default_budget_bps(m)
     m.popularity = popularity.quantize(heat, m, budget)
-    manifest_mod.save(m, s["manifest"])
+    _write_output("--manifest", s["manifest"], lambda path: manifest_mod.save(m, path))
     mean_level = float(m.popularity.mean())
     print(
         f"embedded popularity trace from {len(traces)} traces "
@@ -412,8 +422,10 @@ def cmd_predict_error(args: argparse.Namespace) -> int:
                             "error_deg": float(err),
                         }
                     )
-    os.makedirs(s["out"], exist_ok=True)
-    derived = _write_outputs(s["out"], "prediction_error_steps.csv", step_rows)
+    derived = _write_output(
+        "--out", s["out"],
+        lambda out: _write_outputs(out, "prediction_error_steps.csv", step_rows),
+    )
     summary = derived["prediction_error_summary.csv"]
     print(
         f"wrote {len(step_rows)} step errors over {len(summary)} (trace, interval, "
@@ -450,8 +462,10 @@ OUTPUTS = {
 
 
 def _write_outputs(out_dir: str, source: str, rows: list[dict]) -> dict[str, list[dict]]:
-    """Write a source CSV and its derived CSVs; returns the derived rows by name."""
+    """Make `out_dir` and write a source CSV and its derived CSVs into it;
+    returns the derived rows by name."""
     parsers, derived = OUTPUTS[source]
+    os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, source), list(parsers), rows)
     out = {}
     for name, columns, derive in derived:
@@ -506,9 +520,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         hysteresis=run["hysteresis"],
     )
 
-    os.makedirs(out_dir, exist_ok=True)
     rows = playback.segment_rows(report)
-    summary_rows = _write_outputs(out_dir, "segments.csv", rows)["policy_summary.csv"]
+    summary_rows = _write_output(
+        "--out", out_dir, lambda out: _write_outputs(out, "segments.csv", rows)
+    )["policy_summary.csv"]
     gain = report.quality_gain_percent()
     summary = {
         "spec": spec,
@@ -516,9 +531,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         "policies": summary_rows,
         "quality_gain_transition_over_prediction_ba_percent": gain,
     }
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    path = os.path.join(out_dir, "summary.json")
+    _write_output("--out", path, lambda p: Path(p).write_text(text, encoding="utf-8"))
 
     print(f"network: {network.average_bps() / 1e6:.2f} Mbit/s average after scaling")
     for row in summary_rows:

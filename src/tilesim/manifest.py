@@ -174,19 +174,18 @@ def naive_segment_bytes(manifest: VideoManifest, segment: int) -> int:
 
 def segment_requests(
     manifest: VideoManifest, segment: int, assignment: np.ndarray
-) -> list[tuple[tuple[str, int, int, int], int]]:
-    """(cache key, size) pairs for one segment, tile-index ascending.
+) -> list[tuple[int, int]]:
+    """(object id, size) pairs for one segment, tile-index ascending.
 
-    The key identifies (video, segment, tile, level); it is what the cache
-    simulator stores.
+    The id, the cache simulator's key, is the flat index of (segment, tile,
+    level) in `manifest.sizes`: (segment * tile_count + tile) * quality_count
+    + level. A run has one manifest, so the id needs no video name.
     """
     levels = np.asarray(assignment, dtype=np.int64)
-    sizes = manifest.sizes[segment, np.arange(manifest.grid.tile_count), levels]
-    name = manifest.name
-    return [
-        ((name, segment, tile, level), size)
-        for tile, (level, size) in enumerate(zip(levels.tolist(), sizes.tolist()))
-    ]
+    tiles = np.arange(manifest.grid.tile_count)
+    ids = (segment * manifest.grid.tile_count + tiles) * manifest.quality_count + levels
+    sizes = manifest.sizes[segment, tiles, levels]
+    return list(zip(ids.tolist(), sizes.tolist()))
 
 
 def to_dict(manifest: VideoManifest) -> dict:

@@ -9,7 +9,7 @@ timestamp in the file.
 
 from __future__ import annotations
 
-import bisect
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -161,10 +161,12 @@ class Link:
         duration = self.trace.duration_ms
         cycle = max(0, int(t_ms // duration))
         within = t_ms - cycle * duration
-        idx = bisect.bisect_right(ts, within)
+        # The stamps are integers, so "stamps <= x" is "stamps <= floor(x)";
+        # an integer key keeps numpy from casting the whole array to float.
+        idx = int(ts.searchsorted(math.floor(within), side="right"))
         if idx == ts.size:  # within == duration exactly; roll to next cycle
             cycle += 1
-            idx = bisect.bisect_right(ts, t_ms - cycle * duration)
+            idx = int(ts.searchsorted(math.floor(t_ms - cycle * duration), side="right"))
         return cycle * ts.size + idx
 
     def transfer_time(self, start_s: float, nbytes: int) -> float:

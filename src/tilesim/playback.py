@@ -213,7 +213,7 @@ def simulate(cfg: SessionConfig, plan: PredictionPlan | None = None) -> SessionM
             SegmentRecord(
                 segment=seg,
                 policy=active.value,
-                levels=tuple(int(x) for x in levels),
+                levels=tuple(levels.tolist()),
                 bytes_total=total,
                 bytes_from_cache=cache_bytes,
                 bytes_from_origin=origin_bytes,

@@ -8,11 +8,14 @@ independent derivations.
 from __future__ import annotations
 
 import bisect
+import copy
 import csv
+import heapq
 import json
 import math
 import random
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import Hashable, NamedTuple
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from tilesim.adaptation import (
     select_prediction_ba,
     transition_step,
 )
-from tilesim.cachesim import Cache, quality_bands, viewing_assignments
+from tilesim.cachesim import CacheStats, EvictionPolicy, quality_bands, viewing_assignments
 from tilesim.geometry import (
     FovSpec,
     Orientation,
@@ -99,6 +102,126 @@ class ScanCache:
             self.level = self._priority(self.entries[victim])
             del self.entries[victim]
         return False
+
+
+@dataclass
+class _Entry:
+    size: int
+    frequency: int
+    last_access: int
+    priority: float
+
+
+class HeapCache:
+    """`cachesim.Cache` before its entries became immutable tuples and its
+    request inlined the priority, push and eviction steps: mutable `_Entry`
+    records, and a copy that rebuilds every entry."""
+
+    def __init__(self, capacity_bytes: int, policy: EvictionPolicy):
+        if capacity_bytes < 0:
+            raise ValueError("capacity must be >= 0")
+        self.capacity = int(capacity_bytes)
+        self.policy = EvictionPolicy(policy)
+        self.aging_level = 0.0  # L term; only LFUDA/GDSF read it
+        self.occupancy = 0
+        self.stats = CacheStats()
+        self._entries: dict[Hashable, _Entry] = {}
+        self._clock = 0
+        # Min-heap of (priority, last_access, key); stale items are skipped
+        # when their stamp no longer matches the live entry, and the heap is
+        # rebuilt from the live entries once it holds more than twice as many
+        # items as there are entries. Each request pushes at most once, at a
+        # fresh clock value, and the rebuild pushes live entries only, so no
+        # two items share a last_access and keys are never compared.
+        self._heap: list[tuple[float, int, Hashable]] = []
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._entries
+
+    def _priority(self, frequency: int, size: int, clock: int) -> float:
+        if self.policy is EvictionPolicy.LRU:
+            return float(clock)
+        if self.policy is EvictionPolicy.LFUDA:
+            return self.aging_level + frequency
+        return self.aging_level + frequency / size
+
+    def _push(self, key: Hashable, entry: _Entry) -> None:
+        heapq.heappush(self._heap, (entry.priority, entry.last_access, key))
+        if len(self._heap) > 2 * len(self._entries):
+            self._heap = [(e.priority, e.last_access, k) for k, e in self._entries.items()]
+            heapq.heapify(self._heap)
+
+    def _evict_one(self) -> None:
+        while self._heap:
+            priority, last_access, key = heapq.heappop(self._heap)
+            entry = self._entries.get(key)
+            if (
+                entry is not None
+                and entry.priority == priority
+                and entry.last_access == last_access
+            ):
+                del self._entries[key]
+                self.occupancy -= entry.size
+                self.aging_level = entry.priority
+                return
+        raise RuntimeError("eviction requested from an empty cache")
+
+    def request(self, key: Hashable, size: int) -> bool:
+        """Look up `key`; on a miss, insert it and evict down to capacity.
+
+        Returns True on a hit. The inserted object takes part in its own
+        eviction round, so it may be dropped immediately if its priority is
+        the lowest. Misses larger than the whole cache are counted but never
+        stored.
+        """
+        if size <= 0:
+            raise ValueError("object size must be positive")
+        self._clock += 1
+        self.stats.requests += 1
+        self.stats.bytes_requested += size
+        entry = self._entries.get(key)
+        if entry is not None:
+            self.stats.hits += 1
+            self.stats.bytes_hit += entry.size
+            entry.frequency += 1
+            entry.last_access = self._clock
+            entry.priority = self._priority(entry.frequency, entry.size, self._clock)
+            self._push(key, entry)
+            return True
+        if size > self.capacity:
+            return False
+        entry = _Entry(
+            size=size,
+            frequency=1,
+            last_access=self._clock,
+            priority=self._priority(1, size, self._clock),
+        )
+        self._entries[key] = entry
+        self.occupancy += size
+        self._push(key, entry)
+        while self.occupancy > self.capacity:
+            self._evict_one()
+        return False
+
+    def reset_stats(self) -> None:
+        """Zero the counters (separates warm-up from measurement)."""
+        self.stats = CacheStats()
+
+    def copy(self) -> HeapCache:
+        """An independent cache in the same state: entries, heap, clocks,
+        aging level, occupancy and stats. Requests on either leave the other
+        untouched, and both evict the same keys for the same requests."""
+        twin = copy.copy(self)
+        twin.stats = copy.copy(self.stats)
+        twin._entries = {
+            k: _Entry(e.size, e.frequency, e.last_access, e.priority)
+            for k, e in self._entries.items()
+        }
+        twin._heap = list(self._heap)
+        return twin
 
 
 def visibility_oracle(
@@ -603,6 +726,19 @@ def prediction_summary_oracle(step_rows: list[dict]) -> list[dict]:
     return out
 
 
+def first_slot_after_oracle(trace: NetworkTrace, t_ms: float) -> int:
+    """`netsim.Link._first_slot_after` before it searched with an integer key:
+    bisect on the int64 stamps with the float itself."""
+    ts = trace.timestamps_ms
+    duration = trace.duration_ms
+    cycle = max(0, int(t_ms // duration))
+    idx = bisect.bisect_right(ts, t_ms - cycle * duration)
+    if idx == ts.size:
+        cycle += 1
+        idx = bisect.bisect_right(ts, t_ms - cycle * duration)
+    return cycle * ts.size + idx
+
+
 def constant_rate_network_oracle(bits_per_second: float, duration_s: float) -> np.ndarray:
     """`synthetic.constant_rate_network`'s timestamps from its own numpy
     body, before it shared `packet_slots` with `two_phase_network`."""
@@ -650,7 +786,7 @@ def run_experiment_oracle(
         for i in range(iterations):
             cache = None
             if cache_policy is not None and cache_capacity_bytes > 0:
-                cache = Cache(cache_capacity_bytes, cache_policy)
+                cache = HeapCache(cache_capacity_bytes, cache_policy)
                 warm_oracle(
                     cache, manifest, viewing_traces, fov, seed * 100003 + i,
                     warm_trace_count, samples_per_axis,
@@ -796,10 +932,12 @@ def predicted_map_oracle(cfg: SessionConfig, seg: int) -> VisibilityMap:
 
 def segment_requests_oracle(manifest, segment: int, assignment):
     """`manifest.segment_requests` before it read a segment's sizes with one
-    fancy index: one numpy scalar read per tile."""
+    fancy index: one numpy scalar read per tile, and each tile's flat id
+    computed on its own."""
     out = []
-    for tile in range(manifest.grid.tile_count):
+    tiles, qualities = manifest.grid.tile_count, manifest.quality_count
+    for tile in range(tiles):
         level = int(assignment[tile])
         size = int(manifest.sizes[segment, tile, level])
-        out.append(((manifest.name, segment, tile, level), size))
+        out.append(((segment * tiles + tile) * qualities + level, size))
     return out

@@ -1,11 +1,12 @@
 import copy
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ScanCache, visibility_map
+from helpers import HeapCache, ScanCache, visibility_map
 from tilesim.cachesim import (
     Cache,
     EvictionPolicy,
@@ -332,3 +333,58 @@ class TestAgainstScanOracle:
             k = int(rng.integers(0, n_keys))
             assert cache.request(k, int(sizes[k])) == oracle.request(k, int(sizes[k]))
             assert cache.occupancy == oracle.occupancy <= capacity
+
+
+class _Deletions(dict):
+    """A cache's entry dict that logs every key deleted from it, in order."""
+
+    def __init__(self, entries, log):
+        super().__init__(entries)
+        self.log = log
+
+    def __delitem__(self, key):
+        self.log.append(key)
+        super().__delitem__(key)
+
+
+class TestAgainstHeapOracle:
+    """The tuple-entry cache against the mutable-entry heap cache it replaced."""
+
+    @staticmethod
+    def tracked(new, old):
+        for cache in (new, old):
+            cache._entries = _Deletions(cache._entries, [])
+        return new, old
+
+    @staticmethod
+    def state(cache, entries):
+        return (
+            entries, list(cache._heap), cache.aging_level, cache.occupancy,
+            copy.copy(cache.stats), cache._entries.log,
+        )
+
+    @given(
+        policy=st.sampled_from(list(EvictionPolicy)),
+        capacity=st.integers(1, 150),
+        sizes=st.lists(st.integers(1, 50), min_size=1, max_size=40),
+        # (which cache, key); a negative key copies that cache instead
+        ops=st.lists(st.tuples(st.integers(0, 7), st.integers(-3, 39)), max_size=400),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_requests_and_copies_agree(self, policy, capacity, sizes, ops):
+        pairs = [self.tracked(Cache(capacity, policy), HeapCache(capacity, policy))]
+        for which, key in ops:
+            new, old = pairs[which % len(pairs)]
+            if key < 0:
+                twin = new.copy()
+                # tracked() gives the twin a new dict, so check it had its own.
+                assert twin._entries is not new._entries and twin._heap is not new._heap
+                pairs.append(self.tracked(twin, old.copy()))
+            else:
+                size = sizes[key % len(sizes)]
+                assert new.request(key, size) == old.request(key, size)
+            # Every cache, not just the one requested: a copy that shared
+            # state with its source would change both.
+            for new, old in pairs:
+                live = {k: astuple(e) for k, e in old._entries.items()}
+                assert self.state(new, dict(new._entries)) == self.state(old, live)

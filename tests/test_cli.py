@@ -201,6 +201,48 @@ def test_manifest_defect_names_flag_file_and_field(ws, tmp_path, capsys, command
     assert not (tmp_path / "out").exists()
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2, naming its flag and
+    the path."""
+
+    def expect(self, capsys, argv, flag, path):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"tilesim: error: {flag}: {path}: cannot write: "), err
+
+    def test_synth_into_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.json"
+        self.expect(capsys, ["synth", "--out", str(out)], "--out", out)
+
+    def test_popularity_manifest(self, ws, tmp_path, capsys, monkeypatch):
+        manifest = tmp_path / "m.json"
+        shutil.copy(ws["manifest"], manifest)
+
+        def refuse(m, path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(manifest_mod, "save", refuse)
+        self.expect(capsys, [
+            "popularity", "--manifest", str(manifest), "--traces", ws["traces"],
+        ], "--manifest", manifest)
+
+    def test_predict_error_out_is_a_file(self, ws, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.write_text("")
+        self.expect(capsys, [
+            "predict-error", "--traces", ws["traces_linear"], "--out", str(out),
+        ], "--out", out)
+
+    def test_run_out_is_a_file(self, ws, tmp_path, capsys):
+        out = tmp_path / "afile"
+        out.write_text("")
+        self.expect(capsys, [
+            "run", "--manifest", ws["manifest"], "--traces", ws["traces"],
+            "--network", ws["network"], "--policies", "naive", "--iterations", "1",
+            "--out", str(out),
+        ], "--out", out)
+
+
 class TestNonFiniteTraceValues:
     """A nan or inf time, angle or quaternion component exits 2, naming
     --traces, the file and its line, before any output is written."""

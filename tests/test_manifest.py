@@ -133,9 +133,12 @@ class TestAccounting:
         levels[3] = 2
         reqs = segment_requests(flat_manifest, 7, levels)
         assert len(reqs) == 16
-        assert reqs[3] == (("flat", 7, 3, 2), 3750000)
-        assert reqs[0] == (("flat", 7, 0, 0), 234375)
-        assert [k[2] for k, _ in reqs] == list(range(16))
+        # id = (segment * tile_count + tile) * quality_count + level
+        assert reqs[3] == ((7 * 16 + 3) * 3 + 2, 3750000)
+        assert reqs[0] == (7 * 16 * 3, 234375)
+        assert [k for k, _ in reqs] == [(7 * 16 + t) * 3 + int(levels[t]) for t in range(16)]
+        for key, size in reqs:  # each id is the flat index of its size
+            assert flat_manifest.sizes.flat[key] == size
 
 
 class TestPersistence:

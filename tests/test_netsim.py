@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import first_slot_after_oracle
 from tilesim.netsim import (
     PACKET_BYTES,
     LastSampleEstimator,
@@ -237,6 +239,34 @@ class TestLink:
         assert t_lo <= t_hi
         later = Link(trace_of(GAPPY)).transfer_time(start + 0.75, hi)
         assert t_hi <= later
+
+
+@st.composite
+def slot_queries(draw):
+    """A trace and a time in ms: any finite float, an exact integer, a slot
+    time or a cycle boundary, or the float next to one of those."""
+    stamps = sorted(draw(st.lists(st.integers(0, 2000), min_size=1, max_size=30)))
+    stamps[-1] = max(stamps[-1], 1)
+    duration = stamps[-1]
+    # Far cycles round slot times to a coarse float grid, where `within`
+    # can round up to the duration and the lookup rolls to the next cycle.
+    cycle = draw(st.one_of(st.integers(0, 5), st.integers(2**40, 2**60)))
+    t = draw(st.one_of(
+        st.floats(-1e300, 1e300),  # past that, both forms overflow in cycle * duration
+        st.floats(-2.0, 2.0),
+        st.integers(-10**6, 10**6).map(float),
+        st.sampled_from(stamps).map(lambda s: float(s + cycle * duration)),
+        st.just(float(cycle * duration)),
+    ))
+    near = draw(st.sampled_from([t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]))
+    return trace_of(stamps), near if math.isfinite(near) else t
+
+
+@given(query=slot_queries())
+@settings(max_examples=500, deadline=None)
+def test_first_slot_after_matches_bisect_on_the_float(query):
+    trace, t_ms = query
+    assert Link(trace)._first_slot_after(t_ms) == first_slot_after_oracle(trace, t_ms)
 
 
 class TestEstimator:

@@ -406,9 +406,7 @@ def test_segment_requests_match_one_scalar_read_per_tile(m, data):
         new = segment_requests(m, segment, assignment)
         old = segment_requests_oracle(m, segment, assignment)
         assert new == old
-        assert [type(x) for key, size in new for x in (*key, size)] == [
-            type(x) for key, size in old for x in (*key, size)
-        ]
+        assert {type(x) for pair in new for x in pair} == {int}
 
 
 @st.composite

@@ -418,6 +418,48 @@ class TestPredictionPlans:
         assert counts == {"fit": flat_manifest.segment_count, "tile_visibility": 1}
 
 
+class TestOneCacheRequestPerTile:
+    """The benchmark's tracer counts tile requests and evictions by wrapping
+    `Cache.request`, so warm-up and sessions call it once per tile of every
+    segment they fetch, segments and tiles ascending."""
+
+    def test_warm_up_and_sessions(self, flat_manifest, monkeypatch):
+        keys = []
+        original = Cache.request
+
+        def counted(self, key, size):
+            keys.append(key)
+            return original(self, key, size)
+
+        monkeypatch.setattr(Cache, "request", counted)
+        m = copy.deepcopy(flat_manifest)
+        m.popularity = np.zeros((m.segment_count, m.grid.tile_count), dtype=np.int64)
+        policies = [PolicyKind.PREDICTION, PolicyKind.TRANSITION]
+        iterations, warm_traces = 2, 2
+        run_experiment(
+            manifest=m,
+            viewing_traces=[constant_gaze(yaw, 0.0, 41.0, hz=10.0) for yaw in (0, 90, 180)],
+            network_trace=two_phase_network(300e6, 3e6, cut_s=8.0, duration_s=120.0),
+            policies=policies,
+            iterations=iterations,
+            cache_policy=EvictionPolicy.GDSF,
+            cache_capacity_bytes=int(m.sizes.sum()) // 20,
+            warm_trace_count=warm_traces,
+            samples_per_axis=4,
+        )
+        tiles, qualities = m.grid.tile_count, m.quality_count
+        viewings = iterations * (warm_traces + len(policies))
+        assert len(keys) == viewings * m.segment_count * tiles
+        # Each id is (segment * tiles + tile) * qualities + level.
+        fetched = [divmod(key // qualities, tiles) for key in keys]
+        assert fetched == [
+            (seg, tile)
+            for _ in range(viewings)
+            for seg in range(m.segment_count)
+            for tile in range(tiles)
+        ]
+
+
 class TestReportRows:
     ROWS = [
         {"policy": "a", "iteration": 0, "segment": 0, "active": "prediction",
