@@ -16,12 +16,11 @@ from .geometry import (
     Orientation,
     TileGrid,
     ViewingTrace,
-    VisibilityMap,
     orthodromic_distance,
     tile_visibility,
 )
 from .manifest import VideoManifest, file_count, segment_bits, synthesize
-from .netsim import BandwidthEstimate, Link, NetworkTrace, load_trace, scale
+from .netsim import Link, NetworkTrace, load_trace, scale
 from .playback import (
     ExperimentReport,
     SegmentRecord,
@@ -36,7 +35,6 @@ from .prediction import PredictorConfig, RegressionModel, error_experiment, fit,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandwidthEstimate",
     "Cache",
     "CacheStats",
     "EvictionPolicy",
@@ -56,7 +54,6 @@ __all__ = [
     "TransitionState",
     "VideoManifest",
     "ViewingTrace",
-    "VisibilityMap",
     "build_heat",
     "default_budget_bps",
     "error_experiment",

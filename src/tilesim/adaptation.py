@@ -12,9 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import VisibilityMap
 from .manifest import VideoManifest, segment_bits
-from .netsim import BandwidthEstimate
 
 # Feasibility slack for float budget comparisons. Level steps are whole bytes
 # (>= 8 bits), so a relative 1e-9 can never flip a genuinely infeasible case.
@@ -69,17 +67,17 @@ def greedy_levels(
 def select_prediction(
     manifest: VideoManifest,
     segment: int,
-    visibility: VisibilityMap,
+    order: np.ndarray,
     budget_bps: float | None,
 ) -> np.ndarray:
     """Greedy visibility-ranked upgrades from an all-lowest baseline.
 
-    Tiles are walked by descending visibility (ties by index; zero-visibility
-    tiles are never upgraded) through greedy_levels, under a cap of
-    budget * segment_length bits. No budget means visible tiles go straight
-    to the top.
+    `order` is the predicted viewport's visible tiles by descending
+    visibility, ties by flat index (geometry.rank_tiles of its scores), so
+    tiles it leaves out are never upgraded. They are walked in that order
+    through greedy_levels, under a cap of budget * segment_length bits. No
+    budget means the visible tiles go straight to the top.
     """
-    order = visibility.visible_tiles()
     if budget_bps is None:
         levels = np.zeros(manifest.grid.tile_count, dtype=np.int64)
         levels[order] = manifest.quality_count - 1
@@ -107,18 +105,19 @@ def select_popularity(manifest: VideoManifest, segment: int) -> np.ndarray:
 def select_prediction_ba(
     manifest: VideoManifest,
     segment: int,
-    visibility: VisibilityMap,
+    order: np.ndarray,
     budget_bps: float | None,
 ) -> np.ndarray:
     """Bandwidth-aware variant: uniform downshift of the unconstrained
-    prediction assignment.
+    prediction assignment: the visible tiles in `order` (as
+    select_prediction takes it) at the top level, every other tile at 0.
 
     The smallest shift whose result fits the budget wins (levels floor at 0);
     if even the all-zero result does not fit, it is returned anyway.
     """
     q = manifest.quality_count
     desired = np.zeros(manifest.grid.tile_count, dtype=np.int64)
-    desired[visibility.visible_tiles()] = q - 1
+    desired[order] = q - 1
     if budget_bps is None:
         return desired
     cap = budget_bps * manifest.segment_length * (1.0 + _BUDGET_EPS)
@@ -131,10 +130,9 @@ def select_prediction_ba(
 
 @dataclass
 class TransitionState:
-    """Which mechanism is live, the last threshold, and the hysteresis gain."""
+    """Which mechanism is live, and the hysteresis gain."""
 
     active: PolicyKind = PolicyKind.PREDICTION
-    threshold_bps: float = 0.0
     hysteresis: float = 1.0
 
     def __post_init__(self) -> None:
@@ -144,22 +142,22 @@ class TransitionState:
 
 def transition_step(
     state: TransitionState,
-    estimate: BandwidthEstimate | None,
+    estimate_bps: float | None,
     required_bps: float,
 ) -> PolicyKind:
     """Advance the transition machine at a segment boundary.
 
     `required_bps` is what the prediction mechanism would need for the next
-    segment; it becomes the new threshold. Below it the popularity mechanism
-    takes over; at or above hysteresis * threshold prediction takes over;
-    in between (only possible with hysteresis > 1) nothing changes. With no
-    estimate yet, prediction is used.
+    segment, and the threshold is recomputed from it at every step. With
+    `estimate_bps` below it the popularity mechanism takes over; at or above
+    hysteresis * required_bps prediction takes over; in between (only
+    possible with hysteresis > 1) nothing changes. With no estimate yet,
+    prediction is used.
     """
-    state.threshold_bps = required_bps
-    if estimate is None:
+    if estimate_bps is None:
         state.active = PolicyKind.PREDICTION
-    elif estimate.bits_per_second < required_bps:
+    elif estimate_bps < required_bps:
         state.active = PolicyKind.POPULARITY
-    elif estimate.bits_per_second >= state.hysteresis * required_bps:
+    elif estimate_bps >= state.hysteresis * required_bps:
         state.active = PolicyKind.PREDICTION
     return state.active

@@ -139,19 +139,6 @@ def orthodromic_distance(a: Orientation, b: Orientation) -> float:
     return math.degrees(math.atan2(cross, dot))
 
 
-@dataclass(frozen=True)
-class VisibilityMap:
-    """Per-tile visibility scores for one pose; scores sum to 1."""
-
-    grid: TileGrid
-    scores: np.ndarray = field(repr=False)  # flat, length grid.tile_count
-
-    def visible_tiles(self) -> np.ndarray:
-        """Flat indices with nonzero score, ordered by descending score
-        (ties by flat index)."""
-        return rank_tiles(self.scores)
-
-
 def rank_tiles(scores: np.ndarray) -> np.ndarray:
     """Flat indices of the tiles with a positive score, by descending score
     (ties by flat index)."""

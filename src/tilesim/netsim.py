@@ -1,4 +1,4 @@
-"""Packet-trace network model (Mahimahi-style) and bandwidth estimation.
+"""Packet-trace network model (Mahimahi-style).
 
 A trace file holds one non-negative integer millisecond timestamp per line;
 each line is an opportunity to send one 1500-byte packet. Traces repeat
@@ -186,31 +186,3 @@ class Link:
         self._cursor = last + 1
         self.slots_consumed += packets
         return self._slot_time_ms(last) / 1000.0
-
-
-@dataclass(frozen=True)
-class BandwidthEstimate:
-    bits_per_second: float
-    measured_at: float  # completion time of the download it came from
-
-
-class LastSampleEstimator:
-    """Client-side estimate: throughput of the most recent origin download.
-
-    Stays at None (no estimate) until the first download with at least one
-    origin byte completes. Pluggable: anything with update()/current() works
-    in its place.
-    """
-
-    def __init__(self) -> None:
-        self._estimate: BandwidthEstimate | None = None
-
-    def update(self, bits: float, start_s: float, end_s: float) -> None:
-        if bits <= 0 or end_s <= start_s:
-            return
-        self._estimate = BandwidthEstimate(
-            bits_per_second=bits / (end_s - start_s), measured_at=end_s
-        )
-
-    def current(self) -> BandwidthEstimate | None:
-        return self._estimate

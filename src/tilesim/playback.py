@@ -26,9 +26,9 @@ from .adaptation import (
     transition_step,
 )
 from .cachesim import Cache, EvictionPolicy, warm
-from .geometry import FovSpec, ViewingTrace, VisibilityMap, tile_visibility
+from .geometry import FovSpec, ViewingTrace, rank_tiles, tile_visibility
 from .manifest import VideoManifest, naive_segment_bytes, segment_bits, segment_requests
-from .netsim import LastSampleEstimator, Link, NetworkTrace
+from .netsim import Link, NetworkTrace
 from .prediction import PredictorConfig, fit, nearest_sample, predict, select_window
 
 
@@ -78,20 +78,21 @@ class SessionMetrics:
         return float(np.mean([r.levels for r in self.records]))
 
 
-# Policies whose selections read the predicted viewport's visibility.
+# Policies whose selections read the predicted viewport's tile ranking.
 PLANNED_POLICIES = (PolicyKind.PREDICTION, PolicyKind.PREDICTION_BA, PolicyKind.TRANSITION)
 
 
 @dataclass(frozen=True)
 class PredictionPlan:
-    """One viewing trace's predictions, per segment: the visibility map of the
-    pose predicted for the segment, and the bit rate that `transition`
+    """One viewing trace's predictions, per segment: the visible tiles of the
+    pose predicted for the segment, by descending visibility (the `order`
+    the prediction selections take), and the bit rate that `transition`
     compares against its estimate (the unconstrained prediction selection's
     bits over the segment length). Neither depends on download timing, the
     estimate or the policy, so every session replaying the trace shares them.
     """
 
-    visibility: tuple[VisibilityMap, ...]  # views into one (segments, tiles) array
+    ranked: tuple[np.ndarray, ...]  # read-only, one per segment
     required_bps: tuple[float, ...]
 
 
@@ -114,7 +115,8 @@ def prediction_plan(cfg: SessionConfig) -> PredictionPlan:
     whatever the download timing, and its pose is predicted at k * s, the
     segment's playback position. If the window holds no sample (sparse
     traces), the nearest sample is used as a constant fallback. Every
-    segment's pose is scored in one tile_visibility call.
+    segment's pose is scored in one tile_visibility call, and each row is
+    ranked once.
     """
     _check_trace(cfg)
     m = cfg.manifest
@@ -131,21 +133,24 @@ def prediction_plan(cfg: SessionConfig) -> PredictionPlan:
             window = trace[k : k + 1]
         poses.append(predict(fit(window, now), target))
     scores = tile_visibility(tuple(poses), cfg.fov, m.grid, cfg.samples_per_axis)
-    scores.setflags(write=False)
-    visibility = tuple(VisibilityMap(m.grid, row) for row in scores)
+    ranked = tuple(rank_tiles(row) for row in scores)
+    for order in ranked:
+        order.setflags(write=False)
     required = tuple(
-        segment_bits(m, seg, select_prediction(m, seg, vis, None)) / s
-        for seg, vis in enumerate(visibility)
+        segment_bits(m, seg, select_prediction(m, seg, order, None)) / s
+        for seg, order in enumerate(ranked)
     )
-    return PredictionPlan(visibility, required)
+    return PredictionPlan(ranked, required)
 
 
 def simulate(cfg: SessionConfig, plan: PredictionPlan | None = None) -> SessionMetrics:
     """Run one streaming session; deterministic for identical configs.
 
-    Policies that read visibility take each segment's map, and `transition`
-    its required bit rate, from `plan`: prediction_plan(cfg), built here when
-    not given.
+    Policies that read visibility take each segment's tile ranking, and
+    `transition` its required bit rate, from `plan`: prediction_plan(cfg),
+    built here when not given. The bandwidth estimate is the throughput of
+    the last segment that fetched origin bytes: its origin bits over its
+    origin transfer time; None until the first.
     """
     m = cfg.manifest
     s = m.segment_length
@@ -156,7 +161,7 @@ def simulate(cfg: SessionConfig, plan: PredictionPlan | None = None) -> SessionM
         plan = None
     elif plan is None:
         plan = prediction_plan(cfg)
-    estimator = LastSampleEstimator()
+    estimate: float | None = None
     state = TransitionState(hysteresis=cfg.hysteresis)
     origin = Link(cfg.network_trace)
     records: list[SegmentRecord] = []
@@ -166,10 +171,7 @@ def simulate(cfg: SessionConfig, plan: PredictionPlan | None = None) -> SessionM
 
     for seg in range(m.segment_count):
         dl_start = 0.0 if seg == 0 else max(end_prev, sched_prev)
-        vis = plan.visibility[seg] if plan is not None else None
-
-        estimate = estimator.current()
-        budget = estimate.bits_per_second if estimate is not None else None
+        order = plan.ranked[seg] if plan is not None else None
         active = cfg.policy
         if cfg.policy is PolicyKind.TRANSITION:
             active = transition_step(state, estimate, plan.required_bps[seg])
@@ -177,11 +179,11 @@ def simulate(cfg: SessionConfig, plan: PredictionPlan | None = None) -> SessionM
         if active is PolicyKind.NAIVE:
             levels = select_naive(m, seg)
         elif active is PolicyKind.PREDICTION:
-            levels = select_prediction(m, seg, vis, budget)
+            levels = select_prediction(m, seg, order, estimate)
         elif active is PolicyKind.POPULARITY:
             levels = select_popularity(m, seg)
         elif active is PolicyKind.PREDICTION_BA:
-            levels = select_prediction_ba(m, seg, vis, budget)
+            levels = select_prediction_ba(m, seg, order, estimate)
         else:
             raise ValueError(f"unknown policy {active}")
 
@@ -196,8 +198,6 @@ def simulate(cfg: SessionConfig, plan: PredictionPlan | None = None) -> SessionM
         origin_end = origin.transfer_time(dl_start, origin_bytes)
         cache_end = dl_start + cache_bytes * 8.0 / cfg.cache_rate_bps
         dl_end = max(origin_end, cache_end)
-        if origin_bytes > 0:
-            estimator.update(origin_bytes * 8.0, dl_start, origin_end)
 
         if seg == 0:
             sched = dl_end  # playback starts when the first segment is ready
@@ -221,12 +221,12 @@ def simulate(cfg: SessionConfig, plan: PredictionPlan | None = None) -> SessionM
                 download_end=dl_end,
                 stall=stall,
                 mean_quality=float(np.mean(levels)),
-                estimate_bps=(
-                    float(estimate.bits_per_second) if estimate is not None else None
-                ),
+                estimate_bps=estimate,
             )
         )
         sched_prev, end_prev = sched, dl_end
+        if origin_bytes > 0 and origin_end > dl_start:
+            estimate = origin_bytes * 8.0 / (origin_end - dl_start)
 
     stats = cfg.cache.stats if cfg.cache is not None else None
     return SessionMetrics(

@@ -36,10 +36,10 @@ from tilesim.geometry import (
     Orientation,
     TileGrid,
     ViewingTrace,
-    VisibilityMap,
+    rank_tiles,
     tile_visibility,
 )
-from tilesim.netsim import LastSampleEstimator, Link, NetworkTrace, TraceError
+from tilesim.netsim import Link, NetworkTrace, TraceError
 from tilesim.playback import (
     ExperimentReport,
     SegmentRecord,
@@ -265,9 +265,10 @@ def visibility_oracle(
 
 def visibility_map(
     o: Orientation, fov: FovSpec, grid: TileGrid, samples_per_axis: int = 32
-) -> VisibilityMap:
-    """One pose's map from the batched kernel, as `simulate` builds it."""
-    return VisibilityMap(grid, tile_visibility((o,), fov, grid, samples_per_axis)[0])
+) -> np.ndarray:
+    """One pose's flat score row from the batched kernel, as
+    `prediction_plan` scores it."""
+    return tile_visibility((o,), fov, grid, samples_per_axis)[0]
 
 
 def scalar_tile_visibility(
@@ -479,8 +480,8 @@ def staircase_scenario(duration: float, base_bitrate_bps: float = 2e6):
         grid=TileGrid(4, 4),
         base_bitrate_bps=base_bitrate_bps,
     )
-    vis = visibility_map(Orientation(0.0, 0.0), FovSpec(), m.grid, 32)
-    stair = select_prediction(m, 0, vis, None)
+    scores = visibility_map(Orientation(0.0, 0.0), FovSpec(), m.grid, 32)
+    stair = select_prediction(m, 0, rank_tiles(scores), None)
     m.popularity = np.tile(stair, (m.segment_count, 1))
     gaze = constant_gaze(0.0, 0.0, duration + 1.0, hz=30.0)
     return m, gaze, stair, mf.segment_bits(m, 0, stair)
@@ -529,9 +530,9 @@ def tile_of_direction(o: Orientation, grid: TileGrid) -> tuple[int, int]:
     return i, j
 
 
-def score(vm: VisibilityMap, i: int, j: int) -> float:
-    """Visibility score of tile (i, j)."""
-    return float(vm.scores[flat_index(vm.grid, i, j)])
+def score(scores: np.ndarray, grid: TileGrid, i: int, j: int) -> float:
+    """Visibility score of tile (i, j) in a flat score row over `grid`."""
+    return float(scores[flat_index(grid, i, j)])
 
 
 def total_bytes(metrics) -> int:
@@ -810,11 +811,40 @@ def run_experiment_oracle(
     )
 
 
+@dataclass(frozen=True)
+class BandwidthEstimate:
+    bits_per_second: float
+    measured_at: float  # completion time of the download it came from
+
+
+class LastSampleEstimator:
+    """Client-side estimate: throughput of the most recent origin download.
+
+    Stays at None (no estimate) until the first download with at least one
+    origin byte completes. Pluggable: anything with update()/current() works
+    in its place.
+    """
+
+    def __init__(self) -> None:
+        self._estimate: BandwidthEstimate | None = None
+
+    def update(self, bits: float, start_s: float, end_s: float) -> None:
+        if bits <= 0 or end_s <= start_s:
+            return
+        self._estimate = BandwidthEstimate(
+            bits_per_second=bits / (end_s - start_s), measured_at=end_s
+        )
+
+    def current(self) -> BandwidthEstimate | None:
+        return self._estimate
+
+
 def simulate_oracle(cfg: SessionConfig) -> SessionMetrics:
     """`playback.simulate` before it read a prediction plan: every session,
     whatever its policy, selects, fits and scores each segment's window
     itself (predicted_map_oracle), one single-pose tile_visibility call per
-    segment."""
+    segment, ranks the tiles at every selection, and keeps its bandwidth
+    estimate in the LastSampleEstimator that `netsim` used to hold."""
     m = cfg.manifest
     s = m.segment_length
     if not cfg.viewing_trace:
@@ -837,24 +867,24 @@ def simulate_oracle(cfg: SessionConfig) -> SessionMetrics:
 
     for seg in range(m.segment_count):
         dl_start = 0.0 if seg == 0 else max(end_prev, sched_prev)
-        vis = predicted_map_oracle(cfg, seg)
+        scores = predicted_map_oracle(cfg, seg)
 
         estimate = estimator.current()
         budget = estimate.bits_per_second if estimate is not None else None
         active = cfg.policy
         if cfg.policy is PolicyKind.TRANSITION:
-            wanted = select_prediction(m, seg, vis, None)
+            wanted = select_prediction(m, seg, rank_tiles(scores), None)
             required = mf.segment_bits(m, seg, wanted) / s
-            active = transition_step(state, estimate, required)
+            active = transition_step(state, budget, required)
 
         if active is PolicyKind.NAIVE:
             levels = select_naive(m, seg)
         elif active is PolicyKind.PREDICTION:
-            levels = select_prediction(m, seg, vis, budget)
+            levels = select_prediction(m, seg, rank_tiles(scores), budget)
         elif active is PolicyKind.POPULARITY:
             levels = select_popularity(m, seg)
         elif active is PolicyKind.PREDICTION_BA:
-            levels = select_prediction_ba(m, seg, vis, budget)
+            levels = select_prediction_ba(m, seg, rank_tiles(scores), budget)
         else:
             raise ValueError(f"unknown policy {active}")
 
@@ -911,11 +941,11 @@ def simulate_oracle(cfg: SessionConfig) -> SessionMetrics:
     )
 
 
-def predicted_map_oracle(cfg: SessionConfig, seg: int) -> VisibilityMap:
-    """The map `simulate_oracle` scores for one segment: the window ending at
-    media time max(0, seg * s - interval) (or the sample nearest that time if
-    the window is empty), fitted and predicted at seg * s, one single-pose
-    tile_visibility call."""
+def predicted_map_oracle(cfg: SessionConfig, seg: int) -> np.ndarray:
+    """The score row `simulate_oracle` scores for one segment: the window
+    ending at media time max(0, seg * s - interval) (or the sample nearest
+    that time if the window is empty), fitted and predicted at seg * s, one
+    single-pose tile_visibility call."""
     m = cfg.manifest
     s = m.segment_length
     interval = cfg.predictor.interval if cfg.predictor.interval is not None else s
@@ -926,8 +956,7 @@ def predicted_map_oracle(cfg: SessionConfig, seg: int) -> VisibilityMap:
         k = nearest_sample(cfg.viewing_trace, now)
         window = cfg.viewing_trace[k : k + 1]
     predicted = predict(fit(window, now), target)
-    scores = tile_visibility((predicted,), cfg.fov, m.grid, cfg.samples_per_axis)
-    return VisibilityMap(m.grid, scores[0])
+    return tile_visibility((predicted,), cfg.fov, m.grid, cfg.samples_per_axis)[0]
 
 
 def segment_requests_oracle(manifest, segment: int, assignment):

@@ -14,7 +14,7 @@ from tilesim.cachesim import (
     viewing_assignments,
     warm,
 )
-from tilesim.geometry import FovSpec, Orientation, TileGrid
+from tilesim.geometry import FovSpec, Orientation, TileGrid, rank_tiles
 from tilesim.manifest import synthesize
 from tilesim.synthetic import constant_gaze, gaussian_gaze_population
 
@@ -164,25 +164,25 @@ class TestGdsf:
 
 class TestQualityBands:
     def test_three_levels_eight_tiles(self, grid44):
-        vm = visibility_map(Orientation(0.0, 0.0), FovSpec(100, 100), grid44, 32)
-        levels = quality_bands(vm.scores, quality_count=3)
+        scores = visibility_map(Orientation(0.0, 0.0), FovSpec(100, 100), grid44, 32)
+        levels = quality_bands(scores, quality_count=3)
         assert levels.shape == (16,)
-        visible = sorted(vm.visible_tiles().tolist())
+        visible = sorted(rank_tiles(scores).tolist())
         assert visible == [1, 2, 5, 6, 9, 10, 13, 14]
-        assert [levels[t] for t in vm.visible_tiles()] == [2, 2, 2, 2, 1, 1, 1, 1]
+        assert [levels[t] for t in rank_tiles(scores)] == [2, 2, 2, 2, 1, 1, 1, 1]
         hidden = [t for t in range(16) if t not in visible]
         assert all(levels[t] == 0 for t in hidden)
 
     def test_band_arithmetic(self, grid44):
-        vm = visibility_map(Orientation(0.0, 0.0), FovSpec(89, 89), grid44, 32)
-        assert len(vm.visible_tiles()) == 4
-        levels = quality_bands(vm.scores, quality_count=4)
+        scores = visibility_map(Orientation(0.0, 0.0), FovSpec(89, 89), grid44, 32)
+        assert len(rank_tiles(scores)) == 4
+        levels = quality_bands(scores, quality_count=4)
         # ranks 0..3 map to bands 0,0,1,2 under rank*(q-1)//count
-        assert sorted(levels[vm.visible_tiles()], reverse=True) == [3, 3, 2, 1]
+        assert sorted(levels[rank_tiles(scores)], reverse=True) == [3, 3, 2, 1]
 
     def test_single_quality_video(self, grid44):
-        vm = visibility_map(Orientation(0.0, 0.0), FovSpec(100, 100), grid44, 16)
-        assert (quality_bands(vm.scores, quality_count=1) == 0).all()
+        scores = visibility_map(Orientation(0.0, 0.0), FovSpec(100, 100), grid44, 16)
+        assert (quality_bands(scores, quality_count=1) == 0).all()
 
 
 class TestViewingAssignments:
@@ -190,8 +190,8 @@ class TestViewingAssignments:
         trace = constant_gaze(0.0, 0.0, duration=41.0, hz=10.0)
         rows = viewing_assignments(flat_manifest, trace, FovSpec(100, 100), 16)
         assert rows.shape == (27, 16)
-        vm = visibility_map(Orientation(0.0, 0.0), FovSpec(100, 100), flat_manifest.grid, 16)
-        expected = quality_bands(vm.scores, 3)
+        scores = visibility_map(Orientation(0.0, 0.0), FovSpec(100, 100), flat_manifest.grid, 16)
+        expected = quality_bands(scores, 3)
         np.testing.assert_array_equal(rows, np.tile(expected, (27, 1)))
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from helpers import first_slot_after_oracle
 from tilesim.netsim import (
     PACKET_BYTES,
-    LastSampleEstimator,
     Link,
     NetworkTrace,
     TraceError,
@@ -267,31 +266,3 @@ def slot_queries(draw):
 def test_first_slot_after_matches_bisect_on_the_float(query):
     trace, t_ms = query
     assert Link(trace)._first_slot_after(t_ms) == first_slot_after_oracle(trace, t_ms)
-
-
-class TestEstimator:
-    def test_none_before_first_download(self):
-        est = LastSampleEstimator()
-        assert est.current() is None
-
-    def test_simple_rate(self):
-        est = LastSampleEstimator()
-        est.update(1e7, 1.0, 3.0)
-        cur = est.current()
-        assert cur.bits_per_second == 5e6
-        assert cur.measured_at == 3.0
-
-    def test_last_sample_wins(self):
-        est = LastSampleEstimator()
-        est.update(1e7, 0.0, 2.0)
-        est.update(2e6, 2.0, 4.0)
-        assert est.current().bits_per_second == 1e6
-
-    def test_degenerate_updates_ignored(self):
-        est = LastSampleEstimator()
-        est.update(0.0, 0.0, 1.0)
-        assert est.current() is None
-        est.update(1e6, 5.0, 5.0)
-        assert est.current() is None
-        est.update(1e6, 5.0, 4.0)
-        assert est.current() is None

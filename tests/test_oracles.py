@@ -47,7 +47,6 @@ from tilesim.geometry import (
     Orientation,
     TileGrid,
     ViewingTrace,
-    VisibilityMap,
     normalize_yaw,
     rank_tiles,
     tile_visibility,
@@ -127,8 +126,6 @@ def test_rank_tiles_and_visible_tiles_match_python_sort(data):
     ranked = rank_tiles(scores)
     assert ranked.dtype == expected.dtype
     np.testing.assert_array_equal(ranked, expected)
-    grid = TileGrid(scores.size, 1)
-    np.testing.assert_array_equal(VisibilityMap(grid, scores).visible_tiles(), expected)
 
 
 @given(data=st.data(), quality_count=st.integers(1, 5))
@@ -146,9 +143,8 @@ def test_select_prediction_matches_scalar_walk(m, data):
     segment = data.draw(st.integers(0, m.segment_count - 1))
     scores = tie_scores(data.draw, m.grid.tile_count)
     budget = budgets(data.draw, m, segment, scores)
-    vis = VisibilityMap(m.grid, scores)
     np.testing.assert_array_equal(
-        select_prediction(m, segment, vis, budget),
+        select_prediction(m, segment, rank_tiles(scores), budget),
         select_prediction_oracle(m, segment, scores, budget),
     )
 
@@ -463,9 +459,11 @@ def test_simulate_matches_a_session_that_predicts_its_own_poses(m, data):
 
     cfg = SessionConfig(**kwargs)
     plan = prediction_plan(cfg)
-    for seg, vis in enumerate(plan.visibility):
-        expected = predicted_map_oracle(cfg, seg)
-        assert vis.scores.tobytes() == expected.scores.tobytes()
+    assert len(plan.ranked) == len(plan.required_bps) == m.segment_count
+    for seg, order in enumerate(plan.ranked):
+        expected = rank_tiles(predicted_map_oracle(cfg, seg))
+        np.testing.assert_array_equal(order, expected)
+        assert order.dtype == expected.dtype and not order.flags.writeable
         wanted = select_prediction(m, seg, expected, None)
         assert plan.required_bps[seg] == segment_bits(m, seg, wanted) / m.segment_length
     new = simulate(SessionConfig(cache=cache(), **kwargs))

@@ -15,7 +15,7 @@ from tilesim.adaptation import PolicyKind
 from tilesim.cachesim import Cache, EvictionPolicy, warm
 from tilesim.geometry import FovSpec, TileGrid
 from tilesim.manifest import VideoManifest, segment_requests, synthesize
-from tilesim.netsim import scale
+from tilesim.netsim import Link, scale
 from tilesim.playback import (
     ESTIMATE_COLUMNS,
     SEGMENT_COLUMNS,
@@ -269,6 +269,55 @@ class TestCacheInteraction:
             assert r.bytes_from_cache / r.bytes_total >= warmed_bhr - 1e-12
         first = pop_records[0]
         assert first.bytes_from_cache / first.bytes_total == pytest.approx(warmed_bhr)
+
+
+class TestBandwidthEstimate:
+    """The estimate a segment is chosen with is the throughput of the last
+    segment that fetched origin bytes, over the origin link alone."""
+
+    def test_first_segment_has_no_estimate(self):
+        m = single_tile_manifest()
+        # 6 Mbit/s: segment 0's 1000 packets take exactly 2 s
+        cfg = stationary_session(m, PolicyKind.NAIVE, constant_rate_network(6e6, 1.0))
+        got = simulate(cfg)
+        assert got.records[0].estimate_bps is None
+        assert got.records[1].estimate_bps == 6e6
+
+    def test_cache_only_segment_leaves_the_estimate_in_force(self):
+        m = single_tile_manifest()
+        cache = Cache(10**9, EvictionPolicy.LRU)
+        for key, size in segment_requests(m, 1, np.zeros(1, dtype=int)):
+            cache.request(key, size)
+        cache.reset_stats()
+        cfg = stationary_session(
+            m, PolicyKind.NAIVE, constant_rate_network(6e6, 1.0), cache=cache
+        )
+        got = simulate(cfg)
+        assert [r.bytes_from_origin > 0 for r in got.records] == [True, False, True]
+        assert [r.estimate_bps for r in got.records] == [None, 6e6, 6e6]
+
+    def test_estimate_is_origin_bits_over_origin_transfer_time(self, flat_manifest):
+        m = copy.deepcopy(flat_manifest)
+        m.popularity = np.zeros((27, 16), dtype=np.int64)
+        cache = Cache(10**14, EvictionPolicy.LRU)
+        for seg in range(m.segment_count):
+            for key, size in segment_requests(m, seg, m.popularity[seg])[:8]:
+                cache.request(key, size)
+        cache.reset_stats()
+        # half of each segment over a 5 Mbit/s cache link: 3 s, against
+        # 0.5 s for the other half from a 30 Mbit/s origin
+        net = constant_rate_network(30e6, 5.0)
+        cfg = stationary_session(
+            m, PolicyKind.POPULARITY, net, cache=cache, cache_rate_bps=5e6
+        )
+        got = simulate(cfg)
+        origin = Link(net)
+        expected = None
+        for r in got.records:
+            assert r.estimate_bps == expected
+            origin_end = origin.transfer_time(r.download_start, r.bytes_from_origin)
+            assert origin_end < r.download_end
+            expected = r.bytes_from_origin * 8.0 / (origin_end - r.download_start)
 
 
 class TestDeterminism:
