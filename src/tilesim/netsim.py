@@ -10,10 +10,11 @@ timestamp in the file.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .traceio import read_table
 
 PACKET_BYTES = 1500
 
@@ -54,42 +55,20 @@ class NetworkTrace:
 def load_trace(path: str) -> NetworkTrace:
     """Parse a trace file; errors name the offending 1-based line.
 
-    A file of plain lines is parsed with one numpy call; any other file goes
-    through the line scanner, which accepts what int() accepts and names the
-    first bad line.
+    numpy reads an ASCII file in one call when every line is empty or one
+    integer, the first is non-negative and none decreases; any other file
+    goes through the line scanner, which accepts what int() accepts and names
+    the first bad line. (The scanner strips each line before int(), so
+    numpy's padding reads alike.)
     """
-    with open(path, "rb") as f:
-        stamps = _parse_plain(f.read())
-    if stamps is None:
+    table = read_table(path, np.int64)
+    stamps = table[:, 0] if table is not None and table.shape[1] == 1 else None
+    if stamps is None or stamps[0] < 0 or (stamps[1:] < stamps[:-1]).any():
         stamps = _scan_lines(path)
     try:
         return NetworkTrace(timestamps_ms=stamps)
     except TraceError as e:
         raise TraceError(f"{path}: {e}") from None
-
-
-def _parse_plain(data: bytes) -> np.ndarray | None:
-    """The stamps in `data`, or None unless every line is one plain
-    non-negative integer and they never decrease. Whitespace other than the
-    line breaks sends a file to the scanner: np.fromstring would split
-    `7 8` into two values and skip a line of spaces."""
-    if not data.isascii() or b"\n\n" in data or data.startswith(b"\n"):
-        return None
-    if any(c in data for c in (b" ", b"\t", b"\r", b"\v", b"\f")):
-        return None
-    lines = data.count(b"\n") + (not data.endswith(b"\n"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            stamps = np.fromstring(data, dtype=np.int64, sep="\n")
-        except (ValueError, DeprecationWarning):
-            return None
-    # strtoll clamps an out-of-range value to the int64 limit.
-    if stamps.size != lines or stamps[0] < 0 or stamps[-1] == np.iinfo(np.int64).max:
-        return None
-    if (stamps[1:] < stamps[:-1]).any():
-        return None
-    return stamps
 
 
 def _scan_lines(path: str) -> np.ndarray:

@@ -111,10 +111,10 @@ def prediction_plan(cfg: SessionConfig) -> PredictionPlan:
     """The plan of cfg's viewing trace under its manifest, FoV, predictor and
     samples_per_axis.
 
-    Segment k's regression window ends at media time max(0, k * s - interval),
-    whatever the download timing, and its pose is predicted at k * s, the
-    segment's playback position. If the window holds no sample (sparse
-    traces), the nearest sample is used as a constant fallback. Every
+    Segment k's regression window ends at media time max(0, k * s - s), one
+    segment length before its playback position k * s, whatever the download
+    timing, and its pose is predicted at k * s. If the window holds no sample
+    (sparse traces), the nearest sample is used as a constant fallback. Every
     segment's pose is scored in one tile_visibility call, and each row is
     ranked once.
     """
@@ -122,11 +122,10 @@ def prediction_plan(cfg: SessionConfig) -> PredictionPlan:
     m = cfg.manifest
     s = m.segment_length
     trace = cfg.viewing_trace
-    interval = cfg.predictor.interval if cfg.predictor.interval is not None else s
     poses = []
     for seg in range(m.segment_count):
         target = seg * s
-        now = max(0.0, target - interval)
+        now = max(0.0, target - s)
         window = select_window(trace, now, cfg.predictor.timeframe)
         if not window:
             k = nearest_sample(trace, now)

@@ -17,20 +17,15 @@ from .geometry import Orientation, ViewingTrace, orthodromic_distance
 
 @dataclass(frozen=True)
 class PredictorConfig:
-    """Regression window length and look-ahead, both in seconds.
-
-    interval=None defers to the caller (the playback loop uses the segment
-    length, so each fetched segment is predicted at its own playback start).
-    """
+    """Regression window length in seconds. The look-ahead is the caller's:
+    the playback loop predicts each segment one segment length ahead, at its
+    playback start."""
 
     timeframe: float = 0.1
-    interval: float | None = None
 
     def __post_init__(self) -> None:
         if self.timeframe <= 0.0:
             raise ValueError("timeframe must be positive")
-        if self.interval is not None and self.interval < 0.0:
-            raise ValueError("interval must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Viewing-trace file IO.
+"""Viewing-trace file IO, and the table reader packet traces share.
 
 Native format: CSV with header ``t_seconds,yaw_deg,pitch_deg,roll_deg``,
 rows sorted by strictly increasing time. Quaternion logs (Corbillon-style
@@ -70,69 +70,66 @@ def _parse_floats(path: str, lineno: int, row: list[str]) -> list[float]:
     return values
 
 
-def load_viewing_trace(path: str) -> ViewingTrace:
-    """Read one viewing trace, auto-detecting Euler vs quaternion columns.
-
-    A file of plain rows is parsed with one numpy call; any other file goes
-    through the row scanner, which reads what the csv module reads and names
-    the first bad line.
-    """
-    with open(path, "rb") as f:
-        trace = _parse_plain(f.read())
-    return trace if trace is not None else _scan_rows(path)
-
-
-def _parse_plain(data: bytes) -> ViewingTrace | None:
-    """The trace in `data`, or None unless every row is plain: ASCII with no
-    quote or NUL, CR only before LF, a header only as the first line, no
-    blank line, one column count, no whitespace in a sample row, finite
-    values and increasing times. On such files csv's rows are the lines split
-    at commas, so the scanner would return the same trace. (np.fromstring
-    reads a blank cell as -1, hence no whitespace.)"""
-    if not data.isascii() or b'"' in data or b"\0" in data:
-        return None
-    if data.count(b"\r") != data.count(b"\r\n"):
-        return None
-    data = data.replace(b"\r\n", b"\n")
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    end = data.index(b"\n")
-    fields = data[:end].decode().split(",")
-    if not any(x.strip() for x in fields):
-        return None
-    try:
-        float(fields[0])
-        body = data
-    except ValueError:
-        body = data[end + 1 :]
-    if any(c in body for c in (b" ", b"\t", b"\v", b"\f")):
-        return None
-    width = body[: body.find(b"\n")].count(b",") + 1
-    if not body or width not in (4, 5):
-        return None
-    # The separators, in order, must be width - 1 commas and a newline per row.
-    raw = np.frombuffer(body, dtype=np.uint8)
-    seps = raw[(raw == ord(",")) | (raw == ord("\n"))]
-    rows = seps.size // width
-    pattern = np.frombuffer(b"," * (width - 1) + b"\n", dtype=np.uint8)
-    if seps.size != rows * width or (seps.reshape(rows, width) != pattern).any():
-        return None
+def read_table(path: str, dtype: type, skiprows: int = 0) -> np.ndarray | None:
+    """The comma-separated cells of an ASCII file as a 2-D array, one row per
+    line after the first `skiprows`, or None if numpy's reader rejects the
+    file: a cell that is not one plain number, a change in column count,
+    non-ASCII bytes or no rows. Empty lines are skipped. Quotes and `#` are
+    ordinary characters, so a cell holding one is rejected."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            values = np.fromstring(body.replace(b"\n", b","), dtype=np.float64, sep=",")
-        except (ValueError, DeprecationWarning):
+            return np.loadtxt(
+                path, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+                encoding="ascii", skiprows=skiprows, ndmin=2,
+            )
+        except (ValueError, Warning):
             return None
-    if values.size != rows * width or not np.isfinite(values).all():
+
+
+def load_viewing_trace(path: str) -> ViewingTrace:
+    """Read one viewing trace, auto-detecting Euler vs quaternion columns.
+
+    numpy reads an ASCII file in one call when its first line is not blank
+    and holds no quote, no byte is in 0x1c-0x1f, every row is 4 or 5 numbers
+    wide, every value is finite and the times increase. As in the scanner, a
+    first line whose first cell float() rejects is a header. Any other file
+    goes through the row scanner, which reads what the csv module reads and
+    names the first bad line.
+    """
+    trace = _read_plain(path)
+    return trace if trace is not None else _scan_rows(path)
+
+
+def _read_plain(path: str) -> ViewingTrace | None:
+    try:
+        with open(path, encoding="ascii") as f:
+            text = f.read()
+    except UnicodeDecodeError:
         return None
-    columns = values.reshape(rows, width).T.copy()
+    first = text.partition("\n")[0]
+    # csv unquotes a quoted first line and skips a blank one.
+    if '"' in first or not first.replace(",", "").strip():
+        return None
+    # numpy reads the separators 0x1c-0x1f as whitespace; float() does not.
+    if any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        float(first.split(",")[0])
+        header = 0
+    except ValueError:
+        header = 1
+    table = read_table(path, np.float64, skiprows=header)
+    if table is None or table.shape[1] not in (4, 5) or not np.isfinite(table).all():
+        return None
+    columns = table.T.copy()
     t = columns[0]
     if not (t[1:] > t[:-1]).all():
         return None
-    if width == 4:
+    if len(columns) == 4:
         return ViewingTrace.from_angles(*columns)
     try:
-        return _packed(t, [quaternion_to_orientation(*q) for q in columns[1:].T.tolist()])
+        return _packed(t, [quaternion_to_orientation(*q) for q in table[:, 1:].tolist()])
     except ValueError:
         return None
 

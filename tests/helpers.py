@@ -943,14 +943,13 @@ def simulate_oracle(cfg: SessionConfig) -> SessionMetrics:
 
 def predicted_map_oracle(cfg: SessionConfig, seg: int) -> np.ndarray:
     """The score row `simulate_oracle` scores for one segment: the window
-    ending at media time max(0, seg * s - interval) (or the sample nearest
+    ending at media time max(0, seg * s - s) (or the sample nearest
     that time if the window is empty), fitted and predicted at seg * s, one
     single-pose tile_visibility call."""
     m = cfg.manifest
     s = m.segment_length
-    interval = cfg.predictor.interval if cfg.predictor.interval is not None else s
     target = seg * s
-    now = max(0.0, target - interval)
+    now = max(0.0, target - s)
     window = select_window(cfg.viewing_trace, now, cfg.predictor.timeframe)
     if not window:
         k = nearest_sample(cfg.viewing_trace, now)

@@ -438,10 +438,7 @@ def test_simulate_matches_a_session_that_predicts_its_own_poses(m, data):
         policy=data.draw(st.sampled_from(list(PolicyKind))),
         cache_rate_bps=data.draw(st.sampled_from([1e6, 100e6])),
         fov=FovSpec(*data.draw(st.sampled_from([(100.0, 100.0), (60.0, 40.0)]))),
-        predictor=PredictorConfig(
-            timeframe=data.draw(st.sampled_from([0.1, 0.5, 1.0])),
-            interval=data.draw(st.sampled_from([None, 0.0, 0.7, 3.0])),
-        ),
+        predictor=PredictorConfig(timeframe=data.draw(st.sampled_from([0.1, 0.5, 1.0]))),
         samples_per_axis=data.draw(st.integers(1, 6)),
         hysteresis=data.draw(st.sampled_from([1.0, 1.2, 2.0])),
     )
@@ -550,6 +547,11 @@ def packet_files(draw) -> bytes:
 @example(data=b"7\n \n8 9\n")
 @example(data=b"9223372036854775808\n")
 @example(data=b"0\n0\n")
+@example(data=b"9223372036854775807\n")
+@example(data=b"1\n \t\n2\n")
+@example(data=b"1_000\n2000\n")
+@example(data=b"7,8\n")
+@example(data=b"\x1c5\x1f\n6\n")
 def test_load_trace_matches_the_line_scanner(trace_dir, data):
     path = trace_dir / "trace.pps"
     path.write_bytes(data)
@@ -571,7 +573,7 @@ angles = st.floats(-1e3, 1e3) | st.sampled_from(EDGE_ANGLES)
 CELL_FORMATS = [repr, "{:.3f}".format, "{:e}".format, "{:+.17g}".format, " {} ".format]
 CELL_JUNK = st.sampled_from([
     "", " ", "nan", "-nan", "inf", "-inf", "Infinity", "1e400", "1_000", "x", '"1.0"',
-    "0x10", "1 2", "1d5", "nan(1)", "\u0663", "\x00", "1\r2",
+    "0x10", "1 2", "1d5", "nan(1)", "\u0663", "\x00", "1\r2", "\x1c1", "1\x1f",
 ])
 
 
@@ -620,6 +622,13 @@ def viewing_files(draw) -> bytes:
 @example(data=b"0.0,nan,0,0\n")
 @example(data=b"0.0,1,2,3\n\n\n0.5,x,2,3\n")
 @example(data=b"\r\nt,yaw,pitch,roll\r\n,,,\r\n0.0,1,2,3\r\n 0.0,1,2,3\r\n")
+@example(data=b"\xef\xbb\xbft_seconds,yaw_deg,pitch_deg,roll_deg\n0.0,1,2,3\n")
+@example(data=b'"1",a,b,c\n0.0,1,2,3\n0.5,1,2,3\n')
+@example(data=b"\nt,yaw,pitch,roll\n0.0,1,2,3\n")
+@example(data=b"0.0,1,2,3\n \t \n0.5,1,2,3\n")
+@example(data=b"0.0,1_000,2,3\n")
+@example(data=b",,,\nt,yaw,pitch,roll\n0.0,1,2,3\n")
+@example(data=b"0.0,\x1c1,2,3\n0.5,1,2\x1f,3\n")
 def test_load_viewing_trace_matches_the_row_scanner(trace_dir, data):
     path = trace_dir / "trace.csv"
     path.write_bytes(data)

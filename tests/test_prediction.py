@@ -24,13 +24,10 @@ class TestConfig:
     def test_defaults(self):
         cfg = PredictorConfig()
         assert cfg.timeframe == 0.1
-        assert cfg.interval is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PredictorConfig(timeframe=0.0)
-        with pytest.raises(ValueError):
-            PredictorConfig(interval=-0.5)
 
 
 class TestSelectWindow:

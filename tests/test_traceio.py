@@ -1,11 +1,13 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from helpers import trace_of
+from tilesim import netsim, traceio
 from tilesim.geometry import Orientation
-from tilesim.synthetic import sinusoid_gaze
+from tilesim.synthetic import constant_rate_network, sinusoid_gaze
 from tilesim.traceio import (
     ViewingTraceError,
     load_trace_dir,
@@ -192,6 +194,50 @@ class TestEulerFiles:
         path.write_text("0.0,1,2,0\n0.5,1,2\n")
         with pytest.raises(ViewingTraceError, match="columns"):
             load_viewing_trace(str(path))
+
+
+class TestNumpyReadsPlainFiles:
+    """Files that numpy reads in one call never reach the scanners."""
+
+    @pytest.fixture(autouse=True)
+    def no_scanners(self, monkeypatch):
+        def scanner(path):
+            raise AssertionError(f"{path} went to the scanner")
+
+        monkeypatch.setattr(traceio, "_scan_rows", scanner)
+        monkeypatch.setattr(netsim, "_scan_lines", scanner)
+
+    def test_written_files(self, tmp_path):
+        gaze = sinusoid_gaze(amplitude=40.0, period=7.0, duration=2.0, hz=30.0)
+        save_viewing_trace(gaze, str(tmp_path / "t.csv"))
+        got = load_viewing_trace(str(tmp_path / "t.csv"))
+        for column in ("t", "yaw", "pitch", "roll"):
+            assert getattr(got, column).tobytes() == getattr(gaze, column).tobytes()
+        link = constant_rate_network(3e6, 2.0)
+        netsim.save_trace(link, str(tmp_path / "t.pps"))
+        got = netsim.load_trace(str(tmp_path / "t.pps")).timestamps_ms
+        assert got.tobytes() == link.timestamps_ms.tobytes()
+
+    @pytest.mark.parametrize("data", [
+        b"0.0,10,5,0\n0.5,12,6,0\n",
+        b"t,qw,qx,qy,qz\n0.0,1,0,0,0\n0.5,1,0,0,0\n",
+        b"t,yaw,pitch,roll\r\n0.0,10,5,0\r\n0.5,12,6,0\r\n",
+        b"t,yaw,pitch,roll\n0.0,10,5,0\n0.5,12,6,0",
+        b"t,yaw,pitch,roll\n 0.0 , 10,5 ,0\n\t0.5,  12,6,0\t\n",
+    ], ids=["headerless", "quaternion", "crlf", "no-final-newline", "padded"])
+    def test_viewing_files(self, tmp_path, data):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        got = load_viewing_trace(str(path))
+        assert got.t.tolist() == [0.0, 0.5]
+        assert got.pitch.tolist() == ([0.0, 0.0] if b"qw" in data else [5.0, 6.0])
+
+    @pytest.mark.parametrize("data", [b"1\r\n2\r\n", b"1\n2", b" 1 \n\t2\n"],
+                             ids=["crlf", "no-final-newline", "padded"])
+    def test_packet_files(self, tmp_path, data):
+        path = tmp_path / "t.pps"
+        path.write_bytes(data)
+        np.testing.assert_array_equal(netsim.load_trace(str(path)).timestamps_ms, [1, 2])
 
 
 class TestTraceDir:
