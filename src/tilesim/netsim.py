@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .traceio import read_table
+from .traceio import read_table, write_table
 
 PACKET_BYTES = 1500
 
@@ -98,9 +98,8 @@ def _scan_lines(path: str) -> np.ndarray:
 
 
 def save_trace(trace: NetworkTrace, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for t in trace.timestamps_ms.tolist():
-            f.write(f"{t}\n")
+    """Write one decimal millisecond stamp per line, each line ending in LF."""
+    write_table(path, "%d\n", (trace.timestamps_ms,))
 
 
 def scale(trace: NetworkTrace, factor: float) -> NetworkTrace:
@@ -136,17 +135,15 @@ class Link:
 
     def _first_slot_after(self, t_ms: float) -> int:
         """Smallest absolute slot index whose time is strictly past t_ms."""
+        # The stamps are integers, so "time <= t_ms" is "time <= floor(t_ms)";
+        # integer arithmetic on that floor is exact for every finite float.
+        floor = math.floor(t_ms)
+        if floor < 0:
+            return 0
         ts = self.trace.timestamps_ms
-        duration = self.trace.duration_ms
-        cycle = max(0, int(t_ms // duration))
-        within = t_ms - cycle * duration
-        # The stamps are integers, so "stamps <= x" is "stamps <= floor(x)";
-        # an integer key keeps numpy from casting the whole array to float.
-        idx = int(ts.searchsorted(math.floor(within), side="right"))
-        if idx == ts.size:  # within == duration exactly; roll to next cycle
-            cycle += 1
-            idx = int(ts.searchsorted(math.floor(t_ms - cycle * duration), side="right"))
-        return cycle * ts.size + idx
+        cycle, within = divmod(floor, self.trace.duration_ms)
+        # within < duration, the last stamp, so the slot is in this cycle.
+        return cycle * ts.size + int(ts.searchsorted(within, side="right"))
 
     def transfer_time(self, start_s: float, nbytes: int) -> float:
         """Completion time (seconds) of sending nbytes starting after start_s.

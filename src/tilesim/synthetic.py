@@ -14,18 +14,27 @@ from .geometry import ViewingTrace
 from .netsim import NetworkTrace
 
 
-def _sampled(hz: float, steps: int, yaw: list[float], pitch: list[float]) -> ViewingTrace:
-    """Samples at t = k / hz, k < steps, roll 0."""
-    t = [k / hz for k in range(steps)]
-    return ViewingTrace.from_angles(t, yaw, pitch, np.zeros(steps))
+def _steps(duration: float, hz: float) -> np.ndarray:
+    """Sample indices k = 0 .. int(duration * hz); sample k is at k / hz."""
+    return np.arange(int(duration * hz) + 1)
+
+
+def _sampled(t: np.ndarray, yaw, pitch) -> ViewingTrace:
+    """Samples at times t, roll 0."""
+    return ViewingTrace.from_angles(t, yaw, pitch, np.zeros(t.size))
+
+
+def _sin(arg: np.ndarray) -> np.ndarray:
+    """math.sin of each element (np.sin is not bit-equal to it on every host)."""
+    return np.fromiter(map(math.sin, arg.tolist()), dtype=np.float64, count=arg.size)
 
 
 def constant_gaze(
     yaw: float, pitch: float, duration: float, hz: float = 90.0
 ) -> ViewingTrace:
     """A viewer staring at one point."""
-    steps = int(duration * hz) + 1
-    return _sampled(hz, steps, [yaw] * steps, [pitch] * steps)
+    t = _steps(duration, hz) / hz
+    return _sampled(t, np.full(t.size, yaw), np.full(t.size, pitch))
 
 
 def linear_gaze(
@@ -37,13 +46,8 @@ def linear_gaze(
     pitch_rate: float = 0.0,
 ) -> ViewingTrace:
     """Constant-velocity pan; exactly reproducible by a linear predictor."""
-    steps = int(duration * hz) + 1
-    return _sampled(
-        hz,
-        steps,
-        [yaw0 + yaw_rate * k / hz for k in range(steps)],
-        [pitch0 + pitch_rate * k / hz for k in range(steps)],
-    )
+    k = _steps(duration, hz)
+    return _sampled(k / hz, yaw0 + yaw_rate * k / hz, pitch0 + pitch_rate * k / hz)
 
 
 def sinusoid_gaze(
@@ -56,16 +60,9 @@ def sinusoid_gaze(
     pitch: float = 0.0,
 ) -> ViewingTrace:
     """Yaw oscillating sinusoidally; increasingly hard to extrapolate."""
-    steps = int(duration * hz) + 1
-    return _sampled(
-        hz,
-        steps,
-        [
-            center_yaw + amplitude * math.sin(2.0 * math.pi * (k / hz) / period + phase)
-            for k in range(steps)
-        ],
-        [pitch] * steps,
-    )
+    t = _steps(duration, hz) / hz
+    yaw = center_yaw + amplitude * _sin(2.0 * math.pi * t / period + phase)
+    return _sampled(t, yaw, np.full(t.size, pitch))
 
 
 def gaussian_gaze_population(
@@ -101,32 +98,29 @@ def drifting_gaze(
     period = float(rng.uniform(6.0, 12.0))
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
     pitch_amp = float(rng.uniform(0.0, 15.0))
-    steps = int(duration * hz) + 1
+    t = _steps(duration, hz) / hz
     return _sampled(
-        hz,
-        steps,
-        [
-            center_yaw + amplitude * math.sin(2.0 * math.pi * (k / hz) / period + phase)
-            for k in range(steps)
-        ],
-        [pitch_amp * math.sin(2.0 * math.pi * (k / hz) / (period * 1.7)) for k in range(steps)],
+        t,
+        center_yaw + amplitude * _sin(2.0 * math.pi * t / period + phase),
+        pitch_amp * _sin(2.0 * math.pi * t / (period * 1.7)),
     )
 
 
-def packet_slots(rate: float, t0: float, t1: float) -> list[int]:
-    """Millisecond stamps of 1500-byte packet slots spread evenly over
-    (t0, t1] seconds at `rate` bit/s; at least one slot if t1 > t0."""
+def packet_slots(rate: float, t0: float, t1: float) -> np.ndarray:
+    """Millisecond stamps, as an int64 array, of 1500-byte packet slots
+    spread evenly over (t0, t1] seconds at `rate` bit/s; at least one slot if
+    t1 > t0, none otherwise. Stamp k is t0 * 1000 + k * gap rounded half to
+    even, k = 1 .. packets."""
     if t1 <= t0:
-        return []
+        return np.empty(0, dtype=np.int64)
     packets = max(1, int(round(rate * (t1 - t0) / 8.0 / 1500.0)))
     gap_ms = (t1 - t0) * 1000.0 / packets
-    return [int(round(t0 * 1000.0 + (k + 1) * gap_ms)) for k in range(packets)]
+    return np.rint(t0 * 1000.0 + np.arange(1, packets + 1) * gap_ms).astype(np.int64)
 
 
 def constant_rate_network(bits_per_second: float, duration_s: float) -> NetworkTrace:
     """Evenly spaced packet slots approximating a constant-rate link."""
-    stamps = packet_slots(bits_per_second, 0.0, duration_s)
-    return NetworkTrace(timestamps_ms=np.array(stamps, dtype=np.int64))
+    return NetworkTrace(timestamps_ms=packet_slots(bits_per_second, 0.0, duration_s))
 
 
 def two_phase_network(
@@ -139,8 +133,10 @@ def two_phase_network(
     """Ample until cut_s, starved after; optionally ample again from
     recover_s. Used to provoke adaptation-mechanism transitions."""
     end_starved = recover_s if recover_s is not None else duration_s
-    stamps = packet_slots(ample_bps, 0.0, cut_s)
-    stamps += packet_slots(starved_bps, cut_s, end_starved)
+    phases = [
+        packet_slots(ample_bps, 0.0, cut_s),
+        packet_slots(starved_bps, cut_s, end_starved),
+    ]
     if recover_s is not None:
-        stamps += packet_slots(ample_bps, recover_s, duration_s)
-    return NetworkTrace(timestamps_ms=np.array(stamps, dtype=np.int64))
+        phases.append(packet_slots(ample_bps, recover_s, duration_s))
+    return NetworkTrace(timestamps_ms=np.concatenate(phases))

@@ -1,4 +1,4 @@
-"""Viewing-trace file IO, and the table reader packet traces share.
+"""Viewing-trace file IO, and the table reader and writer packet traces share.
 
 Native format: CSV with header ``t_seconds,yaw_deg,pitch_deg,roll_deg``,
 rows sorted by strictly increasing time. Quaternion logs (Corbillon-style
@@ -22,7 +22,8 @@ import numpy as np
 
 from .geometry import Orientation, ViewingTrace
 
-_EULER_HEADER = ["t_seconds", "yaw_deg", "pitch_deg", "roll_deg"]
+_EULER_HEADER = "t_seconds,yaw_deg,pitch_deg,roll_deg\r\n"
+WRITE_CHUNK_CELLS = 4096
 
 
 class ViewingTraceError(ValueError):
@@ -85,6 +86,19 @@ def read_table(path: str, dtype: type, skiprows: int = 0) -> np.ndarray | None:
             )
         except (ValueError, Warning):
             return None
+
+
+def write_table(path: str, row_format: str, columns, header: str = "") -> None:
+    """Write equal-length 1-D arrays of one dtype to `path` as text: `header`,
+    then `row_format % row` for each row of the columns' values as Python
+    numbers. Rows go out about WRITE_CHUNK_CELLS values at a time, so no more
+    than one chunk is ever held as Python objects or text."""
+    rows = WRITE_CHUNK_CELLS // len(columns)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(header)
+        for start in range(0, len(columns[0]), rows):
+            chunk = np.column_stack([c[start:start + rows] for c in columns])
+            f.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def load_viewing_trace(path: str) -> ViewingTrace:
@@ -200,12 +214,11 @@ def _scan_rows(path: str) -> ViewingTrace:
 
 
 def save_viewing_trace(trace: ViewingTrace, path: str) -> None:
-    """Write the native Euler CSV format."""
-    columns = (trace.t.tolist(), trace.yaw.tolist(), trace.pitch.tolist(), trace.roll.tolist())
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(_EULER_HEADER)
-        writer.writerows([repr(v) for v in row] for row in zip(*columns))
+    """Write the native Euler CSV format: each value as its float repr, CRLF
+    line ends (what csv.writer writes for such rows)."""
+    write_table(
+        path, "%r,%r,%r,%r\r\n", (trace.t, trace.yaw, trace.pitch, trace.roll), _EULER_HEADER
+    )
 
 
 def trace_files(path: str) -> list[str]:

@@ -729,7 +729,9 @@ def prediction_summary_oracle(step_rows: list[dict]) -> list[dict]:
 
 def first_slot_after_oracle(trace: NetworkTrace, t_ms: float) -> int:
     """`netsim.Link._first_slot_after` before it searched with an integer key:
-    bisect on the int64 stamps with the float itself."""
+    bisect on the int64 stamps with the float itself. Its float arithmetic is
+    exact only below 2**53 ms, and it overflows within one duration of the
+    largest float."""
     ts = trace.timestamps_ms
     duration = trace.duration_ms
     cycle = max(0, int(t_ms // duration))
@@ -746,6 +748,99 @@ def constant_rate_network_oracle(bits_per_second: float, duration_s: float) -> n
     packets = max(1, int(round(bits_per_second * duration_s / 8.0 / 1500.0)))
     gap_ms = duration_s * 1000.0 / packets
     return np.rint((np.arange(packets) + 1) * gap_ms).astype(np.int64)
+
+
+def packet_slots_oracle(rate: float, t0: float, t1: float) -> list[int]:
+    """`synthetic.packet_slots` before it built an array: one Python
+    `round` per packet."""
+    if t1 <= t0:
+        return []
+    packets = max(1, int(round(rate * (t1 - t0) / 8.0 / 1500.0)))
+    gap_ms = (t1 - t0) * 1000.0 / packets
+    return [int(round(t0 * 1000.0 + (k + 1) * gap_ms)) for k in range(packets)]
+
+
+def two_phase_network_oracle(
+    ample_bps: float,
+    starved_bps: float,
+    cut_s: float,
+    duration_s: float,
+    recover_s: float | None = None,
+) -> np.ndarray:
+    """`synthetic.two_phase_network`'s timestamps from its list body."""
+    end_starved = recover_s if recover_s is not None else duration_s
+    stamps = packet_slots_oracle(ample_bps, 0.0, cut_s)
+    stamps += packet_slots_oracle(starved_bps, cut_s, end_starved)
+    if recover_s is not None:
+        stamps += packet_slots_oracle(ample_bps, recover_s, duration_s)
+    return np.array(stamps, dtype=np.int64)
+
+
+def _sampled_oracle(hz, steps, yaw, pitch) -> ViewingTrace:
+    return ViewingTrace.from_angles([k / hz for k in range(steps)], yaw, pitch, np.zeros(steps))
+
+
+def linear_gaze_oracle(yaw0, yaw_rate, duration, hz=90.0, pitch0=0.0, pitch_rate=0.0):
+    """`synthetic.linear_gaze` before it computed its angles as arrays."""
+    steps = int(duration * hz) + 1
+    return _sampled_oracle(
+        hz,
+        steps,
+        [yaw0 + yaw_rate * k / hz for k in range(steps)],
+        [pitch0 + pitch_rate * k / hz for k in range(steps)],
+    )
+
+
+def sinusoid_gaze_oracle(
+    amplitude, period, duration, hz=90.0, phase=0.0, center_yaw=0.0, pitch=0.0
+):
+    """`synthetic.sinusoid_gaze` before it computed its angles as arrays."""
+    steps = int(duration * hz) + 1
+    return _sampled_oracle(
+        hz,
+        steps,
+        [
+            center_yaw + amplitude * math.sin(2.0 * math.pi * (k / hz) / period + phase)
+            for k in range(steps)
+        ],
+        [pitch] * steps,
+    )
+
+
+def drifting_gaze_oracle(seed, duration, hz=90.0, center_yaw=0.0):
+    """`synthetic.drifting_gaze` before it computed its angles as arrays."""
+    rng = np.random.default_rng(seed)
+    amplitude = float(rng.uniform(20.0, 60.0))
+    period = float(rng.uniform(6.0, 12.0))
+    phase = float(rng.uniform(0.0, 2.0 * math.pi))
+    pitch_amp = float(rng.uniform(0.0, 15.0))
+    steps = int(duration * hz) + 1
+    return _sampled_oracle(
+        hz,
+        steps,
+        [
+            center_yaw + amplitude * math.sin(2.0 * math.pi * (k / hz) / period + phase)
+            for k in range(steps)
+        ],
+        [pitch_amp * math.sin(2.0 * math.pi * (k / hz) / (period * 1.7)) for k in range(steps)],
+    )
+
+
+def save_trace_oracle(trace: NetworkTrace, path: str) -> None:
+    """`netsim.save_trace` before it wrote in chunks: one write per line."""
+    with open(path, "w", encoding="utf-8") as f:
+        for t in trace.timestamps_ms.tolist():
+            f.write(f"{t}\n")
+
+
+def save_viewing_trace_oracle(trace: ViewingTrace, path: str) -> None:
+    """`traceio.save_viewing_trace` before it wrote in chunks: csv.writer
+    over the repr of every value."""
+    columns = (trace.t.tolist(), trace.yaw.tolist(), trace.pitch.tolist(), trace.roll.tolist())
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["t_seconds", "yaw_deg", "pitch_deg", "roll_deg"])
+        writer.writerows([repr(v) for v in row] for row in zip(*columns))
 
 
 def warm_oracle(cache, manifest, traces, fov, seed, trace_count, samples_per_axis):

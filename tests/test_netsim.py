@@ -1,10 +1,11 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import first_slot_after_oracle
@@ -247,11 +248,11 @@ def slot_queries(draw):
     stamps = sorted(draw(st.lists(st.integers(0, 2000), min_size=1, max_size=30)))
     stamps[-1] = max(stamps[-1], 1)
     duration = stamps[-1]
-    # Far cycles round slot times to a coarse float grid, where `within`
-    # can round up to the duration and the lookup rolls to the next cycle.
+    # Far cycles put slot times past 2**53 ms, on a coarse float grid.
     cycle = draw(st.one_of(st.integers(0, 5), st.integers(2**40, 2**60)))
     t = draw(st.one_of(
-        st.floats(-1e300, 1e300),  # past that, both forms overflow in cycle * duration
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([sys.float_info.max, -sys.float_info.max, 2.0**53, 2.0**53 - 1]),
         st.floats(-2.0, 2.0),
         st.integers(-10**6, 10**6).map(float),
         st.sampled_from(stamps).map(lambda s: float(s + cycle * duration)),
@@ -262,7 +263,16 @@ def slot_queries(draw):
 
 
 @given(query=slot_queries())
+@example(query=(trace_of([3]), sys.float_info.max))
 @settings(max_examples=500, deadline=None)
 def test_first_slot_after_matches_bisect_on_the_float(query):
+    """On every finite float the answer is the first slot past the time;
+    below 2**53 ms, where the old float arithmetic is exact, it is also the
+    old bisect's."""
     trace, t_ms = query
-    assert Link(trace)._first_slot_after(t_ms) == first_slot_after_oracle(trace, t_ms)
+    link = Link(trace)
+    k = link._first_slot_after(t_ms)
+    assert link._slot_time_ms(k) > t_ms
+    assert k == 0 or link._slot_time_ms(k - 1) <= t_ms
+    if abs(t_ms) < 2**53:
+        assert k == first_slot_after_oracle(trace, t_ms)

@@ -1,9 +1,11 @@
 """The shared greedy walk, tile ranking, group-by, packet-slot builder,
 batched visibility kernel, trace loaders and lookups, segment requests, the
-plan-driven simulate and run_experiment against the code they replaced (kept in helpers.py). Results must be
-bit-identical: levels and timestamps array-equal, visibility rows, heat
-arrays and loaded traces byte-equal, errors word for word, report rows equal
-down to the repr of every float.
+plan-driven simulate and run_experiment, the array-built set-up generators
+and the chunked trace writers against the code they replaced (kept in
+helpers.py). Results must be bit-identical: levels and timestamps
+array-equal, visibility rows, heat arrays, generated stamps and traces and
+loaded traces byte-equal, written files byte-equal, errors word for word,
+report rows equal down to the repr of every float.
 """
 
 import warnings
@@ -16,10 +18,13 @@ from hypothesis import strategies as st
 from helpers import (
     build_heat_oracle,
     constant_rate_network_oracle,
+    drifting_gaze_oracle,
     estimate_oracle,
     load_trace_oracle,
+    linear_gaze_oracle,
     load_viewing_trace_oracle,
     nearest_sample_oracle,
+    packet_slots_oracle,
     policy_summary_oracle,
     predicted_map_oracle,
     popularity_share_oracle,
@@ -30,12 +35,16 @@ from helpers import (
     record_dicts,
     run_experiment_oracle,
     samples,
+    save_trace_oracle,
+    save_viewing_trace_oracle,
     scalar_tile_visibility,
     segment_requests_oracle,
     select_prediction_oracle,
     select_window_oracle,
     simulate_oracle,
+    sinusoid_gaze_oracle,
     trace_of,
+    two_phase_network_oracle,
     viewing_assignments_oracle,
 )
 from tilesim.adaptation import PolicyKind, select_prediction
@@ -58,7 +67,7 @@ from tilesim.manifest import (
     segment_requests,
     synthesize,
 )
-from tilesim.netsim import load_trace
+from tilesim.netsim import NetworkTrace, load_trace, save_trace
 from tilesim.playback import (
     SessionConfig,
     estimate_rows,
@@ -71,8 +80,16 @@ from tilesim.playback import (
 )
 from tilesim.popularity import HeatMap, build_heat, quantize
 from tilesim.prediction import PredictorConfig, nearest_sample, select_window
-from tilesim.synthetic import constant_gaze, constant_rate_network, drifting_gaze, linear_gaze
-from tilesim.traceio import load_viewing_trace
+from tilesim.synthetic import (
+    constant_gaze,
+    constant_rate_network,
+    drifting_gaze,
+    linear_gaze,
+    packet_slots,
+    sinusoid_gaze,
+    two_phase_network,
+)
+from tilesim.traceio import WRITE_CHUNK_CELLS, load_viewing_trace, save_viewing_trace
 
 TIE_DENOM = 4  # scores are multiples of 1/TIE_DENOM**2, so ties are common
 
@@ -691,3 +708,137 @@ def test_searchsorted_lookups_match_bisect(data):
         assert samples(window) == expected
         k = nearest_sample(trace, now)
         assert (trace.t[k], trace.pose(k)) == nearest_sample_oracle(old, now)
+
+
+# --- set-up generators and trace writers ------------------------------------
+
+
+@st.composite
+def slot_spans(draw):
+    """packet_slots arguments, t0 at 0, whole or fractional. Half the draws
+    pick a packet count and a gap of whole half milliseconds, so stamps land
+    on .5 ms where t0 * 1000 is whole and rounding goes half to even; the
+    rest are any rate over any span, empty and reversed ones included."""
+    t0 = draw(st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0.0, 1e4))
+    if draw(st.booleans()):
+        packets = draw(st.integers(1, 2000))
+        t1 = t0 + packets * draw(st.integers(1, 400)) / 2.0 / 1000.0
+        return packets * 12000.0 / (t1 - t0), t0, t1
+    return draw(st.floats(1e3, 4e8)), t0, t0 + draw(st.floats(-1.0, 2.0))
+
+
+@given(args=slot_spans())
+@example(args=(24e6, 0.0, 0.006))  # gap 0.5 ms: 0.5 -> 0, 1.5 -> 2, 2.5 -> 2
+@example(args=(24e6, 2.5, 2.506))
+@example(args=(1.0, 0.25, 0.5))  # one packet
+@example(args=(1e6, 2.0, 2.0))
+@example(args=(1e6, 2.0, 1.0))
+@settings(max_examples=300, deadline=None)
+def test_packet_slots_match_the_list_body(args):
+    new = packet_slots(*args)
+    assert new.dtype == np.int64
+    assert new.tobytes() == np.array(packet_slots_oracle(*args), dtype=np.int64).tobytes()
+
+
+@given(
+    ample=st.floats(1e5, 1e8),
+    starved=st.floats(1e3, 1e7),
+    duration=st.floats(0.01, 3.0),
+    cut=st.floats(0.0, 1.0),
+    recover=st.none() | st.floats(0.0, 1.0),
+)
+@example(ample=24e6, starved=2.4e6, duration=2.0, cut=0.5, recover=None)
+@example(ample=24e6, starved=2.4e6, duration=3.0, cut=1 / 3, recover=0.5)
+@settings(max_examples=200, deadline=None)
+def test_two_phase_network_matches_the_list_body(ample, starved, duration, cut, recover):
+    """Cut and recovery as shares of the run and of what follows the cut."""
+    cut_s = cut * duration
+    recover_s = None if recover is None else cut_s + recover * (duration - cut_s)
+    new = two_phase_network(ample, starved, cut_s, duration, recover_s)
+    old = two_phase_network_oracle(ample, starved, cut_s, duration, recover_s)
+    assert new.timestamps_ms.tobytes() == old.tobytes()
+
+
+HZ = st.sampled_from([1, 4, 10.0, 30.0, 90.0, 7.3, 120.0])
+GAZE_ANGLES = st.integers(-400, 400) | st.floats(-1e4, 1e4)
+
+
+def assert_same_trace(new: ViewingTrace, old: ViewingTrace) -> None:
+    for column in ("t", "yaw", "pitch", "roll"):
+        assert getattr(new, column).tobytes() == getattr(old, column).tobytes(), column
+
+
+@given(
+    args=st.tuples(GAZE_ANGLES, GAZE_ANGLES, st.floats(0.0, 20.0), HZ, GAZE_ANGLES, GAZE_ANGLES)
+)
+@settings(max_examples=150, deadline=None)
+def test_linear_gaze_matches_its_scalar_body(args):
+    assert_same_trace(linear_gaze(*args), linear_gaze_oracle(*args))
+
+
+@given(
+    args=st.tuples(
+        GAZE_ANGLES, st.floats(0.5, 30.0), st.floats(0.0, 20.0), HZ,
+        st.floats(-10.0, 10.0), GAZE_ANGLES, GAZE_ANGLES,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_sinusoid_gaze_matches_its_scalar_body(args):
+    assert_same_trace(sinusoid_gaze(*args), sinusoid_gaze_oracle(*args))
+
+
+@given(args=st.tuples(st.integers(0, 2**32), st.floats(0.0, 20.0), HZ, GAZE_ANGLES))
+@example(args=(1000, 121.0, 90.0, 0.0))  # a dense-churn viewer
+@settings(max_examples=150, deadline=None)
+def test_drifting_gaze_matches_its_scalar_body(args):
+    assert_same_trace(drifting_gaze(*args), drifting_gaze_oracle(*args))
+
+
+def row_counts(width: int):
+    """Trace lengths around the writer's chunk of `width`-value rows."""
+    chunk = WRITE_CHUNK_CELLS // width
+    return st.sampled_from([1, chunk - 1, chunk, chunk + 1]) | st.integers(1, 50)
+
+
+def _written(save, trace, path) -> bytes:
+    save(trace, str(path))
+    return path.read_bytes()
+
+
+@given(
+    rows=row_counts(1),
+    seed=st.integers(0, 2**32),
+    top=st.sampled_from([1, 3000, 2**31, 2**63 - 1]),
+)
+@settings(max_examples=60, deadline=None)
+def test_save_trace_writes_the_old_bytes(trace_dir, rows, seed, top):
+    """Sorted stamps up to the largest int64, ties included."""
+    stamps = np.sort(np.random.default_rng(seed).integers(0, top, rows, endpoint=True))
+    stamps[-1] = max(stamps[-1], 1)
+    trace = NetworkTrace(timestamps_ms=stamps)
+    new = _written(save_trace, trace, trace_dir / "new.pps")
+    assert new == _written(save_trace_oracle, trace, trace_dir / "old.pps")
+
+
+EDGE_FLOATS = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+     1.7976931348623157e308, float("inf"), float("-inf"), float("nan")]
+) | st.floats()
+
+
+@given(
+    rows=st.just(0) | row_counts(4),
+    seed=st.integers(0, 2**32),
+    edges=st.lists(EDGE_FLOATS, max_size=20),
+)
+@settings(max_examples=60, deadline=None)
+def test_save_viewing_trace_writes_the_old_bytes(trace_dir, rows, seed, edges):
+    """Values of every magnitude, subnormals to 1e300, written as stored
+    (no wrap or clamp), with edge values dropped in at random cells."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(4 * rows) * 10.0 ** rng.integers(-320, 300, 4 * rows)
+    if rows:
+        values[rng.integers(0, values.size, len(edges))] = edges
+    trace = ViewingTrace(*values.reshape(4, rows))
+    new = _written(save_viewing_trace, trace, trace_dir / "new.csv")
+    assert new == _written(save_viewing_trace_oracle, trace, trace_dir / "old.csv")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from helpers import trace_of
 from tilesim import netsim, traceio
-from tilesim.geometry import Orientation
+from tilesim.geometry import Orientation, ViewingTrace
 from tilesim.synthetic import constant_rate_network, sinusoid_gaze
 from tilesim.traceio import (
     ViewingTraceError,
@@ -254,3 +255,26 @@ class TestTraceDir:
     def test_empty_dir_raises(self, tmp_path):
         with pytest.raises(ViewingTraceError):
             load_trace_dir(str(tmp_path))
+
+
+class TestWriterMemory:
+    @pytest.mark.parametrize("save, make, rows", [
+        (netsim.save_trace, lambda n: netsim.NetworkTrace(np.arange(1, n + 1)), 20_000),
+        (save_viewing_trace, lambda n: ViewingTrace(*np.ones((4, n))), 5_000),
+    ], ids=["packet", "viewing"])
+    def test_peak_memory_does_not_grow_with_trace_length(self, tmp_path, save, make, rows):
+        """Memory follows the live objects, not the run length: writing a
+        trace 10 times longer peaks within 1 MB of the shorter one, so no
+        writer holds a whole trace as Python objects or text."""
+
+        def peak(n):
+            trace = make(n)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                save(trace, str(tmp_path / "t"))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(10 * rows) - peak(rows)) <= 2**20
