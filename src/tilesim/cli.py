@@ -488,7 +488,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "--network-scale", lambda f: netsim.scale(network, f), run["network_scale"]
         )
     needs_popularity = {PolicyKind.POPULARITY, PolicyKind.TRANSITION} & set(run["policies"])
-    if needs_popularity and not m.has_popularity:
+    if needs_popularity and m.popularity is None:
         raise UsageError(
             "--policies: popularity/transition need a manifest with a popularity "
             "trace; run `tilesim popularity` first"

@@ -64,10 +64,6 @@ class VideoManifest:
     def segment_count(self) -> int:
         return count_segments(self.duration, self.segment_length)
 
-    @property
-    def has_popularity(self) -> bool:
-        return self.popularity is not None
-
     def validate(self) -> None:
         for key in ("duration", "segment_length", "base_bitrate_bps"):
             if not 0.0 < getattr(self, key) < math.inf:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .traceio import read_table, write_table
+from .traceio import read_table, row_line, write_table
 
 PACKET_BYTES = 1500
 
@@ -53,48 +53,28 @@ class NetworkTrace:
 
 
 def load_trace(path: str) -> NetworkTrace:
-    """Parse a trace file; errors name the offending 1-based line.
-
-    numpy reads an ASCII file in one call when every line is empty or one
-    integer, the first is non-negative and none decreases; any other file
-    goes through the line scanner, which accepts what int() accepts and names
-    the first bad line. (The scanner strips each line before int(), so
-    numpy's padding reads alike.)
-    """
-    table = read_table(path, np.int64)
-    stamps = table[:, 0] if table is not None and table.shape[1] == 1 else None
-    if stamps is None or stamps[0] < 0 or (stamps[1:] < stamps[:-1]).any():
-        stamps = _scan_lines(path)
+    """Parse a trace file. numpy reads it (see traceio.read_table); errors
+    name the first bad 1-based line, blank lines counted."""
+    table, rejected = read_table(path, np.int64, TraceError)
+    if table.shape[1] != 1:
+        table, rejected = table[:0, :1], row_line(path, 0, 0)
+    stamps = table[:, 0]
+    falls = np.flatnonzero(stamps[1:] < stamps[:-1]) + 1
+    if stamps.size and stamps[0] < 0:
+        falls = [0]
+    if len(falls):
+        k = int(falls[0])
+        lineno = row_line(path, 0, k)[0]
+        if stamps[k] < 0:
+            raise TraceError(f"{path}:{lineno}: negative timestamp {stamps[k]}")
+        raise TraceError(f"{path}:{lineno}: timestamp {stamps[k]} decreases below {stamps[k - 1]}")
+    if rejected is not None:
+        lineno, text = rejected
+        raise TraceError(f"{path}:{lineno}: not an integer millisecond: {text.strip()!r}")
     try:
         return NetworkTrace(timestamps_ms=stamps)
     except TraceError as e:
         raise TraceError(f"{path}: {e}") from None
-
-
-def _scan_lines(path: str) -> np.ndarray:
-    """load_trace line by line, for files that are not plain."""
-    stamps = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = int(text)
-            except ValueError:
-                raise TraceError(
-                    f"{path}:{lineno}: not an integer millisecond: {text!r}"
-                ) from None
-            if value < 0:
-                raise TraceError(f"{path}:{lineno}: negative timestamp {value}")
-            if stamps and value < stamps[-1]:
-                raise TraceError(
-                    f"{path}:{lineno}: timestamp {value} decreases below {stamps[-1]}"
-                )
-            stamps.append(value)
-    if not stamps:
-        raise TraceError(f"{path}: trace holds no packet slots")
-    return np.array(stamps, dtype=np.int64)
 
 
 def save_trace(trace: NetworkTrace, path: str) -> None:

@@ -26,8 +26,6 @@ HEAT_BATCH = 256
 class HeatMap:
     """Accumulated visibility mass per (segment, tile)."""
 
-    grid: TileGrid
-    segment_length: float
     heat: np.ndarray = field(repr=False)  # (segments, tiles)
 
     @property
@@ -62,7 +60,7 @@ def build_heat(
             poses = tuple(trace.pose(k) for k in batch.tolist())
             scores = tile_visibility(poses, fov, grid, samples_per_axis)
             np.add.at(heat, seg[batch].astype(np.int64), scores)
-    return HeatMap(grid=grid, segment_length=segment_length, heat=heat)
+    return HeatMap(heat=heat)
 
 
 def default_budget_bps(manifest: VideoManifest) -> float:

@@ -38,7 +38,6 @@ class RegressionModel:
     pitch_slope: float
     pitch_intercept: float
     fit_time: float
-    sample_count: int
 
 
 def select_window(trace: ViewingTrace, now: float, timeframe: float) -> ViewingTrace:
@@ -79,7 +78,6 @@ def fit(window: ViewingTrace, now: float) -> RegressionModel:
         pitch_slope=ps,
         pitch_intercept=pi,
         fit_time=now,
-        sample_count=len(window),
     )
 
 

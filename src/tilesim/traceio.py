@@ -13,10 +13,10 @@ and is carried through unused.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import warnings
+from functools import partial
 
 import numpy as np
 
@@ -59,33 +59,63 @@ def quaternion_to_orientation(qw: float, qx: float, qy: float, qz: float) -> Ori
     return Orientation(yaw=yaw, pitch=pitch, roll=roll)
 
 
-def _parse_floats(path: str, lineno: int, row: list[str]) -> list[float]:
-    try:
-        values = [float(x) for x in row]
-    except ValueError:
-        raise ViewingTraceError(
-            f"{path}:{lineno}: non-numeric value in {row!r}"
-        ) from None
-    if not all(map(math.isfinite, values)):
-        raise ViewingTraceError(f"{path}:{lineno}: non-finite value in {row!r}")
-    return values
-
-
-def read_table(path: str, dtype: type, skiprows: int = 0) -> np.ndarray | None:
+def read_table(
+    path: str, dtype: type, error: type, skiprows: int = 0
+) -> tuple[np.ndarray, tuple[int, str] | None]:
     """The comma-separated cells of an ASCII file as a 2-D array, one row per
-    line after the first `skiprows`, or None if numpy's reader rejects the
-    file: a cell that is not one plain number, a change in column count,
-    non-ASCII bytes or no rows. Empty lines are skipped. Quotes and `#` are
-    ordinary characters, so a cell holding one is rejected."""
+    non-empty line after the first `skiprows` lines, and None. If numpy's
+    reader rejects a row (a cell that is not one plain number, or a change
+    in column count): the rows before it, and row_line's (number, text) of
+    that row. Quotes and `#` are ordinary characters, so a cell holding one
+    is rejected. A file that is not ASCII raises `error`."""
+    load = partial(
+        np.loadtxt, path, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+        encoding="ascii", skiprows=skiprows, ndmin=2,
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return np.loadtxt(
-                path, dtype=dtype, delimiter=",", comments=None, quotechar=None,
-                encoding="ascii", skiprows=skiprows, ndmin=2,
-            )
+            return load(), None
         except (ValueError, Warning):
-            return None
+            pass
+    # numpy decodes whole chunks, so a prefix read can fail on a byte past
+    # its rows: rule non-ASCII files out before bisecting.
+    with open(path, "rb") as f:
+        offset = 0
+        for block in iter(lambda: f.read(1 << 16), b""):
+            if not block.isascii():
+                byte = offset + next(i for i, b in enumerate(block) if b >= 0x80)
+                raise error(f"{path}: not ASCII text (byte {byte})")
+            offset += len(block)
+    # A read of the first n rows fails iff one of them is rejected, so grow n
+    # until a read fails, then bisect: O(log rows) reads, one array at a time.
+    good, bad = 0, 0
+    with warnings.catch_warnings():
+        # max_rows warns of each empty line it skips, and of a file with no rows.
+        warnings.simplefilter("ignore", UserWarning)
+        while not bad or bad - good > 1:
+            rows = (good + bad) // 2 if bad else 2 * good + 1
+            try:
+                prefix = load(max_rows=rows)
+            except ValueError:
+                bad = rows
+                continue
+            if len(prefix) < rows:
+                return prefix, None
+            good, prefix = rows, None
+        return load(max_rows=good), row_line(path, skiprows, good)
+
+
+def row_line(path: str, skiprows: int, row: int) -> tuple[int, str]:
+    """The 1-based line number and text, line end dropped, of read_table's
+    0-based `row`. Lines end in LF, CRLF or CR, as numpy reads them."""
+    with open(path, encoding="ascii", newline="") as f:
+        for lineno, line in enumerate(f, start=1):
+            text = line.rstrip("\r\n")
+            if lineno > skiprows and text:
+                if row == 0:
+                    return lineno, text
+                row -= 1
 
 
 def write_table(path: str, row_format: str, columns, header: str = "") -> None:
@@ -104,113 +134,58 @@ def write_table(path: str, row_format: str, columns, header: str = "") -> None:
 def load_viewing_trace(path: str) -> ViewingTrace:
     """Read one viewing trace, auto-detecting Euler vs quaternion columns.
 
-    numpy reads an ASCII file in one call when its first line is not blank
-    and holds no quote, no byte is in 0x1c-0x1f, every row is 4 or 5 numbers
-    wide, every value is finite and the times increase. As in the scanner, a
-    first line whose first cell float() rejects is a header. Any other file
-    goes through the row scanner, which reads what the csv module reads and
-    names the first bad line.
+    The first line is a header when float() rejects its first cell. numpy
+    reads the rest (see read_table). Rows are checked in order and the first
+    bad one is named by its line, blank lines counted: within a row, its
+    column count, its cells, finiteness, a zero quaternion, then its time.
     """
-    trace = _read_plain(path)
-    return trace if trace is not None else _scan_rows(path)
-
-
-def _read_plain(path: str) -> ViewingTrace | None:
-    try:
-        with open(path, encoding="ascii") as f:
-            text = f.read()
-    except UnicodeDecodeError:
-        return None
-    first = text.partition("\n")[0]
-    # csv unquotes a quoted first line and skips a blank one.
-    if '"' in first or not first.replace(",", "").strip():
-        return None
-    # numpy reads the separators 0x1c-0x1f as whitespace; float() does not.
-    if any(c in text for c in "\x1c\x1d\x1e\x1f"):
-        return None
+    with open(path, encoding="latin-1") as f:
+        first = f.readline()
     try:
         float(first.split(",")[0])
         header = 0
     except ValueError:
         header = 1
-    table = read_table(path, np.float64, skiprows=header)
-    if table is None or table.shape[1] not in (4, 5) or not np.isfinite(table).all():
-        return None
-    columns = table.T.copy()
-    t = columns[0]
-    if not (t[1:] > t[:-1]).all():
-        return None
-    if len(columns) == 4:
-        return ViewingTrace.from_angles(*columns)
-    try:
-        return _packed(t, [quaternion_to_orientation(*q) for q in table[:, 1:].tolist()])
-    except ValueError:
-        return None
-
-
-def _packed(t, poses: list[Orientation]) -> ViewingTrace:
-    return ViewingTrace(
-        t, [o.yaw for o in poses], [o.pitch for o in poses], [o.roll for o in poses]
-    )
-
-
-def _scan_rows(path: str) -> ViewingTrace:
-    """load_viewing_trace row by row, for files that are not plain. Errors
-    name the physical line a row ends on, blank lines counted."""
-    try:
-        with open(path, encoding="utf-8", newline="") as f:
-            reader = csv.reader(f)
-            rows = [
-                (reader.line_num, row) for row in reader if row and any(x.strip() for x in row)
-            ]
-    except UnicodeDecodeError as e:
+    table, rejected = read_table(path, np.float64, ViewingTraceError, skiprows=header)
+    if not len(table) and rejected is None:
         raise ViewingTraceError(
-            f"{path}: not UTF-8 text ({e.reason} at byte {e.start})"
-        ) from None
-    if not rows:
-        raise ViewingTraceError(f"{path}: empty trace file")
-    start = 0
-    width = len(rows[0][1])
-    try:
-        float(rows[0][1][0])
-    except ValueError:
-        start = 1
-        if not rows[1:]:
-            raise ViewingTraceError(f"{path}: header but no samples")
-        width = len(rows[1][1])
-    if width == 4:
-        kind = "euler"
-    elif width == 5:
-        kind = "quaternion"
-    else:
+            f"{path}: header but no samples" if first.strip() else f"{path}: empty trace file"
+        )
+    width = table.shape[1] if len(table) else len(rejected[1].split(","))
+    if width not in (4, 5):
         raise ViewingTraceError(
             f"{path}: expected 4 (euler) or 5 (quaternion) columns, got {width}"
         )
-    ts: list[float] = []
-    poses: list[Orientation] = []
-    for lineno, row in rows[start:]:
+    t = table[:, 0]
+    finite = np.isfinite(table).all(axis=1)
+    # quaternion_to_orientation's zero norm: every square is zero (underflow too).
+    zero = (table[:, 1:] ** 2 == 0).all(axis=1) if width == 5 else np.zeros_like(finite)
+    bad = ~finite | zero
+    bad[1:] |= t[1:] <= t[:-1]
+    if bad.any():
+        k = int(bad.argmax())
+        lineno, text = row_line(path, header, k)
+        row = text.split(",")
+        if not finite[k]:
+            raise ViewingTraceError(f"{path}:{lineno}: non-finite value in {row!r}")
+        if zero[k]:
+            raise ViewingTraceError(f"{path}:{lineno}: zero quaternion in {row!r}")
+        before, after = t[k - 1:k + 1].tolist()
+        raise ViewingTraceError(
+            f"{path}:{lineno}: timestamps must strictly increase ({after} after {before})"
+        )
+    if rejected is not None:
+        lineno, row = rejected[0], rejected[1].split(",")
         if len(row) != width:
-            raise ViewingTraceError(
-                f"{path}:{lineno}: expected {width} columns, got {len(row)}"
-            )
-        values = _parse_floats(path, lineno, row)
-        if kind == "euler":
-            t, yaw, pitch, roll = values
-            pose = Orientation(yaw=yaw, pitch=pitch, roll=roll)
-        else:
-            t = values[0]
-            try:
-                pose = quaternion_to_orientation(*values[1:])
-            except ValueError as e:
-                raise ViewingTraceError(f"{path}:{lineno}: {e} in {row!r}") from None
-        if ts and t <= ts[-1]:
-            raise ViewingTraceError(
-                f"{path}:{lineno}: timestamps must strictly increase "
-                f"({t} after {ts[-1]})"
-            )
-        ts.append(t)
-        poses.append(pose)
-    return _packed(ts, poses)
+            raise ViewingTraceError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+        raise ViewingTraceError(f"{path}:{lineno}: non-numeric value in {row!r}")
+    columns = table.T.copy()
+    if width == 4:
+        return ViewingTrace.from_angles(*columns)
+    poses = [quaternion_to_orientation(*q) for q in table[:, 1:].tolist()]
+    return ViewingTrace(
+        columns[0], [o.yaw for o in poses], [o.pitch for o in poses], [o.roll for o in poses]
+    )
 
 
 def save_viewing_trace(trace: ViewingTrace, path: str) -> None:

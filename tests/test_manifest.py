@@ -190,7 +190,7 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         m = load(str(path))
         assert m.segment_count == 3
-        assert not m.has_popularity
+        assert m.popularity is None
 
     @pytest.mark.parametrize(
         "mutate, field",

@@ -99,6 +99,8 @@ class TestTraceIo:
             ("1\n7 8\n\n9\n", "2: not an integer millisecond: '7 8'"),
             ("1\n-3\n", "2: negative timestamp -3"),
             ("1\n2\nnan\n", "3: not an integer millisecond: 'nan'"),
+            ("1\n \t\n2\n", "2: not an integer millisecond: ''"),
+            ("1\n-9223372036854775809\n", "2: not an integer millisecond: '-9223372036854775809'"),
         ],
     )
     def test_malformed_line_message(self, tmp_path, text, message):
@@ -110,22 +112,50 @@ class TestTraceIo:
 
     def test_int_forms_and_blank_lines_read_like_plain_ones(self, tmp_path):
         path = tmp_path / "odd.txt"
-        path.write_bytes(b"+1\r\n 2 \r\n\r\n1_000\r\n007000")
+        path.write_bytes(b"+1\r\n 2 \r\n\r\n1000\r\n007000")
         np.testing.assert_array_equal(load_trace(str(path)).timestamps_ms, [1, 2, 1000, 7000])
+        path.write_bytes(b"+1\r\n 2 \r\n\r\n1_000\r\n007000")
+        with pytest.raises(TraceError) as exc:
+            load_trace(str(path))
+        assert str(exc.value) == f"{path}:4: not an integer millisecond: '1_000'"
+
+    # 700k lines, about the size of a two-minute 100 Mbit/s trace.
+    LONG = np.arange(700_000) * 2 // 3
 
     def test_peak_memory_stays_below_four_stamp_arrays(self, tmp_path):
-        """700k lines, about the size of a two-minute 100 Mbit/s trace."""
         path = tmp_path / "long.txt"
-        stamps = np.arange(700_000) * 2 // 3
-        path.write_text("\n".join(map(str, stamps.tolist())) + "\n")
-        tracemalloc.start()
+        path.write_text("\n".join(map(str, self.LONG.tolist())) + "\n")
+        trace, peak = traced(load_trace, str(path))
+        np.testing.assert_array_equal(trace.timestamps_ms, self.LONG)
+        assert peak < 4 * self.LONG.nbytes
+
+    @pytest.mark.parametrize("cut, bad, line", [
+        (700_000, "\n7.5\n", 700_001),
+        (350_000, "\n\n\nx\n", 350_003),
+    ], ids=["last", "middle"])
+    def test_long_trace_names_its_bad_line_within_the_same_memory(self, tmp_path, cut, bad, line):
+        """The bad line is found by bisecting numpy's reads, not by holding
+        the file's lines, so the peak stays under the accepted file's bound."""
+        path = tmp_path / "long.txt"
+        head, tail = self.LONG[:cut].tolist(), self.LONG[cut:].tolist()
+        path.write_text("\n".join(map(str, head)) + bad + "".join(f"{v}\n" for v in tail))
+        error, peak = traced(load_trace, str(path))
+        assert str(error) == f"{path}:{line}: not an integer millisecond: {bad.strip()!r}"
+        assert peak < 4 * self.LONG.nbytes
+
+
+def traced(load, path):
+    """What load(path) returns or raises as a TraceError, and the call's
+    tracemalloc peak."""
+    tracemalloc.start()
+    try:
         try:
-            trace = load_trace(str(path))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        np.testing.assert_array_equal(trace.timestamps_ms, stamps)
-        assert peak < 4 * trace.timestamps_ms.nbytes
+            outcome = load(path)
+        except TraceError as e:
+            outcome = e
+        return outcome, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestScale:

@@ -8,6 +8,7 @@ loaded traces byte-equal, written files byte-equal, errors word for word,
 report rows equal down to the repr of every float.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -67,7 +68,7 @@ from tilesim.manifest import (
     segment_requests,
     synthesize,
 )
-from tilesim.netsim import NetworkTrace, load_trace, save_trace
+from tilesim.netsim import NetworkTrace, TraceError, load_trace, save_trace
 from tilesim.playback import (
     SessionConfig,
     estimate_rows,
@@ -89,7 +90,12 @@ from tilesim.synthetic import (
     sinusoid_gaze,
     two_phase_network,
 )
-from tilesim.traceio import WRITE_CHUNK_CELLS, load_viewing_trace, save_viewing_trace
+from tilesim.traceio import (
+    WRITE_CHUNK_CELLS,
+    ViewingTraceError,
+    load_viewing_trace,
+    save_viewing_trace,
+)
 
 TIE_DENOM = 4  # scores are multiples of 1/TIE_DENOM**2, so ties are common
 
@@ -172,7 +178,7 @@ def test_quantize_matches_scalar_walk(m, data):
     heat = np.stack([tie_scores(data.draw, m.grid.tile_count) for _ in range(m.segment_count)])
     heat *= data.draw(st.sampled_from([1.0, 7.0, 300.0]))  # heat sums many samples
     budget = budgets(data.draw, m, 0, heat[0]) or 0.0
-    got = quantize(HeatMap(m.grid, m.segment_length, heat), m, budget)
+    got = quantize(HeatMap(heat), m, budget)
     np.testing.assert_array_equal(got, quantize_oracle(heat, m, budget))
 
 
@@ -569,16 +575,61 @@ def packet_files(draw) -> bytes:
 @example(data=b"1_000\n2000\n")
 @example(data=b"7,8\n")
 @example(data=b"\x1c5\x1f\n6\n")
+@example(data=b"1\r2\r\r3\r")
 def test_load_trace_matches_the_line_scanner(trace_dir, data):
     path = trace_dir / "trace.pps"
     path.write_bytes(data)
     new = _outcome(load_trace, str(path))
     old = _outcome(load_trace_oracle, str(path))
-    if isinstance(old, tuple):
-        assert new == old
+    _check_against_scanner(
+        str(path), new, old, lambda t: [t.timestamps_ms], TraceError, _packet_form_differs(data)
+    )
+
+
+def _lines(data: bytes) -> list[str]:
+    """An ASCII file's lines as numpy splits them (at LF, CRLF or CR), ends
+    dropped."""
+    return re.split(r"\r\n|\r|\n", data.decode("ascii"))
+
+
+def _packet_form_differs(data: bytes) -> bool:
+    """Whether a packet file holds a form outside the stated grammar, which
+    the scanner read differently: a byte that is not ASCII, an underscore or
+    a line of only whitespace (the scanner read these), or a stamp outside
+    int64 (it overflowed)."""
+    if not data.isascii() or b"_" in data:
+        return True
+    for line in _lines(data):
+        try:
+            if not -(2**63) <= int(line) < 2**63:
+                return True
+        except ValueError:
+            if line and not line.strip():
+                return True
+    return False
+
+
+def _check_against_scanner(path, new, old, arrays, error, form_differs):
+    """On a file in the stated grammar, the loader reads the scanner's arrays
+    bit for bit or raises its error word for word. Outside it, the loader
+    raises its own error naming the file. Where the scanner read the file,
+    that error names the first bad line, unless the file is not ASCII or its
+    first row is not 4 or 5 wide. On a form only numpy reads, the loader may
+    read a file the scanner rejected."""
+    if isinstance(new, tuple) or isinstance(old, tuple):
+        if new == old:
+            return
+    elif all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+             for a, b in zip(arrays(new), arrays(old))):
+        return
+    assert form_differs, (new, old)
+    if isinstance(new, tuple):
+        assert new[0] is error and new[1].startswith(f"{path}:"), new
+        if not isinstance(old, tuple):
+            named = rf"{re.escape(path)}(:\d+: |: not ASCII text |: expected 4 \(euler\) )"
+            assert re.match(named, new[1]), new[1]
     else:
-        assert new.timestamps_ms.dtype == old.timestamps_ms.dtype
-        assert new.timestamps_ms.tobytes() == old.timestamps_ms.tobytes()
+        assert isinstance(old, tuple), (new, old)
 
 
 EDGE_ANGLES = [
@@ -644,24 +695,53 @@ def viewing_files(draw) -> bytes:
 @example(data=b"\nt,yaw,pitch,roll\n0.0,1,2,3\n")
 @example(data=b"0.0,1,2,3\n \t \n0.5,1,2,3\n")
 @example(data=b"0.0,1_000,2,3\n")
+@example(data=b'0.0,"1.0",2,3\n')
 @example(data=b",,,\nt,yaw,pitch,roll\n0.0,1,2,3\n")
 @example(data=b"0.0,\x1c1,2,3\n0.5,1,2\x1f,3\n")
+@example(data=b"t,yaw,pitch,roll\r0.0,1,2,3\r\r0.5,x,2,3\r")
 def test_load_viewing_trace_matches_the_row_scanner(trace_dir, data):
     path = trace_dir / "trace.csv"
     path.write_bytes(data)
     new = _outcome(load_viewing_trace, str(path))
     old = _outcome(load_viewing_trace_oracle, str(path))
-    if isinstance(old, tuple):
-        assert new == old
-        return
-    expected = {
-        "t": [s.t for s in old],
-        "yaw": [s.o.yaw for s in old],
-        "pitch": [s.o.pitch for s in old],
-        "roll": [s.o.roll for s in old],
-    }
-    for column, values in expected.items():
-        assert getattr(new, column).tobytes() == np.array(values).tobytes(), column
+
+    def arrays(trace):
+        if isinstance(trace, ViewingTrace):
+            return [trace.t, trace.yaw, trace.pitch, trace.roll]
+        return [np.array([s.t for s in trace]), np.array([s.o.yaw for s in trace]),
+                np.array([s.o.pitch for s in trace]), np.array([s.o.roll for s in trace])]
+
+    _check_against_scanner(
+        str(path), new, old, arrays, ViewingTraceError, _viewing_form_differs(data)
+    )
+
+
+def _viewing_form_differs(data: bytes) -> bool:
+    """Whether a viewing file holds a form outside the stated grammar, which
+    the scanner read differently: a byte that is not ASCII, a quote, an
+    underscore in a data row, a line of only whitespace or commas, or a
+    header after an empty first line (the scanner read these), or a cell
+    padded with 0x1c-0x1f (only numpy reads it)."""
+    if not data.isascii() or re.search(rb'["\x1c-\x1f]', data):
+        return True
+    lines = _lines(data)
+    if any(line and not line.replace(",", "").strip() for line in lines):
+        return True
+    first, *rest = lines
+    if any("_" in line for line in rest):
+        return True
+    if not first:
+        words = [line for line in rest if line]
+        return bool(words) and not _is_number(words[0].split(",")[0])
+    return "_" in first and _is_number(first.split(",")[0])
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
 
 
 @given(yaws=st.lists(st.floats(allow_nan=False, allow_infinity=False)

@@ -17,10 +17,8 @@ from tilesim.synthetic import constant_gaze, gaussian_gaze_population
 NARROW = FovSpec(0.1, 0.1)
 
 
-def heat_of(rows, segment_length=1.5, grid=None):
-    rows = np.asarray(rows, dtype=float)
-    grid = grid or TileGrid(4, 4)
-    return HeatMap(grid=grid, segment_length=segment_length, heat=rows)
+def heat_of(rows):
+    return HeatMap(heat=np.asarray(rows, dtype=float))
 
 
 class TestBuildHeat:

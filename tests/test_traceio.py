@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import trace_of
-from tilesim import netsim, traceio
+from tilesim import netsim
 from tilesim.geometry import Orientation, ViewingTrace
 from tilesim.synthetic import constant_rate_network, sinusoid_gaze
 from tilesim.traceio import (
@@ -138,25 +138,35 @@ class TestEulerFiles:
         with pytest.raises(ViewingTraceError, match=":2:"):
             load_viewing_trace(str(path))
 
-    @pytest.mark.parametrize(
-        "data",
-        [
-            b"0.0,1,2,3\n\n\n0.5,x,2,3\n",
-            b"0.0,1,2,3\r\n\r\n,,,\r\n0.5,x,2,3\r\n",
-            b"0.0,1,2,3\n \n\t\n0.5,x,2,3",
-        ],
-    )
+    # Empty lines are skipped and counted; a line of only whitespace or only
+    # commas is a row, so it is the bad line.
+    BLANK_LINE_ERRORS = {
+        b"0.0,1,2,3\n\n\n0.5,x,2,3\n": "4: non-numeric value in ['0.5', 'x', '2', '3']",
+        b"0.0,1,2,3\r\n\r\n,,,\r\n0.5,x,2,3\r\n": "3: non-numeric value in ['', '', '', '']",
+        b"0.0,1,2,3\n \n\t\n0.5,x,2,3": "2: expected 4 columns, got 1",
+    }
+
+    @pytest.mark.parametrize("data", list(BLANK_LINE_ERRORS))
     def test_blank_lines_count_in_the_named_line(self, tmp_path, data):
         path = tmp_path / "b.csv"
         path.write_bytes(data)
-        with pytest.raises(ViewingTraceError, match=r"b\.csv:4: non-numeric value"):
+        with pytest.raises(ViewingTraceError) as exc:
             load_viewing_trace(str(path))
+        assert str(exc.value) == f"{path}:{self.BLANK_LINE_ERRORS[data]}"
 
     def test_header_and_blank_lines_count_in_the_named_line(self, tmp_path):
+        """Only the first line can be a header: after an empty first line,
+        the header is the first row, and it is not numeric."""
         path = tmp_path / "hb.csv"
-        path.write_text("\nt_seconds,yaw_deg,pitch_deg,roll_deg\n\n0.0,1,2,3\n0.0,1,2,3\n")
+        path.write_text("t_seconds,yaw_deg,pitch_deg,roll_deg\n\n0.0,1,2,3\n\n0.0,1,2,3\n")
         with pytest.raises(ViewingTraceError, match=r"hb\.csv:5: timestamps must strictly"):
             load_viewing_trace(str(path))
+        path.write_text("\nt_seconds,yaw_deg,pitch_deg,roll_deg\n\n0.0,1,2,3\n0.0,1,2,3\n")
+        with pytest.raises(ViewingTraceError) as exc:
+            load_viewing_trace(str(path))
+        assert str(exc.value) == (
+            f"{path}:2: non-numeric value in ['t_seconds', 'yaw_deg', 'pitch_deg', 'roll_deg']"
+        )
 
     def test_non_increasing_time_names_line(self, tmp_path):
         path = tmp_path / "ni.csv"
@@ -190,6 +200,18 @@ class TestEulerFiles:
             assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
         assert a.yaw.tolist() == [-170.0, 170.0] and a.pitch.tolist() == [90.0, -90.0]
 
+    @pytest.mark.parametrize("data", [
+        b'"1",a,b,c\n0.0,1,2,3\n0.5,1,2,3\n',
+        b"0.0,\x1c1,2,3\n0.5,1,2\x1f,3\n",
+    ], ids=["quoted-header", "0x1c-0x1f-padding"])
+    def test_forms_only_numpy_reads(self, tmp_path, data):
+        """float() rejects a quoted cell, so the first line is a header, and
+        numpy reads 0x1c-0x1f as whitespace."""
+        path = tmp_path / "w.csv"
+        path.write_bytes(data)
+        got = load_viewing_trace(str(path))
+        assert got.t.tolist() == [0.0, 0.5] and got.yaw.tolist() == [1.0, 1.0]
+
     def test_mixed_width_row_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0.0,1,2,0\n0.5,1,2\n")
@@ -198,17 +220,22 @@ class TestEulerFiles:
 
 
 class TestNumpyReadsPlainFiles:
-    """Files that numpy reads in one call never reach the scanners."""
+    """An accepted file costs exactly one np.loadtxt call."""
 
-    @pytest.fixture(autouse=True)
-    def no_scanners(self, monkeypatch):
-        def scanner(path):
-            raise AssertionError(f"{path} went to the scanner")
+    @pytest.fixture
+    def loadtxt_calls(self, monkeypatch):
+        """The arguments of each np.loadtxt call."""
+        calls = []
+        loadtxt = np.loadtxt
 
-        monkeypatch.setattr(traceio, "_scan_rows", scanner)
-        monkeypatch.setattr(netsim, "_scan_lines", scanner)
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return loadtxt(*args, **kwargs)
 
-    def test_written_files(self, tmp_path):
+        monkeypatch.setattr(np, "loadtxt", spy)
+        return calls
+
+    def test_written_files(self, tmp_path, loadtxt_calls):
         gaze = sinusoid_gaze(amplitude=40.0, period=7.0, duration=2.0, hz=30.0)
         save_viewing_trace(gaze, str(tmp_path / "t.csv"))
         got = load_viewing_trace(str(tmp_path / "t.csv"))
@@ -218,6 +245,7 @@ class TestNumpyReadsPlainFiles:
         netsim.save_trace(link, str(tmp_path / "t.pps"))
         got = netsim.load_trace(str(tmp_path / "t.pps")).timestamps_ms
         assert got.tobytes() == link.timestamps_ms.tobytes()
+        assert len(loadtxt_calls) == 2
 
     @pytest.mark.parametrize("data", [
         b"0.0,10,5,0\n0.5,12,6,0\n",
@@ -226,19 +254,21 @@ class TestNumpyReadsPlainFiles:
         b"t,yaw,pitch,roll\n0.0,10,5,0\n0.5,12,6,0",
         b"t,yaw,pitch,roll\n 0.0 , 10,5 ,0\n\t0.5,  12,6,0\t\n",
     ], ids=["headerless", "quaternion", "crlf", "no-final-newline", "padded"])
-    def test_viewing_files(self, tmp_path, data):
+    def test_viewing_files(self, tmp_path, loadtxt_calls, data):
         path = tmp_path / "t.csv"
         path.write_bytes(data)
         got = load_viewing_trace(str(path))
         assert got.t.tolist() == [0.0, 0.5]
         assert got.pitch.tolist() == ([0.0, 0.0] if b"qw" in data else [5.0, 6.0])
+        assert len(loadtxt_calls) == 1
 
     @pytest.mark.parametrize("data", [b"1\r\n2\r\n", b"1\n2", b" 1 \n\t2\n"],
                              ids=["crlf", "no-final-newline", "padded"])
-    def test_packet_files(self, tmp_path, data):
+    def test_packet_files(self, tmp_path, loadtxt_calls, data):
         path = tmp_path / "t.pps"
         path.write_bytes(data)
         np.testing.assert_array_equal(netsim.load_trace(str(path)).timestamps_ms, [1, 2])
+        assert len(loadtxt_calls) == 1
 
 
 class TestTraceDir:
