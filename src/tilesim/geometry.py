@@ -195,18 +195,24 @@ def tile_visibility(
     contributing 1 / samples_per_axis**2 to the tile its direction falls in.
     The batch is scored CHUNK_SAMPLES directions at a time, with the same
     float operations for every pose, so a row does not depend on the batch
-    it was scored in.
+    it was scored in. A run of consecutive poses with bit-identical frames
+    (a viewer holding still, a sample-and-hold trace) is scored once.
     """
     if samples_per_axis < 1:
         raise ValueError("samples_per_axis must be >= 1")
-    offsets = _fov_offsets(fov, samples_per_axis)
-    samples = samples_per_axis * samples_per_axis
     # frames[k, v, c]: component c of pose k's forward (v=0), right, up vector.
     frames = np.array([_local_frame(o) for o in poses]).reshape(len(poses), 3, 3)
-    scores = np.empty((len(poses), grid.tile_count))
+    # Runs of bit-identical frames (not ==: +-0.0 and NaN stay apart) score once.
+    bits = frames.reshape(len(poses), 9).view(np.int64)
+    first = np.ones(len(poses), dtype=bool)
+    first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    frames = frames[first]
+    offsets = _fov_offsets(fov, samples_per_axis)
+    samples = samples_per_axis * samples_per_axis
+    scores = np.empty((len(frames), grid.tile_count))
     step = max(1, CHUNK_SAMPLES // samples)
-    buffers = np.empty((4, min(step, len(poses)), samples))
-    for start in range(0, len(poses), step):
+    buffers = np.empty((4, min(step, len(frames)), samples))
+    for start in range(0, len(frames), step):
         frame = frames[start : start + step]
         k = frame.shape[0]
         x, y, z, term = (b[:k] for b in buffers)
@@ -216,15 +222,15 @@ def tile_visibility(
             for v in (1, 2):
                 np.multiply(frame[:, v, c, None], offsets[v], out=term)
                 out += term
-        yaw = np.degrees(np.arctan2(y, x, out=y), out=y)
-        # (yaw + 180) % 360 - 180, without the slow float %: arctan2 keeps
-        # yaw + 180 in [0, 360], and on (-360, 720) % only subtracts or adds
-        # 360, exactly as below.
+        yaw = np.arctan2(y, x, out=y)
+        yaw *= 180.0 / math.pi  # np.degrees, bit for bit
+        # (yaw + 180) % 360 - 180 without the slow float %: arctan2 keeps yaw
+        # + 180 in [0, 360] (-pi becomes -180 exactly), where % maps 360 to 0.
         yaw += 180.0
         np.subtract(yaw, 360.0, out=yaw, where=yaw >= 360.0)
-        np.add(yaw, 360.0, out=yaw, where=yaw < 0.0)
         yaw -= 180.0
-        pitch = np.degrees(np.arcsin(np.clip(z, -1.0, 1.0, out=z), out=z), out=z)
+        pitch = np.arcsin(np.clip(z, -1.0, 1.0, out=z), out=z)
+        pitch *= 180.0 / math.pi
         # Tile column and row. Adding back the 180 just taken off rounds
         # like the wrap did.
         yaw += 180.0
@@ -246,5 +252,5 @@ def tile_visibility(
         j += i
         j += np.arange(k)[:, None] * grid.tile_count
         counts = np.bincount(j.ravel(), minlength=k * grid.tile_count)
-        scores[start : start + k] = counts.reshape(k, grid.tile_count) / float(samples)
-    return scores
+        np.divide(counts.reshape(k, -1), float(samples), out=scores[start : start + k])
+    return scores[np.cumsum(first) - 1]

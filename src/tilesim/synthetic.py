@@ -106,16 +106,24 @@ def drifting_gaze(
     )
 
 
-def packet_slots(rate: float, t0: float, t1: float) -> np.ndarray:
-    """Millisecond stamps, as an int64 array, of 1500-byte packet slots
-    spread evenly over (t0, t1] seconds at `rate` bit/s; at least one slot if
-    t1 > t0, none otherwise. Stamp k is t0 * 1000 + k * gap rounded half to
-    even, k = 1 .. packets."""
-    if t1 <= t0:
-        return np.empty(0, dtype=np.int64)
-    packets = max(1, int(round(rate * (t1 - t0) / 8.0 / 1500.0)))
-    gap_ms = (t1 - t0) * 1000.0 / packets
-    return np.rint(t0 * 1000.0 + np.arange(1, packets + 1) * gap_ms).astype(np.int64)
+def _slot_count(rate: float, t0: float, t1: float) -> int:
+    """Packets that packet_slots(rate, t0, t1) stamps."""
+    return 0 if t1 <= t0 else max(1, int(round(rate * (t1 - t0) / 8.0 / 1500.0)))
+
+
+def packet_slots(
+    rate: float, t0: float, t1: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Millisecond stamps, as an int64 array (`out`, if given), of 1500-byte
+    packet slots spread evenly over (t0, t1] seconds at `rate` bit/s; at least
+    one slot if t1 > t0, none otherwise. Stamp k is t0 * 1000 + k * gap
+    rounded half to even, k = 1 .. packets."""
+    out = np.empty(_slot_count(rate, t0, t1), dtype=np.int64) if out is None else out
+    stamps = np.arange(1, out.size + 1, dtype=np.float64)
+    stamps *= (t1 - t0) * 1000.0 / max(1, out.size)  # the gap; an empty span has none
+    stamps += t0 * 1000.0
+    out[...] = np.rint(stamps, out=stamps)
+    return out
 
 
 def constant_rate_network(bits_per_second: float, duration_s: float) -> NetworkTrace:
@@ -133,10 +141,11 @@ def two_phase_network(
     """Ample until cut_s, starved after; optionally ample again from
     recover_s. Used to provoke adaptation-mechanism transitions."""
     end_starved = recover_s if recover_s is not None else duration_s
-    phases = [
-        packet_slots(ample_bps, 0.0, cut_s),
-        packet_slots(starved_bps, cut_s, end_starved),
-    ]
+    phases = [(ample_bps, 0.0, cut_s), (starved_bps, cut_s, end_starved)]
     if recover_s is not None:
-        phases.append(packet_slots(ample_bps, recover_s, duration_s))
-    return NetworkTrace(timestamps_ms=np.concatenate(phases))
+        phases.append((ample_bps, recover_s, duration_s))
+    ends = np.cumsum([_slot_count(*phase) for phase in phases]).tolist()
+    stamps = np.empty(ends[-1], dtype=np.int64)
+    for phase, start, end in zip(phases, [0, *ends], ends):
+        packet_slots(*phase, out=stamps[start:end])
+    return NetworkTrace(timestamps_ms=stamps)

@@ -59,6 +59,19 @@ class TestNetworkTrace:
         assert early / 1.0 == pytest.approx(24e6 / (PACKET_BYTES * 8), rel=0.05)
         assert late / 1.0 == pytest.approx(2.4e6 / (PACKET_BYTES * 8), rel=0.05)
 
+    def test_two_phase_builder_holds_one_copy_of_its_stamps(self):
+        """The benchmark's dense-churn link (716,666 slots): the phases fill
+        one array, so the peak stays well under the two copies (phases plus
+        their concatenation) that reached 2.1 times the result."""
+        tracemalloc.start()
+        try:
+            t = two_phase_network(100e6, 15e6, cut_s=40.0, duration_s=120.0, recover_s=80.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.timestamps_ms.size == 716_666
+        assert peak <= 1.6 * t.timestamps_ms.nbytes
+
 
 class TestTraceIo:
     @pytest.fixture(autouse=True)

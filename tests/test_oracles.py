@@ -8,6 +8,7 @@ loaded traces byte-equal, written files byte-equal, errors word for word,
 report rows equal down to the repr of every float.
 """
 
+import math
 import re
 import warnings
 
@@ -219,6 +220,65 @@ def test_tile_visibility_rows_match_the_scalar_kernel(data, n, fov):
         assert row.tobytes() == expected[k % len(pool)], (k, batch[k])
 
 
+# Poses whose frames differ in few bits or hold NaN: pitch 0.0 and -0.0 (a
+# sign bit apart), the poles, yaw -180 and just below 180, and a NaN yaw.
+HELD_POSES = (
+    Orientation(30.0, 0.0),
+    Orientation(30.0, -0.0),
+    Orientation(0.0, 90.0),
+    Orientation(0.0, -90.0),
+    Orientation(-180.0, 10.0),
+    Orientation(float(np.nextafter(180.0, 0.0)), 10.0),
+    Orientation(math.nan, 0.0),
+)
+
+
+@given(data=st.data(), n=st.integers(1, 40))
+@settings(max_examples=100, deadline=None)
+def test_tile_visibility_rows_match_the_scalar_kernel_on_runs_of_held_poses(data, n):
+    """Runs of one pose, some longer than a chunk, with 0.0 and -0.0 pitch
+    side by side and the first pose held again after them: every row is
+    its own pose's scalar map."""
+    grid = TileGrid(data.draw(st.integers(1, 12)), data.draw(st.integers(1, 8)))
+    fov = data.draw(fovs())
+    chunk = max(1, CHUNK_SAMPLES // (n * n))
+    pool = HELD_POSES + tuple(data.draw(st.lists(poses(grid), max_size=3)))
+    length = st.integers(1, 2 * chunk + 1)
+    runs = [(0, data.draw(length)), (1, data.draw(length))]
+    runs += data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), length), max_size=8))
+    runs.append((0, data.draw(length)))
+    batch = tuple(pool[i] for i, count in runs for _ in range(count))
+    with np.errstate(invalid="ignore"):  # the NaN pose's int cast
+        rows = tile_visibility(batch, fov, grid, n)
+        expected = [scalar_tile_visibility(o, fov, grid, n).tobytes() for o in pool]
+    assert rows.shape == (len(batch), grid.tile_count)
+    k = 0
+    for i, count in runs:
+        for row in rows[k : k + count]:
+            assert row.tobytes() == expected[i], (k, pool[i])
+        k += count
+
+
+def test_tile_visibility_scores_each_run_of_identical_poses_once(monkeypatch):
+    """Each chunk pass takes the arctan2 of its poses' directions, so the
+    rows passed to it count the poses scored."""
+    scored = []
+    arctan2 = np.arctan2
+
+    def spy(y, x, **kwargs):
+        scored.append(len(y))
+        return arctan2(y, x, **kwargs)
+
+    monkeypatch.setattr(np, "arctan2", spy)
+    held, other = Orientation(30.0, 10.0), Orientation(-60.0, 5.0)
+    grid = TileGrid(4, 4)
+    rows = tile_visibility((held,) * 1000, FovSpec(), grid, 32)
+    assert scored == [1]
+    assert rows.tobytes() == np.tile(rows[0], (1000, 1)).tobytes()
+    tile_visibility((held,) * 5 + (other,) * 3 + (held,) * 2, FovSpec(), grid, 32)
+    assert scored == [1, 3]
+
+
 @st.composite
 def heat_traces(draw, duration, segment_length):
     """Samples before 0, at 0, on segment boundaries, just below and at the
@@ -254,11 +314,22 @@ def test_build_heat_matches_the_per_sample_loop(data, n, fov):
     assert heat.heat.tobytes() == expected.tobytes()
 
 
+def sample_and_hold(trace: ViewingTrace, hz: float, times: int = 9) -> ViewingTrace:
+    """A trace sampled at hz, resampled at times * hz by repeating each pose."""
+    return ViewingTrace(
+        np.arange(len(trace) * times) / (hz * times),
+        *(np.repeat(a, times) for a in (trace.yaw, trace.pitch, trace.roll)),
+    )
+
+
 @pytest.mark.parametrize("n", [3, 7, 32])
 def test_build_heat_matches_the_per_sample_loop_on_dense_traces(n):
     """Three wandering 90 Hz viewers, so each heat cell sums hundreds of maps
-    whose scores are not dyadic: any change in summation order shows."""
+    whose scores are not dyadic: any change in summation order shows. A
+    still viewer and a 10 Hz viewer held to 90 Hz repeat poses."""
     traces = [drifting_gaze(seed, 3.0, hz=90.0) for seed in range(3)]
+    traces += [constant_gaze(40.0, -10.0, 3.0, hz=90.0)]
+    traces += [sample_and_hold(drifting_gaze(3, 3.0, hz=10.0), 10.0)]
     args = (traces, TileGrid(8, 4), FovSpec(100.0, 90.0), 1.0, 3.0, n)
     assert build_heat(*args).heat.tobytes() == build_heat_oracle(*args).tobytes()
 
@@ -266,10 +337,17 @@ def test_build_heat_matches_the_per_sample_loop_on_dense_traces(n):
 @given(m=manifests(), data=st.data(), n=st.integers(1, 12), fov=fovs())
 @settings(max_examples=100, deadline=None)
 def test_viewing_assignments_match_one_scalar_map_per_segment(m, data, n, fov):
-    times = sorted(data.draw(st.lists(
-        st.floats(-1.0, m.duration + 1.0), min_size=1, max_size=20, unique=True
-    )))
-    trace = trace_of([(t, data.draw(poses(m.grid))) for t in times])
+    if data.draw(st.booleans()):
+        times = sorted(data.draw(st.lists(
+            st.floats(-1.0, m.duration + 1.0), min_size=1, max_size=20, unique=True
+        )))
+        trace = trace_of([(t, data.draw(poses(m.grid))) for t in times])
+    else:  # a still viewer, or one held at 9x its rate
+        o = data.draw(poses(m.grid))
+        trace = data.draw(st.sampled_from([
+            constant_gaze(o.yaw, o.pitch, m.duration + 1.0, hz=4.0),
+            sample_and_hold(drifting_gaze(m.segment_count, m.duration + 1.0, hz=0.5), 0.5),
+        ]))
     got = viewing_assignments(m, trace, fov, n)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, viewing_assignments_oracle(m, trace, fov, n))
@@ -432,14 +510,17 @@ def test_segment_requests_match_one_scalar_read_per_tile(m, data):
 def viewing_traces(draw, duration):
     """Traces covering [0, duration + 1] s: dense ones, where every window
     holds samples, and sparse ones, where most windows are empty and the
-    nearest sample stands in; times start at or before 0."""
+    nearest sample stands in; times start at or before 0. The viewer
+    wanders, holds each pose for 9 samples, or holds one pose throughout."""
     hz = draw(st.sampled_from([0.4, 1.0, 4.0, 30.0]))
     start = draw(st.sampled_from([0.0, -0.25, -2.0]))
     count = int((duration + 1.0 - start) * hz) + 2
     t = start + np.arange(count) / hz
     t[1:] += draw(st.floats(0.0, 0.5 / hz))  # shift off the window edges, or not
     yaw = np.cumsum(draw(st.lists(st.floats(-40.0, 40.0), min_size=count, max_size=count)))
-    pitch = draw(st.lists(st.floats(-89.0, 89.0), min_size=count, max_size=count))
+    pitch = np.array(draw(st.lists(st.floats(-89.0, 89.0), min_size=count, max_size=count)))
+    hold = draw(st.sampled_from([1, 9, count]))
+    yaw, pitch = (np.repeat(a[::hold], hold)[:count] for a in (yaw, pitch))
     return ViewingTrace.from_angles(t, yaw, pitch, np.zeros(count))
 
 
