@@ -10,7 +10,7 @@ command wraps it all; see the README for a walkthrough.
 """
 
 from .adaptation import PolicyKind, TransitionState, transition_step
-from .cachesim import Cache, CacheStats, EvictionPolicy, warm
+from .cachesim import Cache, EvictionPolicy, warm
 from .geometry import (
     FovSpec,
     Orientation,
@@ -36,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cache",
-    "CacheStats",
     "EvictionPolicy",
     "ExperimentReport",
     "FovSpec",

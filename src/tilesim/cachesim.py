@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
 from typing import Hashable, Sequence
@@ -46,22 +45,6 @@ class EvictionPolicy(str, Enum):
 _LRU, _LFUDA = EvictionPolicy.LRU, EvictionPolicy.LFUDA
 
 
-@dataclass
-class CacheStats:
-    requests: int = 0
-    hits: int = 0
-    bytes_requested: int = 0
-    bytes_hit: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.requests if self.requests else 0.0
-
-    @property
-    def byte_hit_rate(self) -> float:
-        return self.bytes_hit / self.bytes_requested if self.bytes_requested else 0.0
-
-
 class Cache:
     """Byte-capacity cache; request() reports hit/miss and ingests misses.
     Entries are immutable (size, frequency, last_access, priority) tuples
@@ -74,7 +57,6 @@ class Cache:
         self.policy = EvictionPolicy(policy)
         self.aging_level = 0.0  # L term; only LFUDA/GDSF read it
         self.occupancy = 0
-        self.stats = CacheStats()
         self._entries: dict[Hashable, tuple[int, int, int, float]] = {}
         self._clock = 0
         # Min-heap of (priority, last_access, key), rebuilt from the live
@@ -92,23 +74,19 @@ class Cache:
     def request(self, key: Hashable, size: int) -> bool:
         """Look up `key`; on a miss, insert it and evict down to capacity.
 
-        Returns True on a hit. The inserted object takes part in its own
-        eviction round, so it may be dropped immediately if its priority is
-        the lowest. Misses larger than the whole cache are counted but never
+        Returns True on a hit and keeps no counters: a caller that wants hit
+        counts tallies the return values. The inserted object takes part in
+        its own eviction round, so it may be dropped immediately if its
+        priority is the lowest. Misses larger than the whole cache are never
         stored.
         """
         if size <= 0:
             raise ValueError("object size must be positive")
         clock = self._clock = self._clock + 1
-        stats = self.stats
-        stats.requests += 1
-        stats.bytes_requested += size
         entries = self._entries
         entry = entries.get(key)
         if entry is not None:
             size, frequency = entry[0], entry[1] + 1
-            stats.hits += 1
-            stats.bytes_hit += size
         elif size > self.capacity:
             return False
         else:
@@ -137,16 +115,11 @@ class Cache:
                 self.aging_level = priority
         return False
 
-    def reset_stats(self) -> None:
-        """Zero the counters (separates warm-up from measurement)."""
-        self.stats = CacheStats()
-
     def copy(self) -> Cache:
-        """An independent cache in the same state: entries, heap, clocks,
-        aging level, occupancy and stats. Requests on either leave the other
+        """An independent cache in the same state: entries, heap, clock,
+        aging level and occupancy. Requests on either leave the other
         untouched, and both evict the same keys for the same requests."""
         twin = copy.copy(self)
-        twin.stats = copy.copy(self.stats)
         twin._entries = dict(self._entries)
         twin._heap = list(self._heap)
         return twin
@@ -198,9 +171,8 @@ def warm(
     A seeded draw picks min(trace_count, len(traces)) trace indices in random
     order (drawing without replacement doubles as the permutation); each
     viewing requests every tile of every segment at its warm-up quality,
-    segments and tiles ascending. Call cache.reset_stats() afterwards to
-    measure cleanly. `assignments` memoizes viewing_assignments by trace
-    index across calls that share the traces, manifest, fov and
+    segments and tiles ascending. `assignments` memoizes viewing_assignments
+    by trace index across calls that share the traces, manifest, fov and
     samples_per_axis.
     """
     rng = random.Random(seed)

@@ -102,7 +102,8 @@ def _load_config(path: str) -> dict:
 class _Number:
     """Converts a setting to `kind` and requires low <= value < high, or
     low < value < high when `strict`; NaN fails every comparison. An
-    `optional` setting may also be None."""
+    `optional` setting may also be None. A config file's true/false is not a
+    number, and an int setting takes no fractional part."""
 
     kind: type
     low: float = -math.inf
@@ -114,6 +115,10 @@ class _Number:
         if value is None and self.optional:
             return None
         try:
+            if isinstance(value, bool) or (
+                self.kind is int and isinstance(value, float) and not value.is_integer()
+            ):
+                raise TypeError
             x = self.kind(value)
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"expected {self.kind.__name__}, got {value!r}") from None

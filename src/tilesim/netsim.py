@@ -88,8 +88,10 @@ def scale(trace: NetworkTrace, factor: float) -> NetworkTrace:
     Timestamps are re-rounded to whole milliseconds, so scale(scale(t, f), 1/f)
     matches the original within 1 ms per slot.
     """
-    if factor <= 0:
+    if not factor > 0:
         raise ValueError("scale factor must be positive")
+    if np.rint(trace.duration_ms / factor) >= 2.0**63:
+        raise TraceError("the scaled trace overflows: its last stamp passes int64")
     scaled = np.rint(trace.timestamps_ms / factor).astype(np.int64)
     if scaled[-1] <= 0:
         raise TraceError("scaling collapsed the trace to zero duration")

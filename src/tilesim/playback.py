@@ -66,8 +66,6 @@ class SessionMetrics:
     policy: str
     records: list[SegmentRecord]
     savings: np.ndarray = field(repr=False)  # per segment vs all-top-level
-    cache_hit_rate: float | None = None
-    cache_byte_hit_rate: float | None = None
 
     @property
     def total_stall(self) -> float:
@@ -227,14 +225,7 @@ def simulate(cfg: SessionConfig, plan: PredictionPlan | None = None) -> SessionM
         if origin_bytes > 0 and origin_end > dl_start:
             estimate = origin_bytes * 8.0 / (origin_end - dl_start)
 
-    stats = cfg.cache.stats if cfg.cache is not None else None
-    return SessionMetrics(
-        policy=cfg.policy.value,
-        records=records,
-        savings=savings,
-        cache_hit_rate=stats.hit_rate if stats else None,
-        cache_byte_hit_rate=stats.byte_hit_rate if stats else None,
-    )
+    return SessionMetrics(policy=cfg.policy.value, records=records, savings=savings)
 
 
 @dataclass
@@ -276,10 +267,9 @@ def run_experiment(
 
     Iteration i uses viewing_traces[i % len] and a warm-up seed derived from
     (seed, i) for every policy, so runs are comparable pairwise across
-    policies. The cache is warmed once per iteration, with counters reset
-    before measurement, and each run gets a copy of its iteration's warmed
-    cache. Each trace's warm-up assignments and prediction plan are computed
-    once per experiment.
+    policies. The cache is warmed once per iteration, and each run gets a
+    copy of its iteration's warmed cache. Each trace's warm-up assignments
+    and prediction plan are computed once per experiment.
     """
     if not viewing_traces:
         raise ValueError("need at least one viewing trace")
@@ -307,7 +297,6 @@ def run_experiment(
                 samples_per_axis=samples_per_axis,
                 assignments=assignments,
             )
-            warmed.reset_stats()
         for policy in policies:
             cfg = SessionConfig(
                 manifest=manifest,

@@ -28,10 +28,6 @@ class HeatMap:
 
     heat: np.ndarray = field(repr=False)  # (segments, tiles)
 
-    @property
-    def segment_count(self) -> int:
-        return self.heat.shape[0]
-
 
 def build_heat(
     traces: Sequence[ViewingTrace],

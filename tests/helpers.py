@@ -30,7 +30,7 @@ from tilesim.adaptation import (
     select_prediction_ba,
     transition_step,
 )
-from tilesim.cachesim import CacheStats, EvictionPolicy, quality_bands, viewing_assignments
+from tilesim.cachesim import EvictionPolicy, quality_bands, viewing_assignments
 from tilesim.geometry import (
     FovSpec,
     Orientation,
@@ -124,7 +124,6 @@ class HeapCache:
         self.policy = EvictionPolicy(policy)
         self.aging_level = 0.0  # L term; only LFUDA/GDSF read it
         self.occupancy = 0
-        self.stats = CacheStats()
         self._entries: dict[Hashable, _Entry] = {}
         self._clock = 0
         # Min-heap of (priority, last_access, key); stale items are skipped
@@ -174,18 +173,13 @@ class HeapCache:
 
         Returns True on a hit. The inserted object takes part in its own
         eviction round, so it may be dropped immediately if its priority is
-        the lowest. Misses larger than the whole cache are counted but never
-        stored.
+        the lowest. Misses larger than the whole cache are never stored.
         """
         if size <= 0:
             raise ValueError("object size must be positive")
         self._clock += 1
-        self.stats.requests += 1
-        self.stats.bytes_requested += size
         entry = self._entries.get(key)
         if entry is not None:
-            self.stats.hits += 1
-            self.stats.bytes_hit += entry.size
             entry.frequency += 1
             entry.last_access = self._clock
             entry.priority = self._priority(entry.frequency, entry.size, self._clock)
@@ -206,16 +200,11 @@ class HeapCache:
             self._evict_one()
         return False
 
-    def reset_stats(self) -> None:
-        """Zero the counters (separates warm-up from measurement)."""
-        self.stats = CacheStats()
-
     def copy(self) -> HeapCache:
-        """An independent cache in the same state: entries, heap, clocks,
-        aging level, occupancy and stats. Requests on either leave the other
+        """An independent cache in the same state: entries, heap, clock,
+        aging level and occupancy. Requests on either leave the other
         untouched, and both evict the same keys for the same requests."""
         twin = copy.copy(self)
-        twin.stats = copy.copy(self.stats)
         twin._entries = {
             k: _Entry(e.size, e.frequency, e.last_access, e.priority)
             for k, e in self._entries.items()
@@ -547,8 +536,6 @@ def session_dict(metrics) -> dict:
         "total_stall": metrics.total_stall,
         "avg_quality": metrics.avg_quality,
         "total_bytes": total_bytes(metrics),
-        "cache_hit_rate": metrics.cache_hit_rate,
-        "cache_byte_hit_rate": metrics.cache_byte_hit_rate,
         "savings": [float(s) for s in metrics.savings],
         "segments": record_dicts(metrics),
     }
@@ -887,7 +874,6 @@ def run_experiment_oracle(
                     cache, manifest, viewing_traces, fov, seed * 100003 + i,
                     warm_trace_count, samples_per_axis,
                 )
-                cache.reset_stats()
             cfg = SessionConfig(
                 manifest=manifest,
                 viewing_trace=viewing_traces[i % len(viewing_traces)],
@@ -934,7 +920,15 @@ class LastSampleEstimator:
         return self._estimate
 
 
-def simulate_oracle(cfg: SessionConfig) -> SessionMetrics:
+@dataclass
+class OracleMetrics(SessionMetrics):
+    """A session's metrics plus `bytes_hit`: the bytes of every cache request
+    that returned a hit, tallied apart from the segment records."""
+
+    bytes_hit: int = 0
+
+
+def simulate_oracle(cfg: SessionConfig) -> OracleMetrics:
     """`playback.simulate` before it read a prediction plan: every session,
     whatever its policy, selects, fits and scores each segment's window
     itself (predicted_map_oracle), one single-pose tile_visibility call per
@@ -959,6 +953,7 @@ def simulate_oracle(cfg: SessionConfig) -> SessionMetrics:
     savings = np.zeros(m.segment_count)
     sched_prev = 0.0
     end_prev = 0.0
+    bytes_hit = 0
 
     for seg in range(m.segment_count):
         dl_start = 0.0 if seg == 0 else max(end_prev, sched_prev)
@@ -988,6 +983,7 @@ def simulate_oracle(cfg: SessionConfig) -> SessionMetrics:
         for key, size in segment_requests_oracle(m, seg, levels):
             if cfg.cache is not None and cfg.cache.request(key, size):
                 cache_bytes += size
+                bytes_hit += size
             else:
                 origin_bytes += size
 
@@ -1026,13 +1022,8 @@ def simulate_oracle(cfg: SessionConfig) -> SessionMetrics:
         )
         sched_prev, end_prev = sched, dl_end
 
-    stats = cfg.cache.stats if cfg.cache is not None else None
-    return SessionMetrics(
-        policy=cfg.policy.value,
-        records=records,
-        savings=savings,
-        cache_hit_rate=stats.hit_rate if stats else None,
-        cache_byte_hit_rate=stats.byte_hit_rate if stats else None,
+    return OracleMetrics(
+        policy=cfg.policy.value, records=records, savings=savings, bytes_hit=bytes_hit
     )
 
 

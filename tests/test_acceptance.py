@@ -152,10 +152,9 @@ def test_criterion_06_policy_characteristics():
             rng = np.random.default_rng(seed)
             draws = rng.choice(object_count, size=5000, p=probs)
             cache = Cache(capacity, policy)
-            for obj in draws:
-                cache.request(f"o{obj}", int(sizes[obj]))
-            chrs.append(cache.stats.hit_rate)
-            bhrs.append(cache.stats.byte_hit_rate)
+            hits = np.array([cache.request(f"o{obj}", int(sizes[obj])) for obj in draws])
+            chrs.append(hits.mean())
+            bhrs.append(sizes[draws][hits].sum() / sizes[draws].sum())
         chr_by[policy] = float(np.mean(chrs))
         bhr_by[policy] = float(np.mean(bhrs))
     assert bhr_by[EvictionPolicy.LFUDA] >= bhr_by[EvictionPolicy.LRU]

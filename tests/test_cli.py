@@ -609,10 +609,15 @@ class TestRun:
             ([], {"cache_policy": "fifo"}, "--config: cache_policy"),
             (["--policies", "prediction,prediction"], None, "--policies prediction twice"),
             ([], {"policies": ["prediction", "prediction"]}, "--config: policies twice"),
+            (["--network-scale", "1e-20"], None, "--network-scale overflows"),
+            ([], {"iterations": 2.7}, "--config: iterations"),
+            ([], {"samples_per_axis": True}, "--config: samples_per_axis"),
+            ([], {"hysteresis": True}, "--config: hysteresis"),
         ],
     )
     def test_bad_value_names_its_source(self, ws, tmp_path, capsys, flags, config, named):
-        """Exit 2, and stderr holds each word of `named`."""
+        """Exit 2, stderr holds each word of `named`, and numpy warned of
+        nothing."""
         if config is not None:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(config))
@@ -623,6 +628,7 @@ class TestRun:
         ] + flags) == 2
         err = capsys.readouterr().err
         assert all(word in err for word in named.split()), err
+        assert "RuntimeWarning" not in err
         assert not (tmp_path / "out").exists()
 
     def test_zero_quaternion_names_traces_and_file(self, ws, tmp_path, capsys):

@@ -205,9 +205,17 @@ class TestScale:
         back = scale(scale(t, 1.0 / factor), factor)
         assert np.abs(back.timestamps_ms - t.timestamps_ms).max() <= 1
 
+    def test_overflow_raises_before_the_cast(self):
+        # 1000 / 1e-20 ms is past int64; the cast would wrap to a negative stamp
+        with pytest.raises(TraceError, match="overflows"):
+            scale(trace_of(range(1, 1001)), 1e-20)
+        # the largest stamp that still fits is kept
+        assert scale(trace_of([1, 1000]), 1000 / (2**63 - 2048)).duration_ms == 2**63 - 2048
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            scale(trace_of([0, 1]), 0.0)
+        for factor in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                scale(trace_of([0, 1]), factor)
 
 
 class TestLink:

@@ -26,7 +26,7 @@ class TestBuildHeat:
         # tile (2, 2) center; 3 s video, two segments
         trace = constant_gaze(45.0, -22.5, duration=3.0, hz=10.0)
         heat = build_heat([trace], grid44, NARROW, 1.5, 3.0, samples_per_axis=8)
-        assert heat.segment_count == 2
+        assert heat.heat.shape[0] == 2
         flat = flat_index(grid44, 2, 2)
         for seg in range(2):
             row = heat.heat[seg]
@@ -51,7 +51,7 @@ class TestBuildHeat:
     def test_samples_past_duration_ignored(self, grid44):
         trace = constant_gaze(0.0, 0.0, duration=10.0, hz=10.0)
         heat = build_heat([trace], grid44, FovSpec(100, 100), 1.5, 3.0, 8)
-        assert heat.segment_count == 2
+        assert heat.heat.shape[0] == 2
         n_in = int((trace.t < 3.0).sum())
         assert heat.heat.sum() == pytest.approx(n_in, abs=1e-9)
 
