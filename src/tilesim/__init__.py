@@ -4,12 +4,12 @@ Core pieces: sphere/tile geometry and visibility (geometry), linear viewport
 prediction (prediction), popularity heat maps and quantization (popularity),
 synthetic tiled manifests (manifest), an edge cache with LRU/LFUDA/GDSF
 eviction (cachesim), a packet-trace network model (netsim), per-segment
-quality selection policies and the transition machine (adaptation), and the
+quality selection policies and the transition rule (adaptation), and the
 streaming-session event loop plus experiment driver (playback). The `tilesim`
 command wraps it all; see the README for a walkthrough.
 """
 
-from .adaptation import PolicyKind, TransitionState, transition_step
+from .adaptation import PolicyKind, transition_step
 from .cachesim import Cache, EvictionPolicy, warm
 from .geometry import (
     FovSpec,
@@ -22,7 +22,6 @@ from .geometry import (
 from .manifest import VideoManifest, file_count, segment_bits, synthesize
 from .netsim import Link, NetworkTrace, load_trace, scale
 from .playback import (
-    ExperimentReport,
     SegmentRecord,
     SessionConfig,
     SessionMetrics,
@@ -30,27 +29,24 @@ from .playback import (
     simulate,
 )
 from .popularity import HeatMap, build_heat, default_budget_bps, quantize
-from .prediction import PredictorConfig, RegressionModel, error_experiment, fit, predict
+from .prediction import RegressionModel, error_experiment, fit, predict
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Cache",
     "EvictionPolicy",
-    "ExperimentReport",
     "FovSpec",
     "HeatMap",
     "Link",
     "NetworkTrace",
     "Orientation",
     "PolicyKind",
-    "PredictorConfig",
     "RegressionModel",
     "SegmentRecord",
     "SessionConfig",
     "SessionMetrics",
     "TileGrid",
-    "TransitionState",
     "VideoManifest",
     "ViewingTrace",
     "build_heat",

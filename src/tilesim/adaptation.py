@@ -1,4 +1,4 @@
-"""Per-segment tile quality selection policies and the transition machine.
+"""Per-segment tile quality selection policies and the transition rule.
 
 Budgets are bits per second; a selection for one segment must fit within
 budget * segment_length bits. A budget of None means "no estimate yet" and
@@ -7,7 +7,6 @@ selects unconstrained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -128,36 +127,22 @@ def select_prediction_ba(
     return np.zeros_like(desired)
 
 
-@dataclass
-class TransitionState:
-    """Which mechanism is live, and the hysteresis gain."""
-
-    active: PolicyKind = PolicyKind.PREDICTION
-    hysteresis: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.hysteresis < 1.0:
-            raise ValueError("hysteresis must be >= 1")
-
-
 def transition_step(
-    state: TransitionState,
-    estimate_bps: float | None,
-    required_bps: float,
+    active: PolicyKind, estimate_bps: float | None, required_bps: float, hysteresis: float
 ) -> PolicyKind:
-    """Advance the transition machine at a segment boundary.
+    """The mechanism live for the next segment, given the `active` one.
 
     `required_bps` is what the prediction mechanism would need for the next
     segment, and the threshold is recomputed from it at every step. With
     `estimate_bps` below it the popularity mechanism takes over; at or above
     hysteresis * required_bps prediction takes over; in between (only
-    possible with hysteresis > 1) nothing changes. With no estimate yet,
+    possible with hysteresis > 1) `active` stays. With no estimate yet,
     prediction is used.
     """
     if estimate_bps is None:
-        state.active = PolicyKind.PREDICTION
-    elif estimate_bps < required_bps:
-        state.active = PolicyKind.POPULARITY
-    elif estimate_bps >= state.hysteresis * required_bps:
-        state.active = PolicyKind.PREDICTION
-    return state.active
+        return PolicyKind.PREDICTION
+    if estimate_bps < required_bps:
+        return PolicyKind.POPULARITY
+    if estimate_bps >= hysteresis * required_bps:
+        return PolicyKind.PREDICTION
+    return active

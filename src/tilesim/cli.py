@@ -508,7 +508,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"--traces: {path} spans {span:.3f}s, shorter than the "
                 f"{run['timeframe']}s --timeframe window"
             )
-    report = playback.run_experiment(
+    runs = playback.run_experiment(
         manifest=m,
         viewing_traces=traces,
         network_trace=network,
@@ -519,17 +519,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         seed=run["seed"],
         warm_trace_count=run["warm_traces"],
         fov=run["fov"],
-        predictor=prediction.PredictorConfig(timeframe=run["timeframe"]),
+        timeframe=run["timeframe"],
         samples_per_axis=run["samples_per_axis"],
         cache_rate_bps=run["cache_rate_bps"],
         hysteresis=run["hysteresis"],
     )
 
-    rows = playback.segment_rows(report)
+    rows = playback.segment_rows(runs)
     summary_rows = _write_output(
         "--out", out_dir, lambda out: _write_outputs(out, "segments.csv", rows)
     )["policy_summary.csv"]
-    gain = report.quality_gain_percent()
+    gain = playback.quality_gain_percent(runs)
     summary = {
         "spec": spec,
         "network_average_bps": network.average_bps(),

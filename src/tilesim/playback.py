@@ -17,7 +17,6 @@ import numpy as np
 
 from .adaptation import (
     PolicyKind,
-    TransitionState,
     require_popularity,
     select_naive,
     select_popularity,
@@ -29,7 +28,7 @@ from .cachesim import Cache, EvictionPolicy, warm
 from .geometry import FovSpec, ViewingTrace, rank_tiles, tile_visibility
 from .manifest import VideoManifest, naive_segment_bytes, segment_bits, segment_requests
 from .netsim import Link, NetworkTrace
-from .prediction import PredictorConfig, fit, nearest_sample, predict, select_window
+from .prediction import fit, nearest_sample, predict, select_window
 
 
 @dataclass
@@ -41,7 +40,7 @@ class SessionConfig:
     cache: Cache | None = None
     cache_rate_bps: float = 100e6
     fov: FovSpec = field(default_factory=FovSpec)
-    predictor: PredictorConfig = field(default_factory=PredictorConfig)
+    timeframe: float = 0.1  # regression window, seconds
     samples_per_axis: int = 32
     hysteresis: float = 1.0
 
@@ -95,18 +94,23 @@ class PredictionPlan:
 
 
 def _check_trace(cfg: SessionConfig) -> None:
+    """ValueError for a timeframe <= 0, a hysteresis < 1 or a trace shorter than the timeframe."""
+    if cfg.timeframe <= 0.0:
+        raise ValueError("timeframe must be positive")
+    if cfg.hysteresis < 1.0:
+        raise ValueError("hysteresis must be >= 1")
     if not cfg.viewing_trace:
         raise ValueError("viewing trace is empty")
     span = cfg.viewing_trace.t.item(-1) - cfg.viewing_trace.t.item(0)
-    if span < cfg.predictor.timeframe:
+    if span < cfg.timeframe:
         raise ValueError(
             f"viewing trace spans {span:.3f}s, shorter than the "
-            f"{cfg.predictor.timeframe:.3f}s regression window"
+            f"{cfg.timeframe:.3f}s regression window"
         )
 
 
 def prediction_plan(cfg: SessionConfig) -> PredictionPlan:
-    """The plan of cfg's viewing trace under its manifest, FoV, predictor and
+    """The plan of cfg's viewing trace under its manifest, FoV, timeframe and
     samples_per_axis.
 
     Segment k's regression window ends at media time max(0, k * s - s), one
@@ -124,7 +128,7 @@ def prediction_plan(cfg: SessionConfig) -> PredictionPlan:
     for seg in range(m.segment_count):
         target = seg * s
         now = max(0.0, target - s)
-        window = select_window(trace, now, cfg.predictor.timeframe)
+        window = select_window(trace, now, cfg.timeframe)
         if not window:
             k = nearest_sample(trace, now)
             window = trace[k : k + 1]
@@ -159,7 +163,7 @@ def simulate(cfg: SessionConfig, plan: PredictionPlan | None = None) -> SessionM
     elif plan is None:
         plan = prediction_plan(cfg)
     estimate: float | None = None
-    state = TransitionState(hysteresis=cfg.hysteresis)
+    mechanism = PolicyKind.PREDICTION  # the transition policy's live mechanism
     origin = Link(cfg.network_trace)
     records: list[SegmentRecord] = []
     savings = np.zeros(m.segment_count)
@@ -171,7 +175,9 @@ def simulate(cfg: SessionConfig, plan: PredictionPlan | None = None) -> SessionM
         order = plan.ranked[seg] if plan is not None else None
         active = cfg.policy
         if cfg.policy is PolicyKind.TRANSITION:
-            active = transition_step(state, estimate, plan.required_bps[seg])
+            active = mechanism = transition_step(
+                mechanism, estimate, plan.required_bps[seg], cfg.hysteresis
+            )
 
         if active is PolicyKind.NAIVE:
             levels = select_naive(m, seg)
@@ -228,23 +234,16 @@ def simulate(cfg: SessionConfig, plan: PredictionPlan | None = None) -> SessionM
     return SessionMetrics(policy=cfg.policy.value, records=records, savings=savings)
 
 
-@dataclass
-class ExperimentReport:
-    policies: list[str]
-    iterations: int
-    seed: int
-    runs: dict[str, list[SessionMetrics]]
-
-    def quality_gain_percent(self) -> float | None:
-        """Relative mean-quality gain of transition over prediction-ba, in percent."""
-        of, over = PolicyKind.TRANSITION.value, PolicyKind.PREDICTION_BA.value
-        if of not in self.runs or over not in self.runs:
-            return None
-        ours = float(np.mean([m.avg_quality for m in self.runs[of]]))
-        base = float(np.mean([m.avg_quality for m in self.runs[over]]))
-        if base == 0.0:
-            return None
-        return (ours - base) / base * 100.0
+def quality_gain_percent(runs: dict[str, list[SessionMetrics]]) -> float | None:
+    """Relative mean-quality gain of transition over prediction-ba, in percent."""
+    of, over = PolicyKind.TRANSITION.value, PolicyKind.PREDICTION_BA.value
+    if of not in runs or over not in runs:
+        return None
+    ours = float(np.mean([m.avg_quality for m in runs[of]]))
+    base = float(np.mean([m.avg_quality for m in runs[over]]))
+    if base == 0.0:
+        return None
+    return (ours - base) / base * 100.0
 
 
 def run_experiment(
@@ -257,13 +256,15 @@ def run_experiment(
     cache_capacity_bytes: int = 0,
     seed: int = 0,
     warm_trace_count: int = 30,
-    fov: FovSpec | None = None,
-    predictor: PredictorConfig | None = None,
+    fov: FovSpec = FovSpec(),
+    timeframe: float = 0.1,
     samples_per_axis: int = 32,
     cache_rate_bps: float = 100e6,
     hysteresis: float = 1.0,
-) -> ExperimentReport:
-    """Paired multi-run experiment over one or more distinct policies.
+) -> dict[str, list[SessionMetrics]]:
+    """Paired multi-run experiment over one or more distinct policies: each
+    policy's sessions, one per iteration, keyed by its value in `policies`
+    order.
 
     Iteration i uses viewing_traces[i % len] and a warm-up seed derived from
     (seed, i) for every policy, so runs are comparable pairwise across
@@ -277,8 +278,6 @@ def run_experiment(
         raise ValueError("iterations must be >= 1")
     if len(set(policies)) != len(policies):
         raise ValueError(f"each policy may be listed once, got {[p.value for p in policies]}")
-    fov = fov or FovSpec()
-    predictor = predictor or PredictorConfig()
     runs: dict[str, list[SessionMetrics]] = {p.value: [] for p in policies}
     assignments: dict[int, np.ndarray] = {}
     plans: dict[int, PredictionPlan] = {}
@@ -306,19 +305,14 @@ def run_experiment(
                 cache=warmed.copy() if warmed is not None else None,
                 cache_rate_bps=cache_rate_bps,
                 fov=fov,
-                predictor=predictor,
+                timeframe=timeframe,
                 samples_per_axis=samples_per_axis,
                 hysteresis=hysteresis,
             )
             if policy in PLANNED_POLICIES and k not in plans:
                 plans[k] = prediction_plan(cfg)
             runs[policy.value].append(simulate(cfg, plans.get(k)))
-    return ExperimentReport(
-        policies=[p.value for p in policies],
-        iterations=iterations,
-        seed=seed,
-        runs=runs,
-    )
+    return runs
 
 
 # --- report flattening (shared by the CLI writer and verifier) ---------------
@@ -341,10 +335,10 @@ SEGMENT_COLUMNS = {  # column -> parser that reads its cell back
 }
 
 
-def segment_rows(report: ExperimentReport) -> list[dict]:
+def segment_rows(runs: dict[str, list[SessionMetrics]]) -> list[dict]:
     rows = []
-    for policy in report.policies:
-        for i, metrics in enumerate(report.runs[policy]):
+    for policy, sessions in runs.items():
+        for i, metrics in enumerate(sessions):
             for seg, r in enumerate(metrics.records):
                 rows.append(
                     {

@@ -16,19 +16,6 @@ from .geometry import Orientation, ViewingTrace, orthodromic_distance
 
 
 @dataclass(frozen=True)
-class PredictorConfig:
-    """Regression window length in seconds. The look-ahead is the caller's:
-    the playback loop predicts each segment one segment length ahead, at its
-    playback start."""
-
-    timeframe: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.timeframe <= 0.0:
-            raise ValueError("timeframe must be positive")
-
-
-@dataclass(frozen=True)
 class RegressionModel:
     """Per-axis linear fits anchored at fit_time (intercepts are the values
     at fit_time, which makes the model invariant to shifting all timestamps)."""

@@ -1,7 +1,7 @@
 """Deterministic synthetic fixtures: gaze traces and network traces.
 
-These generators exist so experiments and tests can run without shipping
-datasets; identical arguments always produce identical traces.
+These generators exist so experiments and the benchmark can run without
+shipping datasets; identical arguments always produce identical traces.
 """
 
 from __future__ import annotations
@@ -35,34 +35,6 @@ def constant_gaze(
     """A viewer staring at one point."""
     t = _steps(duration, hz) / hz
     return _sampled(t, np.full(t.size, yaw), np.full(t.size, pitch))
-
-
-def linear_gaze(
-    yaw0: float,
-    yaw_rate: float,
-    duration: float,
-    hz: float = 90.0,
-    pitch0: float = 0.0,
-    pitch_rate: float = 0.0,
-) -> ViewingTrace:
-    """Constant-velocity pan; exactly reproducible by a linear predictor."""
-    k = _steps(duration, hz)
-    return _sampled(k / hz, yaw0 + yaw_rate * k / hz, pitch0 + pitch_rate * k / hz)
-
-
-def sinusoid_gaze(
-    amplitude: float,
-    period: float,
-    duration: float,
-    hz: float = 90.0,
-    phase: float = 0.0,
-    center_yaw: float = 0.0,
-    pitch: float = 0.0,
-) -> ViewingTrace:
-    """Yaw oscillating sinusoidally; increasingly hard to extrapolate."""
-    t = _steps(duration, hz) / hz
-    yaw = center_yaw + amplitude * _sin(2.0 * math.pi * t / period + phase)
-    return _sampled(t, yaw, np.full(t.size, pitch))
 
 
 def gaussian_gaze_population(
@@ -124,11 +96,6 @@ def packet_slots(
     stamps += t0 * 1000.0
     out[...] = np.rint(stamps, out=stamps)
     return out
-
-
-def constant_rate_network(bits_per_second: float, duration_s: float) -> NetworkTrace:
-    """Evenly spaced packet slots approximating a constant-rate link."""
-    return NetworkTrace(timestamps_ms=packet_slots(bits_per_second, 0.0, duration_s))
 
 
 def two_phase_network(

@@ -17,12 +17,14 @@ import math
 import os
 import warnings
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
 from .geometry import Orientation, ViewingTrace
 
 _EULER_HEADER = "t_seconds,yaw_deg,pitch_deg,roll_deg\r\n"
+READ_BLOCK_CHARS = 1 << 16
 WRITE_CHUNK_CELLS = 4096
 
 
@@ -69,17 +71,15 @@ def read_table(
     that row. Quotes and `#` are ordinary characters, so a cell holding one
     is rejected. A file that is not ASCII raises `error`."""
     load = partial(
-        np.loadtxt, path, dtype=dtype, delimiter=",", comments=None, quotechar=None,
-        encoding="ascii", skiprows=skiprows, ndmin=2,
+        np.loadtxt, dtype=dtype, delimiter=",", comments=None, quotechar=None,
+        encoding="ascii", ndmin=2,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return load(), None
+            return load(path, skiprows=skiprows), None
         except (ValueError, Warning):
             pass
-    # numpy decodes whole chunks, so a prefix read can fail on a byte past
-    # its rows: rule non-ASCII files out before bisecting.
     with open(path, "rb") as f:
         offset = 0
         for block in iter(lambda: f.read(1 << 16), b""):
@@ -87,23 +87,44 @@ def read_table(
                 byte = offset + next(i for i, b in enumerate(block) if b >= 0x80)
                 raise error(f"{path}: not ASCII text (byte {byte})")
             offset += len(block)
-    # A read of the first n rows fails iff one of them is rejected, so grow n
-    # until a read fails, then bisect: O(log rows) reads, one array at a time.
-    good, bad = 0, 0
-    with warnings.catch_warnings():
-        # max_rows warns of each empty line it skips, and of a file with no rows.
+    # numpy rejects a row for its own cells or for a column count unlike the
+    # rows before it, so reading blocks of lines in order meets the rejected
+    # row in one pass. Only its block is halved down to it.
+    parts, lineno, rejected, tail = [], skiprows, None, ""
+    # Universal newlines end lines where numpy does; a block of blank lines warns.
+    with open(path, encoding="ascii") as f, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        while not bad or bad - good > 1:
-            rows = (good + bad) // 2 if bad else 2 * good + 1
-            try:
-                prefix = load(max_rows=rows)
-            except ValueError:
-                bad = rows
+        for _ in range(skiprows):
+            f.readline()
+        for text in chain(iter(lambda: f.read(READ_BLOCK_CHARS), ""), ["\n"]):
+            lines = (tail + text).split("\n")
+            tail = lines.pop()
+            if _take_rows(load, lines, parts):
+                lineno += len(lines)
                 continue
-            if len(prefix) < rows:
-                return prefix, None
-            good, prefix = rows, None
-        return load(max_rows=good), row_line(path, skiprows, good)
+            while len(lines) > 1:
+                half = len(lines) // 2
+                if _take_rows(load, lines[:half], parts):
+                    lineno, lines = lineno + half, lines[half:]
+                else:
+                    lines = lines[:half]
+            rejected = lineno + 1, lines[0]
+            break
+    return np.concatenate(parts) if parts else np.empty((0, 1), dtype), rejected
+
+
+def _take_rows(load, lines: list[str], parts: list[np.ndarray]) -> bool:
+    """Append numpy's rows of `lines` to `parts`; False if numpy rejects one
+    of them or their column count differs from the rows in `parts`."""
+    try:
+        rows = load(lines)
+    except ValueError:
+        return False
+    if len(rows):
+        if parts and rows.shape[1] != parts[0].shape[1]:
+            return False
+        parts.append(rows)
+    return True
 
 
 def row_line(path: str, skiprows: int, row: int) -> tuple[int, str]:

@@ -22,7 +22,6 @@ import numpy as np
 from tilesim import manifest as mf
 from tilesim.adaptation import (
     PolicyKind,
-    TransitionState,
     require_popularity,
     select_naive,
     select_popularity,
@@ -41,13 +40,12 @@ from tilesim.geometry import (
 )
 from tilesim.netsim import Link, NetworkTrace, TraceError
 from tilesim.playback import (
-    ExperimentReport,
     SegmentRecord,
     SessionConfig,
     SessionMetrics,
 )
-from tilesim.prediction import PredictorConfig, fit, nearest_sample, predict, select_window
-from tilesim.synthetic import constant_gaze
+from tilesim.prediction import fit, nearest_sample, predict, select_window
+from tilesim.synthetic import _sampled, _sin, _steps, constant_gaze, packet_slots
 from tilesim.traceio import ViewingTraceError, quaternion_to_orientation
 
 
@@ -499,6 +497,39 @@ def record_dicts(metrics) -> list[dict]:
 # --- helpers only the tests use ----------------------------------------------
 
 
+def linear_gaze(
+    yaw0: float,
+    yaw_rate: float,
+    duration: float,
+    hz: float = 90.0,
+    pitch0: float = 0.0,
+    pitch_rate: float = 0.0,
+) -> ViewingTrace:
+    """Constant-velocity pan; exactly reproducible by a linear predictor."""
+    k = _steps(duration, hz)
+    return _sampled(k / hz, yaw0 + yaw_rate * k / hz, pitch0 + pitch_rate * k / hz)
+
+
+def sinusoid_gaze(
+    amplitude: float,
+    period: float,
+    duration: float,
+    hz: float = 90.0,
+    phase: float = 0.0,
+    center_yaw: float = 0.0,
+    pitch: float = 0.0,
+) -> ViewingTrace:
+    """Yaw oscillating sinusoidally; increasingly hard to extrapolate."""
+    t = _steps(duration, hz) / hz
+    yaw = center_yaw + amplitude * _sin(2.0 * math.pi * t / period + phase)
+    return _sampled(t, yaw, np.full(t.size, pitch))
+
+
+def constant_rate_network(bits_per_second: float, duration_s: float) -> NetworkTrace:
+    """Evenly spaced packet slots approximating a constant-rate link."""
+    return NetworkTrace(timestamps_ms=packet_slots(bits_per_second, 0.0, duration_s))
+
+
 def tile_coords(grid: TileGrid, flat: int) -> tuple[int, int]:
     """(column, row) of a row-major flat tile index."""
     return flat % grid.cols, flat // grid.cols
@@ -729,14 +760,6 @@ def first_slot_after_oracle(trace: NetworkTrace, t_ms: float) -> int:
     return cycle * ts.size + idx
 
 
-def constant_rate_network_oracle(bits_per_second: float, duration_s: float) -> np.ndarray:
-    """`synthetic.constant_rate_network`'s timestamps from its own numpy
-    body, before it shared `packet_slots` with `two_phase_network`."""
-    packets = max(1, int(round(bits_per_second * duration_s / 8.0 / 1500.0)))
-    gap_ms = duration_s * 1000.0 / packets
-    return np.rint((np.arange(packets) + 1) * gap_ms).astype(np.int64)
-
-
 def packet_slots_oracle(rate: float, t0: float, t1: float) -> list[int]:
     """`synthetic.packet_slots` before it built an array: one Python
     `round` per packet."""
@@ -765,33 +788,6 @@ def two_phase_network_oracle(
 
 def _sampled_oracle(hz, steps, yaw, pitch) -> ViewingTrace:
     return ViewingTrace.from_angles([k / hz for k in range(steps)], yaw, pitch, np.zeros(steps))
-
-
-def linear_gaze_oracle(yaw0, yaw_rate, duration, hz=90.0, pitch0=0.0, pitch_rate=0.0):
-    """`synthetic.linear_gaze` before it computed its angles as arrays."""
-    steps = int(duration * hz) + 1
-    return _sampled_oracle(
-        hz,
-        steps,
-        [yaw0 + yaw_rate * k / hz for k in range(steps)],
-        [pitch0 + pitch_rate * k / hz for k in range(steps)],
-    )
-
-
-def sinusoid_gaze_oracle(
-    amplitude, period, duration, hz=90.0, phase=0.0, center_yaw=0.0, pitch=0.0
-):
-    """`synthetic.sinusoid_gaze` before it computed its angles as arrays."""
-    steps = int(duration * hz) + 1
-    return _sampled_oracle(
-        hz,
-        steps,
-        [
-            center_yaw + amplitude * math.sin(2.0 * math.pi * (k / hz) / period + phase)
-            for k in range(steps)
-        ],
-        [pitch] * steps,
-    )
 
 
 def drifting_gaze_oracle(seed, duration, hz=90.0, center_yaw=0.0):
@@ -853,17 +849,15 @@ def run_experiment_oracle(
     cache_capacity_bytes=0,
     seed=0,
     warm_trace_count=30,
-    fov=None,
-    predictor=None,
+    fov=FovSpec(),
+    timeframe=0.1,
     samples_per_axis=32,
     cache_rate_bps=100e6,
     hysteresis=1.0,
-) -> ExperimentReport:
+) -> dict[str, list[SessionMetrics]]:
     """`playback.run_experiment` before it warmed one cache per iteration and
     shared one prediction plan per trace: policy is the outer loop, every
     session gets a freshly warmed cache and predicts its own poses."""
-    fov = fov or FovSpec()
-    predictor = predictor or PredictorConfig()
     runs = {p.value: [] for p in policies}
     for policy in policies:
         for i in range(iterations):
@@ -882,14 +876,12 @@ def run_experiment_oracle(
                 cache=cache,
                 cache_rate_bps=cache_rate_bps,
                 fov=fov,
-                predictor=predictor,
+                timeframe=timeframe,
                 samples_per_axis=samples_per_axis,
                 hysteresis=hysteresis,
             )
             runs[policy.value].append(simulate_oracle(cfg))
-    return ExperimentReport(
-        policies=[p.value for p in policies], iterations=iterations, seed=seed, runs=runs
-    )
+    return runs
 
 
 @dataclass(frozen=True)
@@ -939,15 +931,15 @@ def simulate_oracle(cfg: SessionConfig) -> OracleMetrics:
     if not cfg.viewing_trace:
         raise ValueError("viewing trace is empty")
     span = cfg.viewing_trace.t.item(-1) - cfg.viewing_trace.t.item(0)
-    if span < cfg.predictor.timeframe:
+    if span < cfg.timeframe:
         raise ValueError(
             f"viewing trace spans {span:.3f}s, shorter than the "
-            f"{cfg.predictor.timeframe:.3f}s regression window"
+            f"{cfg.timeframe:.3f}s regression window"
         )
     if cfg.policy in (PolicyKind.POPULARITY, PolicyKind.TRANSITION):
         require_popularity(m)
     estimator = LastSampleEstimator()
-    state = TransitionState(hysteresis=cfg.hysteresis)
+    mechanism = PolicyKind.PREDICTION
     origin = Link(cfg.network_trace)
     records: list[SegmentRecord] = []
     savings = np.zeros(m.segment_count)
@@ -965,7 +957,7 @@ def simulate_oracle(cfg: SessionConfig) -> OracleMetrics:
         if cfg.policy is PolicyKind.TRANSITION:
             wanted = select_prediction(m, seg, rank_tiles(scores), None)
             required = mf.segment_bits(m, seg, wanted) / s
-            active = transition_step(state, budget, required)
+            active = mechanism = transition_step(mechanism, budget, required, cfg.hysteresis)
 
         if active is PolicyKind.NAIVE:
             levels = select_naive(m, seg)
@@ -1036,7 +1028,7 @@ def predicted_map_oracle(cfg: SessionConfig, seg: int) -> np.ndarray:
     s = m.segment_length
     target = seg * s
     now = max(0.0, target - s)
-    window = select_window(cfg.viewing_trace, now, cfg.predictor.timeframe)
+    window = select_window(cfg.viewing_trace, now, cfg.timeframe)
     if not window:
         k = nearest_sample(cfg.viewing_trace, now)
         window = cfg.viewing_trace[k : k + 1]

@@ -13,9 +13,12 @@ import pytest
 
 from helpers import (
     ScanCache,
+    constant_rate_network,
+    linear_gaze,
     record_dicts,
     savings_vs_naive,
     session_dict,
+    sinusoid_gaze,
     staircase_scenario,
 )
 from tilesim.adaptation import PolicyKind
@@ -27,19 +30,13 @@ from tilesim import traceio
 from tilesim.netsim import save_trace
 from tilesim.playback import (
     SessionConfig,
+    quality_gain_percent,
     run_experiment,
     simulate,
 )
 from tilesim.popularity import build_heat, quantize
 from tilesim.prediction import error_experiment
-from tilesim.synthetic import (
-    constant_gaze,
-    constant_rate_network,
-    gaussian_gaze_population,
-    linear_gaze,
-    sinusoid_gaze,
-    two_phase_network,
-)
+from tilesim.synthetic import constant_gaze, gaussian_gaze_population, two_phase_network
 
 QUAD = FovSpec(89.0, 89.0)
 
@@ -236,7 +233,7 @@ def test_criterion_09_qoe_orderings():
     m.popularity = quantize(heat, m)
     net = two_phase_network(250e6, 2e6, cut_s=20.0, duration_s=300.0)
 
-    report = run_experiment(
+    runs = run_experiment(
         manifest=m,
         viewing_traces=traces,
         network_trace=net,
@@ -251,15 +248,15 @@ def test_criterion_09_qoe_orderings():
     )
 
     def quality(policy):
-        return np.array([r.avg_quality for r in report.runs[policy.value]])
+        return np.array([r.avg_quality for r in runs[policy.value]])
 
     def stalls(policy):
-        return np.array([r.total_stall for r in report.runs[policy.value]])
+        return np.array([r.total_stall for r in runs[policy.value]])
 
     q_tr, q_ba = quality(PolicyKind.TRANSITION), quality(PolicyKind.PREDICTION_BA)
     q_pred, q_pop = quality(PolicyKind.PREDICTION), quality(PolicyKind.POPULARITY)
     assert q_tr.mean() > q_ba.mean()
-    gain = report.quality_gain_percent()
+    gain = quality_gain_percent(runs)
     assert gain is not None and gain > 0.0
 
     lo = np.minimum(q_pred, q_pop) - 1e-9

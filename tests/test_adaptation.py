@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from helpers import visibility_map
 from tilesim.adaptation import (
     PolicyKind,
-    TransitionState,
     select_naive,
     select_popularity,
     select_prediction,
@@ -141,36 +140,30 @@ class TestPredictionBa:
 
 
 class TestTransition:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TransitionState(hysteresis=0.9)
-
     def test_drop_below_threshold_switches_to_popularity(self):
-        state = TransitionState()
-        out = transition_step(state, 5e6, required_bps=6e6)
+        out = transition_step(PolicyKind.PREDICTION, 5e6, required_bps=6e6, hysteresis=1.0)
         assert out is PolicyKind.POPULARITY
-        assert state.active is PolicyKind.POPULARITY
 
     def test_boundary_estimate_stays_prediction(self):
-        state = TransitionState()
-        out = transition_step(state, 6e6, required_bps=6e6)
+        out = transition_step(PolicyKind.PREDICTION, 6e6, required_bps=6e6, hysteresis=1.0)
         assert out is PolicyKind.PREDICTION
 
     def test_no_estimate_means_prediction(self):
-        state = TransitionState(active=PolicyKind.POPULARITY)
-        assert transition_step(state, None, 6e6) is PolicyKind.PREDICTION
+        assert transition_step(PolicyKind.POPULARITY, None, 6e6, 1.0) is PolicyKind.PREDICTION
 
     def test_recovery_requires_hysteresis_margin(self):
-        state = TransitionState(active=PolicyKind.POPULARITY, hysteresis=1.2)
-        assert transition_step(state, 6.6e6, 6e6) is PolicyKind.POPULARITY
-        assert transition_step(state, 7.2e6, 6e6) is PolicyKind.PREDICTION
+        assert transition_step(PolicyKind.POPULARITY, 6.6e6, 6e6, 1.2) is PolicyKind.POPULARITY
+        assert transition_step(PolicyKind.POPULARITY, 7.2e6, 6e6, 1.2) is PolicyKind.PREDICTION
 
     def test_oscillation_matches_two_threshold_oracle(self):
         a = 10e6
         h = 1.2
         pattern = [1.1, 0.95, 1.1, 0.95, 1.1, 1.3, 1.1, 0.9, 1.25]
-        state = TransitionState(hysteresis=h)
-        got = [transition_step(state, f * a, a) for f in pattern]
+        active = PolicyKind.PREDICTION
+        got = []
+        for f in pattern:
+            active = transition_step(active, f * a, a, h)
+            got.append(active)
 
         oracle_active = PolicyKind.PREDICTION
         expected = []
@@ -186,7 +179,6 @@ class TestTransition:
         assert switches == 4
 
     def test_threshold_recomputed_every_step(self):
-        state = TransitionState()
-        assert transition_step(state, 5e6, 4e6) is PolicyKind.PREDICTION
-        assert transition_step(state, 5e6, 7e6) is PolicyKind.POPULARITY
-        assert state.active is PolicyKind.POPULARITY
+        first = transition_step(PolicyKind.PREDICTION, 5e6, 4e6, 1.0)
+        assert first is PolicyKind.PREDICTION
+        assert transition_step(first, 5e6, 7e6, 1.0) is PolicyKind.POPULARITY

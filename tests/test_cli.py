@@ -13,16 +13,11 @@ import numpy as np
 import pytest
 
 import tilesim
-from helpers import staircase_scenario
+from helpers import constant_rate_network, linear_gaze, staircase_scenario
 from tilesim import manifest as manifest_mod
 from tilesim import cli, netsim, playback, traceio
 from tilesim.cli import RUN_SETTINGS, main
-from tilesim.synthetic import (
-    constant_gaze,
-    constant_rate_network,
-    linear_gaze,
-    two_phase_network,
-)
+from tilesim.synthetic import constant_gaze, two_phase_network
 
 
 def read_csv(path):

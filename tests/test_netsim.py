@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import first_slot_after_oracle
+from helpers import constant_rate_network, first_slot_after_oracle
 from tilesim.netsim import (
     PACKET_BYTES,
     Link,
@@ -18,7 +18,7 @@ from tilesim.netsim import (
     save_trace,
     scale,
 )
-from tilesim.synthetic import constant_rate_network, two_phase_network
+from tilesim.synthetic import two_phase_network
 
 
 def trace_of(stamps):
@@ -147,14 +147,37 @@ class TestTraceIo:
         (350_000, "\n\n\nx\n", 350_003),
     ], ids=["last", "middle"])
     def test_long_trace_names_its_bad_line_within_the_same_memory(self, tmp_path, cut, bad, line):
-        """The bad line is found by bisecting numpy's reads, not by holding
-        the file's lines, so the peak stays under the accepted file's bound."""
+        """The bad line is found by numpy reads of blocks of lines, never
+        holding the file's lines, so the peak stays under the accepted
+        file's bound."""
         path = tmp_path / "long.txt"
         head, tail = self.LONG[:cut].tolist(), self.LONG[cut:].tolist()
         path.write_text("\n".join(map(str, head)) + bad + "".join(f"{v}\n" for v in tail))
         error, peak = traced(load_trace, str(path))
         assert str(error) == f"{path}:{line}: not an integer millisecond: {bad.strip()!r}"
         assert peak < 4 * self.LONG.nbytes
+
+    @pytest.mark.parametrize("cut", [0, 30_000, 60_000], ids=["first", "middle", "last"])
+    def test_bad_line_costs_numpy_at_most_three_reads_of_the_file(self, tmp_path, monkeypatch, cut):
+        """After the failed whole-file read, numpy reads blocks of lines up
+        to the bad one and halves only its block, where bisecting over
+        prefix reads would parse the file about 2*log2(rows) times."""
+        head, tail = self.LONG[:cut].tolist(), self.LONG[cut:60_000].tolist()
+        path = tmp_path / "long.txt"
+        path.write_text("".join(f"{v}\n" for v in head) + "x\n" + "".join(f"{v}\n" for v in tail))
+        lines = 60_001
+        asked = []
+        loadtxt = np.loadtxt
+
+        def spy(fname, *args, **kwargs):
+            rows = lines if isinstance(fname, str) else len(fname)
+            asked.append(min(rows, kwargs.get("max_rows") or rows))
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        with pytest.raises(TraceError, match=f":{cut + 1}: not an integer millisecond: 'x'"):
+            load_trace(str(path))
+        assert sum(asked) <= 3 * lines
 
 
 def traced(load, path):

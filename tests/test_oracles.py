@@ -11,6 +11,7 @@ report rows equal down to the repr of every float.
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,11 +20,10 @@ from hypothesis import strategies as st
 
 from helpers import (
     build_heat_oracle,
-    constant_rate_network_oracle,
+    constant_rate_network,
     drifting_gaze_oracle,
     estimate_oracle,
     load_trace_oracle,
-    linear_gaze_oracle,
     load_viewing_trace_oracle,
     nearest_sample_oracle,
     packet_slots_oracle,
@@ -34,6 +34,7 @@ from helpers import (
     quality_bands_oracle,
     quantize_oracle,
     ranked_tiles_oracle,
+    linear_gaze,
     record_dicts,
     run_experiment_oracle,
     samples,
@@ -44,7 +45,6 @@ from helpers import (
     select_prediction_oracle,
     select_window_oracle,
     simulate_oracle,
-    sinusoid_gaze_oracle,
     trace_of,
     two_phase_network_oracle,
     viewing_assignments_oracle,
@@ -81,16 +81,9 @@ from tilesim.playback import (
     simulate,
 )
 from tilesim.popularity import HeatMap, build_heat, quantize
-from tilesim.prediction import PredictorConfig, nearest_sample, select_window
-from tilesim.synthetic import (
-    constant_gaze,
-    constant_rate_network,
-    drifting_gaze,
-    linear_gaze,
-    packet_slots,
-    sinusoid_gaze,
-    two_phase_network,
-)
+from tilesim.prediction import nearest_sample, select_window
+from tilesim.synthetic import constant_gaze, drifting_gaze, packet_slots, two_phase_network
+from tilesim import traceio
 from tilesim.traceio import (
     WRITE_CHUNK_CELLS,
     ViewingTraceError,
@@ -395,17 +388,6 @@ def test_prediction_summary_matches_seen_list_scan(rows):
     assert repr(prediction_summary_rows(rows)) == repr(prediction_summary_oracle(rows))
 
 
-@given(rate=st.floats(1e3, 4e8), duration=st.floats(0.001, 5.0))
-@example(rate=1e9, duration=2.0)
-@example(rate=2e6, duration=30.0)
-@settings(max_examples=100, deadline=None)
-def test_constant_rate_network_matches_its_old_body(rate, duration):
-    np.testing.assert_array_equal(
-        constant_rate_network(rate, duration).timestamps_ms,
-        constant_rate_network_oracle(rate, duration),
-    )
-
-
 @st.composite
 def experiments(draw):
     """run_experiment arguments: a manifest with a popularity plan; viewers
@@ -480,8 +462,9 @@ def test_run_experiment_matches_a_fresh_warm_up_per_session(kwargs):
     new = run_experiment(**kwargs)
     old = run_experiment_oracle(**kwargs)
     assert repr(segment_rows(new)) == repr(segment_rows(old))
-    for policy in new.policies:
-        for ours, theirs in zip(new.runs[policy], old.runs[policy], strict=True):
+    assert list(new) == list(old)
+    for policy in new:
+        for ours, theirs in zip(new[policy], old[policy], strict=True):
             assert sum(r.bytes_from_cache for r in ours.records) == theirs.bytes_hit
 
 
@@ -536,7 +519,7 @@ def test_simulate_matches_a_session_that_predicts_its_own_poses(m, data):
         policy=data.draw(st.sampled_from(list(PolicyKind))),
         cache_rate_bps=data.draw(st.sampled_from([1e6, 100e6])),
         fov=FovSpec(*data.draw(st.sampled_from([(100.0, 100.0), (60.0, 40.0)]))),
-        predictor=PredictorConfig(timeframe=data.draw(st.sampled_from([0.1, 0.5, 1.0]))),
+        timeframe=data.draw(st.sampled_from([0.1, 0.5, 1.0])),
         samples_per_axis=data.draw(st.integers(1, 6)),
         hysteresis=data.draw(st.sampled_from([1.0, 1.2, 2.0])),
     )
@@ -590,6 +573,21 @@ def _outcome(load, path: str):
             return load(path)
         except (ValueError, OverflowError) as e:
             return type(e), str(e)
+
+
+def _outcome_in_any_blocks(load, path: str, arrays):
+    """_outcome(load, path), which is the same when read_table's error path
+    reads blocks of 1 or 7 characters: block edges then fall between any two
+    lines, inside CRLF and around blocks of only blank lines."""
+    outcome = _outcome(load, path)
+    for chars in (1, 7):
+        with mock.patch.object(traceio, "READ_BLOCK_CHARS", chars):
+            other = _outcome(load, path)
+        if isinstance(outcome, tuple) or isinstance(other, tuple):
+            assert other == outcome
+        else:
+            assert [a.tobytes() for a in arrays(other)] == [a.tobytes() for a in arrays(outcome)]
+    return outcome
 
 
 @st.composite
@@ -648,14 +646,17 @@ def packet_files(draw) -> bytes:
 @example(data=b"7,8\n")
 @example(data=b"\x1c5\x1f\n6\n")
 @example(data=b"1\r2\r\r3\r")
+@example(data=b"1\n\n\n2,3\n4\n")
 def test_load_trace_matches_the_line_scanner(trace_dir, data):
     path = trace_dir / "trace.pps"
     path.write_bytes(data)
-    new = _outcome(load_trace, str(path))
+
+    def arrays(trace):
+        return [trace.timestamps_ms]
+
+    new = _outcome_in_any_blocks(load_trace, str(path), arrays)
     old = _outcome(load_trace_oracle, str(path))
-    _check_against_scanner(
-        str(path), new, old, lambda t: [t.timestamps_ms], TraceError, _packet_form_differs(data)
-    )
+    _check_against_scanner(str(path), new, old, arrays, TraceError, _packet_form_differs(data))
 
 
 def _lines(data: bytes) -> list[str]:
@@ -771,17 +772,19 @@ def viewing_files(draw) -> bytes:
 @example(data=b",,,\nt,yaw,pitch,roll\n0.0,1,2,3\n")
 @example(data=b"0.0,\x1c1,2,3\n0.5,1,2\x1f,3\n")
 @example(data=b"t,yaw,pitch,roll\r0.0,1,2,3\r\r0.5,x,2,3\r")
+@example(data=b"0.0,1,2,3\n\n\n0.5,1,2\n1.0,1,2,3\n")
 def test_load_viewing_trace_matches_the_row_scanner(trace_dir, data):
     path = trace_dir / "trace.csv"
     path.write_bytes(data)
-    new = _outcome(load_viewing_trace, str(path))
-    old = _outcome(load_viewing_trace_oracle, str(path))
 
     def arrays(trace):
         if isinstance(trace, ViewingTrace):
             return [trace.t, trace.yaw, trace.pitch, trace.roll]
         return [np.array([s.t for s in trace]), np.array([s.o.yaw for s in trace]),
                 np.array([s.o.pitch for s in trace]), np.array([s.o.roll for s in trace])]
+
+    new = _outcome_in_any_blocks(load_viewing_trace, str(path), arrays)
+    old = _outcome(load_viewing_trace_oracle, str(path))
 
     _check_against_scanner(
         str(path), new, old, arrays, ViewingTraceError, _viewing_form_differs(data)
@@ -918,25 +921,6 @@ GAZE_ANGLES = st.integers(-400, 400) | st.floats(-1e4, 1e4)
 def assert_same_trace(new: ViewingTrace, old: ViewingTrace) -> None:
     for column in ("t", "yaw", "pitch", "roll"):
         assert getattr(new, column).tobytes() == getattr(old, column).tobytes(), column
-
-
-@given(
-    args=st.tuples(GAZE_ANGLES, GAZE_ANGLES, st.floats(0.0, 20.0), HZ, GAZE_ANGLES, GAZE_ANGLES)
-)
-@settings(max_examples=150, deadline=None)
-def test_linear_gaze_matches_its_scalar_body(args):
-    assert_same_trace(linear_gaze(*args), linear_gaze_oracle(*args))
-
-
-@given(
-    args=st.tuples(
-        GAZE_ANGLES, st.floats(0.5, 30.0), st.floats(0.0, 20.0), HZ,
-        st.floats(-10.0, 10.0), GAZE_ANGLES, GAZE_ANGLES,
-    )
-)
-@settings(max_examples=150, deadline=None)
-def test_sinusoid_gaze_matches_its_scalar_body(args):
-    assert_same_trace(sinusoid_gaze(*args), sinusoid_gaze_oracle(*args))
 
 
 @given(args=st.tuples(st.integers(0, 2**32), st.floats(0.0, 20.0), HZ, GAZE_ANGLES))

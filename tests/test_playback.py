@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     canonical_json,
+    constant_rate_network,
     record_dicts,
     savings_vs_naive,
     staircase_scenario,
@@ -24,15 +25,13 @@ from tilesim.playback import (
     estimate_rows,
     policy_summary_rows,
     popularity_share_rows,
+    prediction_plan,
+    quality_gain_percent,
     run_experiment,
     segment_rows,
     simulate,
 )
-from tilesim.synthetic import (
-    constant_gaze,
-    constant_rate_network,
-    two_phase_network,
-)
+from tilesim.synthetic import constant_gaze, two_phase_network
 
 WIDE = FovSpec(100.0, 100.0)
 QUAD = FovSpec(89.0, 89.0)
@@ -336,7 +335,7 @@ class TestDeterminism:
 
 class TestExperimentDriver:
     def test_single_run_report(self, flat_manifest):
-        report = run_experiment(
+        runs = run_experiment(
             manifest=flat_manifest,
             viewing_traces=[constant_gaze(0.0, 0.0, 41.0, hz=10.0)],
             network_trace=constant_rate_network(300e6, 5.0),
@@ -344,11 +343,27 @@ class TestExperimentDriver:
             iterations=1,
             samples_per_axis=8,
         )
-        assert report.policies == ["prediction"]
-        assert report.iterations == 1
-        assert len(report.runs["prediction"]) == 1
-        assert isinstance(report.runs["prediction"][0], SessionMetrics)
-        assert report.quality_gain_percent() is None
+        assert list(runs) == ["prediction"]
+        assert len(runs["prediction"]) == 1
+        assert isinstance(runs["prediction"][0], SessionMetrics)
+        assert quality_gain_percent(runs) is None
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"hysteresis": 0.9}, "hysteresis must be >= 1"),
+        ({"timeframe": 0.0}, "timeframe must be positive"),
+        ({"timeframe": -1.0}, "timeframe must be positive"),
+    ], ids=["hysteresis-0.9", "timeframe-0", "timeframe-negative"])
+    def test_refuses_a_bad_window_or_hysteresis(self, flat_manifest, setting, message):
+        """Every entry point refuses them, whatever the policy."""
+        trace = constant_gaze(0.0, 0.0, 41.0, hz=10.0)
+        net = constant_rate_network(1e8, 2.0)
+        cfg = SessionConfig(flat_manifest, trace, net, PolicyKind.NAIVE, **setting)
+        with pytest.raises(ValueError, match=message):
+            simulate(cfg)
+        with pytest.raises(ValueError, match=message):
+            prediction_plan(cfg)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(flat_manifest, [trace], net, [PolicyKind.NAIVE], 1, **setting)
 
     def test_validation(self, flat_manifest):
         with pytest.raises(ValueError):
@@ -368,7 +383,7 @@ class TestExperimentDriver:
     def test_single_trace_share_is_binary(self, flat_manifest):
         m = copy.deepcopy(flat_manifest)
         m.popularity = np.zeros((27, 16), dtype=np.int64)
-        report = run_experiment(
+        runs = run_experiment(
             manifest=m,
             viewing_traces=[constant_gaze(0.0, 0.0, 41.0, hz=10.0)],
             network_trace=two_phase_network(300e6, 3e6, cut_s=8.0, duration_s=120.0),
@@ -376,7 +391,7 @@ class TestExperimentDriver:
             iterations=3,
             samples_per_axis=8,
         )
-        rows = segment_rows(report)
+        rows = segment_rows(runs)
         shares = popularity_share_rows(rows)
         assert {s["popularity_share"] for s in shares} <= {0.0, 1.0}
         assert any(s["popularity_share"] == 1.0 for s in shares)
@@ -384,7 +399,7 @@ class TestExperimentDriver:
     def test_equal_policies_have_zero_gain(self, flat_manifest):
         m = copy.deepcopy(flat_manifest)
         m.popularity = np.zeros((27, 16), dtype=np.int64)
-        report = run_experiment(
+        runs = run_experiment(
             manifest=m,
             viewing_traces=[constant_gaze(0.0, 0.0, 41.0, hz=10.0)],
             network_trace=constant_rate_network(300e6, 5.0),
@@ -394,7 +409,7 @@ class TestExperimentDriver:
         )
         # ample bandwidth: transition stays on prediction, which matches
         # prediction-ba at delta = 0
-        assert report.quality_gain_percent() == 0.0
+        assert quality_gain_percent(runs) == 0.0
 
 
 class TestPredictionPlans:
@@ -437,8 +452,8 @@ class TestPredictionPlans:
             PolicyKind.PREDICTION_BA,
             PolicyKind.TRANSITION,
         ]
-        report = self.experiment(flat_manifest, policies, iterations=3)
-        assert sum(len(runs) for runs in report.runs.values()) == 12
+        runs = self.experiment(flat_manifest, policies, iterations=3)
+        assert sum(len(sessions) for sessions in runs.values()) == 12
         assert counts == {"fit": flat_manifest.segment_count * 3, "tile_visibility": 3}
 
     def test_more_iterations_than_traces_fit_no_more(self, flat_manifest, counts):
@@ -549,7 +564,7 @@ class TestReportRows:
         assert list(out[1]) == ESTIMATE_COLUMNS
 
     def test_segment_rows_columns(self, flat_manifest):
-        report = run_experiment(
+        runs = run_experiment(
             manifest=flat_manifest,
             viewing_traces=[constant_gaze(0.0, 0.0, 41.0, hz=10.0)],
             network_trace=constant_rate_network(300e6, 5.0),
@@ -557,7 +572,7 @@ class TestReportRows:
             iterations=1,
             samples_per_axis=8,
         )
-        rows = segment_rows(report)
+        rows = segment_rows(runs)
         assert len(rows) == 27
         assert all(list(r) == list(SEGMENT_COLUMNS) for r in rows)
         assert rows[0]["levels"] == "|".join(["2"] * 16)

@@ -1,33 +1,22 @@
 import numpy as np
 import pytest
 
-from helpers import trace_of
+from helpers import linear_gaze, sinusoid_gaze, trace_of
 from tilesim.geometry import Orientation, ViewingTrace
 from tilesim.prediction import (
-    PredictorConfig,
     error_experiment,
     fit,
     nearest_sample,
     predict,
     select_window,
 )
-from tilesim.synthetic import constant_gaze, linear_gaze, sinusoid_gaze
+from tilesim.synthetic import constant_gaze
 
 
 def linear_trace(yaw0, yaw_rate, times, pitch0=0.0, pitch_rate=0.0):
     return trace_of(
         [(t, Orientation(yaw0 + yaw_rate * t, pitch0 + pitch_rate * t)) for t in times]
     )
-
-
-class TestConfig:
-    def test_defaults(self):
-        cfg = PredictorConfig()
-        assert cfg.timeframe == 0.1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PredictorConfig(timeframe=0.0)
 
 
 class TestSelectWindow:

@@ -5,10 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import trace_of
+from helpers import constant_rate_network, sinusoid_gaze, trace_of
 from tilesim import netsim
 from tilesim.geometry import Orientation, ViewingTrace
-from tilesim.synthetic import constant_rate_network, sinusoid_gaze
 from tilesim.traceio import (
     ViewingTraceError,
     load_trace_dir,
