@@ -1,9 +1,10 @@
 """Sphere geometry for equirectangular tiled video.
 
 Angles are degrees throughout: yaw in [-180, 180) increasing eastward,
-pitch in [-90, 90] increasing upward, roll carried but never interpreted.
-The unit view direction for (yaw, pitch) is
-(cos p cos y, cos p sin y, sin p) in a right-handed frame with z up.
+pitch in [-90, 90] increasing upward. A pose is yaw and pitch only, since
+tiles are chosen from where the head points. The unit view direction for
+(yaw, pitch) is (cos p cos y, cos p sin y, sin p) in a right-handed frame
+with z up; _local_frame builds it.
 """
 
 from __future__ import annotations
@@ -32,51 +33,40 @@ class Orientation:
 
     yaw: float
     pitch: float
-    roll: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "yaw", normalize_yaw(float(self.yaw)))
         object.__setattr__(self, "pitch", min(90.0, max(-90.0, float(self.pitch))))
-
-    def direction(self) -> np.ndarray:
-        """Unit view-direction vector for this pose."""
-        y = math.radians(self.yaw)
-        p = math.radians(self.pitch)
-        return np.array(
-            [math.cos(p) * math.cos(y), math.cos(p) * math.sin(y), math.sin(p)]
-        )
 
 
 @dataclass(frozen=True)
 class ViewingTrace:
     """A viewing trace as read-only float64 arrays, one entry per sample:
     sample k is at time t[k] (strictly increasing) with pose yaw[k],
-    pitch[k], roll[k], yaw and pitch held normalized as Orientation holds
-    them. Slicing gives a ViewingTrace of views."""
+    pitch[k], held normalized as Orientation holds them. Slicing gives a
+    ViewingTrace of views."""
 
     t: np.ndarray = field(repr=False)
     yaw: np.ndarray = field(repr=False)
     pitch: np.ndarray = field(repr=False)
-    roll: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        names = ("t", "yaw", "pitch", "roll")
+        names = ("t", "yaw", "pitch")
         arrays = [np.asarray(getattr(self, n), dtype=np.float64).view() for n in names]
         if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
-            raise ValueError("t, yaw, pitch and roll must be 1-D and of one length")
+            raise ValueError("t, yaw and pitch must be 1-D and of one length")
         for name, a in zip(names, arrays):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
     @classmethod
-    def from_angles(cls, t, yaw, pitch, roll) -> ViewingTrace:
+    def from_angles(cls, t, yaw, pitch) -> ViewingTrace:
         """Samples from raw angles, wrapped and clamped as Orientation does
         (numpy's float % is Python's, so each yaw is normalize_yaw's)."""
         return cls(
             t=t,
             yaw=normalize_yaw(np.asarray(yaw, dtype=np.float64)),
             pitch=np.clip(np.asarray(pitch, dtype=np.float64), -90.0, 90.0),
-            roll=roll,
         )
 
     def __len__(self) -> int:
@@ -85,12 +75,12 @@ class ViewingTrace:
     def __getitem__(self, k: slice) -> ViewingTrace:
         if not isinstance(k, slice):
             raise TypeError("index a ViewingTrace with a slice; use pose(k) for one sample")
-        return ViewingTrace(self.t[k], self.yaw[k], self.pitch[k], self.roll[k])
+        return ViewingTrace(self.t[k], self.yaw[k], self.pitch[k])
 
     def pose(self, k: int) -> Orientation:
         """Sample k's pose (rebuilding it changes no bit: normalize_yaw is
         idempotent on its own output)."""
-        return Orientation(self.yaw.item(k), self.pitch.item(k), self.roll.item(k))
+        return Orientation(self.yaw.item(k), self.pitch.item(k))
 
 
 @dataclass(frozen=True)
@@ -133,7 +123,7 @@ def orthodromic_distance(a: Orientation, b: Orientation) -> float:
     stays well-conditioned for nearly-parallel directions, where acos alone
     loses six digits.
     """
-    va, vb = a.direction(), b.direction()
+    va, vb = np.array(_local_frame(a)[0]), np.array(_local_frame(b)[0])
     cross = float(np.linalg.norm(np.cross(va, vb)))
     dot = float(np.dot(va, vb))
     return math.degrees(math.atan2(cross, dot))
@@ -170,7 +160,8 @@ def _fov_offsets(fov: FovSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _local_frame(o: Orientation) -> tuple[tuple[float, float, float], ...]:
-    """Forward/right/up unit vectors of the (roll-free) camera frame at o."""
+    """Forward/right/up unit vectors of the camera frame at o (the only
+    place a view vector is built)."""
     y = math.radians(o.yaw)
     p = math.radians(o.pitch)
     cy, sy, cp, sp = math.cos(y), math.sin(y), math.cos(p), math.sin(p)

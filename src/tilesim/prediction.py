@@ -69,7 +69,7 @@ def fit(window: ViewingTrace, now: float) -> RegressionModel:
 
 
 def predict(model: RegressionModel, t_future: float) -> Orientation:
-    """Evaluate both fits at t_future; yaw re-wrapped, pitch clamped, roll 0."""
+    """Evaluate both fits at t_future; yaw re-wrapped, pitch clamped."""
     dt = t_future - model.fit_time
     return Orientation(
         yaw=model.yaw_intercept + model.yaw_slope * dt,

@@ -19,11 +19,6 @@ def _steps(duration: float, hz: float) -> np.ndarray:
     return np.arange(int(duration * hz) + 1)
 
 
-def _sampled(t: np.ndarray, yaw, pitch) -> ViewingTrace:
-    """Samples at times t, roll 0."""
-    return ViewingTrace.from_angles(t, yaw, pitch, np.zeros(t.size))
-
-
 def _sin(arg: np.ndarray) -> np.ndarray:
     """math.sin of each element (np.sin is not bit-equal to it on every host)."""
     return np.fromiter(map(math.sin, arg.tolist()), dtype=np.float64, count=arg.size)
@@ -34,7 +29,7 @@ def constant_gaze(
 ) -> ViewingTrace:
     """A viewer staring at one point."""
     t = _steps(duration, hz) / hz
-    return _sampled(t, np.full(t.size, yaw), np.full(t.size, pitch))
+    return ViewingTrace.from_angles(t, np.full(t.size, yaw), np.full(t.size, pitch))
 
 
 def gaussian_gaze_population(
@@ -71,7 +66,7 @@ def drifting_gaze(
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
     pitch_amp = float(rng.uniform(0.0, 15.0))
     t = _steps(duration, hz) / hz
-    return _sampled(
+    return ViewingTrace.from_angles(
         t,
         center_yaw + amplitude * _sin(2.0 * math.pi * t / period + phase),
         pitch_amp * _sin(2.0 * math.pi * t / (period * 1.7)),

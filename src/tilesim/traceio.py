@@ -1,14 +1,13 @@
 """Viewing-trace file IO, and the table reader and writer packet traces share.
 
 Native format: CSV with header ``t_seconds,yaw_deg,pitch_deg,roll_deg``,
-rows sorted by strictly increasing time. Quaternion logs (Corbillon-style
-head-movement datasets) are also accepted: five columns t,qw,qx,qy,qz,
-header optional.
+rows sorted by strictly increasing time. roll_deg is read and must be finite,
+but a pose is yaw and pitch, so it is not kept; saving writes 0.0 there.
+Quaternion logs (Corbillon-style head-movement datasets) are also accepted:
+five columns t,qw,qx,qy,qz, header optional, not all of qw..qz zero.
 
 Quaternion convention: right-handed world with x forward, y left, z up; the
-view direction is q * (1,0,0) * conj(q). Yaw/pitch come from that direction;
-roll is the rotation of the transformed up vector against the roll-free frame
-and is carried through unused.
+view direction is q * (1,0,0) * conj(q), and yaw/pitch come from it.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ class ViewingTraceError(ValueError):
 
 
 def quaternion_to_orientation(qw: float, qx: float, qy: float, qz: float) -> Orientation:
-    """Convert a unit quaternion to yaw/pitch/roll (degrees) as documented in
-    the module docstring."""
-    norm = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+    """Convert a quaternion of any nonzero scale to yaw/pitch (degrees) as
+    documented in the module docstring."""
+    norm = math.hypot(qw, qx, qy, qz)
     if norm == 0.0:
         raise ValueError("zero quaternion")
     qw, qx, qy, qz = qw / norm, qx / norm, qy / norm, qz / norm
@@ -43,22 +42,9 @@ def quaternion_to_orientation(qw: float, qx: float, qy: float, qz: float) -> Ori
     fx = 1.0 - 2.0 * (qy * qy + qz * qz)
     fy = 2.0 * (qx * qy + qw * qz)
     fz = 2.0 * (qx * qz - qw * qy)
-    ux = 2.0 * (qx * qz + qw * qy)
-    uy = 2.0 * (qy * qz - qw * qx)
-    uz = 1.0 - 2.0 * (qx * qx + qy * qy)
     yaw = math.degrees(math.atan2(fy, fx))
     pitch = math.degrees(math.asin(min(1.0, max(-1.0, fz))))
-    # Roll-free right/up at (yaw, pitch), for the roll extraction.
-    yr, pr = math.radians(yaw), math.radians(pitch)
-    right = (-math.sin(yr), math.cos(yr), 0.0)
-    up_ref = (-math.sin(pr) * math.cos(yr), -math.sin(pr) * math.sin(yr), math.cos(pr))
-    roll = math.degrees(
-        math.atan2(
-            ux * right[0] + uy * right[1] + uz * right[2],
-            ux * up_ref[0] + uy * up_ref[1] + uz * up_ref[2],
-        )
-    )
-    return Orientation(yaw=yaw, pitch=pitch, roll=roll)
+    return Orientation(yaw=yaw, pitch=pitch)
 
 
 def read_table(
@@ -179,8 +165,8 @@ def load_viewing_trace(path: str) -> ViewingTrace:
         )
     t = table[:, 0]
     finite = np.isfinite(table).all(axis=1)
-    # quaternion_to_orientation's zero norm: every square is zero (underflow too).
-    zero = (table[:, 1:] ** 2 == 0).all(axis=1) if width == 5 else np.zeros_like(finite)
+    # quaternion_to_orientation's zero norm: every component is zero.
+    zero = (table[:, 1:] == 0).all(axis=1) if width == 5 else np.zeros_like(finite)
     bad = ~finite | zero
     bad[1:] |= t[1:] <= t[:-1]
     if bad.any():
@@ -200,21 +186,18 @@ def load_viewing_trace(path: str) -> ViewingTrace:
         if len(row) != width:
             raise ViewingTraceError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
         raise ViewingTraceError(f"{path}:{lineno}: non-numeric value in {row!r}")
-    columns = table.T.copy()
     if width == 4:
-        return ViewingTrace.from_angles(*columns)
-    poses = [quaternion_to_orientation(*q) for q in table[:, 1:].tolist()]
-    return ViewingTrace(
-        columns[0], [o.yaw for o in poses], [o.pitch for o in poses], [o.roll for o in poses]
-    )
+        yaw, pitch = table[:, 1], table[:, 2]
+    else:
+        poses = [quaternion_to_orientation(*q) for q in table[:, 1:].tolist()]
+        yaw, pitch = [o.yaw for o in poses], [o.pitch for o in poses]
+    return ViewingTrace.from_angles(t.copy(), yaw, pitch)
 
 
 def save_viewing_trace(trace: ViewingTrace, path: str) -> None:
-    """Write the native Euler CSV format: each value as its float repr, CRLF
-    line ends (what csv.writer writes for such rows)."""
-    write_table(
-        path, "%r,%r,%r,%r\r\n", (trace.t, trace.yaw, trace.pitch, trace.roll), _EULER_HEADER
-    )
+    """Write the native Euler CSV format: each value as its float repr, roll
+    as 0.0, CRLF line ends (what csv.writer writes for such rows)."""
+    write_table(path, "%r,%r,%r,0.0\r\n", (trace.t, trace.yaw, trace.pitch), _EULER_HEADER)
 
 
 def trace_files(path: str) -> list[str]:

@@ -45,7 +45,7 @@ from tilesim.playback import (
     SessionMetrics,
 )
 from tilesim.prediction import fit, nearest_sample, predict, select_window
-from tilesim.synthetic import _sampled, _sin, _steps, constant_gaze, packet_slots
+from tilesim.synthetic import _sin, _steps, constant_gaze, packet_slots
 from tilesim.traceio import ViewingTraceError, quaternion_to_orientation
 
 
@@ -312,7 +312,6 @@ def trace_of(samples_: list) -> ViewingTrace:
         [t for t, _ in samples_],
         [o.yaw for _, o in samples_],
         [o.pitch for _, o in samples_],
-        [o.roll for _, o in samples_],
     )
 
 
@@ -389,8 +388,8 @@ def load_viewing_trace_oracle(path: str) -> list[Sample]:
         if not all(math.isfinite(v) for v in values):
             raise ViewingTraceError(f"{path}:{lineno}: non-finite value in {row!r}")
         if width == 4:
-            t, yaw, pitch, roll = values
-            pose = Orientation(yaw=yaw, pitch=pitch, roll=roll)
+            t, yaw, pitch, _roll = values
+            pose = Orientation(yaw=yaw, pitch=pitch)
         else:
             t = values[0]
             try:
@@ -507,7 +506,7 @@ def linear_gaze(
 ) -> ViewingTrace:
     """Constant-velocity pan; exactly reproducible by a linear predictor."""
     k = _steps(duration, hz)
-    return _sampled(k / hz, yaw0 + yaw_rate * k / hz, pitch0 + pitch_rate * k / hz)
+    return ViewingTrace.from_angles(k / hz, yaw0 + yaw_rate * k / hz, pitch0 + pitch_rate * k / hz)
 
 
 def sinusoid_gaze(
@@ -522,7 +521,7 @@ def sinusoid_gaze(
     """Yaw oscillating sinusoidally; increasingly hard to extrapolate."""
     t = _steps(duration, hz) / hz
     yaw = center_yaw + amplitude * _sin(2.0 * math.pi * t / period + phase)
-    return _sampled(t, yaw, np.full(t.size, pitch))
+    return ViewingTrace.from_angles(t, yaw, np.full(t.size, pitch))
 
 
 def constant_rate_network(bits_per_second: float, duration_s: float) -> NetworkTrace:
@@ -787,7 +786,7 @@ def two_phase_network_oracle(
 
 
 def _sampled_oracle(hz, steps, yaw, pitch) -> ViewingTrace:
-    return ViewingTrace.from_angles([k / hz for k in range(steps)], yaw, pitch, np.zeros(steps))
+    return ViewingTrace.from_angles([k / hz for k in range(steps)], yaw, pitch)
 
 
 def drifting_gaze_oracle(seed, duration, hz=90.0, center_yaw=0.0):
@@ -818,8 +817,8 @@ def save_trace_oracle(trace: NetworkTrace, path: str) -> None:
 
 def save_viewing_trace_oracle(trace: ViewingTrace, path: str) -> None:
     """`traceio.save_viewing_trace` before it wrote in chunks: csv.writer
-    over the repr of every value."""
-    columns = (trace.t.tolist(), trace.yaw.tolist(), trace.pitch.tolist(), trace.roll.tolist())
+    over the repr of every value, roll 0.0."""
+    columns = (trace.t.tolist(), trace.yaw.tolist(), trace.pitch.tolist(), [0.0] * len(trace))
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["t_seconds", "yaw_deg", "pitch_deg", "roll_deg"])

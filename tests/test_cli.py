@@ -241,8 +241,8 @@ class TestUnwritableOutput:
 
 
 class TestNonFiniteTraceValues:
-    """A nan or inf time, angle or quaternion component exits 2, naming
-    --traces, the file and its line, before any output is written."""
+    """A nan or inf time, angle (roll included) or quaternion component exits
+    2, naming --traces, the file and its line, before any output is written."""
 
     @pytest.mark.parametrize("command", ["popularity", "predict-error", "run"])
     @pytest.mark.parametrize(
@@ -252,6 +252,7 @@ class TestNonFiniteTraceValues:
             ["t_seconds,yaw_deg,pitch_deg,roll_deg", "0.0,0,0,0", "0.1,nan,0,0"],
             ["t_seconds,yaw_deg,pitch_deg,roll_deg", "0.0,0,0,0", "0.1,0,inf,0"],
             ["t,qw,qx,qy,qz", "0.0,1,0,0,0", "0.1,1,-inf,0,0"],
+            ["t_seconds,yaw_deg,pitch_deg,roll_deg", "0.0,0,0,0", "0.1,0,0,nan"],
         ],
     )
     def test_names_file_and_line(self, ws, tmp_path, capsys, command, lines):

@@ -17,6 +17,7 @@ from tilesim.geometry import (
     FovSpec,
     Orientation,
     TileGrid,
+    _local_frame,
     normalize_yaw,
     orthodromic_distance,
     rank_tiles,
@@ -63,19 +64,21 @@ class TestOrientation:
         assert Orientation(-10.0, -95.0).pitch == -90.0
 
     def test_direction_unit_vectors(self):
+        """The camera frame's forward vector is the view direction."""
         np.testing.assert_allclose(
-            Orientation(0.0, 0.0).direction(), [1.0, 0.0, 0.0], atol=1e-12
+            _local_frame(Orientation(0.0, 0.0))[0], [1.0, 0.0, 0.0], atol=1e-12
         )
         np.testing.assert_allclose(
-            Orientation(90.0, 0.0).direction(), [0.0, 1.0, 0.0], atol=1e-12
+            _local_frame(Orientation(90.0, 0.0))[0], [0.0, 1.0, 0.0], atol=1e-12
         )
         np.testing.assert_allclose(
-            Orientation(0.0, 90.0).direction(), [0.0, 0.0, 1.0], atol=1e-12
+            _local_frame(Orientation(0.0, 90.0))[0], [0.0, 0.0, 1.0], atol=1e-12
         )
 
     @given(orientations)
     def test_direction_is_unit(self, o):
-        assert math.isclose(float(np.linalg.norm(o.direction())), 1.0, abs_tol=1e-12)
+        forward = _local_frame(o)[0]
+        assert math.isclose(float(np.linalg.norm(forward)), 1.0, abs_tol=1e-12)
 
 
 class TestDistance:

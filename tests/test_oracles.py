@@ -311,7 +311,7 @@ def sample_and_hold(trace: ViewingTrace, hz: float, times: int = 9) -> ViewingTr
     """A trace sampled at hz, resampled at times * hz by repeating each pose."""
     return ViewingTrace(
         np.arange(len(trace) * times) / (hz * times),
-        *(np.repeat(a, times) for a in (trace.yaw, trace.pitch, trace.roll)),
+        *(np.repeat(a, times) for a in (trace.yaw, trace.pitch)),
     )
 
 
@@ -498,7 +498,7 @@ def viewing_traces(draw, duration):
     pitch = np.array(draw(st.lists(st.floats(-89.0, 89.0), min_size=count, max_size=count)))
     hold = draw(st.sampled_from([1, 9, count]))
     yaw, pitch = (np.repeat(a[::hold], hold)[:count] for a in (yaw, pitch))
-    return ViewingTrace.from_angles(t, yaw, pitch, np.zeros(count))
+    return ViewingTrace.from_angles(t, yaw, pitch)
 
 
 @given(m=manifests(), data=st.data())
@@ -779,9 +779,9 @@ def test_load_viewing_trace_matches_the_row_scanner(trace_dir, data):
 
     def arrays(trace):
         if isinstance(trace, ViewingTrace):
-            return [trace.t, trace.yaw, trace.pitch, trace.roll]
+            return [trace.t, trace.yaw, trace.pitch]
         return [np.array([s.t for s in trace]), np.array([s.o.yaw for s in trace]),
-                np.array([s.o.pitch for s in trace]), np.array([s.o.roll for s in trace])]
+                np.array([s.o.pitch for s in trace])]
 
     new = _outcome_in_any_blocks(load_viewing_trace, str(path), arrays)
     old = _outcome(load_viewing_trace_oracle, str(path))
@@ -827,7 +827,7 @@ def test_vectorized_wrap_and_clamp_match_orientation(yaws, data):
     np.clip; each must give Orientation's value bit for bit, and pose(k) must
     rebuild the stored pose without changing a bit."""
     pitches = data.draw(st.lists(angles, min_size=len(yaws), max_size=len(yaws)))
-    trace = ViewingTrace.from_angles(range(len(yaws)), yaws, pitches, np.zeros(len(yaws)))
+    trace = ViewingTrace.from_angles(range(len(yaws)), yaws, pitches)
     for k, (yaw, pitch) in enumerate(zip(yaws, pitches)):
         o = Orientation(yaw, pitch)
         assert trace.yaw[k].tobytes() == np.float64(o.yaw).tobytes()
@@ -919,7 +919,7 @@ GAZE_ANGLES = st.integers(-400, 400) | st.floats(-1e4, 1e4)
 
 
 def assert_same_trace(new: ViewingTrace, old: ViewingTrace) -> None:
-    for column in ("t", "yaw", "pitch", "roll"):
+    for column in ("t", "yaw", "pitch"):
         assert getattr(new, column).tobytes() == getattr(old, column).tobytes(), column
 
 
@@ -963,7 +963,7 @@ EDGE_FLOATS = st.sampled_from(
 
 
 @given(
-    rows=st.just(0) | row_counts(4),
+    rows=st.just(0) | row_counts(3),
     seed=st.integers(0, 2**32),
     edges=st.lists(EDGE_FLOATS, max_size=20),
 )
@@ -972,9 +972,9 @@ def test_save_viewing_trace_writes_the_old_bytes(trace_dir, rows, seed, edges):
     """Values of every magnitude, subnormals to 1e300, written as stored
     (no wrap or clamp), with edge values dropped in at random cells."""
     rng = np.random.default_rng(seed)
-    values = rng.standard_normal(4 * rows) * 10.0 ** rng.integers(-320, 300, 4 * rows)
+    values = rng.standard_normal(3 * rows) * 10.0 ** rng.integers(-320, 300, 3 * rows)
     if rows:
         values[rng.integers(0, values.size, len(edges))] = edges
-    trace = ViewingTrace(*values.reshape(4, rows))
+    trace = ViewingTrace(*values.reshape(3, rows))
     new = _written(save_viewing_trace, trace, trace_dir / "new.csv")
     assert new == _written(save_viewing_trace_oracle, trace, trace_dir / "old.csv")

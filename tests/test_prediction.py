@@ -90,7 +90,7 @@ class TestFitPredict:
     def test_anchor_shift_is_equivalent(self):
         times = np.arange(0.0, 1.0, 0.1)
         base = linear_trace(5.0, 8.0, times)
-        shifted = ViewingTrace(base.t + 7.25, base.yaw, base.pitch, base.roll)
+        shifted = ViewingTrace(base.t + 7.25, base.yaw, base.pitch)
         a = predict(fit(base, now=0.9), 1.4)
         b = predict(fit(shifted, now=0.9 + 7.25), 1.4 + 7.25)
         assert a.yaw == pytest.approx(b.yaw, abs=1e-8)

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import constant_rate_network, sinusoid_gaze, trace_of
 from tilesim import netsim
@@ -36,7 +38,6 @@ class TestQuaternion:
         o = quaternion_to_orientation(1.0, 0.0, 0.0, 0.0)
         assert o.yaw == pytest.approx(0.0, abs=1e-9)
         assert o.pitch == pytest.approx(0.0, abs=1e-9)
-        assert o.roll == pytest.approx(0.0, abs=1e-9)
 
     def test_yaw_is_rotation_about_up(self):
         o = quaternion_to_orientation(*q_axis_angle((0, 0, 1), 90.0))
@@ -53,26 +54,34 @@ class TestQuaternion:
         o = quaternion_to_orientation(*q_axis_angle((1, 0, 0), 30.0))
         assert o.yaw == pytest.approx(0.0, abs=1e-9)
         assert o.pitch == pytest.approx(0.0, abs=1e-9)
-        assert o.roll == pytest.approx(-30.0, abs=1e-9)
 
-    def test_combined_yaw_pitch(self):
-        # yaw 60 then pitch 20: compose the two rotations
-        a = q_axis_angle((0, 0, 1), 60.0)
-        b = q_axis_angle((0, 1, 0), -20.0)
+    @given(
+        yaw=st.floats(-720.0, 720.0),
+        pitch=st.floats(-89.0, 89.0, exclude_min=True, exclude_max=True),
+        k=st.integers(-170, 200),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_combined_yaw_pitch(self, yaw, pitch, k):
+        """Yaw about +z, then pitch (a rotation about +y by -pitch), scaled
+        by 10**k: the converter gives both angles back."""
+        a = q_axis_angle((0, 0, 1), yaw)
+        b = q_axis_angle((0, 1, 0), -pitch)
         w = a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
         x = a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2]
         y = a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1]
         z = a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0]
-        o = quaternion_to_orientation(w, x, y, z)
-        assert o.yaw == pytest.approx(60.0, abs=1e-9)
-        assert o.pitch == pytest.approx(20.0, abs=1e-9)
+        o = quaternion_to_orientation(*(c * 10.0**k for c in (w, x, y, z)))
+        turn = (o.yaw - yaw) % 360.0
+        assert min(turn, 360.0 - turn) <= 1e-9
+        assert o.pitch == pytest.approx(pitch, abs=1e-9)
 
     def test_scale_invariant(self):
         q = q_axis_angle((0, 0, 1), 45.0)
         a = quaternion_to_orientation(*q)
-        b = quaternion_to_orientation(*(2.5 * c for c in q))
-        assert a.yaw == pytest.approx(b.yaw, abs=1e-12)
-        assert a.pitch == pytest.approx(b.pitch, abs=1e-12)
+        for scale in (2.5, 1e200, 1e-170):
+            b = quaternion_to_orientation(*(scale * c for c in q))
+            assert a.yaw == pytest.approx(b.yaw, abs=1e-12), scale
+            assert a.pitch == pytest.approx(b.pitch, abs=1e-12), scale
 
     def test_zero_quaternion_rejected(self):
         with pytest.raises(ValueError):
@@ -85,8 +94,18 @@ class TestEulerFiles:
         path = tmp_path / "t.csv"
         save_viewing_trace(trace, str(path))
         got = load_viewing_trace(str(path))
-        for column in ("t", "yaw", "pitch", "roll"):
+        for column in ("t", "yaw", "pitch"):
             assert getattr(got, column).tobytes() == getattr(trace, column).tobytes()
+
+    def test_roll_column_is_read_but_not_kept(self, tmp_path):
+        """Files that differ only in roll load to the same trace."""
+        level, rolled = tmp_path / "level.csv", tmp_path / "rolled.csv"
+        header = "t_seconds,yaw_deg,pitch_deg,roll_deg\n"
+        level.write_text(header + "0.0,10,5,0\n0.5,-190,95,0\n")
+        rolled.write_text(header + "0.0,10,5,30\n0.5,-190,95,-1e300\n")
+        a, b = load_viewing_trace(str(level)), load_viewing_trace(str(rolled))
+        for column in ("t", "yaw", "pitch"):
+            assert getattr(a, column).tobytes() == getattr(b, column).tobytes(), column
 
     def test_headerless_euler(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -106,6 +125,15 @@ class TestEulerFiles:
         got = load_viewing_trace(str(path))
         assert got.yaw[0] == pytest.approx(90.0, abs=1e-9)
         assert got.yaw[1] == pytest.approx(0.0, abs=1e-9)
+
+    def test_huge_and_tiny_quaternions_load(self, tmp_path):
+        """A 90 degree yaw turn at scales whose squares overflow or
+        underflow loads as yaw 90, with no warning."""
+        path = tmp_path / "q.csv"
+        path.write_text("t,qw,qx,qy,qz\n0.0,1e200,0,0,1e200\n0.1,1e-170,0,0,1e-170\n")
+        got = load_viewing_trace(str(path))
+        assert got.yaw.tolist() == pytest.approx([90.0, 90.0], abs=1e-9)
+        assert got.pitch.tolist() == pytest.approx([0.0, 0.0], abs=1e-9)
 
     def test_zero_quaternion_names_file_and_line(self, tmp_path):
         path = tmp_path / "z.csv"
@@ -195,7 +223,7 @@ class TestEulerFiles:
         plain.write_text("0.0,190,95,1\n0.5,-190,-95,2\n")
         odd.write_bytes(b"t,yaw,pitch,roll\r\n 0.0 ,+190,95,1\r\n\r\n0.5,-190, -95,2\r\n")
         a, b = load_viewing_trace(str(plain)), load_viewing_trace(str(odd))
-        for column in ("t", "yaw", "pitch", "roll"):
+        for column in ("t", "yaw", "pitch"):
             assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
         assert a.yaw.tolist() == [-170.0, 170.0] and a.pitch.tolist() == [90.0, -90.0]
 
@@ -238,7 +266,7 @@ class TestNumpyReadsPlainFiles:
         gaze = sinusoid_gaze(amplitude=40.0, period=7.0, duration=2.0, hz=30.0)
         save_viewing_trace(gaze, str(tmp_path / "t.csv"))
         got = load_viewing_trace(str(tmp_path / "t.csv"))
-        for column in ("t", "yaw", "pitch", "roll"):
+        for column in ("t", "yaw", "pitch"):
             assert getattr(got, column).tobytes() == getattr(gaze, column).tobytes()
         link = constant_rate_network(3e6, 2.0)
         netsim.save_trace(link, str(tmp_path / "t.pps"))
@@ -289,7 +317,7 @@ class TestTraceDir:
 class TestWriterMemory:
     @pytest.mark.parametrize("save, make, rows", [
         (netsim.save_trace, lambda n: netsim.NetworkTrace(np.arange(1, n + 1)), 20_000),
-        (save_viewing_trace, lambda n: ViewingTrace(*np.ones((4, n))), 5_000),
+        (save_viewing_trace, lambda n: ViewingTrace(*np.ones((3, n))), 5_000),
     ], ids=["packet", "viewing"])
     def test_peak_memory_does_not_grow_with_trace_length(self, tmp_path, save, make, rows):
         """Memory follows the live objects, not the run length: writing a
