@@ -11,7 +11,8 @@ start stalls the player and shifts the remaining schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -45,26 +46,36 @@ class SessionConfig:
     hysteresis: float = 1.0
 
 
+def _column(parse: Callable, cell: Callable | None = None):
+    """A `segments.csv` column: `parse` reads its cell back, and `cell`, when
+    given, turns the field's value into the row's value."""
+    return field(metadata={"parse": parse, "cell": cell})
+
+
 @dataclass
 class SegmentRecord:
-    segment: int
-    policy: str  # mechanism that chose the levels (transitions record the delegate)
-    levels: tuple[int, ...]
-    bytes_total: int
-    bytes_from_cache: int
-    bytes_from_origin: int
-    download_start: float
-    download_end: float
-    stall: float
-    mean_quality: float
-    estimate_bps: float | None  # estimate in force when the segment was chosen
+    """One `segments.csv` row after its `policy` and `iteration` columns: each
+    field is a column, in CSV order, declared with its parser."""
+
+    segment: int = _column(int)
+    active: str = _column(str)  # mechanism that chose the levels (transitions record the delegate)
+    levels: tuple[int, ...] = _column(str, cell=lambda levels: "|".join(map(str, levels)))
+    bytes_total: int = _column(int)
+    bytes_from_cache: int = _column(int)
+    bytes_from_origin: int = _column(int)
+    download_start: float = _column(float)
+    download_end: float = _column(float)
+    stall: float = _column(float)
+    mean_quality: float = _column(float)
+    # estimate in force when the segment was chosen; an empty cell when None
+    estimate_bps: float | None = _column(lambda cell: float(cell) if cell else None)
+    savings: float = _column(float)  # vs the segment with every tile at the top level
 
 
 @dataclass
 class SessionMetrics:
     policy: str
     records: list[SegmentRecord]
-    savings: np.ndarray = field(repr=False)  # per segment vs all-top-level
 
     @property
     def total_stall(self) -> float:
@@ -73,6 +84,10 @@ class SessionMetrics:
     @property
     def avg_quality(self) -> float:
         return float(np.mean([r.levels for r in self.records]))
+
+    @property
+    def savings(self) -> np.ndarray:  # read by the benchmark's tracer
+        return np.array([r.savings for r in self.records])
 
 
 # Policies whose selections read the predicted viewport's tile ranking.
@@ -166,7 +181,6 @@ def simulate(cfg: SessionConfig, plan: PredictionPlan | None = None) -> SessionM
     mechanism = PolicyKind.PREDICTION  # the transition policy's live mechanism
     origin = Link(cfg.network_trace)
     records: list[SegmentRecord] = []
-    savings = np.zeros(m.segment_count)
     sched_prev = 0.0  # wall-clock playback start of the previous segment
     end_prev = 0.0
 
@@ -211,11 +225,10 @@ def simulate(cfg: SessionConfig, plan: PredictionPlan | None = None) -> SessionM
             sched += stall
 
         total = cache_bytes + origin_bytes
-        savings[seg] = 1.0 - total / naive_segment_bytes(m, seg)
         records.append(
             SegmentRecord(
                 segment=seg,
-                policy=active.value,
+                active=active.value,
                 levels=tuple(levels.tolist()),
                 bytes_total=total,
                 bytes_from_cache=cache_bytes,
@@ -225,13 +238,14 @@ def simulate(cfg: SessionConfig, plan: PredictionPlan | None = None) -> SessionM
                 stall=stall,
                 mean_quality=float(np.mean(levels)),
                 estimate_bps=estimate,
+                savings=1.0 - total / naive_segment_bytes(m, seg),
             )
         )
         sched_prev, end_prev = sched, dl_end
         if origin_bytes > 0 and origin_end > dl_start:
             estimate = origin_bytes * 8.0 / (origin_end - dl_start)
 
-    return SessionMetrics(policy=cfg.policy.value, records=records, savings=savings)
+    return SessionMetrics(policy=cfg.policy.value, records=records)
 
 
 def quality_gain_percent(runs: dict[str, list[SessionMetrics]]) -> float | None:
@@ -320,44 +334,20 @@ def run_experiment(
 SEGMENT_COLUMNS = {  # column -> parser that reads its cell back
     "policy": str,
     "iteration": int,
-    "segment": int,
-    "active": str,
-    "levels": str,
-    "bytes_total": int,
-    "bytes_from_cache": int,
-    "bytes_from_origin": int,
-    "download_start": float,
-    "download_end": float,
-    "stall": float,
-    "mean_quality": float,
-    "estimate_bps": lambda cell: float(cell) if cell else None,
-    "savings": float,
+    **{f.name: f.metadata["parse"] for f in fields(SegmentRecord)},
 }
+_CELLS = [(f.name, f.metadata["cell"]) for f in fields(SegmentRecord) if f.metadata["cell"]]
 
 
 def segment_rows(runs: dict[str, list[SessionMetrics]]) -> list[dict]:
     rows = []
     for policy, sessions in runs.items():
         for i, metrics in enumerate(sessions):
-            for seg, r in enumerate(metrics.records):
-                rows.append(
-                    {
-                        "policy": policy,
-                        "iteration": i,
-                        "segment": r.segment,
-                        "active": r.policy,
-                        "levels": "|".join(str(x) for x in r.levels),
-                        "bytes_total": r.bytes_total,
-                        "bytes_from_cache": r.bytes_from_cache,
-                        "bytes_from_origin": r.bytes_from_origin,
-                        "download_start": r.download_start,
-                        "download_end": r.download_end,
-                        "stall": r.stall,
-                        "mean_quality": r.mean_quality,
-                        "estimate_bps": r.estimate_bps,
-                        "savings": float(metrics.savings[seg]),
-                    }
-                )
+            for r in metrics.records:
+                row = {"policy": policy, "iteration": i, **vars(r)}
+                for name, cell in _CELLS:
+                    row[name] = cell(row[name])
+                rows.append(row)
     return rows
 
 

@@ -14,7 +14,7 @@ import heapq
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Hashable, NamedTuple
 
 import numpy as np
@@ -475,22 +475,7 @@ def staircase_scenario(duration: float, base_bitrate_bps: float = 2e6):
 
 def record_dicts(metrics) -> list[dict]:
     """Segment records as plain dicts, for exact equality comparison."""
-    return [
-        {
-            "segment": r.segment,
-            "policy": r.policy,
-            "levels": list(r.levels),
-            "bytes_total": r.bytes_total,
-            "bytes_from_cache": r.bytes_from_cache,
-            "bytes_from_origin": r.bytes_from_origin,
-            "download_start": r.download_start,
-            "download_end": r.download_end,
-            "stall": r.stall,
-            "mean_quality": r.mean_quality,
-            "estimate_bps": r.estimate_bps,
-        }
-        for r in metrics.records
-    ]
+    return [asdict(r) for r in metrics.records]
 
 
 # --- helpers only the tests use ----------------------------------------------
@@ -566,7 +551,7 @@ def session_dict(metrics) -> dict:
         "total_stall": metrics.total_stall,
         "avg_quality": metrics.avg_quality,
         "total_bytes": total_bytes(metrics),
-        "savings": [float(s) for s in metrics.savings],
+        "savings": [r.savings for r in metrics.records],
         "segments": record_dicts(metrics),
     }
 
@@ -941,7 +926,6 @@ def simulate_oracle(cfg: SessionConfig) -> OracleMetrics:
     mechanism = PolicyKind.PREDICTION
     origin = Link(cfg.network_trace)
     records: list[SegmentRecord] = []
-    savings = np.zeros(m.segment_count)
     sched_prev = 0.0
     end_prev = 0.0
     bytes_hit = 0
@@ -993,11 +977,10 @@ def simulate_oracle(cfg: SessionConfig) -> OracleMetrics:
             sched += stall
 
         total = cache_bytes + origin_bytes
-        savings[seg] = 1.0 - total / mf.naive_segment_bytes(m, seg)
         records.append(
             SegmentRecord(
                 segment=seg,
-                policy=active.value,
+                active=active.value,
                 levels=tuple(int(x) for x in levels),
                 bytes_total=total,
                 bytes_from_cache=cache_bytes,
@@ -1009,13 +992,12 @@ def simulate_oracle(cfg: SessionConfig) -> OracleMetrics:
                 estimate_bps=(
                     float(estimate.bits_per_second) if estimate is not None else None
                 ),
+                savings=1.0 - total / mf.naive_segment_bytes(m, seg),
             )
         )
         sched_prev, end_prev = sched, dl_end
 
-    return OracleMetrics(
-        policy=cfg.policy.value, records=records, savings=savings, bytes_hit=bytes_hit
-    )
+    return OracleMetrics(policy=cfg.policy.value, records=records, bytes_hit=bytes_hit)
 
 
 def predicted_map_oracle(cfg: SessionConfig, seg: int) -> np.ndarray:

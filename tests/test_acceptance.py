@@ -175,7 +175,7 @@ def test_criterion_07_transition_boundaries():
         manifest=m, viewing_trace=gaze, network_trace=net,
         policy=PolicyKind.TRANSITION, samples_per_axis=16,
     ))
-    active = [r.policy for r in got.records]
+    active = [r.active for r in got.records]
     assert active == ["prediction"] * 6 + ["popularity"] * 3 + ["prediction"]
     print(
         "criterion 7 PASS: switch to popularity at segment 6, back at segment 9 "

@@ -680,6 +680,12 @@ class TestRun:
         for setting in renamed:
             assert f"`{setting.flag}`" in mapping and f"`{setting.key}`" in mapping
 
+    def test_readme_names_each_segment_column_in_order(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        bullet = readme.split("- `segments.csv`:")[1].split("\n- ")[0]
+        at = [bullet.find(f"`{name}`") for name in playback.SEGMENT_COLUMNS]
+        assert -1 not in at and at == sorted(at), dict(zip(playback.SEGMENT_COLUMNS, at))
+
     def test_popularity_policy_needs_popularity_manifest(self, tmp_path, ws, capsys):
         bare = tmp_path / "bare.json"
         assert main(["synth", "--out", str(bare), "--duration", "10"]) == 0
@@ -743,6 +749,39 @@ class TestVerify:
             "predict-error", "--traces", ws["traces_linear"], "--out", str(out),
         ]) == 0
         assert main(["verify", "--out", str(out)]) == 0
+
+    def test_each_segment_column_parser_inverts_the_writer(self, ws, tmp_path, monkeypatch):
+        written = []
+        segment_rows = playback.segment_rows
+        monkeypatch.setattr(
+            playback, "segment_rows", lambda runs: written.append(segment_rows(runs)) or written[-1]
+        )
+        # Jittered sizes and a slow cache link give floats that need every digit.
+        jittered = str(tmp_path / "jittered.json")
+        assert main(["synth", "--out", jittered, "--variability", "0.3", "--seed", "3"]) == 0
+        assert main([
+            "popularity", "--manifest", jittered, "--traces", ws["traces"], "--fov", "0.1x0.1",
+        ]) == 0
+        out = tmp_path / "out"
+        assert main([
+            "run", "--manifest", jittered, "--traces", ws["traces"],
+            "--network", ws["network"], "--policies", "prediction,popularity,transition",
+            "--cache-policy", "gdsf", "--cache-capacity", "200000000", "--warm-traces", "3",
+            "--cache-rate", "7e6", "--iterations", "2", "--samples", "8", "--out", str(out),
+        ]) == 0
+        (rows,) = written
+        for column in ("download_start", "download_end", "estimate_bps", "savings"):
+            assert any(len(repr(r[column])) >= 17 for r in rows), column
+        back = cli._read_source(str(out / "segments.csv"), playback.SEGMENT_COLUMNS)
+        assert len(back) == len(rows) == 3 * 2 * 27
+        for got, row in zip(back, rows):
+            assert list(got) == list(row) == list(playback.SEGMENT_COLUMNS)
+            for column, value in row.items():
+                assert type(got[column]) is type(value), column
+                assert repr(got[column]) == repr(value), column
+        assert {r["estimate_bps"] is None for r in back} == {True, False}
+        assert {r["active"] for r in back} == {"prediction", "popularity"}
+        assert any(r["bytes_from_cache"] for r in back)
 
     @pytest.fixture(scope="class")
     def outputs(self, ws, tmp_path_factory):

@@ -136,7 +136,7 @@ class TestPolicies:
         got = simulate(stationary_session(flat_manifest, PolicyKind.NAIVE, net))
         assert total_bytes(got) == 27 * 16 * 3_750_000
         assert got.avg_quality == 2.0
-        np.testing.assert_array_equal(got.savings, np.zeros(27))
+        assert [r.savings for r in got.records] == [0.0] * 27
 
     def test_prediction_savings_exact(self, flat_manifest):
         net = constant_rate_network(300e6, 5.0)
@@ -147,7 +147,7 @@ class TestPolicies:
         sav = savings_vs_naive(pred, naive)
         assert sav.shape == (27,)
         assert (sav == 0.703125).all()
-        np.testing.assert_array_equal(pred.savings, sav)
+        np.testing.assert_array_equal([r.savings for r in pred.records], sav)
         np.testing.assert_array_equal(savings_vs_naive(naive, naive), np.zeros(27))
 
     def test_popularity_all_low_savings_exact(self, flat_manifest):
@@ -155,7 +155,7 @@ class TestPolicies:
         m.popularity = np.zeros((27, 16), dtype=np.int64)
         net = constant_rate_network(300e6, 5.0)
         got = simulate(stationary_session(m, PolicyKind.POPULARITY, net))
-        assert (got.savings == 0.9375).all()
+        assert [r.savings for r in got.records] == [0.9375] * 27
         assert got.avg_quality == 0.0
 
     def test_sparse_viewing_trace_falls_back_to_nearest(self, flat_manifest):
@@ -262,7 +262,7 @@ class TestCacheInteraction:
             samples_per_axis=16,
         )
         got = simulate(cfg)
-        pop_records = [r for r in got.records if r.policy == "popularity"]
+        pop_records = [r for r in got.records if r.active == "popularity"]
         assert pop_records, "the starved phase must trigger popularity adaptation"
         for r in pop_records:
             assert r.bytes_from_cache / r.bytes_total >= warmed_bhr - 1e-12
@@ -608,6 +608,6 @@ class TestConvergenceToDelegates:
         assert ours[1:] == theirs[1:]
         # segment 0 differs only in the mechanism label: no estimate exists
         # yet, so transition starts on prediction with identical bytes
-        assert ours[0]["policy"] == "prediction"
-        assert theirs[0]["policy"] == "popularity"
+        assert ours[0]["active"] == "prediction"
+        assert theirs[0]["active"] == "popularity"
         assert ours[0]["levels"] == theirs[0]["levels"]
