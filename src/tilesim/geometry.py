@@ -27,6 +27,13 @@ def normalize_yaw(yaw: float) -> float:
     return (yaw + 180.0) % 360.0 % 360.0 - 180.0
 
 
+def each(f, *arrays: np.ndarray) -> np.ndarray:
+    """f (a `math` function) of each element, or of each index's elements
+    across equal-length 1-D arrays, as float64 (numpy's ufuncs are not
+    bit-equal to `math`'s on every host)."""
+    return np.fromiter(map(f, *(a.tolist() for a in arrays)), np.float64, len(arrays[0]))
+
+
 @dataclass(frozen=True)
 class Orientation:
     """A head pose; yaw is normalized and pitch clamped on construction."""

@@ -10,18 +10,13 @@ import math
 
 import numpy as np
 
-from .geometry import ViewingTrace
+from .geometry import ViewingTrace, each
 from .netsim import NetworkTrace
 
 
 def _steps(duration: float, hz: float) -> np.ndarray:
     """Sample indices k = 0 .. int(duration * hz); sample k is at k / hz."""
     return np.arange(int(duration * hz) + 1)
-
-
-def _sin(arg: np.ndarray) -> np.ndarray:
-    """math.sin of each element (np.sin is not bit-equal to it on every host)."""
-    return np.fromiter(map(math.sin, arg.tolist()), dtype=np.float64, count=arg.size)
 
 
 def constant_gaze(
@@ -68,8 +63,8 @@ def drifting_gaze(
     t = _steps(duration, hz) / hz
     return ViewingTrace.from_angles(
         t,
-        center_yaw + amplitude * _sin(2.0 * math.pi * t / period + phase),
-        pitch_amp * _sin(2.0 * math.pi * t / (period * 1.7)),
+        center_yaw + amplitude * each(math.sin, 2.0 * math.pi * t / period + phase),
+        pitch_amp * each(math.sin, 2.0 * math.pi * t / (period * 1.7)),
     )
 
 

@@ -4,10 +4,13 @@ Native format: CSV with header ``t_seconds,yaw_deg,pitch_deg,roll_deg``,
 rows sorted by strictly increasing time. roll_deg is read and must be finite,
 but a pose is yaw and pitch, so it is not kept; saving writes 0.0 there.
 Quaternion logs (Corbillon-style head-movement datasets) are also accepted:
-five columns t,qw,qx,qy,qz, header optional, not all of qw..qz zero.
+five columns t,qw,qx,qy,qz, header optional, not all of qw..qz zero, at any
+scale.
 
 Quaternion convention: right-handed world with x forward, y left, z up; the
-view direction is q * (1,0,0) * conj(q), and yaw/pitch come from it.
+view direction is q * (1,0,0) * conj(q), and yaw/pitch come from it. The
+table converts as columns, with `math`'s hypot, atan2 and asin mapped over
+them by geometry.each, so each row gets the bits a scalar conversion gives.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .geometry import Orientation, ViewingTrace
+from .geometry import ViewingTrace, each
 
 _EULER_HEADER = "t_seconds,yaw_deg,pitch_deg,roll_deg\r\n"
 READ_BLOCK_CHARS = 1 << 16
@@ -29,22 +32,6 @@ WRITE_CHUNK_CELLS = 4096
 
 class ViewingTraceError(ValueError):
     """Raised for malformed viewing-trace files."""
-
-
-def quaternion_to_orientation(qw: float, qx: float, qy: float, qz: float) -> Orientation:
-    """Convert a quaternion of any nonzero scale to yaw/pitch (degrees) as
-    documented in the module docstring."""
-    norm = math.hypot(qw, qx, qy, qz)
-    if norm == 0.0:
-        raise ValueError("zero quaternion")
-    qw, qx, qy, qz = qw / norm, qx / norm, qy / norm, qz / norm
-    # Rows of the rotation matrix applied to the basis vectors we need.
-    fx = 1.0 - 2.0 * (qy * qy + qz * qz)
-    fy = 2.0 * (qx * qy + qw * qz)
-    fz = 2.0 * (qx * qz - qw * qy)
-    yaw = math.degrees(math.atan2(fy, fx))
-    pitch = math.degrees(math.asin(min(1.0, max(-1.0, fz))))
-    return Orientation(yaw=yaw, pitch=pitch)
 
 
 def read_table(
@@ -165,7 +152,7 @@ def load_viewing_trace(path: str) -> ViewingTrace:
         )
     t = table[:, 0]
     finite = np.isfinite(table).all(axis=1)
-    # quaternion_to_orientation's zero norm: every component is zero.
+    # A quaternion has no direction when every component is zero.
     zero = (table[:, 1:] == 0).all(axis=1) if width == 5 else np.zeros_like(finite)
     bad = ~finite | zero
     bad[1:] |= t[1:] <= t[:-1]
@@ -189,8 +176,17 @@ def load_viewing_trace(path: str) -> ViewingTrace:
     if width == 4:
         yaw, pitch = table[:, 1], table[:, 2]
     else:
-        poses = [quaternion_to_orientation(*q) for q in table[:, 1:].tolist()]
-        yaw, pitch = [o.yaw for o in poses], [o.pitch for o in poses]
+        # Each row times the power of two that puts its largest component in
+        # [0.5, 1), so the norm neither overflows nor rounds to a subnormal.
+        q = table[:, 1:]
+        q = np.ldexp(q, -np.frexp(abs(q).max(axis=1, keepdims=True))[1])
+        qw, qx, qy, qz = (q / each(math.hypot, *q.T)[:, None]).T
+        # The rotation matrix's first column: q * (1,0,0) * conj(q).
+        fx = 1.0 - 2.0 * (qy * qy + qz * qz)
+        fy = 2.0 * (qx * qy + qw * qz)
+        fz = 2.0 * (qx * qz - qw * qy)
+        yaw = each(math.atan2, fy, fx) * (180.0 / math.pi)
+        pitch = each(math.asin, fz.clip(-1.0, 1.0)) * (180.0 / math.pi)
     return ViewingTrace.from_angles(t.copy(), yaw, pitch)
 
 

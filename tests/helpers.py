@@ -35,6 +35,7 @@ from tilesim.geometry import (
     Orientation,
     TileGrid,
     ViewingTrace,
+    each,
     rank_tiles,
     tile_visibility,
 )
@@ -45,8 +46,8 @@ from tilesim.playback import (
     SessionMetrics,
 )
 from tilesim.prediction import fit, nearest_sample, predict, select_window
-from tilesim.synthetic import _sin, _steps, constant_gaze, packet_slots
-from tilesim.traceio import ViewingTraceError, quaternion_to_orientation
+from tilesim.synthetic import _steps, constant_gaze, packet_slots
+from tilesim.traceio import ViewingTraceError
 
 
 class ScanCache:
@@ -344,6 +345,26 @@ def load_trace_oracle(path: str) -> NetworkTrace:
         raise TraceError(f"{path}: {e}") from None
 
 
+def quaternion_to_orientation(qw: float, qx: float, qy: float, qz: float) -> Orientation:
+    """Convert a quaternion of any nonzero scale to yaw/pitch (degrees) as
+    documented in the traceio module docstring: `traceio`'s converter before
+    it took whole columns, one row at a time. It first scales the row by the
+    loader's power of two, as math.frexp and math.ldexp of each value."""
+    exponent = math.frexp(max(abs(qw), abs(qx), abs(qy), abs(qz)))[1]
+    qw, qx, qy, qz = (math.ldexp(c, -exponent) for c in (qw, qx, qy, qz))
+    norm = math.hypot(qw, qx, qy, qz)
+    if norm == 0.0:
+        raise ValueError("zero quaternion")
+    qw, qx, qy, qz = qw / norm, qx / norm, qy / norm, qz / norm
+    # Rows of the rotation matrix applied to the basis vectors we need.
+    fx = 1.0 - 2.0 * (qy * qy + qz * qz)
+    fy = 2.0 * (qx * qy + qw * qz)
+    fz = 2.0 * (qx * qz - qw * qy)
+    yaw = math.degrees(math.atan2(fy, fx))
+    pitch = math.degrees(math.asin(min(1.0, max(-1.0, fz))))
+    return Orientation(yaw=yaw, pitch=pitch)
+
+
 def load_viewing_trace_oracle(path: str) -> list[Sample]:
     """`traceio.load_viewing_trace` before numpy parsed it: csv rows, float()
     per cell and one Orientation per row. It differs from that body only in
@@ -505,7 +526,7 @@ def sinusoid_gaze(
 ) -> ViewingTrace:
     """Yaw oscillating sinusoidally; increasingly hard to extrapolate."""
     t = _steps(duration, hz) / hz
-    yaw = center_yaw + amplitude * _sin(2.0 * math.pi * t / period + phase)
+    yaw = center_yaw + amplitude * each(math.sin, 2.0 * math.pi * t / period + phase)
     return ViewingTrace.from_angles(t, yaw, np.full(t.size, pitch))
 
 

@@ -773,6 +773,9 @@ def viewing_files(draw) -> bytes:
 @example(data=b"0.0,\x1c1,2,3\n0.5,1,2\x1f,3\n")
 @example(data=b"t,yaw,pitch,roll\r0.0,1,2,3\r\r0.5,x,2,3\r")
 @example(data=b"0.0,1,2,3\n\n\n0.5,1,2\n1.0,1,2,3\n")
+@example(data=b"0.0,5e-324,0,0,5e-324\n0.1,0,5e-324,5e-324,5e-324\n0.2,2e-323,-5e-324,1e-323,5e-324\n")
+@example(data=b"t,qw,qx,qy,qz\n0.0,1.7e308,0,0,1.7e308\n0.1,1e308,1e308,-1e308,1e308\n")
+@example(data=b"0.0,-0,1e-300,1e16,1e16\n0.1,1e16,-1e-300,5e-324,-1e16\n")
 def test_load_viewing_trace_matches_the_row_scanner(trace_dir, data):
     path = trace_dir / "trace.csv"
     path.write_bytes(data)

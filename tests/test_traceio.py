@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import constant_rate_network, sinusoid_gaze, trace_of
@@ -14,8 +14,8 @@ from tilesim.traceio import (
     ViewingTraceError,
     load_trace_dir,
     load_viewing_trace,
-    quaternion_to_orientation,
     save_viewing_trace,
+    write_table,
 )
 
 
@@ -33,25 +33,49 @@ def q_axis_angle(axis, degrees_):
     return (math.cos(half), axis[0] * s, axis[1] * s, axis[2] * s)
 
 
+def load_quaternions(directory, *rows):
+    """The trace a 5-column file of `rows` (qw, qx, qy, qz) loads as, one
+    sample every 0.1 s, each value written as its repr."""
+    path = directory / "q.csv"
+    path.write_text("t,qw,qx,qy,qz\n" + "".join(
+        f"{k / 10!r},{','.join(map(repr, q))}\n" for k, q in enumerate(rows)
+    ))
+    return load_viewing_trace(str(path))
+
+
+@pytest.fixture(scope="module")
+def quaternion_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("quaternions")
+
+
+def exact_shift(q, k):
+    """q times 2**k, or None if a component overflows or loses a bit."""
+    try:
+        shifted = tuple(math.ldexp(c, k) for c in q)
+    except OverflowError:
+        return None
+    return shifted if all(math.ldexp(c, -k) == x for c, x in zip(shifted, q)) else None
+
+
 class TestQuaternion:
-    def test_identity_faces_forward(self):
-        o = quaternion_to_orientation(1.0, 0.0, 0.0, 0.0)
+    def test_identity_faces_forward(self, tmp_path):
+        o = load_quaternions(tmp_path, (1.0, 0.0, 0.0, 0.0)).pose(0)
         assert o.yaw == pytest.approx(0.0, abs=1e-9)
         assert o.pitch == pytest.approx(0.0, abs=1e-9)
 
-    def test_yaw_is_rotation_about_up(self):
-        o = quaternion_to_orientation(*q_axis_angle((0, 0, 1), 90.0))
+    def test_yaw_is_rotation_about_up(self, tmp_path):
+        o = load_quaternions(tmp_path, q_axis_angle((0, 0, 1), 90.0)).pose(0)
         assert o.yaw == pytest.approx(90.0, abs=1e-9)
         assert o.pitch == pytest.approx(0.0, abs=1e-9)
 
-    def test_pitch_up(self):
+    def test_pitch_up(self, tmp_path):
         # looking up by 45 degrees is a -45 degree rotation about +y here
-        o = quaternion_to_orientation(*q_axis_angle((0, 1, 0), -45.0))
+        o = load_quaternions(tmp_path, q_axis_angle((0, 1, 0), -45.0)).pose(0)
         assert o.pitch == pytest.approx(45.0, abs=1e-9)
         assert o.yaw == pytest.approx(0.0, abs=1e-9)
 
-    def test_roll_about_forward_axis(self):
-        o = quaternion_to_orientation(*q_axis_angle((1, 0, 0), 30.0))
+    def test_roll_about_forward_axis(self, tmp_path):
+        o = load_quaternions(tmp_path, q_axis_angle((1, 0, 0), 30.0)).pose(0)
         assert o.yaw == pytest.approx(0.0, abs=1e-9)
         assert o.pitch == pytest.approx(0.0, abs=1e-9)
 
@@ -61,31 +85,69 @@ class TestQuaternion:
         k=st.integers(-170, 200),
     )
     @settings(max_examples=300, deadline=None)
-    def test_combined_yaw_pitch(self, yaw, pitch, k):
+    def test_combined_yaw_pitch(self, quaternion_dir, yaw, pitch, k):
         """Yaw about +z, then pitch (a rotation about +y by -pitch), scaled
-        by 10**k: the converter gives both angles back."""
+        by 10**k: the loader gives both angles back."""
         a = q_axis_angle((0, 0, 1), yaw)
         b = q_axis_angle((0, 1, 0), -pitch)
         w = a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
         x = a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2]
         y = a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1]
         z = a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0]
-        o = quaternion_to_orientation(*(c * 10.0**k for c in (w, x, y, z)))
+        o = load_quaternions(quaternion_dir, [c * 10.0**k for c in (w, x, y, z)]).pose(0)
         turn = (o.yaw - yaw) % 360.0
         assert min(turn, 360.0 - turn) <= 1e-9
         assert o.pitch == pytest.approx(pitch, abs=1e-9)
 
-    def test_scale_invariant(self):
+    def test_scale_invariant(self, tmp_path):
         q = q_axis_angle((0, 0, 1), 45.0)
-        a = quaternion_to_orientation(*q)
-        for scale in (2.5, 1e200, 1e-170):
-            b = quaternion_to_orientation(*(scale * c for c in q))
+        scales = (2.5, 1e200, 1e-170)
+        trace = load_quaternions(tmp_path, q, *([scale * c for c in q] for scale in scales))
+        a = trace.pose(0)
+        for k, scale in enumerate(scales, start=1):
+            b = trace.pose(k)
             assert a.yaw == pytest.approx(b.yaw, abs=1e-12), scale
             assert a.pitch == pytest.approx(b.pitch, abs=1e-12), scale
 
-    def test_zero_quaternion_rejected(self):
-        with pytest.raises(ValueError):
-            quaternion_to_orientation(0.0, 0.0, 0.0, 0.0)
+    @given(q=st.tuples(*[st.floats(-1e3, 1e3)] * 4), k=st.integers(-1100, 1100))
+    @settings(max_examples=300, deadline=None)
+    @example(q=(1.0, 0.0, 0.0, 1.0), k=1023)
+    @example(q=(0.5, 0.25, -0.75, 1.0), k=1023)
+    @example(q=(1.0, 0.0, 0.0, 1.0), k=-1074)
+    @example(q=(0.0, 1.0, 1.0, 1.0), k=-1074)
+    @example(q=(0.75, -0.5, 0.25, 1.0), k=-1071)
+    def test_power_of_two_scale_keeps_every_bit(self, quaternion_dir, q, k):
+        """q times 2**k loads with q's bits whenever each component stays
+        exact, also where the norm of the scaled row would overflow or its
+        components are subnormal."""
+        shifted = exact_shift(q, k)
+        assume(any(q) and shifted is not None)
+        trace = load_quaternions(quaternion_dir, q, shifted)
+        for column in (trace.yaw, trace.pitch):
+            assert column[1:].tobytes() == column[:1].tobytes()
+
+    def test_peak_memory_stays_below_seven_tables(self, tmp_path):
+        """Converting a 20,000-row quaternion table holds a few copies of it
+        and one list of Python floats per component, never an object per
+        row."""
+        rows = 20_000
+        q = np.random.default_rng(0).normal(size=(rows, 4))
+        path = tmp_path / "q.csv"
+        write_table(str(path), "%r,%r,%r,%r,%r\n", (np.arange(rows) / 10, *q.T))
+        tracemalloc.start()
+        try:
+            trace = load_viewing_trace(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == rows
+        assert peak < 7 * rows * 5 * 8
+
+    def test_zero_quaternion_rejected(self, tmp_path):
+        """Signed zeros are zero too, and the smallest nonzero row is not."""
+        tiny = (0.0, -0.0, 5e-324, 0.0)
+        with pytest.raises(ViewingTraceError, match=r"q\.csv:3: zero quaternion"):
+            load_quaternions(tmp_path, tiny, (-0.0, 0.0, -0.0, -0.0))
 
 
 class TestEulerFiles:
@@ -127,13 +189,20 @@ class TestEulerFiles:
         assert got.yaw[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_huge_and_tiny_quaternions_load(self, tmp_path):
-        """A 90 degree yaw turn at scales whose squares overflow or
-        underflow loads as yaw 90, with no warning."""
+        """Yaw 90 degree turns at scales whose squares overflow or underflow,
+        whose norm overflows, or whose components are subnormal, then an
+        (0, s, s, s) turn at a subnormal s: each loads at its true angles,
+        with no warning."""
         path = tmp_path / "q.csv"
-        path.write_text("t,qw,qx,qy,qz\n0.0,1e200,0,0,1e200\n0.1,1e-170,0,0,1e-170\n")
+        path.write_text(
+            "t,qw,qx,qy,qz\n0.0,1e200,0,0,1e200\n0.1,1e-170,0,0,1e-170\n"
+            "0.2,1.7e308,0,0,1.7e308\n0.3,1e308,1e308,1e308,1e308\n"
+            "0.4,5e-324,0,0,5e-324\n0.5,2e-323,0,0,2e-323\n0.6,0,5e-324,5e-324,5e-324\n"
+        )
         got = load_viewing_trace(str(path))
-        assert got.yaw.tolist() == pytest.approx([90.0, 90.0], abs=1e-9)
-        assert got.pitch.tolist() == pytest.approx([0.0, 0.0], abs=1e-9)
+        corner = (math.degrees(math.atan2(2.0, -1.0)), math.degrees(math.asin(2.0 / 3.0)))
+        assert got.yaw.tolist() == pytest.approx([90.0] * 6 + [corner[0]], abs=1e-9)
+        assert got.pitch.tolist() == pytest.approx([0.0] * 6 + [corner[1]], abs=1e-9)
 
     def test_zero_quaternion_names_file_and_line(self, tmp_path):
         path = tmp_path / "z.csv"
