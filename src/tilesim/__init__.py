@@ -23,7 +23,6 @@ from .manifest import VideoManifest, file_count, segment_bits, synthesize
 from .netsim import Link, NetworkTrace, load_trace, scale
 from .playback import (
     SegmentRecord,
-    SessionConfig,
     SessionMetrics,
     run_experiment,
     simulate,
@@ -44,7 +43,6 @@ __all__ = [
     "PolicyKind",
     "RegressionModel",
     "SegmentRecord",
-    "SessionConfig",
     "SessionMetrics",
     "TileGrid",
     "VideoManifest",

@@ -22,10 +22,9 @@ index of (segment, tile, level) in the one manifest's size table.
 from __future__ import annotations
 
 import copy
-import random
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -156,34 +155,12 @@ def viewing_assignments(
     return np.array([quality_bands(row, manifest.quality_count) for row in scores])
 
 
-def warm(
-    cache: Cache,
-    manifest: VideoManifest,
-    traces: Sequence[ViewingTrace],
-    fov: FovSpec,
-    seed: int,
-    trace_count: int = 30,
-    samples_per_axis: int = 32,
-    assignments: dict[int, np.ndarray] | None = None,
-) -> None:
-    """Pre-populate a cache by replaying full viewings of random traces.
-
-    A seeded draw picks min(trace_count, len(traces)) trace indices in random
-    order (drawing without replacement doubles as the permutation); each
-    viewing requests every tile of every segment at its warm-up quality,
-    segments and tiles ascending. `assignments` memoizes viewing_assignments
-    by trace index across calls that share the traces, manifest, fov and
-    samples_per_axis.
-    """
-    rng = random.Random(seed)
-    if assignments is None:
-        assignments = {}
-    for index in rng.sample(range(len(traces)), min(trace_count, len(traces))):
-        if index not in assignments:
-            assignments[index] = viewing_assignments(
-                manifest, traces[index], fov, samples_per_axis
-            )
-        levels = assignments[index]
+def warm(cache: Cache, manifest: VideoManifest, viewings: Iterable[np.ndarray]) -> None:
+    """Pre-populate a cache by replaying full viewings, in order. A viewing
+    is a (segments, tiles) array of warm-up levels, as viewing_assignments
+    returns; its replay requests every tile of every segment at its level,
+    segments and tiles ascending."""
+    for levels in viewings:
         for seg in range(manifest.segment_count):
             for key, size in segment_requests(manifest, seg, levels[seg]):
                 cache.request(key, size)

@@ -498,8 +498,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             "--policies: popularity/transition need a manifest with a popularity "
             "trace; run `tilesim popularity` first"
         )
-    # Iteration i replays traces[i % len], and `simulate` needs each
-    # replayed trace to span the regression window.
+    # Iteration i replays traces[i % len], and `run_experiment` refuses a
+    # replayed trace shorter than the regression window; this names its file.
     for i, trace in enumerate(traces[: run["iterations"]]):
         span = trace.t.item(-1) - trace.t.item(0)
         if span < run["timeframe"]:

@@ -7,10 +7,17 @@ concurrently over their own links; the segment is ready at the later of the
 two completions. Playback begins when segment 0 is ready (startup delay is
 not counted as stalling); a segment arriving after its scheduled playback
 start stalls the player and shifts the remaining schedule.
+
+`run_experiment` builds each viewing trace's work once: its prediction plan,
+which `simulate` replays, and its warm-up levels, which `cachesim.warm`
+replays. Of the session functions, only `prediction_plan` reads a viewing
+trace.
 """
 
 from __future__ import annotations
 
+import functools
+import random
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -25,25 +32,11 @@ from .adaptation import (
     select_prediction_ba,
     transition_step,
 )
-from .cachesim import Cache, EvictionPolicy, warm
+from .cachesim import Cache, EvictionPolicy, viewing_assignments, warm
 from .geometry import FovSpec, ViewingTrace, rank_tiles, tile_visibility
 from .manifest import VideoManifest, naive_segment_bytes, segment_bits, segment_requests
 from .netsim import Link, NetworkTrace
 from .prediction import fit, nearest_sample, predict, select_window
-
-
-@dataclass
-class SessionConfig:
-    manifest: VideoManifest
-    viewing_trace: ViewingTrace
-    network_trace: NetworkTrace
-    policy: PolicyKind
-    cache: Cache | None = None
-    cache_rate_bps: float = 100e6
-    fov: FovSpec = field(default_factory=FovSpec)
-    timeframe: float = 0.1  # regression window, seconds
-    samples_per_axis: int = 32
-    hysteresis: float = 1.0
 
 
 def _column(parse: Callable, cell: Callable | None = None):
@@ -108,25 +101,29 @@ class PredictionPlan:
     required_bps: tuple[float, ...]
 
 
-def _check_trace(cfg: SessionConfig) -> None:
-    """ValueError for a timeframe <= 0, a hysteresis < 1 or a trace shorter than the timeframe."""
-    if cfg.timeframe <= 0.0:
+def _check_trace(trace: ViewingTrace, timeframe: float) -> None:
+    """ValueError for a timeframe <= 0, or a trace empty or shorter than the timeframe."""
+    if timeframe <= 0.0:
         raise ValueError("timeframe must be positive")
-    if cfg.hysteresis < 1.0:
-        raise ValueError("hysteresis must be >= 1")
-    if not cfg.viewing_trace:
+    if not trace:
         raise ValueError("viewing trace is empty")
-    span = cfg.viewing_trace.t.item(-1) - cfg.viewing_trace.t.item(0)
-    if span < cfg.timeframe:
+    span = trace.t.item(-1) - trace.t.item(0)
+    if span < timeframe:
         raise ValueError(
             f"viewing trace spans {span:.3f}s, shorter than the "
-            f"{cfg.timeframe:.3f}s regression window"
+            f"{timeframe:.3f}s regression window"
         )
 
 
-def prediction_plan(cfg: SessionConfig) -> PredictionPlan:
-    """The plan of cfg's viewing trace under its manifest, FoV, timeframe and
-    samples_per_axis.
+def prediction_plan(
+    manifest: VideoManifest,
+    trace: ViewingTrace,
+    fov: FovSpec = FovSpec(),
+    timeframe: float = 0.1,
+    samples_per_axis: int = 32,
+) -> PredictionPlan:
+    """The plan of one viewing trace under a manifest, FoV, regression window
+    (`timeframe`, seconds) and samples_per_axis.
 
     Segment k's regression window ends at media time max(0, k * s - s), one
     segment length before its playback position k * s, whatever the download
@@ -135,20 +132,19 @@ def prediction_plan(cfg: SessionConfig) -> PredictionPlan:
     segment's pose is scored in one tile_visibility call, and each row is
     ranked once.
     """
-    _check_trace(cfg)
-    m = cfg.manifest
+    _check_trace(trace, timeframe)
+    m = manifest
     s = m.segment_length
-    trace = cfg.viewing_trace
     poses = []
     for seg in range(m.segment_count):
         target = seg * s
         now = max(0.0, target - s)
-        window = select_window(trace, now, cfg.timeframe)
+        window = select_window(trace, now, timeframe)
         if not window:
             k = nearest_sample(trace, now)
             window = trace[k : k + 1]
         poses.append(predict(fit(window, now), target))
-    scores = tile_visibility(tuple(poses), cfg.fov, m.grid, cfg.samples_per_axis)
+    scores = tile_visibility(tuple(poses), fov, m.grid, samples_per_axis)
     ranked = tuple(rank_tiles(row) for row in scores)
     for order in ranked:
         order.setflags(write=False)
@@ -159,27 +155,34 @@ def prediction_plan(cfg: SessionConfig) -> PredictionPlan:
     return PredictionPlan(ranked, required)
 
 
-def simulate(cfg: SessionConfig, plan: PredictionPlan | None = None) -> SessionMetrics:
-    """Run one streaming session; deterministic for identical configs.
+def simulate(
+    manifest: VideoManifest,
+    network_trace: NetworkTrace,
+    policy: PolicyKind,
+    plan: PredictionPlan | None = None,
+    cache: Cache | None = None,
+    cache_rate_bps: float = 100e6,
+    hysteresis: float = 1.0,
+) -> SessionMetrics:
+    """Run one streaming session; deterministic for identical inputs.
 
-    Policies that read visibility take each segment's tile ranking, and
-    `transition` its required bit rate, from `plan`: prediction_plan(cfg),
-    built here when not given. The bandwidth estimate is the throughput of
-    the last segment that fetched origin bytes: its origin bits over its
-    origin transfer time; None until the first.
+    A policy in PLANNED_POLICIES replays `plan`, the viewer's prediction_plan:
+    each segment's tile ranking and, for `transition`, its required bit rate.
+    The other policies ignore it and read no viewing trace. The bandwidth
+    estimate is the throughput of the last segment that fetched origin bytes:
+    its origin bits over its origin transfer time; None until the first.
     """
-    m = cfg.manifest
+    m = manifest
     s = m.segment_length
-    _check_trace(cfg)
-    if cfg.policy in (PolicyKind.POPULARITY, PolicyKind.TRANSITION):
+    if hysteresis < 1.0:
+        raise ValueError("hysteresis must be >= 1")
+    if policy in (PolicyKind.POPULARITY, PolicyKind.TRANSITION):
         require_popularity(m)
-    if cfg.policy not in PLANNED_POLICIES:
-        plan = None
-    elif plan is None:
-        plan = prediction_plan(cfg)
+    if policy in PLANNED_POLICIES and plan is None:
+        raise ValueError(f"policy {policy.value} needs a prediction plan")
     estimate: float | None = None
     mechanism = PolicyKind.PREDICTION  # the transition policy's live mechanism
-    origin = Link(cfg.network_trace)
+    origin = Link(network_trace)
     records: list[SegmentRecord] = []
     sched_prev = 0.0  # wall-clock playback start of the previous segment
     end_prev = 0.0
@@ -187,10 +190,10 @@ def simulate(cfg: SessionConfig, plan: PredictionPlan | None = None) -> SessionM
     for seg in range(m.segment_count):
         dl_start = 0.0 if seg == 0 else max(end_prev, sched_prev)
         order = plan.ranked[seg] if plan is not None else None
-        active = cfg.policy
-        if cfg.policy is PolicyKind.TRANSITION:
+        active = policy
+        if policy is PolicyKind.TRANSITION:
             active = mechanism = transition_step(
-                mechanism, estimate, plan.required_bps[seg], cfg.hysteresis
+                mechanism, estimate, plan.required_bps[seg], hysteresis
             )
 
         if active is PolicyKind.NAIVE:
@@ -207,13 +210,13 @@ def simulate(cfg: SessionConfig, plan: PredictionPlan | None = None) -> SessionM
         cache_bytes = 0
         origin_bytes = 0
         for key, size in segment_requests(m, seg, levels):
-            if cfg.cache is not None and cfg.cache.request(key, size):
+            if cache is not None and cache.request(key, size):
                 cache_bytes += size
             else:
                 origin_bytes += size
 
         origin_end = origin.transfer_time(dl_start, origin_bytes)
-        cache_end = dl_start + cache_bytes * 8.0 / cfg.cache_rate_bps
+        cache_end = dl_start + cache_bytes * 8.0 / cache_rate_bps
         dl_end = max(origin_end, cache_end)
 
         if seg == 0:
@@ -245,7 +248,7 @@ def simulate(cfg: SessionConfig, plan: PredictionPlan | None = None) -> SessionM
         if origin_bytes > 0 and origin_end > dl_start:
             estimate = origin_bytes * 8.0 / (origin_end - dl_start)
 
-    return SessionMetrics(policy=cfg.policy.value, records=records)
+    return SessionMetrics(policy=policy.value, records=records)
 
 
 def quality_gain_percent(runs: dict[str, list[SessionMetrics]]) -> float | None:
@@ -280,11 +283,17 @@ def run_experiment(
     policy's sessions, one per iteration, keyed by its value in `policies`
     order.
 
-    Iteration i uses viewing_traces[i % len] and a warm-up seed derived from
-    (seed, i) for every policy, so runs are comparable pairwise across
-    policies. The cache is warmed once per iteration, and each run gets a
-    copy of its iteration's warmed cache. Each trace's warm-up assignments
-    and prediction plan are computed once per experiment.
+    Iteration i replays viewing_traces[i % len] for every policy, so runs are
+    comparable pairwise across policies. The cache is warmed once per
+    iteration, from the viewings of a draw of warm_trace_count traces (all
+    of them when fewer) seeded by (seed, i), and each run gets a copy of its
+    iteration's warmed cache. Each trace's warm-up levels and prediction
+    plan are built once per experiment, and only here: policies that read no
+    visibility build no plan.
+
+    Whatever the policies, an empty trace, a replayed trace shorter than the
+    timeframe and a timeframe <= 0 raise ValueError before any work, and
+    every session refuses a hysteresis < 1.
     """
     if not viewing_traces:
         raise ValueError("need at least one viewing trace")
@@ -292,40 +301,35 @@ def run_experiment(
         raise ValueError("iterations must be >= 1")
     if len(set(policies)) != len(policies):
         raise ValueError(f"each policy may be listed once, got {[p.value for p in policies]}")
+    for k, trace in enumerate(viewing_traces):
+        if not trace:
+            raise ValueError(f"viewing trace {k} is empty")
+        if k < iterations:  # replayed by a session
+            _check_trace(trace, timeframe)
+
+    @functools.cache
+    def plan(k: int) -> PredictionPlan:
+        return prediction_plan(manifest, viewing_traces[k], fov, timeframe, samples_per_axis)
+
+    @functools.cache
+    def levels(k: int) -> np.ndarray:
+        return viewing_assignments(manifest, viewing_traces[k], fov, samples_per_axis)
+
+    n = len(viewing_traces)
     runs: dict[str, list[SessionMetrics]] = {p.value: [] for p in policies}
-    assignments: dict[int, np.ndarray] = {}
-    plans: dict[int, PredictionPlan] = {}
     for i in range(iterations):
-        k = i % len(viewing_traces)
         warmed = None
         if cache_policy is not None and cache_capacity_bytes > 0:
             warmed = Cache(cache_capacity_bytes, cache_policy)
-            warm(
-                warmed,
-                manifest,
-                viewing_traces,
-                fov,
-                seed=seed * 100003 + i,
-                trace_count=warm_trace_count,
-                samples_per_axis=samples_per_axis,
-                assignments=assignments,
-            )
+            # Drawing without replacement doubles as the replay order.
+            drawn = random.Random(seed * 100003 + i).sample(range(n), min(warm_trace_count, n))
+            warm(warmed, manifest, map(levels, drawn))  # lazy: scored inside the warm-up
         for policy in policies:
-            cfg = SessionConfig(
-                manifest=manifest,
-                viewing_trace=viewing_traces[k],
-                network_trace=network_trace,
-                policy=policy,
-                cache=warmed.copy() if warmed is not None else None,
-                cache_rate_bps=cache_rate_bps,
-                fov=fov,
-                timeframe=timeframe,
-                samples_per_axis=samples_per_axis,
-                hysteresis=hysteresis,
-            )
-            if policy in PLANNED_POLICIES and k not in plans:
-                plans[k] = prediction_plan(cfg)
-            runs[policy.value].append(simulate(cfg, plans.get(k)))
+            planned = plan(i % n) if policy in PLANNED_POLICIES else None
+            cache = warmed.copy() if warmed is not None else None
+            runs[policy.value].append(simulate(
+                manifest, network_trace, policy, planned, cache, cache_rate_bps, hysteresis
+            ))
     return runs
 
 

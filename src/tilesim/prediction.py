@@ -103,7 +103,7 @@ def error_experiment(
     At each step the window is fitted, the pose at now + interval is
     predicted, and the orthodromic distance to the actual pose (nearest
     sample by time) is recorded. Sampling must be dense enough that every
-    window holds at least one sample.
+    window holds at least one sample. ValueError when no step fits.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -121,4 +121,6 @@ def error_experiment(
         actual = trace.pose(nearest_sample(trace, now + interval))
         errors.append(orthodromic_distance(predicted, actual))
         k += 1
+    if not errors:
+        raise ValueError(f"no {step}s step fits timeframe + interval inside the trace")
     return np.array(errors)

@@ -41,9 +41,11 @@ from tilesim.geometry import (
 )
 from tilesim.netsim import Link, NetworkTrace, TraceError
 from tilesim.playback import (
+    PLANNED_POLICIES,
     SegmentRecord,
-    SessionConfig,
     SessionMetrics,
+    prediction_plan,
+    simulate,
 )
 from tilesim.prediction import fit, nearest_sample, predict, select_window
 from tilesim.synthetic import _steps, constant_gaze, packet_slots
@@ -873,7 +875,7 @@ def run_experiment_oracle(
                     cache, manifest, viewing_traces, fov, seed * 100003 + i,
                     warm_trace_count, samples_per_axis,
                 )
-            cfg = SessionConfig(
+            session = simulate_oracle(
                 manifest=manifest,
                 viewing_trace=viewing_traces[i % len(viewing_traces)],
                 network_trace=network_trace,
@@ -885,7 +887,7 @@ def run_experiment_oracle(
                 samples_per_axis=samples_per_axis,
                 hysteresis=hysteresis,
             )
-            runs[policy.value].append(simulate_oracle(cfg))
+            runs[policy.value].append(session)
     return runs
 
 
@@ -925,27 +927,58 @@ class OracleMetrics(SessionMetrics):
     bytes_hit: int = 0
 
 
-def simulate_oracle(cfg: SessionConfig) -> OracleMetrics:
+def viewer_session(
+    manifest,
+    viewing_trace,
+    network_trace,
+    policy,
+    cache=None,
+    cache_rate_bps=100e6,
+    fov=FovSpec(),
+    timeframe=0.1,
+    samples_per_axis=32,
+    hysteresis=1.0,
+) -> SessionMetrics:
+    """`playback.simulate` of one viewer, as `run_experiment` runs it: a policy
+    that reads visibility replays the trace's `prediction_plan`."""
+    plan = None
+    if policy in PLANNED_POLICIES:
+        plan = prediction_plan(manifest, viewing_trace, fov, timeframe, samples_per_axis)
+    return simulate(manifest, network_trace, policy, plan, cache, cache_rate_bps, hysteresis)
+
+
+def simulate_oracle(
+    manifest,
+    viewing_trace,
+    network_trace,
+    policy,
+    cache=None,
+    cache_rate_bps=100e6,
+    fov=FovSpec(),
+    timeframe=0.1,
+    samples_per_axis=32,
+    hysteresis=1.0,
+) -> OracleMetrics:
     """`playback.simulate` before it read a prediction plan: every session,
     whatever its policy, selects, fits and scores each segment's window
     itself (predicted_map_oracle), one single-pose tile_visibility call per
     segment, ranks the tiles at every selection, and keeps its bandwidth
     estimate in the LastSampleEstimator that `netsim` used to hold."""
-    m = cfg.manifest
+    m = manifest
     s = m.segment_length
-    if not cfg.viewing_trace:
+    if not viewing_trace:
         raise ValueError("viewing trace is empty")
-    span = cfg.viewing_trace.t.item(-1) - cfg.viewing_trace.t.item(0)
-    if span < cfg.timeframe:
+    span = viewing_trace.t.item(-1) - viewing_trace.t.item(0)
+    if span < timeframe:
         raise ValueError(
             f"viewing trace spans {span:.3f}s, shorter than the "
-            f"{cfg.timeframe:.3f}s regression window"
+            f"{timeframe:.3f}s regression window"
         )
-    if cfg.policy in (PolicyKind.POPULARITY, PolicyKind.TRANSITION):
+    if policy in (PolicyKind.POPULARITY, PolicyKind.TRANSITION):
         require_popularity(m)
     estimator = LastSampleEstimator()
     mechanism = PolicyKind.PREDICTION
-    origin = Link(cfg.network_trace)
+    origin = Link(network_trace)
     records: list[SegmentRecord] = []
     sched_prev = 0.0
     end_prev = 0.0
@@ -953,15 +986,15 @@ def simulate_oracle(cfg: SessionConfig) -> OracleMetrics:
 
     for seg in range(m.segment_count):
         dl_start = 0.0 if seg == 0 else max(end_prev, sched_prev)
-        scores = predicted_map_oracle(cfg, seg)
+        scores = predicted_map_oracle(m, viewing_trace, fov, timeframe, samples_per_axis, seg)
 
         estimate = estimator.current()
         budget = estimate.bits_per_second if estimate is not None else None
-        active = cfg.policy
-        if cfg.policy is PolicyKind.TRANSITION:
+        active = policy
+        if policy is PolicyKind.TRANSITION:
             wanted = select_prediction(m, seg, rank_tiles(scores), None)
             required = mf.segment_bits(m, seg, wanted) / s
-            active = mechanism = transition_step(mechanism, budget, required, cfg.hysteresis)
+            active = mechanism = transition_step(mechanism, budget, required, hysteresis)
 
         if active is PolicyKind.NAIVE:
             levels = select_naive(m, seg)
@@ -977,14 +1010,14 @@ def simulate_oracle(cfg: SessionConfig) -> OracleMetrics:
         cache_bytes = 0
         origin_bytes = 0
         for key, size in segment_requests_oracle(m, seg, levels):
-            if cfg.cache is not None and cfg.cache.request(key, size):
+            if cache is not None and cache.request(key, size):
                 cache_bytes += size
                 bytes_hit += size
             else:
                 origin_bytes += size
 
         origin_end = origin.transfer_time(dl_start, origin_bytes)
-        cache_end = dl_start + cache_bytes * 8.0 / cfg.cache_rate_bps
+        cache_end = dl_start + cache_bytes * 8.0 / cache_rate_bps
         dl_end = max(origin_end, cache_end)
         if origin_bytes > 0:
             estimator.update(origin_bytes * 8.0, dl_start, origin_end)
@@ -1018,24 +1051,23 @@ def simulate_oracle(cfg: SessionConfig) -> OracleMetrics:
         )
         sched_prev, end_prev = sched, dl_end
 
-    return OracleMetrics(policy=cfg.policy.value, records=records, bytes_hit=bytes_hit)
+    return OracleMetrics(policy=policy.value, records=records, bytes_hit=bytes_hit)
 
 
-def predicted_map_oracle(cfg: SessionConfig, seg: int) -> np.ndarray:
+def predicted_map_oracle(m, trace, fov, timeframe, samples_per_axis, seg: int) -> np.ndarray:
     """The score row `simulate_oracle` scores for one segment: the window
     ending at media time max(0, seg * s - s) (or the sample nearest
     that time if the window is empty), fitted and predicted at seg * s, one
     single-pose tile_visibility call."""
-    m = cfg.manifest
     s = m.segment_length
     target = seg * s
     now = max(0.0, target - s)
-    window = select_window(cfg.viewing_trace, now, cfg.timeframe)
+    window = select_window(trace, now, timeframe)
     if not window:
-        k = nearest_sample(cfg.viewing_trace, now)
-        window = cfg.viewing_trace[k : k + 1]
+        k = nearest_sample(trace, now)
+        window = trace[k : k + 1]
     predicted = predict(fit(window, now), target)
-    return tile_visibility((predicted,), cfg.fov, m.grid, cfg.samples_per_axis)[0]
+    return tile_visibility((predicted,), fov, m.grid, samples_per_axis)[0]
 
 
 def segment_requests_oracle(manifest, segment: int, assignment):

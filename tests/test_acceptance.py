@@ -20,6 +20,7 @@ from helpers import (
     session_dict,
     sinusoid_gaze,
     staircase_scenario,
+    viewer_session,
 )
 from tilesim.adaptation import PolicyKind
 from tilesim.cachesim import Cache, EvictionPolicy
@@ -29,10 +30,8 @@ from tilesim.manifest import file_count, synthesize
 from tilesim import traceio
 from tilesim.netsim import save_trace
 from tilesim.playback import (
-    SessionConfig,
     quality_gain_percent,
     run_experiment,
-    simulate,
 )
 from tilesim.popularity import build_heat, quantize
 from tilesim.prediction import error_experiment
@@ -99,10 +98,10 @@ def test_criterion_04_bandwidth_savings(flat_manifest):
     gaze = constant_gaze(0.0, 0.0, 41.0, hz=10.0)
 
     def session(manifest, policy, **kw):
-        return simulate(SessionConfig(
+        return viewer_session(
             manifest=manifest, viewing_trace=gaze, network_trace=net,
             policy=policy, **kw,
-        ))
+        )
 
     naive = session(flat_manifest, PolicyKind.NAIVE)
     four_high = session(flat_manifest, PolicyKind.PREDICTION, fov=QUAD)
@@ -171,10 +170,10 @@ def test_criterion_07_transition_boundaries():
     net = two_phase_network(
         8 * required, required / 8, cut_s=6.0, duration_s=45.0, recover_s=42.0
     )
-    got = simulate(SessionConfig(
+    got = viewer_session(
         manifest=m, viewing_trace=gaze, network_trace=net,
         policy=PolicyKind.TRANSITION, samples_per_axis=16,
-    ))
+    )
     active = [r.active for r in got.records]
     assert active == ["prediction"] * 6 + ["popularity"] * 3 + ["prediction"]
     print(
@@ -187,10 +186,10 @@ def test_criterion_08_convergence_to_pure_policies():
     m, gaze, stair, seg_bits = staircase_scenario(15.0)
 
     def session(policy, net):
-        return simulate(SessionConfig(
+        return viewer_session(
             manifest=m, viewing_trace=gaze, network_trace=net,
             policy=policy, samples_per_axis=16,
-        ))
+        )
 
     ample = constant_rate_network(1e9, 2.0)
     always_high = {p: session(p, ample)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import HeapCache, ScanCache, visibility_map
+from helpers import HeapCache, ScanCache, constant_rate_network, visibility_map
+from tilesim import playback
+from tilesim.adaptation import PolicyKind
 from tilesim.cachesim import (
     Cache,
     EvictionPolicy,
@@ -181,13 +183,31 @@ class TestViewingAssignments:
 
 
 class TestWarm:
-    def test_deterministic_for_same_seed(self, flat_manifest):
+    @staticmethod
+    def warmed(monkeypatch, manifest, traces, policy, capacity, seed, trace_count):
+        """The cache that a one-iteration `run_experiment` warms, drawing
+        from `traces`."""
+        caches = []
+
+        def spy(cache, manifest, viewings):
+            warm(cache, manifest, viewings)
+            caches.append(cache)
+
+        monkeypatch.setattr(playback, "warm", spy)
+        playback.run_experiment(
+            manifest, traces, constant_rate_network(1e9, 2.0), [PolicyKind.NAIVE], 1,
+            cache_policy=policy, cache_capacity_bytes=capacity, seed=seed,
+            warm_trace_count=trace_count, fov=FovSpec(100, 100), samples_per_axis=8,
+        )
+        (cache,) = caches
+        return cache
+
+    def test_deterministic_for_same_seed(self, flat_manifest, monkeypatch):
         traces = gaussian_gaze_population(10, duration=41.0, hz=5.0, seed=1)
         caches = []
         for _ in range(2):
-            c = Cache(10**10, EvictionPolicy.LFUDA)
-            warm(c, flat_manifest, traces, FovSpec(100, 100), seed=3,
-                 trace_count=5, samples_per_axis=8)
+            c = self.warmed(monkeypatch, flat_manifest, traces, EvictionPolicy.LFUDA,
+                            10**10, seed=3, trace_count=5)
             caches.append(c)
         assert len(caches[0]) == len(caches[1])
         assert caches[0].occupancy == caches[1].occupancy
@@ -195,9 +215,8 @@ class TestWarm:
     def test_replay_of_warmed_viewer_all_hits(self, flat_manifest):
         trace = constant_gaze(10.0, 5.0, duration=41.0, hz=10.0)
         c = Cache(10**12, EvictionPolicy.LRU)
-        warm(c, flat_manifest, [trace], FovSpec(100, 100), seed=0,
-             trace_count=1, samples_per_axis=8)
         rows = viewing_assignments(flat_manifest, trace, FovSpec(100, 100), 8)
+        warm(c, flat_manifest, [rows])
         from tilesim.manifest import segment_requests
 
         hits = [
@@ -207,11 +226,10 @@ class TestWarm:
         ]
         assert hits and all(hits)
 
-    def test_warm_count_caps_at_population(self, flat_manifest):
+    def test_warm_count_caps_at_population(self, flat_manifest, monkeypatch):
         trace = constant_gaze(0.0, 0.0, duration=41.0, hz=5.0)
-        c = Cache(10**12, EvictionPolicy.LRU)
-        warm(c, flat_manifest, [trace], FovSpec(100, 100), seed=0,
-             trace_count=30, samples_per_axis=8)
+        c = self.warmed(monkeypatch, flat_manifest, [trace], EvictionPolicy.LRU,
+                        10**12, seed=0, trace_count=30)
         assert len(c) > 0
 
 

@@ -17,7 +17,7 @@ from helpers import constant_rate_network, linear_gaze, staircase_scenario
 from tilesim import manifest as manifest_mod
 from tilesim import cli, netsim, playback, traceio
 from tilesim.cli import RUN_SETTINGS, main
-from tilesim.synthetic import constant_gaze, two_phase_network
+from tilesim.synthetic import constant_gaze, drifting_gaze, two_phase_network
 
 
 def read_csv(path):
@@ -478,6 +478,26 @@ class TestPredictError:
         ]) == 2
         err = capsys.readouterr().err
         assert "--traces" in err and "slow.csv" in err
+
+
+    @pytest.mark.parametrize("step, named", [
+        ([], "a.csv (interval 2.0, timeframe 0.1)"),
+        (["--step", "100"], "(interval 0.5, timeframe 0.1)"),
+    ], ids=["short-trace", "huge-step"])
+    def test_a_combination_with_no_step(self, tmp_path, capsys, step, named):
+        """Every (trace, interval, timeframe) combination yields a step, or the
+        command exits 2 naming it; none is dropped silently."""
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        traceio.save_viewing_trace(drifting_gaze(1, 3.0), str(traces / "a.csv"))
+        traceio.save_viewing_trace(drifting_gaze(2, 11.0), str(traces / "b.csv"))
+        assert main([
+            "predict-error", "--traces", str(traces), "--timeframes", "0.1",
+            "--out", str(tmp_path / "out"), *step,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--traces" in err and named in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestRun:

@@ -71,7 +71,6 @@ from tilesim.manifest import (
 )
 from tilesim.netsim import NetworkTrace, TraceError, load_trace, save_trace
 from tilesim.playback import (
-    SessionConfig,
     estimate_rows,
     policy_summary_rows,
     popularity_share_rows,
@@ -534,17 +533,22 @@ def test_simulate_matches_a_session_that_predicts_its_own_poses(m, data):
                 c.request(key, size)
         return c
 
-    cfg = SessionConfig(**kwargs)
-    plan = prediction_plan(cfg)
+    trace, fov, timeframe, n = (
+        kwargs[k] for k in ("viewing_trace", "fov", "timeframe", "samples_per_axis")
+    )
+    plan = prediction_plan(m, trace, fov, timeframe, n)
     assert len(plan.ranked) == len(plan.required_bps) == m.segment_count
     for seg, order in enumerate(plan.ranked):
-        expected = rank_tiles(predicted_map_oracle(cfg, seg))
+        expected = rank_tiles(predicted_map_oracle(m, trace, fov, timeframe, n, seg))
         np.testing.assert_array_equal(order, expected)
         assert order.dtype == expected.dtype and not order.flags.writeable
         wanted = select_prediction(m, seg, expected, None)
         assert plan.required_bps[seg] == segment_bits(m, seg, wanted) / m.segment_length
-    new = simulate(SessionConfig(cache=cache(), **kwargs))
-    old = simulate_oracle(SessionConfig(cache=cache(), **kwargs))
+    new = simulate(
+        m, kwargs["network_trace"], kwargs["policy"], plan, cache(),
+        kwargs["cache_rate_bps"], kwargs["hysteresis"],
+    )
+    old = simulate_oracle(cache=cache(), **kwargs)
     assert new.policy == old.policy
     assert repr(record_dicts(new)) == repr(record_dicts(old))
     assert [r.savings for r in new.records] == [r.savings for r in old.records]

@@ -10,17 +10,18 @@ from helpers import (
     savings_vs_naive,
     staircase_scenario,
     total_bytes,
+    viewer_session,
 )
-from tilesim import playback
+from tilesim import cachesim, playback
 from tilesim.adaptation import PolicyKind
-from tilesim.cachesim import Cache, EvictionPolicy, warm
-from tilesim.geometry import FovSpec, TileGrid
+from tilesim.cachesim import Cache, EvictionPolicy, viewing_assignments, warm
+from tilesim.geometry import FovSpec, TileGrid, ViewingTrace
 from tilesim.manifest import VideoManifest, segment_requests, synthesize
 from tilesim.netsim import Link, scale
 from tilesim.playback import (
     ESTIMATE_COLUMNS,
+    PLANNED_POLICIES,
     SEGMENT_COLUMNS,
-    SessionConfig,
     SessionMetrics,
     estimate_rows,
     policy_summary_rows,
@@ -52,8 +53,9 @@ def single_tile_manifest():
 
 
 def stationary_session(manifest, policy, net, **kw):
+    """One session of a viewer who looks straight ahead throughout."""
     gaze = constant_gaze(0.0, 0.0, manifest.duration + 1.0, hz=30.0)
-    return SessionConfig(
+    return viewer_session(
         manifest=manifest,
         viewing_trace=gaze,
         network_trace=net,
@@ -63,39 +65,69 @@ def stationary_session(manifest, policy, net, **kw):
 
 
 class TestValidation:
+    """`prediction_plan` refuses a trace it cannot fit, and `run_experiment`
+    refuses it whatever the policy."""
+
     def test_empty_trace(self, flat_manifest):
-        cfg = SessionConfig(
-            manifest=flat_manifest,
-            viewing_trace=[],
-            network_trace=constant_rate_network(1e8, 2.0),
-            policy=PolicyKind.NAIVE,
-        )
+        empty = ViewingTrace.from_angles([], [], [])
         with pytest.raises(ValueError, match="empty"):
-            simulate(cfg)
+            prediction_plan(flat_manifest, empty)
+        net = constant_rate_network(1e8, 2.0)
+        for policy in PolicyKind:
+            with pytest.raises(ValueError, match="empty"):
+                run_experiment(flat_manifest, [empty], net, [policy], 1)
 
     def test_trace_shorter_than_window(self, flat_manifest):
-        cfg = stationary_session(
-            flat_manifest, PolicyKind.NAIVE, constant_rate_network(1e8, 2.0)
-        )
-        cfg.viewing_trace = cfg.viewing_trace[:2]  # ~0.03 s of samples
+        gaze = constant_gaze(0.0, 0.0, flat_manifest.duration + 1.0, hz=30.0)
+        short = gaze[:2]  # ~0.03 s of samples
         with pytest.raises(ValueError, match="regression window"):
-            simulate(cfg)
+            prediction_plan(flat_manifest, short)
+        net = constant_rate_network(1e8, 2.0)
+        for policy in PolicyKind:
+            with pytest.raises(ValueError, match="regression window"):
+                run_experiment(flat_manifest, [short], net, [policy], 1)
 
     def test_popularity_needs_trace(self, flat_manifest):
         for policy in (PolicyKind.POPULARITY, PolicyKind.TRANSITION):
-            cfg = stationary_session(
-                flat_manifest, policy, constant_rate_network(1e8, 2.0)
-            )
             with pytest.raises(ValueError, match="popularity"):
-                simulate(cfg)
+                stationary_session(flat_manifest, policy, constant_rate_network(1e8, 2.0))
+
+    @pytest.mark.parametrize("policy", PLANNED_POLICIES, ids=lambda p: p.value)
+    def test_planned_policy_needs_a_plan(self, flat_manifest, policy):
+        m = copy.deepcopy(flat_manifest)
+        m.popularity = np.zeros((27, 16), dtype=np.int64)
+        with pytest.raises(ValueError, match=f"policy {policy.value} needs a prediction plan"):
+            simulate(m, constant_rate_network(1e8, 2.0), policy)
+
+    def test_unplanned_policies_read_no_viewing_trace(self, flat_manifest):
+        m = copy.deepcopy(flat_manifest)
+        m.popularity = np.zeros((27, 16), dtype=np.int64)
+        net = constant_rate_network(1e9, 2.0)
+        naive = simulate(m, net, PolicyKind.NAIVE)
+        popular = simulate(m, net, PolicyKind.POPULARITY)
+        assert [r.levels for r in naive.records] == [(2,) * 16] * 27
+        assert [r.levels for r in popular.records] == [(0,) * 16] * 27
+        assert naive.total_stall == popular.total_stall == 0.0
+
+    def test_empty_trace_anywhere_is_refused_before_the_warm_up(self):
+        """A trace that only the warm-up draws is refused too, by its index."""
+        m = synthesize("x", 6.0, 1.5, TileGrid(4, 4))
+        net = two_phase_network(50e6, 5e6, 2.0, 20.0)
+        empty = ViewingTrace.from_angles([], [], [])
+        for traces, index in (([constant_gaze(0, 0, 7.0), empty], 1),
+                              ([empty, constant_gaze(0, 0, 7.0)], 0)):
+            with pytest.raises(ValueError, match=f"viewing trace {index} is empty"):
+                run_experiment(
+                    m, traces, net, [PolicyKind.NAIVE], 1, cache_policy=EvictionPolicy.LRU,
+                    cache_capacity_bytes=10**8, warm_trace_count=2,
+                )
 
 
 class TestStallAccounting:
     def test_startup_is_not_a_stall(self):
         m = single_tile_manifest()
         # 6 Mbit/s: each 1000-packet segment takes 2 s of link time
-        cfg = stationary_session(m, PolicyKind.NAIVE, constant_rate_network(6e6, 1.0))
-        got = simulate(cfg)
+        got = stationary_session(m, PolicyKind.NAIVE, constant_rate_network(6e6, 1.0))
         assert [r.stall for r in got.records] == [0.0, 1.0, 1.0]
         assert got.total_stall == 2.0
         assert got.records[0].download_end == 2.0
@@ -104,8 +136,7 @@ class TestStallAccounting:
 
     def test_ample_bandwidth_never_stalls(self):
         m = single_tile_manifest()
-        cfg = stationary_session(m, PolicyKind.NAIVE, constant_rate_network(24e6, 1.0))
-        got = simulate(cfg)
+        got = stationary_session(m, PolicyKind.NAIVE, constant_rate_network(24e6, 1.0))
         assert got.total_stall == 0.0
         # each 0.5 s download waits for the one-segment lookahead window:
         # segment 2 may start only once segment 1 begins playing at 1.5 s
@@ -114,10 +145,8 @@ class TestStallAccounting:
     def test_scaling_origin_up_never_hurts_naive(self):
         m = single_tile_manifest()
         base_net = constant_rate_network(6e6, 1.0)
-        slow = simulate(stationary_session(m, PolicyKind.NAIVE, base_net))
-        fast = simulate(
-            stationary_session(m, PolicyKind.NAIVE, scale(base_net, 2.0))
-        )
+        slow = stationary_session(m, PolicyKind.NAIVE, base_net)
+        fast = stationary_session(m, PolicyKind.NAIVE, scale(base_net, 2.0))
         assert fast.total_stall <= slow.total_stall
         assert fast.total_stall == 0.0
 
@@ -128,22 +157,20 @@ class TestPolicies:
         m.popularity = np.zeros((27, 16), dtype=np.int64)
         net = constant_rate_network(1e9, 2.0)
         for policy in PolicyKind:
-            got = simulate(stationary_session(m, policy, net))
+            got = stationary_session(m, policy, net)
             assert got.total_stall == 0.0, policy
 
     def test_naive_totals_and_zero_savings(self, flat_manifest):
         net = constant_rate_network(1e9, 2.0)
-        got = simulate(stationary_session(flat_manifest, PolicyKind.NAIVE, net))
+        got = stationary_session(flat_manifest, PolicyKind.NAIVE, net)
         assert total_bytes(got) == 27 * 16 * 3_750_000
         assert got.avg_quality == 2.0
         assert [r.savings for r in got.records] == [0.0] * 27
 
     def test_prediction_savings_exact(self, flat_manifest):
         net = constant_rate_network(300e6, 5.0)
-        naive = simulate(stationary_session(flat_manifest, PolicyKind.NAIVE, net))
-        pred = simulate(
-            stationary_session(flat_manifest, PolicyKind.PREDICTION, net, fov=QUAD)
-        )
+        naive = stationary_session(flat_manifest, PolicyKind.NAIVE, net)
+        pred = stationary_session(flat_manifest, PolicyKind.PREDICTION, net, fov=QUAD)
         sav = savings_vs_naive(pred, naive)
         assert sav.shape == (27,)
         assert (sav == 0.703125).all()
@@ -154,20 +181,19 @@ class TestPolicies:
         m = copy.deepcopy(flat_manifest)
         m.popularity = np.zeros((27, 16), dtype=np.int64)
         net = constant_rate_network(300e6, 5.0)
-        got = simulate(stationary_session(m, PolicyKind.POPULARITY, net))
+        got = stationary_session(m, PolicyKind.POPULARITY, net)
         assert [r.savings for r in got.records] == [0.9375] * 27
         assert got.avg_quality == 0.0
 
     def test_sparse_viewing_trace_falls_back_to_nearest(self, flat_manifest):
         gaze = constant_gaze(0.0, 0.0, 41.0, hz=0.2)  # one sample each 5 s
-        cfg = SessionConfig(
+        got = viewer_session(
             manifest=flat_manifest,
             viewing_trace=gaze,
             network_trace=constant_rate_network(300e6, 5.0),
             policy=PolicyKind.PREDICTION,
             fov=QUAD,
         )
-        got = simulate(cfg)
         for r in got.records:
             assert sorted(r.levels, reverse=True)[:4] == [2, 2, 2, 2]
 
@@ -184,10 +210,9 @@ class TestCacheInteraction:
         m = copy.deepcopy(flat_manifest)
         m.popularity = np.zeros((27, 16), dtype=np.int64)
         cache = self.prefill(m, np.zeros(16, dtype=int))
-        cfg = stationary_session(
+        got = stationary_session(
             m, PolicyKind.POPULARITY, constant_rate_network(1e6, 2.0), cache=cache
         )
-        got = simulate(cfg)
         assert all(r.bytes_from_origin == 0 for r in got.records)
         assert got.total_stall == 0.0
         assert all(r.bytes_from_cache == r.bytes_total > 0 for r in got.records)
@@ -202,14 +227,13 @@ class TestCacheInteraction:
         cache = self.prefill(flat_manifest, np.full(16, 2, dtype=int))
         # top quality everywhere is 60 MB per segment, so the cache link
         # itself must be fast enough not to become the new bottleneck
-        cfg = stationary_session(
+        got = stationary_session(
             flat_manifest,
             PolicyKind.NAIVE,
             constant_rate_network(1e6, 2.0),
             cache=cache,
             cache_rate_bps=1e9,
         )
-        got = simulate(cfg)
         assert all(r.bytes_from_origin == 0 for r in got.records)
         assert got.total_stall == 0.0
 
@@ -221,10 +245,9 @@ class TestCacheInteraction:
         for seg in range(m.segment_count):
             for key, size in segment_requests(m, seg, half)[:8]:
                 cache.request(key, size)
-        cfg = stationary_session(
+        got = stationary_session(
             m, PolicyKind.POPULARITY, constant_rate_network(30e6, 5.0), cache=cache
         )
-        got = simulate(cfg)
         r0, r1 = got.records[0], got.records[1]
         assert r0.bytes_from_cache == 8 * 234375
         assert r0.bytes_from_origin == 8 * 234375
@@ -240,7 +263,7 @@ class TestCacheInteraction:
             8 * required, required / 8, cut_s=6.0, duration_s=45.0, recover_s=42.0
         )
         cache = Cache(10**12, EvictionPolicy.LFUDA)
-        warm(cache, m, [gaze], WIDE, seed=1, trace_count=1, samples_per_axis=16)
+        warm(cache, m, [viewing_assignments(m, gaze, WIDE, 16)])
 
         replay = copy.deepcopy(cache)
         requests = [
@@ -253,7 +276,7 @@ class TestCacheInteraction:
         )
         assert 0.0 < warmed_bhr < 1.0
 
-        cfg = SessionConfig(
+        got = viewer_session(
             manifest=m,
             viewing_trace=gaze,
             network_trace=net,
@@ -261,7 +284,6 @@ class TestCacheInteraction:
             cache=cache,
             samples_per_axis=16,
         )
-        got = simulate(cfg)
         pop_records = [r for r in got.records if r.active == "popularity"]
         assert pop_records, "the starved phase must trigger popularity adaptation"
         for r in pop_records:
@@ -277,8 +299,7 @@ class TestBandwidthEstimate:
     def test_first_segment_has_no_estimate(self):
         m = single_tile_manifest()
         # 6 Mbit/s: segment 0's 1000 packets take exactly 2 s
-        cfg = stationary_session(m, PolicyKind.NAIVE, constant_rate_network(6e6, 1.0))
-        got = simulate(cfg)
+        got = stationary_session(m, PolicyKind.NAIVE, constant_rate_network(6e6, 1.0))
         assert got.records[0].estimate_bps is None
         assert got.records[1].estimate_bps == 6e6
 
@@ -287,10 +308,9 @@ class TestBandwidthEstimate:
         cache = Cache(10**9, EvictionPolicy.LRU)
         for key, size in segment_requests(m, 1, np.zeros(1, dtype=int)):
             cache.request(key, size)
-        cfg = stationary_session(
+        got = stationary_session(
             m, PolicyKind.NAIVE, constant_rate_network(6e6, 1.0), cache=cache
         )
-        got = simulate(cfg)
         assert [r.bytes_from_origin > 0 for r in got.records] == [True, False, True]
         assert [r.estimate_bps for r in got.records] == [None, 6e6, 6e6]
 
@@ -304,10 +324,9 @@ class TestBandwidthEstimate:
         # half of each segment over a 5 Mbit/s cache link: 3 s, against
         # 0.5 s for the other half from a 30 Mbit/s origin
         net = constant_rate_network(30e6, 5.0)
-        cfg = stationary_session(
+        got = stationary_session(
             m, PolicyKind.POPULARITY, net, cache=cache, cache_rate_bps=5e6
         )
-        got = simulate(cfg)
         origin = Link(net)
         expected = None
         for r in got.records:
@@ -325,11 +344,11 @@ class TestDeterminism:
         outs = []
         for _ in range(2):
             cache = Cache(10**9, EvictionPolicy.GDSF)
-            warm(cache, m, [constant_gaze(5.0, 5.0, 41.0, hz=10.0)], WIDE,
-                 seed=9, trace_count=1, samples_per_axis=8)
-            cfg = stationary_session(m, PolicyKind.TRANSITION, net, cache=cache,
+            gaze = constant_gaze(5.0, 5.0, 41.0, hz=10.0)
+            warm(cache, m, [viewing_assignments(m, gaze, WIDE, 8)])
+            got = stationary_session(m, PolicyKind.TRANSITION, net, cache=cache,
                                      samples_per_axis=8)
-            outs.append(canonical_json(simulate(cfg)))
+            outs.append(canonical_json(got))
         assert outs[0] == outs[1]
 
 
@@ -354,16 +373,19 @@ class TestExperimentDriver:
         ({"timeframe": -1.0}, "timeframe must be positive"),
     ], ids=["hysteresis-0.9", "timeframe-0", "timeframe-negative"])
     def test_refuses_a_bad_window_or_hysteresis(self, flat_manifest, setting, message):
-        """Every entry point refuses them, whatever the policy."""
+        """The function that owns each input refuses it (`simulate` the
+        hysteresis, `prediction_plan` the window), and `run_experiment`
+        refuses both, whatever the policy."""
         trace = constant_gaze(0.0, 0.0, 41.0, hz=10.0)
         net = constant_rate_network(1e8, 2.0)
-        cfg = SessionConfig(flat_manifest, trace, net, PolicyKind.NAIVE, **setting)
         with pytest.raises(ValueError, match=message):
-            simulate(cfg)
-        with pytest.raises(ValueError, match=message):
-            prediction_plan(cfg)
-        with pytest.raises(ValueError, match=message):
-            run_experiment(flat_manifest, [trace], net, [PolicyKind.NAIVE], 1, **setting)
+            if "hysteresis" in setting:
+                simulate(flat_manifest, net, PolicyKind.NAIVE, **setting)
+            else:
+                prediction_plan(flat_manifest, trace, **setting)
+        for policy in PolicyKind:
+            with pytest.raises(ValueError, match=message):
+                run_experiment(flat_manifest, [trace], net, [policy], 1, **setting)
 
     def test_validation(self, flat_manifest):
         with pytest.raises(ValueError):
@@ -471,12 +493,72 @@ class TestPredictionPlans:
         self.experiment(flat_manifest, policies, iterations=4)
         assert counts == {"fit": 0, "tile_visibility": 0}
 
-    def test_direct_simulate_builds_its_own_plan(self, flat_manifest, counts):
+    def test_direct_simulate_replays_the_plan_it_is_given(self, flat_manifest, counts):
         net = constant_rate_network(300e6, 5.0)
-        simulate(stationary_session(flat_manifest, PolicyKind.PREDICTION, net))
+        gaze = constant_gaze(0.0, 0.0, flat_manifest.duration + 1.0, hz=30.0)
+        plan = prediction_plan(flat_manifest, gaze)
+        simulate(flat_manifest, net, PolicyKind.PREDICTION, plan)
         assert counts == {"fit": flat_manifest.segment_count, "tile_visibility": 1}
-        simulate(stationary_session(flat_manifest, PolicyKind.NAIVE, net))
+        simulate(flat_manifest, net, PolicyKind.NAIVE)
         assert counts == {"fit": flat_manifest.segment_count, "tile_visibility": 1}
+
+
+class TestReplaysBuildNoPerTraceWork:
+    """`run_experiment` builds each trace's prediction plan and warm-up levels
+    once; `simulate` and `warm` only replay them. Like
+    TestOneCacheRequestPerTile, this stops a second path that scores poses
+    from coming back silently."""
+
+    def test_simulate_and_warm_score_no_pose(self, flat_manifest, monkeypatch):
+        m = copy.deepcopy(flat_manifest)
+        m.popularity = np.zeros((m.segment_count, m.grid.tile_count), dtype=np.int64)
+        gaze = constant_gaze(0.0, 0.0, 41.0, hz=10.0)
+        plan = prediction_plan(m, gaze, samples_per_axis=4)
+        levels = viewing_assignments(m, gaze, WIDE, 4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replay built per-trace work")
+
+        for module, name in (
+            (playback, "prediction_plan"),
+            (playback, "viewing_assignments"),
+            (playback, "tile_visibility"),
+            (cachesim, "viewing_assignments"),
+            (cachesim, "tile_visibility"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        cache = Cache(10**9, EvictionPolicy.LRU)
+        warm(cache, m, [levels, levels])
+        net = two_phase_network(300e6, 3e6, cut_s=8.0, duration_s=120.0)
+        for policy in PolicyKind:
+            simulate(m, net, policy, plan, cache.copy())
+
+    def test_run_experiment_builds_each_traces_work_once(self, flat_manifest, monkeypatch):
+        built = {"prediction_plan": [], "viewing_assignments": []}
+        for name, traces_seen in built.items():
+            original = getattr(playback, name)
+
+            def spy(manifest, trace, *args, _seen=traces_seen, _original=original):
+                _seen.append(id(trace))
+                return _original(manifest, trace, *args)
+
+            monkeypatch.setattr(playback, name, spy)
+        m = copy.deepcopy(flat_manifest)
+        m.popularity = np.zeros((m.segment_count, m.grid.tile_count), dtype=np.int64)
+        traces = [constant_gaze(yaw, 0.0, 41.0, hz=10.0) for yaw in (0, 90, 180)]
+        run_experiment(
+            manifest=m,
+            viewing_traces=traces,
+            network_trace=two_phase_network(300e6, 3e6, cut_s=8.0, duration_s=120.0),
+            policies=list(PolicyKind),
+            iterations=7,
+            cache_policy=EvictionPolicy.LRU,
+            cache_capacity_bytes=10**8,
+            warm_trace_count=3,
+            samples_per_axis=4,
+        )
+        assert sorted(built["prediction_plan"]) == sorted(map(id, traces))
+        assert sorted(built["viewing_assignments"]) == sorted(map(id, traces))
 
 
 class TestOneCacheRequestPerTile:
@@ -584,11 +666,10 @@ class TestConvergenceToDelegates:
         net = constant_rate_network(1e9, 2.0)
         runs = {}
         for policy in (PolicyKind.TRANSITION, PolicyKind.PREDICTION):
-            cfg = SessionConfig(
+            runs[policy] = viewer_session(
                 manifest=m, viewing_trace=gaze, network_trace=net,
                 policy=policy, samples_per_axis=16,
             )
-            runs[policy] = simulate(cfg)
         assert record_dicts(runs[PolicyKind.TRANSITION]) == record_dicts(
             runs[PolicyKind.PREDICTION]
         )
@@ -598,11 +679,10 @@ class TestConvergenceToDelegates:
         net = constant_rate_network(2e6, 30.0)
         runs = {}
         for policy in (PolicyKind.TRANSITION, PolicyKind.POPULARITY):
-            cfg = SessionConfig(
+            runs[policy] = viewer_session(
                 manifest=m, viewing_trace=gaze, network_trace=net,
                 policy=policy, samples_per_axis=16,
             )
-            runs[policy] = simulate(cfg)
         ours = record_dicts(runs[PolicyKind.TRANSITION])
         theirs = record_dicts(runs[PolicyKind.POPULARITY])
         assert ours[1:] == theirs[1:]

@@ -10,7 +10,7 @@ from tilesim.prediction import (
     predict,
     select_window,
 )
-from tilesim.synthetic import constant_gaze
+from tilesim.synthetic import constant_gaze, drifting_gaze
 
 
 def linear_trace(yaw0, yaw_rate, times, pitch0=0.0, pitch_rate=0.0):
@@ -119,6 +119,15 @@ class TestErrorExperiment:
             error_experiment([], interval=1.0, timeframe=0.5, step=0.5)
         with pytest.raises(ValueError):
             error_experiment(trace, interval=1.0, timeframe=0.5, step=0.5)
+
+    @pytest.mark.parametrize("duration, interval, step", [(3.0, 2.0, 1.5), (11.0, 0.5, 100.0)])
+    def test_refuses_a_trace_that_fits_no_step(self, duration, interval, step):
+        """The trace spans more than interval + timeframe, but its first step
+        plus the interval already passes its end."""
+        trace = drifting_gaze(1, duration)
+        assert trace.t[-1] - trace.t[0] > interval + 0.1
+        with pytest.raises(ValueError, match="no .* step"):
+            error_experiment(trace, interval=interval, timeframe=0.1, step=step)
 
     def test_starts_at_first_full_window(self):
         times = np.linspace(0.0, 10.0, 41)  # 0.25 s apart, t_end exactly 10
