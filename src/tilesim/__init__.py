@@ -13,7 +13,6 @@ from .adaptation import PolicyKind, transition_step
 from .cachesim import Cache, EvictionPolicy, warm
 from .geometry import (
     FovSpec,
-    Orientation,
     TileGrid,
     ViewingTrace,
     orthodromic_distance,
@@ -39,7 +38,6 @@ __all__ = [
     "HeatMap",
     "Link",
     "NetworkTrace",
-    "Orientation",
     "PolicyKind",
     "RegressionModel",
     "SegmentRecord",

@@ -147,11 +147,9 @@ def viewing_assignments(
     """Per-segment warm-up assignments for one viewer (actual poses, no
     prediction): the pose nearest each segment start drives quality_bands.
     Every segment's pose is scored in one tile_visibility call."""
-    poses = tuple(
-        trace.pose(nearest_sample(trace, seg * manifest.segment_length))
-        for seg in range(manifest.segment_count)
-    )
-    scores = tile_visibility(poses, fov, manifest.grid, samples_per_axis)
+    starts = (seg * manifest.segment_length for seg in range(manifest.segment_count))
+    nearest = np.array([nearest_sample(trace, t) for t in starts], dtype=np.int64)
+    scores = tile_visibility(trace[nearest], fov, manifest.grid, samples_per_axis)
     return np.array([quality_bands(row, manifest.quality_count) for row in scores])
 
 

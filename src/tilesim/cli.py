@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
+import itertools
 import json
 import math
 import os
@@ -43,12 +45,13 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)  # a float's str is its full-precision repr
 
 
-def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+def _render_csv(f, columns: list[str], rows: list[dict]) -> None:
+    """Write a header and rows to the text stream f: the one renderer of every
+    output CSV, and of the text `verify` expects of each derived file."""
+    writer = csv.writer(f, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(row[c]) for c in columns])
 
 
 def _checked(source: str, convert: Callable, value, error: type = UsageError):
@@ -471,11 +474,11 @@ def _write_outputs(out_dir: str, source: str, rows: list[dict]) -> dict[str, lis
     returns the derived rows by name."""
     parsers, derived = OUTPUTS[source]
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, source), list(parsers), rows)
-    out = {}
-    for name, columns, derive in derived:
-        out[name] = derive(rows)
-        _write_csv(os.path.join(out_dir, name), columns, out[name])
+    out = {name: derive(rows) for name, _, derive in derived}
+    tables = [(source, list(parsers), rows), *((n, c, out[n]) for n, c, _ in derived)]
+    for name, columns, table in tables:
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as f:
+            _render_csv(f, columns, table)
     return out
 
 
@@ -555,21 +558,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 # --- verify ------------------------------------------------------------------
 
 
-def _read_csv(path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """A CSV's header ([] when empty) and each other row with its line number."""
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader, [])
-            return header, [(reader.line_num, cells) for cells in reader]
-        except csv.Error as e:  # a field over csv's size limit, say
-            raise ValueError(f"{path}:{reader.line_num}: {e}") from None
-
-
 def _read_source(path: str, parsers: dict[str, Callable]) -> list[dict]:
     """A source CSV's rows read back by `parsers`; any defect is a ValueError
     naming the file, and the line where it has one."""
-    header, raw = _read_csv(path)
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        try:
+            header = next(reader, [])  # [] when the file is empty
+            raw = [(reader.line_num, cells) for cells in reader]
+        except csv.Error as e:  # a field over csv's size limit, say
+            raise ValueError(f"{path}:{reader.line_num}: {e}") from None
     if header != list(parsers):
         raise ValueError(f"{path}: header {header} != expected {list(parsers)}")
     rows = []
@@ -584,18 +582,18 @@ def _read_source(path: str, parsers: dict[str, Callable]) -> list[dict]:
 
 
 def _compare(path: str, columns: list[str], expected: list[dict]) -> list[str]:
-    """Up to five ways a derived CSV differs from its recomputed rows."""
+    """Up to five lines where a derived CSV's bytes differ from its
+    recomputed rows as the writer renders them, or why it cannot be read."""
+    text = io.StringIO()
+    _render_csv(text, columns, expected)
+    want = text.getvalue().encode("utf-8").splitlines(keepends=True)
     try:
-        header, raw = _read_input("--out", path, _read_csv)
+        got = _read_input("--out", path, lambda p: Path(p).read_bytes()).splitlines(keepends=True)
     except UsageError as e:
         return [str(e)]
-    if header != columns:
-        return [f"{path}: header {header} != expected {columns}"]
-    want = [[_fmt(row[c]) for c in columns] for row in expected]
-    if len(raw) != len(want):
-        return [f"{path}: {len(raw)} rows, recomputed {len(want)}"]
-    diffs = [(line, got, exp) for (line, got), exp in zip(raw, want) if got != exp]
-    return [f"{path}:{line}: {got} != recomputed {exp}" for line, got, exp in diffs[:5]]
+    pairs = itertools.zip_longest(got, want, fillvalue=b"")
+    diffs = [(line, g, w) for line, (g, w) in enumerate(pairs, start=1) if g != w]
+    return [f"{path}:{line}: {g!r} != recomputed {w!r}" for line, g, w in diffs[:5]]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -603,21 +601,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not os.path.isdir(out_dir):
         raise UsageError(f"--out: {out_dir} is not a directory")
     problems: list[str] = []
-    checked = 0
+    checked = mismatched = 0
     for source, (parsers, derived) in OUTPUTS.items():
         path = os.path.join(out_dir, source)
         if not os.path.exists(path):
             continue
         rows = _read_input("--out", path, lambda p: _read_source(p, parsers))
         for name, columns, derive in derived:
-            problems += _compare(os.path.join(out_dir, name), columns, derive(rows))
+            lines = _compare(os.path.join(out_dir, name), columns, derive(rows))
+            problems += lines
+            mismatched += bool(lines)
         checked += len(derived)
     if checked == 0:
         raise UsageError(f"--out: {out_dir} holds no verifiable outputs")
     if problems:
         for p in problems:
             print(p, file=sys.stderr)
-        print(f"verify: {len(problems)} mismatch(es)", file=sys.stderr)
+        print(f"verify: {mismatched} mismatch(es)", file=sys.stderr)
         return 1
     print(f"verify: {checked} derived file(s) match their sources")
     return 0

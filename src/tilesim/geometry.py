@@ -4,7 +4,9 @@ Angles are degrees throughout: yaw in [-180, 180) increasing eastward,
 pitch in [-90, 90] increasing upward. A pose is yaw and pitch only, since
 tiles are chosen from where the head points. The unit view direction for
 (yaw, pitch) is (cos p cos y, cos p sin y, sin p) in a right-handed frame
-with z up; _local_frame builds it.
+with z up. A pose lives only as a row of ViewingTrace's arrays: wrap_pose
+normalizes it, camera_frames turns a trace's rows into view frames, and
+tile_visibility and orthodromic_distance take whole traces.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -34,24 +35,20 @@ def each(f, *arrays: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, *(a.tolist() for a in arrays)), np.float64, len(arrays[0]))
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """A head pose; yaw is normalized and pitch clamped on construction."""
-
-    yaw: float
-    pitch: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "yaw", normalize_yaw(float(self.yaw)))
-        object.__setattr__(self, "pitch", min(90.0, max(-90.0, float(self.pitch))))
+def wrap_pose(yaw, pitch):
+    """A pose's yaw wrapped into [-180, 180) and its pitch clamped to
+    [-90, 90], for floats or float64 arrays alike: the one normalization
+    every stored or predicted pose goes through."""
+    return normalize_yaw(yaw), np.clip(pitch, -90.0, 90.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ViewingTrace:
-    """A viewing trace as read-only float64 arrays, one entry per sample:
-    sample k is at time t[k] (strictly increasing) with pose yaw[k],
-    pitch[k], held normalized as Orientation holds them. Slicing gives a
-    ViewingTrace of views."""
+    """Poses as read-only float64 arrays, one entry per sample: sample k is
+    at time t[k] with pose yaw[k], pitch[k], held as wrap_pose leaves them.
+    A loaded or generated trace has t strictly increasing; a batch gathered
+    from one by index may repeat samples. Traces compare and hash by
+    identity, as their arrays cannot."""
 
     t: np.ndarray = field(repr=False)
     yaw: np.ndarray = field(repr=False)
@@ -68,26 +65,19 @@ class ViewingTrace:
 
     @classmethod
     def from_angles(cls, t, yaw, pitch) -> ViewingTrace:
-        """Samples from raw angles, wrapped and clamped as Orientation does
-        (numpy's float % is Python's, so each yaw is normalize_yaw's)."""
-        return cls(
-            t=t,
-            yaw=normalize_yaw(np.asarray(yaw, dtype=np.float64)),
-            pitch=np.clip(np.asarray(pitch, dtype=np.float64), -90.0, 90.0),
+        """Samples from raw angles, each pose put through wrap_pose."""
+        yaw, pitch = wrap_pose(
+            np.asarray(yaw, dtype=np.float64), np.asarray(pitch, dtype=np.float64)
         )
+        return cls(t=t, yaw=yaw, pitch=pitch)
 
     def __len__(self) -> int:
         return self.t.size
 
-    def __getitem__(self, k: slice) -> ViewingTrace:
-        if not isinstance(k, slice):
-            raise TypeError("index a ViewingTrace with a slice; use pose(k) for one sample")
+    def __getitem__(self, k: slice | np.ndarray) -> ViewingTrace:
+        """The samples at a slice (views) or an integer index array (copies,
+        in index order)."""
         return ViewingTrace(self.t[k], self.yaw[k], self.pitch[k])
-
-    def pose(self, k: int) -> Orientation:
-        """Sample k's pose (rebuilding it changes no bit: normalize_yaw is
-        idempotent on its own output)."""
-        return Orientation(self.yaw.item(k), self.pitch.item(k))
 
 
 @dataclass(frozen=True)
@@ -123,17 +113,19 @@ class TileGrid:
         return self.cols * self.rows
 
 
-def orthodromic_distance(a: Orientation, b: Orientation) -> float:
-    """Great-circle angle between two view directions, in degrees [0, 180].
+def orthodromic_distance(a: ViewingTrace, b: ViewingTrace) -> np.ndarray:
+    """Great-circle angle between the view directions of a[k] and b[k], for
+    each k, in degrees [0, 180].
 
     atan2(|va x vb|, va . vb) equals arccos of the clamped dot product but
     stays well-conditioned for nearly-parallel directions, where acos alone
     loses six digits.
     """
-    va, vb = np.array(_local_frame(a)[0]), np.array(_local_frame(b)[0])
-    cross = float(np.linalg.norm(np.cross(va, vb)))
-    dot = float(np.dot(va, vb))
-    return math.degrees(math.atan2(cross, dot))
+    pairs = zip(camera_frames(a)[:, 0], camera_frames(b)[:, 0])
+    return np.array([
+        math.degrees(math.atan2(float(np.linalg.norm(np.cross(va, vb))), float(np.dot(va, vb))))
+        for va, vb in pairs
+    ])
 
 
 def rank_tiles(scores: np.ndarray) -> np.ndarray:
@@ -166,26 +158,28 @@ def _fov_offsets(fov: FovSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return offsets
 
 
-def _local_frame(o: Orientation) -> tuple[tuple[float, float, float], ...]:
-    """Forward/right/up unit vectors of the camera frame at o (the only
-    place a view vector is built)."""
-    y = math.radians(o.yaw)
-    p = math.radians(o.pitch)
-    cy, sy, cp, sp = math.cos(y), math.sin(y), math.cos(p), math.sin(p)
+def camera_frames(poses: ViewingTrace) -> np.ndarray:
+    """frames[k, v, c]: component c of pose k's forward (v=0), right (1) and
+    up (2) unit vector, the only place a view vector is built. Every angle
+    goes through `math`, so a frame keeps its bits on every host."""
+    y = each(math.radians, poses.yaw)
+    p = each(math.radians, poses.pitch)
+    cy, sy, cp, sp = each(math.cos, y), each(math.sin, y), each(math.cos, p), each(math.sin, p)
     forward = (cp * cy, cp * sy, sp)
-    right = (-sy, cy, 0.0)
+    right = (-sy, cy, np.zeros_like(cy))
     up = (-sp * cy, -sp * sy, cp)
-    return forward, right, up
+    return np.stack([np.stack(v, axis=-1) for v in (forward, right, up)], axis=1)
 
 
 def tile_visibility(
-    poses: Sequence[Orientation],
+    poses: ViewingTrace,
     fov: FovSpec,
     grid: TileGrid,
     samples_per_axis: int = 32,
 ) -> np.ndarray:
-    """Score each tile, for each pose, by the fraction of FoV samples that land
-    on it; row k of the (len(poses), tile_count) result is poses[k]'s scores.
+    """Score each tile, for each sample of `poses`, by the fraction of FoV
+    samples that land on it; row k of the (len(poses), tile_count) result is
+    sample k's scores.
 
     samples_per_axis**2 directions are cast on a uniform angular grid over the
     FoV rectangle centered on the pose. Offsets are applied along great circles
@@ -198,8 +192,7 @@ def tile_visibility(
     """
     if samples_per_axis < 1:
         raise ValueError("samples_per_axis must be >= 1")
-    # frames[k, v, c]: component c of pose k's forward (v=0), right, up vector.
-    frames = np.array([_local_frame(o) for o in poses]).reshape(len(poses), 3, 3)
+    frames = camera_frames(poses)
     # Runs of bit-identical frames (not ==: +-0.0 and NaN stay apart) score once.
     bits = frames.reshape(len(poses), 9).view(np.int64)
     first = np.ones(len(poses), dtype=bool)

@@ -135,16 +135,17 @@ def prediction_plan(
     _check_trace(trace, timeframe)
     m = manifest
     s = m.segment_length
+    targets = [seg * s for seg in range(m.segment_count)]
     poses = []
-    for seg in range(m.segment_count):
-        target = seg * s
+    for target in targets:
         now = max(0.0, target - s)
         window = select_window(trace, now, timeframe)
         if not window:
             k = nearest_sample(trace, now)
             window = trace[k : k + 1]
         poses.append(predict(fit(window, now), target))
-    scores = tile_visibility(tuple(poses), fov, m.grid, samples_per_axis)
+    yaw, pitch = zip(*poses)
+    scores = tile_visibility(ViewingTrace(targets, yaw, pitch), fov, m.grid, samples_per_axis)
     ranked = tuple(rank_tiles(row) for row in scores)
     for order in ranked:
         order.setflags(write=False)

@@ -53,8 +53,7 @@ def build_heat(
         kept = np.flatnonzero((trace.t >= 0) & (trace.t < duration) & (seg < segments))
         for start in range(0, kept.size, HEAT_BATCH):
             batch = kept[start : start + HEAT_BATCH]
-            poses = tuple(trace.pose(k) for k in batch.tolist())
-            scores = tile_visibility(poses, fov, grid, samples_per_axis)
+            scores = tile_visibility(trace[batch], fov, grid, samples_per_axis)
             np.add.at(heat, seg[batch].astype(np.int64), scores)
     return HeatMap(heat=heat)
 

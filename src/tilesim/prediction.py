@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Orientation, ViewingTrace, orthodromic_distance
+from .geometry import ViewingTrace, orthodromic_distance, wrap_pose
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,13 @@ def fit(window: ViewingTrace, now: float) -> RegressionModel:
     )
 
 
-def predict(model: RegressionModel, t_future: float) -> Orientation:
-    """Evaluate both fits at t_future; yaw re-wrapped, pitch clamped."""
+def predict(model: RegressionModel, t_future: float) -> tuple[float, float]:
+    """Evaluate both fits at t_future: the (yaw, pitch) pair, put through
+    wrap_pose."""
     dt = t_future - model.fit_time
-    return Orientation(
-        yaw=model.yaw_intercept + model.yaw_slope * dt,
-        pitch=model.pitch_intercept + model.pitch_slope * dt,
+    return wrap_pose(
+        model.yaw_intercept + model.yaw_slope * dt,
+        model.pitch_intercept + model.pitch_slope * dt,
     )
 
 
@@ -102,8 +103,9 @@ def error_experiment(
     inside the trace, and stopping while now + interval is still covered.
     At each step the window is fitted, the pose at now + interval is
     predicted, and the orthodromic distance to the actual pose (nearest
-    sample by time) is recorded. Sampling must be dense enough that every
-    window holds at least one sample. ValueError when no step fits.
+    sample by time) is recorded; all steps' distances are measured in one
+    call. Sampling must be dense enough that every window holds at least
+    one sample. ValueError when no step fits.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -112,15 +114,17 @@ def error_experiment(
     t0, t_end = trace.t.item(0), trace.t.item(-1)
     if t_end - t0 <= interval + timeframe:
         raise ValueError("trace shorter than interval + timeframe")
-    errors = []
+    steps = []
     k = math.ceil(timeframe / step - 1e-9)
     while t0 + k * step + interval <= t_end + 1e-9:
-        now = t0 + k * step
-        model = fit(select_window(trace, now, timeframe), now)
-        predicted = predict(model, now + interval)
-        actual = trace.pose(nearest_sample(trace, now + interval))
-        errors.append(orthodromic_distance(predicted, actual))
+        steps.append(t0 + k * step)
         k += 1
-    if not errors:
+    if not steps:
         raise ValueError(f"no {step}s step fits timeframe + interval inside the trace")
-    return np.array(errors)
+    targets = [now + interval for now in steps]
+    yaw, pitch = zip(*(
+        predict(fit(select_window(trace, now, timeframe), now), target)
+        for now, target in zip(steps, targets)
+    ))
+    actual = np.array([nearest_sample(trace, target) for target in targets], dtype=np.int64)
+    return orthodromic_distance(ViewingTrace(targets, yaw, pitch), trace[actual])

@@ -32,10 +32,11 @@ from tilesim.adaptation import (
 from tilesim.cachesim import EvictionPolicy, quality_bands, viewing_assignments
 from tilesim.geometry import (
     FovSpec,
-    Orientation,
     TileGrid,
     ViewingTrace,
     each,
+    normalize_yaw,
+    orthodromic_distance,
     rank_tiles,
     tile_visibility,
 )
@@ -50,6 +51,48 @@ from tilesim.playback import (
 from tilesim.prediction import fit, nearest_sample, predict, select_window
 from tilesim.synthetic import _steps, constant_gaze, packet_slots
 from tilesim.traceio import ViewingTraceError
+
+
+@dataclass(frozen=True)
+class Orientation:
+    """One head pose as an object, the form the package held before a pose
+    became a row of `ViewingTrace`'s arrays: yaw normalized and pitch
+    clamped on construction, each with a float operation of its own."""
+
+    yaw: float
+    pitch: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "yaw", normalize_yaw(float(self.yaw)))
+        object.__setattr__(self, "pitch", min(90.0, max(-90.0, float(self.pitch))))
+
+
+def local_frame(o: Orientation) -> tuple[tuple[float, float, float], ...]:
+    """Forward/right/up unit vectors of the camera frame at o, one pose at a
+    time: `geometry.camera_frames` before it took a trace's columns."""
+    y = math.radians(o.yaw)
+    p = math.radians(o.pitch)
+    cy, sy, cp, sp = math.cos(y), math.sin(y), math.cos(p), math.sin(p)
+    forward = (cp * cy, cp * sy, sp)
+    right = (-sy, cy, 0.0)
+    up = (-sp * cy, -sp * sy, cp)
+    return forward, right, up
+
+
+def pose_trace(poses) -> ViewingTrace:
+    """A ViewingTrace of the given Orientations, at times 0, 1, 2, ..."""
+    return trace_of(list(enumerate(poses)))
+
+
+def pose_at(trace: ViewingTrace, k: int) -> Orientation:
+    """Sample k's pose as an Orientation (rebuilding it changes no bit:
+    normalize_yaw is idempotent on its own output)."""
+    return Orientation(trace.yaw.item(k), trace.pitch.item(k))
+
+
+def pose_distance(a: Orientation, b: Orientation) -> float:
+    """`geometry.orthodromic_distance` of one pair of poses."""
+    return orthodromic_distance(pose_trace([a]), pose_trace([b])).item()
 
 
 class ScanCache:
@@ -258,7 +301,7 @@ def visibility_map(
 ) -> np.ndarray:
     """One pose's flat score row from the batched kernel, as
     `prediction_plan` scores it."""
-    return tile_visibility((o,), fov, grid, samples_per_axis)[0]
+    return tile_visibility(pose_trace([o]), fov, grid, samples_per_axis)[0]
 
 
 def scalar_tile_visibility(
@@ -306,7 +349,7 @@ class Sample(NamedTuple):
 
 
 def samples(trace: ViewingTrace) -> list[Sample]:
-    return [Sample(trace.t.item(k), trace.pose(k)) for k in range(len(trace))]
+    return [Sample(trace.t.item(k), pose_at(trace, k)) for k in range(len(trace))]
 
 
 def trace_of(samples_: list) -> ViewingTrace:
@@ -447,6 +490,38 @@ def nearest_sample_oracle(trace: list[Sample], t: float) -> Sample:
         return trace[-1]
     before, after = trace[pos - 1], trace[pos]
     return after if (after.t - t) < (t - before.t) else before
+
+
+def error_experiment_oracle(trace, interval, timeframe, step) -> np.ndarray:
+    """`prediction.error_experiment` before it measured all steps in one
+    call: per step, the predicted pose built as an Orientation, the actual
+    pose rebuilt as one, and their distance from two 1-D forward vectors."""
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    if not trace:
+        raise ValueError("empty trace")
+    t0, t_end = trace.t.item(0), trace.t.item(-1)
+    if t_end - t0 <= interval + timeframe:
+        raise ValueError("trace shorter than interval + timeframe")
+    errors = []
+    k = math.ceil(timeframe / step - 1e-9)
+    while t0 + k * step + interval <= t_end + 1e-9:
+        now = t0 + k * step
+        model = fit(select_window(trace, now, timeframe), now)
+        dt = now + interval - model.fit_time
+        predicted = Orientation(
+            yaw=model.yaw_intercept + model.yaw_slope * dt,
+            pitch=model.pitch_intercept + model.pitch_slope * dt,
+        )
+        actual = pose_at(trace, nearest_sample(trace, now + interval))
+        va, vb = np.array(local_frame(predicted)[0]), np.array(local_frame(actual)[0])
+        cross = float(np.linalg.norm(np.cross(va, vb)))
+        dot = float(np.dot(va, vb))
+        errors.append(math.degrees(math.atan2(cross, dot)))
+        k += 1
+    if not errors:
+        raise ValueError(f"no {step}s step fits timeframe + interval inside the trace")
+    return np.array(errors)
 
 
 def build_heat_oracle(traces, grid, fov, segment_length, duration, samples_per_axis):
@@ -1066,8 +1141,9 @@ def predicted_map_oracle(m, trace, fov, timeframe, samples_per_axis, seg: int) -
     if not window:
         k = nearest_sample(trace, now)
         window = trace[k : k + 1]
-    predicted = predict(fit(window, now), target)
-    return tile_visibility((predicted,), fov, m.grid, samples_per_axis)[0]
+    yaw, pitch = predict(fit(window, now), target)
+    poses = ViewingTrace([target], [yaw], [pitch])
+    return tile_visibility(poses, fov, m.grid, samples_per_axis)[0]
 
 
 def segment_requests_oracle(manifest, segment: int, assignment):

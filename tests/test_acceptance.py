@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from helpers import (
+    Orientation,
     ScanCache,
     constant_rate_network,
     linear_gaze,
+    pose_trace,
     record_dicts,
     savings_vs_naive,
     session_dict,
@@ -25,7 +27,7 @@ from helpers import (
 from tilesim.adaptation import PolicyKind
 from tilesim.cachesim import Cache, EvictionPolicy
 from tilesim.cli import main
-from tilesim.geometry import FovSpec, Orientation, TileGrid, orthodromic_distance
+from tilesim.geometry import FovSpec, TileGrid, orthodromic_distance
 from tilesim.manifest import file_count, synthesize
 from tilesim import traceio
 from tilesim.netsim import save_trace
@@ -48,18 +50,22 @@ def test_criterion_01_file_count():
 def test_criterion_02_metric_laws():
     rng = np.random.default_rng(0)
     tol = 1e-6
+    triples = []
     for _ in range(10_000):
         yaws = rng.uniform(-180.0, 180.0, 3)
         pitches = rng.uniform(-90.0, 90.0, 3)
-        a, b, c = (Orientation(y, p) for y, p in zip(yaws, pitches))
-        ab, ba, ac, bc = (
-            orthodromic_distance(a, b),
-            orthodromic_distance(b, a),
-            orthodromic_distance(a, c),
-            orthodromic_distance(b, c),
-        )
+        triples.append([Orientation(y, p) for y, p in zip(yaws, pitches)])
+    a, b, c = (pose_trace(poses) for poses in zip(*triples))
+    distances = zip(
+        orthodromic_distance(a, b),
+        orthodromic_distance(b, a),
+        orthodromic_distance(a, c),
+        orthodromic_distance(b, c),
+        orthodromic_distance(a, a),
+    )
+    for ab, ba, ac, bc, aa in distances:
         assert abs(ab - ba) <= tol
-        assert orthodromic_distance(a, a) <= tol
+        assert aa <= tol
         assert -tol <= ab <= 180.0 + tol
         assert ac <= ab + bc + tol
     print("criterion 2 PASS: symmetry/identity/bound/triangle on 1e4 triples")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import visibility_map
+from helpers import Orientation, visibility_map
 from tilesim.adaptation import (
     PolicyKind,
     select_naive,
@@ -12,7 +12,7 @@ from tilesim.adaptation import (
     select_prediction_ba,
     transition_step,
 )
-from tilesim.geometry import FovSpec, Orientation, rank_tiles
+from tilesim.geometry import FovSpec, rank_tiles
 from tilesim.manifest import segment_bits
 
 WIDE = FovSpec(100.0, 100.0)

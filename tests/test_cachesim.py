@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import HeapCache, ScanCache, constant_rate_network, visibility_map
+from helpers import HeapCache, Orientation, ScanCache, constant_rate_network, visibility_map
 from tilesim import playback
 from tilesim.adaptation import PolicyKind
 from tilesim.cachesim import (
@@ -16,7 +16,7 @@ from tilesim.cachesim import (
     viewing_assignments,
     warm,
 )
-from tilesim.geometry import FovSpec, Orientation, TileGrid, rank_tiles
+from tilesim.geometry import FovSpec, TileGrid, rank_tiles
 from tilesim.manifest import synthesize
 from tilesim.synthetic import constant_gaze, gaussian_gaze_population
 

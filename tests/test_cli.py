@@ -137,6 +137,13 @@ def append_undecodable(path):
         f.write(b"\xff\xfe")
 
 
+def quote_second_line(data: bytes) -> bytes:
+    """Quote every cell of a CSV's first row after the header."""
+    lines = data.split(b"\n")
+    lines[1] = b",".join(b'"' + cell + b'"' for cell in lines[1].split(b","))
+    return b"\n".join(lines)
+
+
 class TestUndecodableInput:
     """Every input file a subcommand reads that is not UTF-8 (a trace file:
     not ASCII) exits 2, naming its flag and the file, before any output file
@@ -863,6 +870,29 @@ class TestVerify:
         assert main(["verify", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "estimates.csv" in err and "verify: 1 mismatch(es)" in err, err
+
+    @pytest.mark.parametrize(
+        "name, damage, lines",
+        [
+            ("policy_summary.csv", lambda text: text.replace(b"\n", b"\r\n"), [1, 2, 3]),
+            ("estimates.csv", quote_second_line, [2]),
+        ],
+        ids=["crlf", "quoted-row"],
+    )
+    def test_derived_file_that_parses_alike_is_still_compared_byte_for_byte(
+        self, outputs, tmp_path, capsys, name, damage, lines
+    ):
+        """CRLF line ends, or every cell of a row quoted: csv reads the same
+        cells back, but the bytes are not what the writer writes. Exit 1,
+        listing each differing line with its file and line number."""
+        out = tmp_path / "out"
+        shutil.copytree(outputs, out)
+        path = out / name
+        path.write_bytes(damage(path.read_bytes()))
+        assert main(["verify", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[0] for line in err[:-1]] == [f"{path}:{k}" for k in lines], err
+        assert err[-1] == "verify: 1 mismatch(es)", err
 
     @pytest.mark.parametrize(
         "name, damage, named",

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    Orientation,
     flat_index,
+    pose_distance,
+    pose_trace,
     score,
     tile_coords,
     tile_of_direction,
@@ -15,13 +18,13 @@ from helpers import (
 )
 from tilesim.geometry import (
     FovSpec,
-    Orientation,
     TileGrid,
-    _local_frame,
+    ViewingTrace,
+    camera_frames,
     normalize_yaw,
-    orthodromic_distance,
     rank_tiles,
     tile_visibility,
+    wrap_pose,
 )
 
 yaws = st.floats(-720.0, 720.0, allow_nan=False)
@@ -58,59 +61,68 @@ class TestNormalizeYaw:
 
 class TestOrientation:
     def test_wraps_yaw_and_clamps_pitch(self):
-        o = Orientation(190.0, 95.0)
-        assert o.yaw == -170.0
-        assert o.pitch == 90.0
-        assert Orientation(-10.0, -95.0).pitch == -90.0
+        yaw, pitch = wrap_pose(190.0, 95.0)
+        assert yaw == -170.0
+        assert pitch == 90.0
+        assert wrap_pose(-10.0, -95.0)[1] == -90.0
 
     def test_direction_unit_vectors(self):
         """The camera frame's forward vector is the view direction."""
-        np.testing.assert_allclose(
-            _local_frame(Orientation(0.0, 0.0))[0], [1.0, 0.0, 0.0], atol=1e-12
-        )
-        np.testing.assert_allclose(
-            _local_frame(Orientation(90.0, 0.0))[0], [0.0, 1.0, 0.0], atol=1e-12
-        )
-        np.testing.assert_allclose(
-            _local_frame(Orientation(0.0, 90.0))[0], [0.0, 0.0, 1.0], atol=1e-12
-        )
+        forward = camera_frames(
+            pose_trace([Orientation(0.0, 0.0), Orientation(90.0, 0.0), Orientation(0.0, 90.0)])
+        )[:, 0]
+        np.testing.assert_allclose(forward[0], [1.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(forward[1], [0.0, 1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(forward[2], [0.0, 0.0, 1.0], atol=1e-12)
 
     @given(orientations)
     def test_direction_is_unit(self, o):
-        forward = _local_frame(o)[0]
+        forward = camera_frames(pose_trace([o]))[0, 0]
         assert math.isclose(float(np.linalg.norm(forward)), 1.0, abs_tol=1e-12)
+
+
+class TestViewingTrace:
+    def test_compares_and_hashes_by_identity(self):
+        """Arrays have no truth value and no hash, so a trace of two or more
+        samples could be neither compared by value nor hashed."""
+        a = ViewingTrace([0.0, 1.0], [10.0, 20.0], [0.0, 5.0])
+        copy_of_a = ViewingTrace(a.t, a.yaw, a.pitch)
+        assert a == a
+        assert a != copy_of_a
+        assert hash(a) == hash(a)
+        assert len({a, copy_of_a, a}) == 2
 
 
 class TestDistance:
     def test_known_angles(self):
-        assert orthodromic_distance(Orientation(30, 10), Orientation(30, 10)) == 0.0
+        assert pose_distance(Orientation(30, 10), Orientation(30, 10)) == 0.0
         assert math.isclose(
-            orthodromic_distance(Orientation(0, 0), Orientation(90, 0)), 90.0
+            pose_distance(Orientation(0, 0), Orientation(90, 0)), 90.0
         )
         assert math.isclose(
-            orthodromic_distance(Orientation(0, 90), Orientation(0, -90)), 180.0
+            pose_distance(Orientation(0, 90), Orientation(0, -90)), 180.0
         )
         assert math.isclose(
-            orthodromic_distance(Orientation(-180, 0), Orientation(0, 0)), 180.0
+            pose_distance(Orientation(-180, 0), Orientation(0, 0)), 180.0
         )
 
     def test_meridian_arc_equals_pitch_gap(self):
         a = Orientation(45.0, 10.0)
         b = Orientation(45.0, 60.0)
-        assert math.isclose(orthodromic_distance(a, b), 50.0, abs_tol=1e-9)
+        assert math.isclose(pose_distance(a, b), 50.0, abs_tol=1e-9)
 
     @given(orientations, orientations)
     def test_symmetry_and_bounds(self, a, b):
-        d = orthodromic_distance(a, b)
+        d = pose_distance(a, b)
         assert 0.0 <= d <= 180.0 + 1e-9
-        assert math.isclose(d, orthodromic_distance(b, a), abs_tol=1e-9)
+        assert math.isclose(d, pose_distance(b, a), abs_tol=1e-9)
 
     @given(orientations, orientations, orientations)
     @settings(max_examples=50)
     def test_triangle_inequality(self, a, b, c):
-        ab = orthodromic_distance(a, b)
-        bc = orthodromic_distance(b, c)
-        ac = orthodromic_distance(a, c)
+        ab = pose_distance(a, b)
+        bc = pose_distance(b, c)
+        ac = pose_distance(a, c)
         assert ac <= ab + bc + 1e-9
 
 
@@ -204,7 +216,7 @@ class TestVisibility:
 
     def test_rejects_zero_samples(self, grid44):
         with pytest.raises(ValueError, match="samples_per_axis"):
-            tile_visibility((Orientation(0.0, 0.0),), FovSpec(), grid44, 0)
+            tile_visibility(pose_trace([Orientation(0.0, 0.0)]), FovSpec(), grid44, 0)
 
     @given(orientations, st.integers(2, 12))
     @settings(max_examples=30, deadline=None)

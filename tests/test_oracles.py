@@ -19,9 +19,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    Orientation,
     build_heat_oracle,
     constant_rate_network,
     drifting_gaze_oracle,
+    error_experiment_oracle,
     estimate_oracle,
     load_trace_oracle,
     load_viewing_trace_oracle,
@@ -35,6 +37,9 @@ from helpers import (
     quantize_oracle,
     ranked_tiles_oracle,
     linear_gaze,
+    local_frame,
+    pose_at,
+    pose_trace,
     record_dicts,
     run_experiment_oracle,
     samples,
@@ -55,12 +60,13 @@ from tilesim.cli import prediction_summary_rows
 from tilesim.geometry import (
     CHUNK_SAMPLES,
     FovSpec,
-    Orientation,
     TileGrid,
     ViewingTrace,
+    camera_frames,
     normalize_yaw,
     rank_tiles,
     tile_visibility,
+    wrap_pose,
 )
 from tilesim.manifest import (
     count_segments,
@@ -80,7 +86,7 @@ from tilesim.playback import (
     simulate,
 )
 from tilesim.popularity import HeatMap, build_heat, quantize
-from tilesim.prediction import nearest_sample, select_window
+from tilesim.prediction import error_experiment, fit, nearest_sample, predict, select_window
 from tilesim.synthetic import constant_gaze, drifting_gaze, packet_slots, two_phase_network
 from tilesim import traceio
 from tilesim.traceio import (
@@ -199,17 +205,37 @@ def poses(draw, grid):
 def test_tile_visibility_rows_match_the_scalar_kernel(data, n, fov):
     """Batches of 0, 1, chunk-1, chunk and chunk+1 poses, cycling through a
     few distinct poses so every chunk position is checked against the
-    scalar map of its pose."""
+    scalar map of its pose. The batch is a trace of its own, a slice of a
+    longer trace, a batch gathered by index (with repeats), or a trace of
+    predicted poses built from predict's pairs, as the callers build them."""
     grid = TileGrid(data.draw(st.integers(1, 12)), data.draw(st.integers(1, 8)))
     chunk = max(1, CHUNK_SAMPLES // (n * n))
     length = data.draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1]))
     pool = data.draw(st.lists(poses(grid), min_size=1, max_size=5))
-    batch = tuple(pool[k % len(pool)] for k in range(length))
+    index = np.arange(length) % len(pool)
+    form = data.draw(st.sampled_from(["trace", "slice", "gathered", "predicted"]))
+    if form == "trace":
+        batch = pose_trace([pool[i] for i in index])
+    elif form == "slice":
+        pad = data.draw(st.lists(poses(grid), min_size=1, max_size=3))
+        batch = pose_trace(pad + [pool[i] for i in index] + pad)[len(pad) : len(pad) + length]
+    elif form == "gathered":
+        batch = pose_trace(pool)[index]
+    else:  # each pose predicted from a two-sample window, pitch past a pole or not
+        turn = data.draw(st.sampled_from([0.0, 15.0, 200.0]))
+        pairs = [
+            predict(fit(pose_trace([o, Orientation(o.yaw + turn, o.pitch + turn)]), 1.0), 1.5)
+            for o in pool
+        ]
+        pool = [Orientation(*pair) for pair in pairs]
+        batch = ViewingTrace(
+            np.arange(length), [pairs[i][0] for i in index], [pairs[i][1] for i in index]
+        )
     rows = tile_visibility(batch, fov, grid, n)
     assert rows.shape == (length, grid.tile_count)
     expected = [scalar_tile_visibility(o, fov, grid, n).tobytes() for o in pool]
     for k, row in enumerate(rows):
-        assert row.tobytes() == expected[k % len(pool)], (k, batch[k])
+        assert row.tobytes() == expected[index[k]], (k, pool[index[k]])
 
 
 # Poses whose frames differ in few bits or hold NaN: pitch 0.0 and -0.0 (a
@@ -241,7 +267,7 @@ def test_tile_visibility_rows_match_the_scalar_kernel_on_runs_of_held_poses(data
     runs.append((0, data.draw(length)))
     batch = tuple(pool[i] for i, count in runs for _ in range(count))
     with np.errstate(invalid="ignore"):  # the NaN pose's int cast
-        rows = tile_visibility(batch, fov, grid, n)
+        rows = tile_visibility(pose_trace(batch), fov, grid, n)
         expected = [scalar_tile_visibility(o, fov, grid, n).tobytes() for o in pool]
     assert rows.shape == (len(batch), grid.tile_count)
     k = 0
@@ -264,10 +290,10 @@ def test_tile_visibility_scores_each_run_of_identical_poses_once(monkeypatch):
     monkeypatch.setattr(np, "arctan2", spy)
     held, other = Orientation(30.0, 10.0), Orientation(-60.0, 5.0)
     grid = TileGrid(4, 4)
-    rows = tile_visibility((held,) * 1000, FovSpec(), grid, 32)
+    rows = tile_visibility(pose_trace((held,) * 1000), FovSpec(), grid, 32)
     assert scored == [1]
     assert rows.tobytes() == np.tile(rows[0], (1000, 1)).tobytes()
-    tile_visibility((held,) * 5 + (other,) * 3 + (held,) * 2, FovSpec(), grid, 32)
+    tile_visibility(pose_trace((held,) * 5 + (other,) * 3 + (held,) * 2), FovSpec(), grid, 32)
     assert scored == [1, 3]
 
 
@@ -826,23 +852,31 @@ def _is_number(cell: str) -> bool:
         return False
 
 
-@given(yaws=st.lists(st.floats(allow_nan=False, allow_infinity=False)
-                     | st.sampled_from(EDGE_ANGLES), max_size=30), data=st.data())
+@given(pairs=st.lists(st.tuples(
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_ANGLES), angles,
+), max_size=30))
+@example(pairs=[  # yaw just below -180, +-0.0, |pitch| > 90 and the poles
+    (-180.00000000000003, 0.0), (-0.0, -0.0), (0.0, 0.0), (30.0, 90.5), (30.0, -90.5),
+    (-45.0, 90.0), (135.0, -90.0),
+])
 @settings(max_examples=300, deadline=None)
-def test_vectorized_wrap_and_clamp_match_orientation(yaws, data):
+def test_vectorized_wrap_and_clamp_match_orientation(pairs):
     """from_angles wraps yaw with numpy's float % and clamps pitch with
-    np.clip; each must give Orientation's value bit for bit, and pose(k) must
-    rebuild the stored pose without changing a bit."""
-    pitches = data.draw(st.lists(angles, min_size=len(yaws), max_size=len(yaws)))
+    np.clip; each must give Orientation's value bit for bit, as must
+    wrap_pose on one float pair (predict's route) and on the stored pair
+    again. camera_frames must give each row local_frame's bits."""
+    yaws, pitches = [y for y, _ in pairs], [p for _, p in pairs]
     trace = ViewingTrace.from_angles(range(len(yaws)), yaws, pitches)
-    for k, (yaw, pitch) in enumerate(zip(yaws, pitches)):
+    frames = camera_frames(trace)
+    for k, (yaw, pitch) in enumerate(pairs):
         o = Orientation(yaw, pitch)
         assert trace.yaw[k].tobytes() == np.float64(o.yaw).tobytes()
         assert trace.pitch[k].tobytes() == np.float64(o.pitch).tobytes()
         assert np.float64(normalize_yaw(o.yaw)).tobytes() == np.float64(o.yaw).tobytes()
-        pose = trace.pose(k)
-        assert np.float64(pose.yaw).tobytes() == np.float64(o.yaw).tobytes()
-        assert np.float64(pose.pitch).tobytes() == np.float64(o.pitch).tobytes()
+        for pose in (wrap_pose(yaw, pitch), wrap_pose(trace.yaw.item(k), trace.pitch.item(k))):
+            assert np.float64(pose[0]).tobytes() == np.float64(o.yaw).tobytes()
+            assert np.float64(pose[1]).tobytes() == np.float64(o.pitch).tobytes()
+        assert frames[k].tobytes() == np.array(local_frame(o)).tobytes()
 
 
 @given(data=st.data())
@@ -869,7 +903,31 @@ def test_searchsorted_lookups_match_bisect(data):
         expected = select_window_oracle(old, now, timeframe)
         assert samples(window) == expected
         k = nearest_sample(trace, now)
-        assert (trace.t[k], trace.pose(k)) == nearest_sample_oracle(old, now)
+        assert (trace.t[k], pose_at(trace, k)) == nearest_sample_oracle(old, now)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_error_experiment_matches_the_per_step_loop(data):
+    """Dense and sparse wandering viewers, with steps finer than the
+    sampling (so steps share a nearest sample) and coarser: the distances
+    are bit-equal, and a trace or step that fits nothing fails with the
+    same message."""
+    duration = data.draw(st.sampled_from([1.5, 4.5, 6.0]))
+    args = (
+        data.draw(viewing_traces(duration)),
+        data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        data.draw(st.sampled_from([0.1, 0.5, 1.0])),
+        data.draw(st.sampled_from([0.02, 0.25, 1.5]) | st.floats(0.01, 3.0)),
+    )
+    try:
+        expected = error_experiment_oracle(*args)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            error_experiment(*args)
+        assert str(got.value) == str(e)
+        return
+    assert error_experiment(*args).tobytes() == expected.tobytes()
 
 
 # --- set-up generators and trace writers ------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import average_quality_map, flat_index
-from tilesim.geometry import FovSpec, Orientation, TileGrid
+from tilesim.geometry import FovSpec, TileGrid
 from tilesim.manifest import segment_bits, synthesize
 from tilesim.popularity import (
     HeatMap,

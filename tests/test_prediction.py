@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import linear_gaze, sinusoid_gaze, trace_of
-from tilesim.geometry import Orientation, ViewingTrace
+from helpers import Orientation, linear_gaze, sinusoid_gaze, trace_of
+from tilesim.geometry import ViewingTrace
 from tilesim.prediction import (
     error_experiment,
     fit,
@@ -47,18 +47,18 @@ class TestFitPredict:
         model = fit(trace_of([(2.0, Orientation(42.0, -5.0))]), now=2.0)
         assert model.yaw_slope == 0.0
         assert model.pitch_slope == 0.0
-        o = predict(model, 100.0)
-        assert o.yaw == 42.0
-        assert o.pitch == -5.0
+        yaw, pitch = predict(model, 100.0)
+        assert yaw == 42.0
+        assert pitch == -5.0
 
     def test_stationary_gaze_stays_put(self):
         trace = constant_gaze(42.0, -5.0, duration=1.0, hz=10.0)
         model = fit(trace, now=trace.t[-1])
         assert model.yaw_slope == pytest.approx(0.0, abs=1e-9)
         assert model.pitch_slope == pytest.approx(0.0, abs=1e-9)
-        o = predict(model, trace.t[-1] + 3.0)
-        assert o.yaw == pytest.approx(42.0, abs=1e-9)
-        assert o.pitch == pytest.approx(-5.0, abs=1e-9)
+        yaw, pitch = predict(model, trace.t[-1] + 3.0)
+        assert yaw == pytest.approx(42.0, abs=1e-9)
+        assert pitch == pytest.approx(-5.0, abs=1e-9)
 
     def test_linear_motion_recovered_exactly(self):
         times = np.arange(0.0, 1.0, 0.1)
@@ -66,9 +66,9 @@ class TestFitPredict:
         model = fit(trace, now=0.9)
         assert model.yaw_slope == pytest.approx(10.0, abs=1e-9)
         assert model.pitch_slope == pytest.approx(4.0, abs=1e-9)
-        o = predict(model, 2.0)
-        assert o.yaw == pytest.approx(23.0, abs=1e-8)
-        assert o.pitch == pytest.approx(6.0, abs=1e-8)
+        yaw, pitch = predict(model, 2.0)
+        assert yaw == pytest.approx(23.0, abs=1e-8)
+        assert pitch == pytest.approx(6.0, abs=1e-8)
 
     def test_yaw_fit_crosses_antimeridian(self):
         trace = trace_of([
@@ -78,14 +78,14 @@ class TestFitPredict:
         ])
         model = fit(trace, now=0.2)
         assert model.yaw_slope == pytest.approx(10.0, abs=1e-6)
-        assert predict(model, 0.2).yaw == pytest.approx(-179.0, abs=1e-6)
-        assert predict(model, 1.7).yaw == pytest.approx(-164.0, abs=1e-6)
+        assert predict(model, 0.2)[0] == pytest.approx(-179.0, abs=1e-6)
+        assert predict(model, 1.7)[0] == pytest.approx(-164.0, abs=1e-6)
 
     def test_predicted_pitch_clamped_at_pole(self):
         times = np.arange(0.0, 1.0, 0.1)
         trace = linear_trace(0.0, 0.0, times, pitch0=0.0, pitch_rate=10.0)
         model = fit(trace, now=0.9)
-        assert predict(model, 9.5).pitch == 90.0
+        assert predict(model, 9.5)[1] == 90.0
 
     def test_anchor_shift_is_equivalent(self):
         times = np.arange(0.0, 1.0, 0.1)
@@ -93,8 +93,8 @@ class TestFitPredict:
         shifted = ViewingTrace(base.t + 7.25, base.yaw, base.pitch)
         a = predict(fit(base, now=0.9), 1.4)
         b = predict(fit(shifted, now=0.9 + 7.25), 1.4 + 7.25)
-        assert a.yaw == pytest.approx(b.yaw, abs=1e-8)
-        assert a.pitch == pytest.approx(b.pitch, abs=1e-8)
+        assert a[0] == pytest.approx(b[0], abs=1e-8)
+        assert a[1] == pytest.approx(b[1], abs=1e-8)
 
 
 class TestNearestSample:

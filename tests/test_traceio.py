@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import constant_rate_network, sinusoid_gaze, trace_of
+from helpers import Orientation, constant_rate_network, pose_at, sinusoid_gaze, trace_of
 from tilesim import netsim
-from tilesim.geometry import Orientation, ViewingTrace
+from tilesim.geometry import ViewingTrace
 from tilesim.traceio import (
     ViewingTraceError,
     load_trace_dir,
@@ -59,23 +59,23 @@ def exact_shift(q, k):
 
 class TestQuaternion:
     def test_identity_faces_forward(self, tmp_path):
-        o = load_quaternions(tmp_path, (1.0, 0.0, 0.0, 0.0)).pose(0)
+        o = pose_at(load_quaternions(tmp_path, (1.0, 0.0, 0.0, 0.0)), 0)
         assert o.yaw == pytest.approx(0.0, abs=1e-9)
         assert o.pitch == pytest.approx(0.0, abs=1e-9)
 
     def test_yaw_is_rotation_about_up(self, tmp_path):
-        o = load_quaternions(tmp_path, q_axis_angle((0, 0, 1), 90.0)).pose(0)
+        o = pose_at(load_quaternions(tmp_path, q_axis_angle((0, 0, 1), 90.0)), 0)
         assert o.yaw == pytest.approx(90.0, abs=1e-9)
         assert o.pitch == pytest.approx(0.0, abs=1e-9)
 
     def test_pitch_up(self, tmp_path):
         # looking up by 45 degrees is a -45 degree rotation about +y here
-        o = load_quaternions(tmp_path, q_axis_angle((0, 1, 0), -45.0)).pose(0)
+        o = pose_at(load_quaternions(tmp_path, q_axis_angle((0, 1, 0), -45.0)), 0)
         assert o.pitch == pytest.approx(45.0, abs=1e-9)
         assert o.yaw == pytest.approx(0.0, abs=1e-9)
 
     def test_roll_about_forward_axis(self, tmp_path):
-        o = load_quaternions(tmp_path, q_axis_angle((1, 0, 0), 30.0)).pose(0)
+        o = pose_at(load_quaternions(tmp_path, q_axis_angle((1, 0, 0), 30.0)), 0)
         assert o.yaw == pytest.approx(0.0, abs=1e-9)
         assert o.pitch == pytest.approx(0.0, abs=1e-9)
 
@@ -94,7 +94,7 @@ class TestQuaternion:
         x = a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2]
         y = a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1]
         z = a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0]
-        o = load_quaternions(quaternion_dir, [c * 10.0**k for c in (w, x, y, z)]).pose(0)
+        o = pose_at(load_quaternions(quaternion_dir, [c * 10.0**k for c in (w, x, y, z)]), 0)
         turn = (o.yaw - yaw) % 360.0
         assert min(turn, 360.0 - turn) <= 1e-9
         assert o.pitch == pytest.approx(pitch, abs=1e-9)
@@ -103,9 +103,9 @@ class TestQuaternion:
         q = q_axis_angle((0, 0, 1), 45.0)
         scales = (2.5, 1e200, 1e-170)
         trace = load_quaternions(tmp_path, q, *([scale * c for c in q] for scale in scales))
-        a = trace.pose(0)
+        a = pose_at(trace, 0)
         for k, scale in enumerate(scales, start=1):
-            b = trace.pose(k)
+            b = pose_at(trace, k)
             assert a.yaw == pytest.approx(b.yaw, abs=1e-12), scale
             assert a.pitch == pytest.approx(b.pitch, abs=1e-12), scale
 
@@ -174,7 +174,7 @@ class TestEulerFiles:
         path.write_text("0.0,10,5,0\n0.5,12,6,0\n")
         got = load_viewing_trace(str(path))
         assert got.t.tolist() == [0.0, 0.5]
-        assert got.pose(1).yaw == 12.0
+        assert pose_at(got, 1).yaw == 12.0
 
     def test_quaternion_file(self, tmp_path):
         q = q_axis_angle((0, 0, 1), 90.0)
