@@ -80,6 +80,19 @@ class ViewingTrace:
         return ViewingTrace(self.t[k], self.yaw[k], self.pitch[k])
 
 
+def check_times(trace: ViewingTrace, name: str = "viewing trace") -> None:
+    """ValueError naming the first sample of `trace` whose time is below
+    the one before it. Lookups by time (searchsorted) need times that never
+    decrease; equal times are allowed."""
+    back = np.flatnonzero(trace.t[1:] < trace.t[:-1])
+    if back.size:
+        k = int(back[0]) + 1
+        raise ValueError(
+            f"{name} goes back in time at sample {k}: "
+            f"t = {trace.t.item(k)!r} after {trace.t.item(k - 1)!r}"
+        )
+
+
 @dataclass(frozen=True)
 class FovSpec:
     """Field of view extents in degrees."""
@@ -119,13 +132,16 @@ def orthodromic_distance(a: ViewingTrace, b: ViewingTrace) -> np.ndarray:
 
     atan2(|va x vb|, va . vb) equals arccos of the clamped dot product but
     stays well-conditioned for nearly-parallel directions, where acos alone
-    loses six digits.
+    loses six digits. The dot product and the cross product's squared norm
+    are stacked matmuls of a row by a column, which keep the bits of a 1-D
+    np.dot (and so of np.linalg.norm, its sqrt) where a component sum or
+    einsum would not.
     """
-    pairs = zip(camera_frames(a)[:, 0], camera_frames(b)[:, 0])
-    return np.array([
-        math.degrees(math.atan2(float(np.linalg.norm(np.cross(va, vb))), float(np.dot(va, vb))))
-        for va, vb in pairs
-    ])
+    va, vb = camera_frames(a)[:, 0], camera_frames(b)[:, 0]
+    cross = np.cross(va, vb)
+    sine = np.sqrt((cross[:, None, :] @ cross[:, :, None]).ravel())
+    cosine = (va[:, None, :] @ vb[:, :, None]).ravel()
+    return each(math.degrees, each(math.atan2, sine, cosine))
 
 
 def rank_tiles(scores: np.ndarray) -> np.ndarray:
@@ -141,9 +157,10 @@ CHUNK_SAMPLES = 16_384
 
 
 @functools.lru_cache(maxsize=8)
-def _fov_offsets(fov: FovSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forward, right and up offsets (cos b cos a, cos b sin a, sin b) of the
-    n*n FoV samples (alpha-major), read-only and shared by every call."""
+def _fov_offsets(fov: FovSpec, n: int) -> np.ndarray:
+    """offsets[v, s]: the forward (v=0), right (1) and up (2) components
+    (cos b cos a, cos b sin a, sin b) of FoV sample s, for the n*n samples
+    (alpha-major); one read-only (3, n*n) array shared by every call."""
     alpha = np.radians(np.linspace(-fov.h_deg / 2.0, fov.h_deg / 2.0, n))
     beta = np.radians(np.linspace(-fov.v_deg / 2.0, fov.v_deg / 2.0, n))
     aa, bb = np.meshgrid(alpha, beta, indexing="ij")
@@ -152,9 +169,8 @@ def _fov_offsets(fov: FovSpec, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     # Local (alpha, beta) behaves like yaw/pitch in the camera frame.
     ca, sa = np.cos(aa), np.sin(aa)
     cb, sb = np.cos(bb), np.sin(bb)
-    offsets = (cb * ca, cb * sa, sb)
-    for a in offsets:
-        a.setflags(write=False)
+    offsets = np.stack((cb * ca, cb * sa, sb))
+    offsets.setflags(write=False)
     return offsets
 
 
@@ -187,7 +203,9 @@ def tile_visibility(
     contributing 1 / samples_per_axis**2 to the tile its direction falls in.
     The batch is scored CHUNK_SAMPLES directions at a time, with the same
     float operations for every pose, so a row does not depend on the batch
-    it was scored in. A run of consecutive poses with bit-identical frames
+    it was scored in: one einsum turns a chunk's frames and the FoV offsets
+    into directions, arctan2 and arcsin turn those back into angles, and an
+    int cast bins them. A run of consecutive poses with bit-identical frames
     (a viewer holding still, a sample-and-hold trace) is scored once.
     """
     if samples_per_axis < 1:
@@ -207,12 +225,18 @@ def tile_visibility(
         frame = frames[start : start + step]
         k = frame.shape[0]
         x, y, z, term = (b[:k] for b in buffers)
-        for c, out in enumerate((x, y, z)):
-            # forward + right + up, summed in that order.
-            np.multiply(frame[:, 0, c, None], offsets[0], out=out)
-            for v in (1, 2):
-                np.multiply(frame[:, v, c, None], offsets[v], out=term)
-                out += term
+        # x, y, z in one pass: component c of sample s of pose k is
+        # sum over v of frame[k, v, c] * offsets[v, s]. Without optimize,
+        # numpy's einsum multiplies and then adds each product, unfused, in
+        # v order, onto an accumulator that starts at +0.0: ((0 + f*o0) +
+        # r*o1) + u*o2. So each value keeps the bits of f*o0 + r*o1 + u*o2
+        # but for a zero's sign: where all three products are -0.0 it gives
+        # +0.0, not -0.0. That never shows. x's first product, cos p cos y
+        # cos b cos a, is never zero, as no double's cosine is 0, so x keeps
+        # every bit; a zero y's sign only picks arctan2's +-0 or +-pi, which
+        # the yaw wrap below maps to one value; a zero z's sign is lost in
+        # 90 - pitch. NaN propagates as in the sum.
+        np.einsum("kvc,vs->cks", frame, offsets, out=buffers[:3, :k])
         yaw = np.arctan2(y, x, out=y)
         yaw *= 180.0 / math.pi  # np.degrees, bit for bit
         # (yaw + 180) % 360 - 180 without the slow float %: arctan2 keeps yaw
@@ -230,12 +254,16 @@ def tile_visibility(
         pitch = np.subtract(90.0, pitch, out=pitch)
         pitch *= grid.rows
         pitch /= 180.0
-        # The int indices reuse the memory of x and term, free by now; the
-        # assignments cast like astype(np.int64).
+        # The int indices reuse the memory of x and term, free by now. The
+        # assignments truncate like astype(np.int64), and after the clip
+        # that is floor: the two differ only on a negative non-integer,
+        # where both give an int <= 0 that the clip takes to 0 (a pitch
+        # value can be -1.4e-14, as arcsin(1) in degrees can exceed 90 by
+        # an ulp). NaN casts alike either way.
         i = term.view(np.int64)
-        i[...] = np.floor(yaw, out=yaw)
+        i[...] = yaw
         j = x.view(np.int64)
-        j[...] = np.floor(pitch, out=pitch)
+        j[...] = pitch
         np.clip(i, 0, grid.cols - 1, out=i)
         np.clip(j, 0, grid.rows - 1, out=j)
         # Flat tile index, offset by tile_count per pose for one bincount.

@@ -33,7 +33,7 @@ from .adaptation import (
     transition_step,
 )
 from .cachesim import Cache, EvictionPolicy, viewing_assignments, warm
-from .geometry import FovSpec, ViewingTrace, rank_tiles, tile_visibility
+from .geometry import FovSpec, ViewingTrace, check_times, rank_tiles, tile_visibility
 from .manifest import VideoManifest, naive_segment_bytes, segment_bits, segment_requests
 from .netsim import Link, NetworkTrace
 from .prediction import fit, nearest_sample, predict, select_window
@@ -102,11 +102,13 @@ class PredictionPlan:
 
 
 def _check_trace(trace: ViewingTrace, timeframe: float) -> None:
-    """ValueError for a timeframe <= 0, or a trace empty or shorter than the timeframe."""
+    """ValueError for a timeframe <= 0, or a trace empty, going back in time
+    or shorter than the timeframe."""
     if timeframe <= 0.0:
         raise ValueError("timeframe must be positive")
     if not trace:
         raise ValueError("viewing trace is empty")
+    check_times(trace)
     span = trace.t.item(-1) - trace.t.item(0)
     if span < timeframe:
         raise ValueError(
@@ -292,9 +294,9 @@ def run_experiment(
     plan are built once per experiment, and only here: policies that read no
     visibility build no plan.
 
-    Whatever the policies, an empty trace, a replayed trace shorter than the
-    timeframe and a timeframe <= 0 raise ValueError before any work, and
-    every session refuses a hysteresis < 1.
+    Whatever the policies, an empty trace, a trace whose time goes back, a
+    replayed trace shorter than the timeframe and a timeframe <= 0 raise
+    ValueError before any work, and every session refuses a hysteresis < 1.
     """
     if not viewing_traces:
         raise ValueError("need at least one viewing trace")
@@ -305,6 +307,7 @@ def run_experiment(
     for k, trace in enumerate(viewing_traces):
         if not trace:
             raise ValueError(f"viewing trace {k} is empty")
+        check_times(trace, f"viewing trace {k}")
         if k < iterations:  # replayed by a session
             _check_trace(trace, timeframe)
 

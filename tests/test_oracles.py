@@ -200,29 +200,57 @@ def poses(draw, grid):
     return Orientation(yaw, pitch)
 
 
-@given(data=st.data(), n=st.integers(1, 40), fov=fovs())
+@st.composite
+def visibility_batches(draw):
+    """(n, fov, grid, pool, length, form, extra): batches of 0, 1, chunk-1,
+    chunk and chunk+1 poses cycling through a pool of a few poses, built in
+    one of the forms of test_tile_visibility_rows_match_the_scalar_kernel;
+    `extra` is the slice's padding poses or the predicted form's turn."""
+    n = draw(st.integers(1, 40))
+    fov = draw(fovs())
+    grid = TileGrid(draw(st.integers(1, 12)), draw(st.integers(1, 8)))
+    chunk = max(1, CHUNK_SAMPLES // (n * n))
+    length = draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1]))
+    pool = draw(st.lists(poses(grid), min_size=1, max_size=5))
+    form = draw(st.sampled_from(["trace", "slice", "gathered", "predicted"]))
+    extra = None
+    if form == "slice":
+        extra = draw(st.lists(poses(grid), min_size=1, max_size=3))
+    elif form == "predicted":
+        extra = draw(st.sampled_from([0.0, 15.0, 200.0]))
+    return n, fov, grid, pool, length, form, extra
+
+
+# Yaw 0.0 and -0.0 at pitch +-0.0 and the poles: the poses whose frames hold
+# the zero products where the kernel's sums could differ in a zero's sign.
+# The pose wraps a yaw of -0.0 to 0.0, as every stored pose is wrapped; a
+# pitch of -0.0 keeps its sign. At n = 33 one FoV sample sits at alpha = 0
+# and beta = 0; at n = 1 the one sample sits at the FoV's corner.
+SIGNED_ZERO_POSES = [Orientation(y, p) for p in (0.0, -0.0, 90.0, -90.0) for y in (0.0, -0.0)]
+
+
+@given(case=visibility_batches())
+@example(case=(1, FovSpec(), TileGrid(4, 4), SIGNED_ZERO_POSES, CHUNK_SAMPLES + 1, "trace", None))
+@example(case=(33, FovSpec(), TileGrid(4, 4), SIGNED_ZERO_POSES, CHUNK_SAMPLES // 33**2 + 1,
+               "trace", None))
 @settings(max_examples=150, deadline=None)
-def test_tile_visibility_rows_match_the_scalar_kernel(data, n, fov):
+def test_tile_visibility_rows_match_the_scalar_kernel(case):
     """Batches of 0, 1, chunk-1, chunk and chunk+1 poses, cycling through a
     few distinct poses so every chunk position is checked against the
     scalar map of its pose. The batch is a trace of its own, a slice of a
     longer trace, a batch gathered by index (with repeats), or a trace of
     predicted poses built from predict's pairs, as the callers build them."""
-    grid = TileGrid(data.draw(st.integers(1, 12)), data.draw(st.integers(1, 8)))
-    chunk = max(1, CHUNK_SAMPLES // (n * n))
-    length = data.draw(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1]))
-    pool = data.draw(st.lists(poses(grid), min_size=1, max_size=5))
+    n, fov, grid, pool, length, form, extra = case
     index = np.arange(length) % len(pool)
-    form = data.draw(st.sampled_from(["trace", "slice", "gathered", "predicted"]))
     if form == "trace":
         batch = pose_trace([pool[i] for i in index])
     elif form == "slice":
-        pad = data.draw(st.lists(poses(grid), min_size=1, max_size=3))
+        pad = extra
         batch = pose_trace(pad + [pool[i] for i in index] + pad)[len(pad) : len(pad) + length]
     elif form == "gathered":
         batch = pose_trace(pool)[index]
     else:  # each pose predicted from a two-sample window, pitch past a pole or not
-        turn = data.draw(st.sampled_from([0.0, 15.0, 200.0]))
+        turn = extra
         pairs = [
             predict(fit(pose_trace([o, Orientation(o.yaw + turn, o.pitch + turn)]), 1.0), 1.5)
             for o in pool
@@ -906,20 +934,38 @@ def test_searchsorted_lookups_match_bisect(data):
         assert (trace.t[k], pose_at(trace, k)) == nearest_sample_oracle(old, now)
 
 
-@given(data=st.data())
+@st.composite
+def error_experiment_args(draw):
+    """(trace, interval, timeframe, step) for error_experiment."""
+    duration = draw(st.sampled_from([1.5, 4.5, 6.0]))
+    return (
+        draw(viewing_traces(duration)),
+        draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        draw(st.sampled_from([0.1, 0.5, 1.0])),
+        draw(st.sampled_from([0.02, 0.25, 1.5]) | st.floats(0.01, 3.0)),
+    )
+
+
+# A viewer who holds each pose for a few samples and then turns to its
+# antipode, at the equator and at the poles: each step predicts the pose of
+# its one-sample window, so the predicted and actual directions coincide
+# (a cross product of exactly zero) or are antipodal (a cross product of
+# rounding residue only).
+ANTIPODES = ViewingTrace.from_angles(
+    np.arange(9) / 2.0,
+    [30.0, 30.0, 30.0, -150.0, -150.0, 0.0, 0.0, 0.0, 0.0],
+    [20.0, 20.0, 20.0, -20.0, -20.0, 90.0, 90.0, -90.0, -90.0],
+)
+
+
+@given(args=error_experiment_args())
+@example(args=(ANTIPODES, 0.5, 0.1, 0.5))
 @settings(max_examples=150, deadline=None)
-def test_error_experiment_matches_the_per_step_loop(data):
+def test_error_experiment_matches_the_per_step_loop(args):
     """Dense and sparse wandering viewers, with steps finer than the
     sampling (so steps share a nearest sample) and coarser: the distances
     are bit-equal, and a trace or step that fits nothing fails with the
     same message."""
-    duration = data.draw(st.sampled_from([1.5, 4.5, 6.0]))
-    args = (
-        data.draw(viewing_traces(duration)),
-        data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
-        data.draw(st.sampled_from([0.1, 0.5, 1.0])),
-        data.draw(st.sampled_from([0.02, 0.25, 1.5]) | st.floats(0.01, 3.0)),
-    )
     try:
         expected = error_experiment_oracle(*args)
     except ValueError as e:

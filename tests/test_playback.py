@@ -122,6 +122,30 @@ class TestValidation:
                     cache_capacity_bytes=10**8, warm_trace_count=2,
                 )
 
+    def test_trace_going_back_in_time_is_refused_by_its_sample(self):
+        """The plan's window lookups and the warm-up's nearest_sample search
+        sorted times: a trace whose time decreases is refused naming the
+        sample, by its index in run_experiment's list before any work, even
+        when only the warm-up draws it. Equal times are allowed."""
+        gaze = constant_gaze(0.0, 0.0, 7.0)
+        t = gaze.t.copy()
+        t[[5, 6]] = t[[6, 5]]
+        back = ViewingTrace(t, gaze.yaw, gaze.pitch)
+        held = ViewingTrace(np.repeat(gaze.t, 2), np.repeat(gaze.yaw, 2), np.repeat(gaze.pitch, 2))
+        m = synthesize("x", 6.0, 1.5, TileGrid(4, 4))
+        with pytest.raises(ValueError, match="viewing trace goes back in time at sample 6"):
+            prediction_plan(m, back)
+        prediction_plan(m, held)
+        net = two_phase_network(50e6, 5e6, 2.0, 20.0)
+        for traces, index in (([gaze, back], 1), ([back, gaze], 0)):
+            with pytest.raises(ValueError, match=f"viewing trace {index} goes back in time at sample 6"):
+                run_experiment(
+                    m, traces, net, [PolicyKind.NAIVE], 1, cache_policy=EvictionPolicy.LRU,
+                    cache_capacity_bytes=10**8, warm_trace_count=2,
+                )
+        run_experiment(m, [held], net, [PolicyKind.NAIVE, PolicyKind.PREDICTION], 1,
+                       cache_policy=EvictionPolicy.LRU, cache_capacity_bytes=10**8)
+
 
 class TestStallAccounting:
     def test_startup_is_not_a_stall(self):
