@@ -163,6 +163,15 @@ _parse_grid = _pair(int, TileGrid, "COLSxROWS")
 _parse_fov = _pair(float, FovSpec, "HxV degrees")
 
 
+def _policy(kind: type, name):
+    """The member of enum `kind` whose value is `name`."""
+    try:
+        return kind(name)
+    except ValueError:
+        valid = ", ".join(p.value for p in kind)
+        raise ValueError(f"unknown policy {name!r} (valid: {valid})") from None
+
+
 def _parse_policies(names) -> list[PolicyKind]:
     """A comma-separated string, or a list in a config file."""
     if isinstance(names, list):
@@ -172,11 +181,7 @@ def _parse_policies(names) -> list[PolicyKind]:
         name = name.strip()
         if not name:
             continue
-        try:
-            policy = PolicyKind(name)
-        except ValueError:
-            valid = ", ".join(p.value for p in PolicyKind)
-            raise ValueError(f"unknown policy {name!r} (valid: {valid})") from None
+        policy = _policy(PolicyKind, name)
         if policy in out:
             raise ValueError(f"policy {name!r} listed twice")
         out.append(policy)
@@ -186,13 +191,7 @@ def _parse_policies(names) -> list[PolicyKind]:
 
 
 def _cache_policy(value):
-    if not value:
-        return None
-    try:
-        return EvictionPolicy(value)
-    except ValueError:
-        valid = ", ".join(p.value for p in EvictionPolicy)
-        raise ValueError(f"unknown policy {value!r} (valid: {valid})") from None
+    return _policy(EvictionPolicy, value) if value else None
 
 
 def _path(value):
@@ -501,16 +500,11 @@ def cmd_run(args: argparse.Namespace) -> int:
             "--policies: popularity/transition need a manifest with a popularity "
             "trace; run `tilesim popularity` first"
         )
-    # Iteration i replays traces[i % len], and `run_experiment` refuses a
-    # replayed trace shorter than the regression window; this names its file.
-    for i, trace in enumerate(traces[: run["iterations"]]):
-        span = trace.t.item(-1) - trace.t.item(0)
-        if span < run["timeframe"]:
-            path = os.path.join(run["traces"], traceio.trace_files(run["traces"])[i])
-            raise UsageError(
-                f"--traces: {path} spans {span:.3f}s, shorter than the "
-                f"{run['timeframe']}s --timeframe window"
-            )
+    # Iteration i replays traces[i % len]: run_experiment's check of a
+    # replayed trace, here naming its file.
+    for name, trace in zip(traceio.trace_files(run["traces"]), traces[: run["iterations"]]):
+        path = os.path.join(run["traces"], name)
+        _checked("--traces", lambda t: playback._check_trace(t, run["timeframe"], path), trace)
     runs = playback.run_experiment(
         manifest=m,
         viewing_traces=traces,

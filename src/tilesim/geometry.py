@@ -46,9 +46,10 @@ def wrap_pose(yaw, pitch):
 class ViewingTrace:
     """Poses as read-only float64 arrays, one entry per sample: sample k is
     at time t[k] with pose yaw[k], pitch[k], held as wrap_pose leaves them.
-    A loaded or generated trace has t strictly increasing; a batch gathered
-    from one by index may repeat samples. Traces compare and hash by
-    identity, as their arrays cannot."""
+    Times never decrease, as lookups by time (searchsorted) need: building a
+    trace whose time goes back raises ValueError naming the sample, and
+    equal times pass, so a batch gathered by index may repeat samples.
+    Traces compare and hash by identity, as their arrays cannot."""
 
     t: np.ndarray = field(repr=False)
     yaw: np.ndarray = field(repr=False)
@@ -59,6 +60,14 @@ class ViewingTrace:
         arrays = [np.asarray(getattr(self, n), dtype=np.float64).view() for n in names]
         if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
             raise ValueError("t, yaw and pitch must be 1-D and of one length")
+        t = arrays[0]
+        back = np.flatnonzero(t[1:] < t[:-1])
+        if back.size:
+            k = int(back[0]) + 1
+            raise ValueError(
+                f"viewing trace goes back in time at sample {k}: "
+                f"t = {t.item(k)!r} after {t.item(k - 1)!r}"
+            )
         for name, a in zip(names, arrays):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -78,19 +87,6 @@ class ViewingTrace:
         """The samples at a slice (views) or an integer index array (copies,
         in index order)."""
         return ViewingTrace(self.t[k], self.yaw[k], self.pitch[k])
-
-
-def check_times(trace: ViewingTrace, name: str = "viewing trace") -> None:
-    """ValueError naming the first sample of `trace` whose time is below
-    the one before it. Lookups by time (searchsorted) need times that never
-    decrease; equal times are allowed."""
-    back = np.flatnonzero(trace.t[1:] < trace.t[:-1])
-    if back.size:
-        k = int(back[0]) + 1
-        raise ValueError(
-            f"{name} goes back in time at sample {k}: "
-            f"t = {trace.t.item(k)!r} after {trace.t.item(k - 1)!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -160,9 +156,13 @@ CHUNK_SAMPLES = 16_384
 def _fov_offsets(fov: FovSpec, n: int) -> np.ndarray:
     """offsets[v, s]: the forward (v=0), right (1) and up (2) components
     (cos b cos a, cos b sin a, sin b) of FoV sample s, for the n*n samples
-    (alpha-major); one read-only (3, n*n) array shared by every call."""
-    alpha = np.radians(np.linspace(-fov.h_deg / 2.0, fov.h_deg / 2.0, n))
-    beta = np.radians(np.linspace(-fov.v_deg / 2.0, fov.v_deg / 2.0, n))
+    (alpha-major); one read-only (3, n*n) array shared by every call. Each
+    axis spans the FoV edge to edge, but for n = 1, whose one sample is at
+    its centre."""
+    alpha, beta = (
+        np.radians(np.linspace(-extent / 2.0, extent / 2.0, n) if n > 1 else np.zeros(1))
+        for extent in (fov.h_deg, fov.v_deg)
+    )
     aa, bb = np.meshgrid(alpha, beta, indexing="ij")
     aa = aa.ravel()
     bb = bb.ravel()
@@ -198,8 +198,9 @@ def tile_visibility(
     sample k's scores.
 
     samples_per_axis**2 directions are cast on a uniform angular grid over the
-    FoV rectangle centered on the pose. Offsets are applied along great circles
-    of the local camera frame (not a planar projection), each sample
+    FoV rectangle centered on the pose, corners included (samples_per_axis=1
+    casts the one direction the pose faces). Offsets are applied along great
+    circles of the local camera frame (not a planar projection), each sample
     contributing 1 / samples_per_axis**2 to the tile its direction falls in.
     The batch is scored CHUNK_SAMPLES directions at a time, with the same
     float operations for every pose, so a row does not depend on the batch

@@ -33,7 +33,7 @@ from .adaptation import (
     transition_step,
 )
 from .cachesim import Cache, EvictionPolicy, viewing_assignments, warm
-from .geometry import FovSpec, ViewingTrace, check_times, rank_tiles, tile_visibility
+from .geometry import FovSpec, ViewingTrace, rank_tiles, tile_visibility
 from .manifest import VideoManifest, naive_segment_bytes, segment_bits, segment_requests
 from .netsim import Link, NetworkTrace
 from .prediction import fit, nearest_sample, predict, select_window
@@ -101,18 +101,23 @@ class PredictionPlan:
     required_bps: tuple[float, ...]
 
 
-def _check_trace(trace: ViewingTrace, timeframe: float) -> None:
-    """ValueError for a timeframe <= 0, or a trace empty, going back in time
-    or shorter than the timeframe."""
+def _check_trace(
+    trace: ViewingTrace, timeframe: float | None, name: str = "viewing trace"
+) -> None:
+    """The one check of a trace before it is replayed: ValueError, naming
+    it by `name`, for an empty trace, and, given a timeframe, for a
+    timeframe <= 0 or a trace that spans less. A trace only the warm-up
+    reads (timeframe None) needs samples alone."""
+    if not trace:
+        raise ValueError(f"{name} is empty")
+    if timeframe is None:
+        return
     if timeframe <= 0.0:
         raise ValueError("timeframe must be positive")
-    if not trace:
-        raise ValueError("viewing trace is empty")
-    check_times(trace)
     span = trace.t.item(-1) - trace.t.item(0)
     if span < timeframe:
         raise ValueError(
-            f"viewing trace spans {span:.3f}s, shorter than the "
+            f"{name} spans {span:.3f}s, shorter than the "
             f"{timeframe:.3f}s regression window"
         )
 
@@ -294,9 +299,10 @@ def run_experiment(
     plan are built once per experiment, and only here: policies that read no
     visibility build no plan.
 
-    Whatever the policies, an empty trace, a trace whose time goes back, a
-    replayed trace shorter than the timeframe and a timeframe <= 0 raise
+    Whatever the policies, a timeframe <= 0, and an empty trace or a
+    replayed trace shorter than the timeframe (named by its index), raise
     ValueError before any work, and every session refuses a hysteresis < 1.
+    A trace's times never decrease: ViewingTrace refuses one that goes back.
     """
     if not viewing_traces:
         raise ValueError("need at least one viewing trace")
@@ -305,11 +311,8 @@ def run_experiment(
     if len(set(policies)) != len(policies):
         raise ValueError(f"each policy may be listed once, got {[p.value for p in policies]}")
     for k, trace in enumerate(viewing_traces):
-        if not trace:
-            raise ValueError(f"viewing trace {k} is empty")
-        check_times(trace, f"viewing trace {k}")
-        if k < iterations:  # replayed by a session
-            _check_trace(trace, timeframe)
+        # Sessions replay the first `iterations` traces; the rest only warm.
+        _check_trace(trace, timeframe if k < iterations else None, f"viewing trace {k}")
 
     @functools.cache
     def plan(k: int) -> PredictionPlan:

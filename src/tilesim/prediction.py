@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ViewingTrace, check_times, orthodromic_distance, wrap_pose
+from .geometry import ViewingTrace, orthodromic_distance, wrap_pose
 
 
 @dataclass(frozen=True)
@@ -105,13 +105,13 @@ def error_experiment(
     predicted, and the orthodromic distance to the actual pose (nearest
     sample by time) is recorded; all steps' distances are measured in one
     call. Sampling must be dense enough that every window holds at least
-    one sample. ValueError when no step fits or the trace goes back in time.
+    one sample, and the lookups by time rely on ViewingTrace's times never
+    decreasing. ValueError when no step fits.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     if not trace:
         raise ValueError("empty trace")
-    check_times(trace)
     t0, t_end = trace.t.item(0), trace.t.item(-1)
     if t_end - t0 <= interval + timeframe:
         raise ValueError("trace shorter than interval + timeframe")

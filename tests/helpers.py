@@ -275,8 +275,11 @@ def visibility_oracle(
         [[np.cos(-p), 0.0, np.sin(-p)], [0.0, 1.0, 0.0], [-np.sin(-p), 0.0, np.cos(-p)]]
     )
     rot = rz @ ry
-    alpha = np.radians(np.linspace(-fov.h_deg / 2.0, fov.h_deg / 2.0, samples))
-    beta = np.radians(np.linspace(-fov.v_deg / 2.0, fov.v_deg / 2.0, samples))
+    # Edge to edge, but one sample per axis looks straight ahead.
+    alpha, beta = (
+        np.radians(np.linspace(-extent / 2.0, extent / 2.0, samples) if samples > 1 else [0.0])
+        for extent in (fov.h_deg, fov.v_deg)
+    )
     aa, bb = np.meshgrid(alpha, beta, indexing="ij")
     aa, bb = aa.ravel(), bb.ravel()
     local = np.stack(
@@ -309,10 +312,11 @@ def scalar_tile_visibility(
 ) -> np.ndarray:
     """`geometry.tile_visibility` before it scored batches: one pose, its FoV
     offsets recomputed on every call, np.outer per camera axis and the float
-    % yaw wrap. Returns the flat scores."""
+    % yaw wrap; its one FoV sample for samples_per_axis=1 is at the FoV's
+    centre. Returns the flat scores."""
     n = samples_per_axis
-    alpha = np.radians(np.linspace(-fov.h_deg / 2.0, fov.h_deg / 2.0, n))
-    beta = np.radians(np.linspace(-fov.v_deg / 2.0, fov.v_deg / 2.0, n))
+    alpha = np.radians(np.linspace(-fov.h_deg / 2.0, fov.h_deg / 2.0, n) if n > 1 else [0.0])
+    beta = np.radians(np.linspace(-fov.v_deg / 2.0, fov.v_deg / 2.0, n) if n > 1 else [0.0])
     aa, bb = np.meshgrid(alpha, beta, indexing="ij")
     aa = aa.ravel()
     bb = bb.ravel()

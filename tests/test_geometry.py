@@ -214,6 +214,21 @@ class TestVisibility:
         # equal-score groups keep ascending flat order
         assert tiles[:4] == [5, 6, 9, 10]
 
+    @pytest.mark.parametrize(
+        "o, grid, tile",
+        [
+            (Orientation(0.0, 0.0), TileGrid(8, 4), (4, 2)),
+            (Orientation(45.0, -22.5), TileGrid(4, 4), (2, 2)),
+            (Orientation(-100.0, 60.0), TileGrid(4, 4), (0, 0)),
+        ],
+    )
+    def test_one_sample_per_axis_scores_the_faced_tile(self, o, grid, tile):
+        """The one FoV sample is the pose's own direction, not a corner."""
+        for scores in (visibility_map(o, FovSpec(), grid, 1),
+                       visibility_oracle(o, FovSpec(), grid, 1)):
+            assert score(scores, grid, *tile) == 1.0
+            assert rank_tiles(scores).tolist() == [flat_index(grid, *tile)]
+
     def test_rejects_zero_samples(self, grid44):
         with pytest.raises(ValueError, match="samples_per_axis"):
             tile_visibility(pose_trace([Orientation(0.0, 0.0)]), FovSpec(), grid44, 0)

@@ -225,7 +225,7 @@ def visibility_batches(draw):
 # the zero products where the kernel's sums could differ in a zero's sign.
 # The pose wraps a yaw of -0.0 to 0.0, as every stored pose is wrapped; a
 # pitch of -0.0 keeps its sign. At n = 33 one FoV sample sits at alpha = 0
-# and beta = 0; at n = 1 the one sample sits at the FoV's corner.
+# and beta = 0; at n = 1 the one sample is that one.
 SIGNED_ZERO_POSES = [Orientation(y, p) for p in (0.0, -0.0, 90.0, -90.0) for y in (0.0, -0.0)]
 
 
@@ -247,8 +247,8 @@ def test_tile_visibility_rows_match_the_scalar_kernel(case):
     elif form == "slice":
         pad = extra
         batch = pose_trace(pad + [pool[i] for i in index] + pad)[len(pad) : len(pad) + length]
-    elif form == "gathered":
-        batch = pose_trace(pool)[index]
+    elif form == "gathered":  # the pool at one time, so the cycling gather keeps time order
+        batch = trace_of([(0.0, o) for o in pool])[index]
     else:  # each pose predicted from a two-sample window, pitch past a pole or not
         turn = extra
         pairs = [
@@ -328,7 +328,7 @@ def test_tile_visibility_scores_each_run_of_identical_poses_once(monkeypatch):
 @st.composite
 def heat_traces(draw, duration, segment_length):
     """Samples before 0, at 0, on segment boundaries, just below and at the
-    duration, past it and in between; sorted, or in any order."""
+    duration, past it and in between, in time order."""
     special = st.sampled_from([
         -segment_length, -1e-9, 0.0, duration, duration + segment_length,
         float(np.nextafter(duration, 0.0)),
@@ -337,11 +337,9 @@ def heat_traces(draw, duration, segment_length):
     grid = TileGrid(4, 3)
     traces = []
     for _ in range(draw(st.integers(1, 3))):
-        times = draw(st.lists(
+        times = sorted(draw(st.lists(
             special | st.floats(-1.0, duration + 1.0), max_size=25, unique=True
-        ))
-        if draw(st.booleans()):
-            times.sort()
+        )))
         traces.append(trace_of([(t, draw(poses(grid))) for t in times]))
     return traces
 
@@ -1086,6 +1084,7 @@ def test_save_viewing_trace_writes_the_old_bytes(trace_dir, rows, seed, edges):
     values = rng.standard_normal(3 * rows) * 10.0 ** rng.integers(-320, 300, 3 * rows)
     if rows:
         values[rng.integers(0, values.size, len(edges))] = edges
-    trace = ViewingTrace(*values.reshape(3, rows))
+    t, yaw, pitch = values.reshape(3, rows)
+    trace = ViewingTrace(np.sort(t), yaw, pitch)  # a trace's times never decrease
     new = _written(save_viewing_trace, trace, trace_dir / "new.csv")
     assert new == _written(save_viewing_trace_oracle, trace, trace_dir / "old.csv")

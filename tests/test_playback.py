@@ -124,27 +124,29 @@ class TestValidation:
 
     def test_trace_going_back_in_time_is_refused_by_its_sample(self):
         """The plan's window lookups and the warm-up's nearest_sample search
-        sorted times: a trace whose time decreases is refused naming the
-        sample, by its index in run_experiment's list before any work, even
-        when only the warm-up draws it. Equal times are allowed."""
+        sorted times, so no trace whose time decreases can be built, by the
+        constructor, from angles or by a gather; equal times and a gather
+        that repeats samples are allowed, and plan and replay."""
         gaze = constant_gaze(0.0, 0.0, 7.0)
-        t = gaze.t.copy()
-        t[[5, 6]] = t[[6, 5]]
-        back = ViewingTrace(t, gaze.yaw, gaze.pitch)
+        swap = np.arange(len(gaze))
+        swap[[5, 6]] = swap[[6, 5]]
+        t = gaze.t[swap]
+        message = "viewing trace goes back in time at sample 6"
+        with pytest.raises(ValueError, match=message):
+            ViewingTrace(t, gaze.yaw, gaze.pitch)
+        with pytest.raises(ValueError, match=message):
+            ViewingTrace.from_angles(t, gaze.yaw, gaze.pitch)
+        with pytest.raises(ValueError, match=message):
+            gaze[swap]
         held = ViewingTrace(np.repeat(gaze.t, 2), np.repeat(gaze.yaw, 2), np.repeat(gaze.pitch, 2))
+        repeated = gaze[np.repeat(np.arange(len(gaze)), 2)]
+        assert repeated.t.tobytes() == held.t.tobytes()
         m = synthesize("x", 6.0, 1.5, TileGrid(4, 4))
-        with pytest.raises(ValueError, match="viewing trace goes back in time at sample 6"):
-            prediction_plan(m, back)
-        prediction_plan(m, held)
         net = two_phase_network(50e6, 5e6, 2.0, 20.0)
-        for traces, index in (([gaze, back], 1), ([back, gaze], 0)):
-            with pytest.raises(ValueError, match=f"viewing trace {index} goes back in time at sample 6"):
-                run_experiment(
-                    m, traces, net, [PolicyKind.NAIVE], 1, cache_policy=EvictionPolicy.LRU,
-                    cache_capacity_bytes=10**8, warm_trace_count=2,
-                )
-        run_experiment(m, [held], net, [PolicyKind.NAIVE, PolicyKind.PREDICTION], 1,
-                       cache_policy=EvictionPolicy.LRU, cache_capacity_bytes=10**8)
+        for trace in (held, repeated):
+            prediction_plan(m, trace)
+            run_experiment(m, [trace], net, [PolicyKind.NAIVE, PolicyKind.PREDICTION], 1,
+                           cache_policy=EvictionPolicy.LRU, cache_capacity_bytes=10**8)
 
 
 class TestStallAccounting:

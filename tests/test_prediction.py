@@ -130,13 +130,22 @@ class TestErrorExperiment:
             error_experiment(trace, interval=interval, timeframe=0.1, step=step)
 
     def test_refuses_a_trace_that_goes_back_in_time(self):
-        """Its window and nearest-sample lookups search sorted times; a
-        repeated time is allowed."""
-        back = linear_trace(0, 1, [0.0, 2.0, 1.0, 3.0, 4.0])
-        with pytest.raises(ValueError, match=r"goes back in time at sample 2: t = 1\.0 after 2\.0"):
-            error_experiment(back, interval=1.0, timeframe=0.5, step=0.5)
+        """Its window and nearest-sample lookups search sorted times, so no
+        trace whose time decreases can reach it: the constructor, from_angles
+        and a gather refuse one. A repeated time, built or gathered, is
+        allowed."""
+        times, zeros = [0.0, 2.0, 1.0, 3.0, 4.0], [0.0] * 5
+        message = r"goes back in time at sample 2: t = 1\.0 after 2\.0"
+        with pytest.raises(ValueError, match=message):
+            ViewingTrace(times, zeros, zeros)
+        with pytest.raises(ValueError, match=message):
+            ViewingTrace.from_angles(times, zeros, zeros)
+        with pytest.raises(ValueError, match=message):
+            linear_trace(0, 1, sorted(times))[np.array([0, 2, 1, 3, 4])]
         held = linear_trace(0, 1, [0.0, 1.0, 1.0, 2.0, 3.0, 4.0])
-        assert error_experiment(held, interval=1.0, timeframe=0.5, step=0.5).size == 6
+        gathered = linear_trace(0, 1, [0.0, 1.0, 2.0, 3.0, 4.0])[np.array([0, 1, 1, 2, 3, 4])]
+        for trace in (held, gathered):
+            assert error_experiment(trace, interval=1.0, timeframe=0.5, step=0.5).size == 6
 
     def test_starts_at_first_full_window(self):
         times = np.linspace(0.0, 10.0, 41)  # 0.25 s apart, t_end exactly 10
