@@ -484,6 +484,9 @@ def _write_outputs(out_dir: str, source: str, rows: list[dict]) -> dict[str, lis
 # --- run ---------------------------------------------------------------------
 
 
+GAIN_KEY = "quality_gain_transition_over_prediction_ba_percent"
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     spec, run = _settings(args, RUN_SETTINGS)
     out_dir = run["out"]
@@ -526,12 +529,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     summary_rows = _write_output(
         "--out", out_dir, lambda out: _write_outputs(out, "segments.csv", rows)
     )["policy_summary.csv"]
-    gain = playback.quality_gain_percent(runs)
+    gain = playback.quality_gain_percent(rows)
     summary = {
         "spec": spec,
         "network_average_bps": network.average_bps(),
         "policies": summary_rows,
-        "quality_gain_transition_over_prediction_ba_percent": gain,
+        GAIN_KEY: gain,
     }
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     path = os.path.join(out_dir, "summary.json")
@@ -590,6 +593,32 @@ def _compare(path: str, columns: list[str], expected: list[dict]) -> list[str]:
     return [f"{path}:{line}: {g!r} != recomputed {w!r}" for line, g, w in diffs[:5]]
 
 
+def _check_summary(path: str, rows: list[dict]) -> list[str]:
+    """Where `summary.json` disagrees with `segments.csv`'s rows: its
+    `policies` against policy_summary_rows after a JSON round trip, and its
+    gain against quality_gain_percent. Its `spec` and network average are
+    not derived from the rows and go unchecked."""
+    try:
+        text = _read_input("--out", path, lambda p: Path(p).read_text(encoding="utf-8"))
+    except UsageError as e:
+        return [str(e)]
+    try:
+        summary = json.loads(text)
+    except ValueError as e:
+        return [f"{path}: not JSON: {e}"]
+    if not isinstance(summary, dict):
+        return [f"{path}: not a JSON object"]
+    expected = {
+        "policies": json.loads(json.dumps(playback.policy_summary_rows(rows))),
+        GAIN_KEY: playback.quality_gain_percent(rows),
+    }
+    return [
+        f"{path}: {key}: {summary.get(key, 'missing')!r} != recomputed {want!r}"
+        for key, want in expected.items()
+        if key not in summary or summary[key] != want
+    ]
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     out_dir = _settings(args, VERIFY_SETTINGS)[1]["out"]
     if not os.path.isdir(out_dir):
@@ -601,11 +630,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not os.path.exists(path):
             continue
         rows = _read_input("--out", path, lambda p: _read_source(p, parsers))
-        for name, columns, derive in derived:
-            lines = _compare(os.path.join(out_dir, name), columns, derive(rows))
-            problems += lines
-            mismatched += bool(lines)
-        checked += len(derived)
+        results = [_compare(os.path.join(out_dir, name), columns, derive(rows))
+                   for name, columns, derive in derived]
+        if source == "segments.csv":
+            results.append(_check_summary(os.path.join(out_dir, "summary.json"), rows))
+        problems += [line for lines in results for line in lines]
+        mismatched += sum(map(bool, results))
+        checked += len(results)
     if checked == 0:
         raise UsageError(f"--out: {out_dir} holds no verifiable outputs")
     if problems:

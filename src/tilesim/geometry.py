@@ -148,17 +148,23 @@ def rank_tiles(scores: np.ndarray) -> np.ndarray:
 
 
 # Direction samples (poses x samples_per_axis**2) that tile_visibility scores
-# per pass: its transient arrays stay a few buffers of this many floats.
+# per pass: its transient arrays stay a few buffers of this many values.
 CHUNK_SAMPLES = 16_384
+
+# tile_visibility's float32 pass certifies a sample's tile when the sample is
+# more than FILTER_BOUND radians from every tile edge and its direction's z
+# is under Z_CAP in magnitude; the kernel's comment derives both.
+FILTER_BOUND = 1e-4
+Z_CAP = 0.99
 
 
 @functools.lru_cache(maxsize=8)
-def _fov_offsets(fov: FovSpec, n: int) -> np.ndarray:
+def _fov_offsets(fov: FovSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     """offsets[v, s]: the forward (v=0), right (1) and up (2) components
     (cos b cos a, cos b sin a, sin b) of FoV sample s, for the n*n samples
-    (alpha-major); one read-only (3, n*n) array shared by every call. Each
-    axis spans the FoV edge to edge, but for n = 1, whose one sample is at
-    its centre."""
+    (alpha-major); read-only (3, n*n) arrays shared by every call, in float64
+    and rounded to float32. Each axis spans the FoV edge to edge, but for
+    n = 1, whose one sample is at its centre."""
     alpha, beta = (
         np.radians(np.linspace(-extent / 2.0, extent / 2.0, n) if n > 1 else np.zeros(1))
         for extent in (fov.h_deg, fov.v_deg)
@@ -170,8 +176,10 @@ def _fov_offsets(fov: FovSpec, n: int) -> np.ndarray:
     ca, sa = np.cos(aa), np.sin(aa)
     cb, sb = np.cos(bb), np.sin(bb)
     offsets = np.stack((cb * ca, cb * sa, sb))
+    offsets32 = offsets.astype(np.float32)
     offsets.setflags(write=False)
-    return offsets
+    offsets32.setflags(write=False)
+    return offsets, offsets32
 
 
 def camera_frames(poses: ViewingTrace) -> np.ndarray:
@@ -185,6 +193,58 @@ def camera_frames(poses: ViewingTrace) -> np.ndarray:
     right = (-sy, cy, np.zeros_like(cy))
     up = (-sp * cy, -sp * sy, cp)
     return np.stack([np.stack(v, axis=-1) for v in (forward, right, up)], axis=1)
+
+
+def _angles32(
+    frames32: np.ndarray, offsets32: np.ndarray, xyz: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 pass's angles: out[0, k, s] and out[1, k, s] are the yaw
+    and pitch, in radians, of FoV sample s of frame k, for float32 frames
+    (k, 3, 3) and offsets (3, S). xyz is (3, k, S) float32 scratch for the
+    directions. Returns out and each direction's z, clipped to [-1, 1]."""
+    x, y, z = np.matmul(frames32.transpose(2, 0, 1), offsets32, out=xyz)
+    np.arctan2(y, x, out=out[0])
+    np.arcsin(np.clip(z, -1.0, 1.0, out=z), out=out[1])
+    return out, z
+
+
+def _tiles64(
+    frames: np.ndarray, offsets: np.ndarray, pose: np.ndarray, sample: np.ndarray, grid: TileGrid
+) -> np.ndarray:
+    """The float64 chain, src/'s one float64 binning: the flat tile index of
+    FoV sample sample[m] of frame pose[m], for each m. Each direction is
+    f*o0 + r*o1 + u*o2 in separate multiplies and adds, in that order, as
+    the scalar form sums it, so it keeps every bit, a zero's sign included,
+    and NaN propagates as in the sum."""
+    f = frames[pose]
+    o = offsets[:, sample]
+    x, y, z = f[:, 0].T * o[0] + f[:, 1].T * o[1] + f[:, 2].T * o[2]
+    yaw = np.arctan2(y, x)
+    yaw *= 180.0 / math.pi  # np.degrees, bit for bit
+    # (yaw + 180) % 360 - 180 without the slow float %: arctan2 keeps yaw
+    # + 180 in [0, 360] (-pi becomes -180 exactly), where % maps 360 to 0.
+    yaw += 180.0
+    np.subtract(yaw, 360.0, out=yaw, where=yaw >= 360.0)
+    yaw -= 180.0
+    pitch = np.arcsin(np.clip(z, -1.0, 1.0, out=z), out=z)
+    pitch *= 180.0 / math.pi
+    # Tile column and row. Adding back the 180 just taken off rounds like
+    # the wrap did.
+    yaw += 180.0
+    yaw *= grid.cols
+    yaw /= 360.0
+    pitch = np.subtract(90.0, pitch, out=pitch)
+    pitch *= grid.rows
+    pitch /= 180.0
+    # The int cast truncates, and after the clip that is floor: the two
+    # differ only on a negative non-integer, where both give an int <= 0
+    # that the clip takes to 0 (a pitch value can be -1.4e-14, as arcsin(1)
+    # in degrees can exceed 90 by an ulp). NaN casts alike either way.
+    i = np.clip(yaw.astype(np.int64), 0, grid.cols - 1)
+    j = np.clip(pitch.astype(np.int64), 0, grid.rows - 1)
+    j *= grid.cols
+    j += i
+    return j
 
 
 def tile_visibility(
@@ -202,12 +262,15 @@ def tile_visibility(
     casts the one direction the pose faces). Offsets are applied along great
     circles of the local camera frame (not a planar projection), each sample
     contributing 1 / samples_per_axis**2 to the tile its direction falls in.
-    The batch is scored CHUNK_SAMPLES directions at a time, with the same
-    float operations for every pose, so a row does not depend on the batch
-    it was scored in: one einsum turns a chunk's frames and the FoV offsets
-    into directions, arctan2 and arcsin turn those back into angles, and an
-    int cast bins them. A run of consecutive poses with bit-identical frames
-    (a viewer holding still, a sample-and-hold trace) is scored once.
+    The batch is scored CHUNK_SAMPLES directions at a time, in two stages.
+    A float32 pass (one matmul, arctan2 and arcsin) bins every direction and
+    certifies the tile of each one that lies farther than FILTER_BOUND
+    radians from every tile edge; the float64 chain bins the rest, the few
+    near an edge, a pole or the seam, exactly as the scalar form does. A
+    certified tile is the float64 chain's tile, so every row keeps the
+    scalar form's bits and does not depend on the batch it was scored in.
+    A run of consecutive poses with bit-identical frames (a viewer holding
+    still, a sample-and-hold trace) is scored once.
     """
     if samples_per_axis < 1:
         raise ValueError("samples_per_axis must be >= 1")
@@ -217,60 +280,86 @@ def tile_visibility(
     first = np.ones(len(poses), dtype=bool)
     first[1:] = (bits[1:] != bits[:-1]).any(axis=1)
     frames = frames[first]
-    offsets = _fov_offsets(fov, samples_per_axis)
-    samples = samples_per_axis * samples_per_axis
-    scores = np.empty((len(frames), grid.tile_count))
+    offsets, offsets32 = _fov_offsets(fov, samples_per_axis)
+    samples = offsets.shape[1]
+    tiles = grid.tile_count
+    # Why a certified sample's float32 tile is the float64 chain's tile:
+    # - Frames and offsets rounded to float32 are within 6e-8 of their
+    #   values, relatively. Each of x, y, z sums three products whose
+    #   magnitudes add up to at most 1 (a frame's column and an offset are
+    #   unit vectors), so in whatever order or fusing the matmul sums them,
+    #   each component is within 3e-7 of the exact unit direction.
+    # - Where |z| < Z_CAP = 0.99, h = sqrt(x^2 + y^2) > 0.14. Yaw and pitch
+    #   move by at most the direction's error over h, so they are within
+    #   3.0e-6 and 2.1e-6 rad. arctan2 and arcsin's few float32 ulps and
+    #   the roundings of the scaling to tile units below add under 2e-6
+    #   rad, so the pass's angles are within 5e-6 rad of the exact ones.
+    #   A test measures them within 1e-6 rad of the float64 chain's.
+    # - The float64 chain's angles are within about 1e-12 rad of exact.
+    # - So a sample whose float32 angles lie more than FILTER_BOUND = 1e-4
+    #   rad (20 times 5e-6) from every tile edge is in one tile under exact
+    #   arithmetic, the float32 pass and the float64 chain alike. The yaw
+    #   wrap at the seam, the clips and the edge-ownership rule act only at
+    #   edges, where no sample is certified; nor is a sample near a pole,
+    #   a NaN one, or any on a grid whose tiles are narrower than the bound.
+    # Per axis, in tile units, column u = yaw * cols / 2pi + cols / 2 and
+    # row v = -pitch * rows / pi + rows / 2; floor and the fraction u -
+    # floor(u) are exact, and the bound becomes a margin on the fraction.
+    scale = np.array([grid.cols / (2.0 * math.pi), -grid.rows / math.pi])[:, None, None]
+    shift = np.array([grid.cols / 2.0, grid.rows / 2.0])[:, None, None]
+    margin = FILTER_BOUND * np.abs(scale)
+    scale, shift, low, high = (a.astype(np.float32) for a in (scale, shift, margin, 1.0 - margin))
+    frames32 = frames.astype(np.float32)
+    scores = np.empty((len(frames), tiles))
     step = max(1, CHUNK_SAMPLES // samples)
-    buffers = np.empty((4, min(step, len(frames)), samples))
+    # Three float32 buffers of a chunk's directions, angles and floors. Each
+    # chunk takes the front of each as contiguous arrays, and the int32 tiles
+    # and int64 flat indices reuse the memory of the directions and floors.
+    most = min(step, len(frames))
+    xyz_buf, angle_buf, cell_buf = (np.empty(n * most * samples, np.float32) for n in (3, 2, 2))
+    pose_offsets = np.arange(most, dtype=np.int64)[:, None] * tiles
+    flagged: list[np.ndarray] = []
+    pending = 0
     for start in range(0, len(frames), step):
-        frame = frames[start : start + step]
-        k = frame.shape[0]
-        x, y, z, term = (b[:k] for b in buffers)
-        # x, y, z in one pass: component c of sample s of pose k is
-        # sum over v of frame[k, v, c] * offsets[v, s]. Without optimize,
-        # numpy's einsum multiplies and then adds each product, unfused, in
-        # v order, onto an accumulator that starts at +0.0: ((0 + f*o0) +
-        # r*o1) + u*o2. So each value keeps the bits of f*o0 + r*o1 + u*o2
-        # but for a zero's sign: where all three products are -0.0 it gives
-        # +0.0, not -0.0. That never shows. x's first product, cos p cos y
-        # cos b cos a, is never zero, as no double's cosine is 0, so x keeps
-        # every bit; a zero y's sign only picks arctan2's +-0 or +-pi, which
-        # the yaw wrap below maps to one value; a zero z's sign is lost in
-        # 90 - pitch. NaN propagates as in the sum.
-        np.einsum("kvc,vs->cks", frame, offsets, out=buffers[:3, :k])
-        yaw = np.arctan2(y, x, out=y)
-        yaw *= 180.0 / math.pi  # np.degrees, bit for bit
-        # (yaw + 180) % 360 - 180 without the slow float %: arctan2 keeps yaw
-        # + 180 in [0, 360] (-pi becomes -180 exactly), where % maps 360 to 0.
-        yaw += 180.0
-        np.subtract(yaw, 360.0, out=yaw, where=yaw >= 360.0)
-        yaw -= 180.0
-        pitch = np.arcsin(np.clip(z, -1.0, 1.0, out=z), out=z)
-        pitch *= 180.0 / math.pi
-        # Tile column and row. Adding back the 180 just taken off rounds
-        # like the wrap did.
-        yaw += 180.0
-        yaw *= grid.cols
-        yaw /= 360.0
-        pitch = np.subtract(90.0, pitch, out=pitch)
-        pitch *= grid.rows
-        pitch /= 180.0
-        # The int indices reuse the memory of x and term, free by now. The
-        # assignments truncate like astype(np.int64), and after the clip
-        # that is floor: the two differ only on a negative non-integer,
-        # where both give an int <= 0 that the clip takes to 0 (a pitch
-        # value can be -1.4e-14, as arcsin(1) in degrees can exceed 90 by
-        # an ulp). NaN casts alike either way.
-        i = term.view(np.int64)
-        i[...] = yaw
-        j = x.view(np.int64)
-        j[...] = pitch
-        np.clip(i, 0, grid.cols - 1, out=i)
-        np.clip(j, 0, grid.rows - 1, out=j)
-        # Flat tile index, offset by tile_count per pose for one bincount.
-        j *= grid.cols
-        j += i
-        j += np.arange(k)[:, None] * grid.tile_count
-        counts = np.bincount(j.ravel(), minlength=k * grid.tile_count)
-        np.divide(counts.reshape(k, -1), float(samples), out=scores[start : start + k])
+        k = min(step, len(frames) - start)
+        n = k * samples
+        xyz = xyz_buf[: 3 * n].reshape(3, k, samples)
+        angles, z = _angles32(
+            frames32[start : start + k], offsets32, xyz, angle_buf[: 2 * n].reshape(2, k, samples)
+        )
+        certified = np.abs(z, out=z) < Z_CAP
+        angles *= scale
+        angles += shift
+        cell = np.floor(angles, out=cell_buf[: 2 * n].reshape(2, k, samples))
+        angles -= cell  # each axis's fraction, exactly
+        inside = (angles > low) & (angles < high)
+        certified &= inside[0]
+        certified &= inside[1]
+        # A certified sample's fractions lie in (margin, 1 - margin), so its
+        # floor(u) and floor(v) are a column and row of the grid. Its tile
+        # is exact in int32 (a grid of 2**31 tiles could not hold one score
+        # row in memory), and the int64 flat index is offset by `tiles` per
+        # pose for one bincount. The other samples count in a last bin,
+        # dropped.
+        col_row = xyz_buf[: 2 * n].view(np.int32).reshape(2, k, samples)
+        np.copyto(col_row, cell, casting="unsafe")
+        col, row = col_row
+        row *= grid.cols
+        row += col
+        flat = cell_buf[: 2 * n].view(np.int64).reshape(k, samples)
+        np.add(row, pose_offsets[:k], out=flat)
+        rest = np.flatnonzero(~certified)
+        flat.ravel()[rest] = k * tiles
+        counts = np.bincount(flat.ravel(), minlength=k * tiles + 1)
+        scores[start : start + k] = counts[:-1].reshape(k, tiles)
+        flagged.append(rest + start * samples)
+        pending += rest.size
+        # The float64 chain holds about 20 values per sample, so it runs
+        # once an eighth of a chunk's samples are flagged, and at the end.
+        if pending >= CHUNK_SAMPLES // 8 or (pending and start + k == len(frames)):
+            pose, sample = np.divmod(np.concatenate(flagged), samples)
+            tile = _tiles64(frames, offsets, pose, sample, grid)
+            np.add.at(scores.reshape(-1), pose * tiles + tile, 1.0)
+            flagged, pending = [], 0
+    scores /= samples
     return scores[np.cumsum(first) - 1]

@@ -259,18 +259,6 @@ def simulate(
     return SessionMetrics(policy=policy.value, records=records)
 
 
-def quality_gain_percent(runs: dict[str, list[SessionMetrics]]) -> float | None:
-    """Relative mean-quality gain of transition over prediction-ba, in percent."""
-    of, over = PolicyKind.TRANSITION.value, PolicyKind.PREDICTION_BA.value
-    if of not in runs or over not in runs:
-        return None
-    ours = float(np.mean([m.avg_quality for m in runs[of]]))
-    base = float(np.mean([m.avg_quality for m in runs[over]]))
-    if base == 0.0:
-        return None
-    return (ours - base) / base * 100.0
-
-
 def run_experiment(
     manifest: VideoManifest,
     viewing_traces: list[ViewingTrace],
@@ -405,6 +393,25 @@ def policy_summary_rows(rows: list[dict]) -> list[dict]:
             }
         )
     return out
+
+
+def quality_gain_percent(rows: list[dict]) -> float | None:
+    """Relative mean-quality gain of transition over prediction-ba, in
+    percent, from flattened segment rows alone, so `run` and `verify` share
+    it: a session's quality is the mean of its `levels` cells, read back as
+    ints, as `SessionMetrics.avg_quality` takes it."""
+    quality: dict[str, list[float]] = {}
+    for (policy, _), mine in group_rows(rows, "policy", "iteration").items():
+        levels = [[int(level) for level in r["levels"].split("|")] for r in mine]
+        quality.setdefault(policy, []).append(float(np.mean(levels)))
+    of, over = PolicyKind.TRANSITION.value, PolicyKind.PREDICTION_BA.value
+    if of not in quality or over not in quality:
+        return None
+    ours = float(np.mean(quality[of]))
+    base = float(np.mean(quality[over]))
+    if base == 0.0:
+        return None
+    return (ours - base) / base * 100.0
 
 
 SHARE_COLUMNS = ["policy", "segment", "popularity_share"]

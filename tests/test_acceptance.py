@@ -34,6 +34,7 @@ from tilesim.netsim import save_trace
 from tilesim.playback import (
     quality_gain_percent,
     run_experiment,
+    segment_rows,
 )
 from tilesim.popularity import build_heat, quantize
 from tilesim.prediction import error_experiment
@@ -261,7 +262,7 @@ def test_criterion_09_qoe_orderings():
     q_tr, q_ba = quality(PolicyKind.TRANSITION), quality(PolicyKind.PREDICTION_BA)
     q_pred, q_pop = quality(PolicyKind.PREDICTION), quality(PolicyKind.POPULARITY)
     assert q_tr.mean() > q_ba.mean()
-    gain = quality_gain_percent(runs)
+    gain = quality_gain_percent(segment_rows(runs))
     assert gain is not None and gain > 0.0
 
     lo = np.minimum(q_pred, q_pop) - 1e-9

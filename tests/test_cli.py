@@ -913,6 +913,77 @@ class TestVerify:
         err = capsys.readouterr().err
         assert name in err and named in err, err
 
+    @pytest.fixture(scope="class")
+    def gain_outputs(self, ws, tmp_path_factory):
+        """A `run` whose summary.json holds a transition-over-prediction-ba gain."""
+        out = tmp_path_factory.mktemp("gain") / "out"
+        assert main([
+            "run", "--manifest", ws["manifest"], "--traces", ws["traces"],
+            "--network", ws["network"], "--policies", "prediction-ba,transition",
+            "--network-scale", "0.05", "--iterations", "2", "--samples", "8", "--out", str(out),
+        ]) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "key, field",
+        [("policies", field) for field in playback.SUMMARY_COLUMNS] + [(cli.GAIN_KEY, None)],
+    )
+    def test_tampered_summary_value_is_a_listed_mismatch(
+        self, gain_outputs, tmp_path, capsys, key, field
+    ):
+        """Each of summary.json's values derived from segments.csv, changed
+        by one ulp, one count or one letter: exit 1, naming the file and the
+        key."""
+        out = tmp_path / "out"
+        shutil.copytree(gain_outputs, out)
+        path = out / "summary.json"
+        doc = json.loads(path.read_text())
+        assert isinstance(doc[cli.GAIN_KEY], float)
+        holder, name = (doc["policies"][-1], field) if field else (doc, key)
+        value = holder[name]
+        holder[name] = (
+            value + "x" if isinstance(value, str)
+            else value + 1 if isinstance(value, int)
+            else math.nextafter(value, math.inf)
+        )
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        assert main(["verify", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"{path}: {key}: "), err
+        assert err[-1] == "verify: 1 mismatch(es)", err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda path: path.unlink(),
+            lambda path: path.write_text("{"),
+            lambda path: path.write_text("[]"),
+            lambda path: path.write_text(json.dumps(
+                {k: v for k, v in json.loads(path.read_text()).items() if k != "policies"}
+            )),
+        ],
+        ids=["missing", "not-json", "not-an-object", "key-missing"],
+    )
+    def test_summary_defect_is_a_listed_mismatch(self, gain_outputs, tmp_path, capsys, damage):
+        out = tmp_path / "out"
+        shutil.copytree(gain_outputs, out)
+        damage(out / "summary.json")
+        assert main(["verify", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "summary.json" in err and "verify: 1 mismatch(es)" in err, err
+
+    def test_summary_spec_and_network_average_go_unchecked(self, gain_outputs, tmp_path, capsys):
+        """Neither is derived from segments.csv, so verify cannot recompute them."""
+        out = tmp_path / "out"
+        shutil.copytree(gain_outputs, out)
+        path = out / "summary.json"
+        doc = json.loads(path.read_text())
+        doc["spec"]["seed"] += 1
+        doc["network_average_bps"] *= 2.0
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--out", str(out)]) == 0
+        assert "verify: 4 derived file(s) match their sources" in capsys.readouterr().out
+
     def test_empty_dir(self, tmp_path, capsys):
         assert main(["verify", "--out", str(tmp_path)]) == 2
         assert "no verifiable outputs" in capsys.readouterr().err

@@ -3,13 +3,15 @@
 numpy picks its `arctan2` and `arcsin` loops by CPU when it is imported, and
 the visibility kernel turns every FoV sample back into angles with them. On
 a host with AVX-512 their last bits differ between dispatch groups, so a
-tile edge could move a sample. The prediction errors' orthodromic distance
-takes numpy's `cross` and stacked `matmul`. This reruns the full-size
-reference-digest runs, the scalar-kernel oracle and the prediction-error
-oracle in a child process whose environment alone sets
-NPY_DISABLE_CPU_FEATURES to every dispatch group the host's numpy reports,
-so the child runs numpy's baseline loops. A BLAS library that numpy calls
-picks its own kernels, which this does not turn off.
+tile edge could move a sample, and the kernel's float32 pass relies on its
+float32 loops staying within a bound. The prediction errors' orthodromic
+distance takes numpy's `cross` and stacked `matmul`. This reruns the
+full-size reference-digest runs, the scalar-kernel oracle, the float32
+pass's bound and the prediction-error oracle in a child process whose
+environment alone sets NPY_DISABLE_CPU_FEATURES to every dispatch group the
+host's numpy reports, so the child runs numpy's baseline loops. A BLAS
+library that numpy calls, as the float32 pass's matmul does, picks its own
+kernels, which this does not turn off.
 """
 
 import os
@@ -24,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RERUN = [
     "tests/test_perfbench.py::test_full_size_run_matches_the_reference_digests",
     "tests/test_oracles.py::test_tile_visibility_rows_match_the_scalar_kernel",
+    "tests/test_geometry.py::test_float32_pass_angles_stay_within_a_hundredth_of_the_filter_bound",
     "tests/test_oracles.py::test_error_experiment_matches_the_per_step_loop",
 ]
 

@@ -17,6 +17,8 @@ from helpers import (
     visibility_oracle,
 )
 from tilesim.geometry import (
+    FILTER_BOUND,
+    Z_CAP,
     FovSpec,
     TileGrid,
     ViewingTrace,
@@ -25,6 +27,8 @@ from tilesim.geometry import (
     rank_tiles,
     tile_visibility,
     wrap_pose,
+    _angles32,
+    _fov_offsets,
 )
 
 yaws = st.floats(-720.0, 720.0, allow_nan=False)
@@ -239,3 +243,36 @@ class TestVisibility:
         scores = visibility_map(o, FovSpec(100.0, 80.0), TileGrid(4, 4), samples)
         assert scores.min() >= 0.0
         assert scores.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_float32_pass_angles_stay_within_a_hundredth_of_the_filter_bound():
+    """On over a million random (pose, FoV sample) pairs with |z| < Z_CAP,
+    the float32 pass's yaw and pitch stay within FILTER_BOUND / 100 radians
+    of the float64 chain's: f*o0 + r*o1 + u*o2 in float64, turned back into
+    angles. The kernel's certificate assumes 5e-6 radians."""
+    rng = np.random.default_rng(30)
+    checked, worst = 0, 0.0
+    for fov in (FovSpec(), FovSpec(360.0, 180.0), FovSpec(60.0, 30.0), FovSpec(5.0, 5.0)):
+        count = 300
+        yaw = rng.uniform(-180.0, 180.0, count)
+        pitch = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, count)))  # uniform on the sphere
+        frames = camera_frames(ViewingTrace.from_angles(np.zeros(count), yaw, pitch))
+        offsets, offsets32 = _fov_offsets(fov, 32)
+        shape = (count, offsets.shape[1])
+        angles, _ = _angles32(
+            frames.astype(np.float32), offsets32,
+            np.empty((3, *shape), np.float32), np.empty((2, *shape), np.float32),
+        )
+        x, y, z = (
+            frames[:, 0, c, None] * offsets[0]
+            + frames[:, 1, c, None] * offsets[1]
+            + frames[:, 2, c, None] * offsets[2]
+            for c in range(3)
+        )
+        near = np.abs(z) < Z_CAP
+        yaw_error = np.abs((angles[0] - np.arctan2(y, x) + np.pi) % (2.0 * np.pi) - np.pi)
+        pitch_error = np.abs(angles[1] - np.arcsin(np.clip(z, -1.0, 1.0)))
+        worst = max(worst, yaw_error[near].max(), pitch_error[near].max())
+        checked += int(near.sum())
+    assert checked >= 1_000_000
+    assert worst <= FILTER_BOUND / 100, worst

@@ -88,7 +88,7 @@ from tilesim.playback import (
 from tilesim.popularity import HeatMap, build_heat, quantize
 from tilesim.prediction import error_experiment, fit, nearest_sample, predict, select_window
 from tilesim.synthetic import constant_gaze, drifting_gaze, packet_slots, two_phase_network
-from tilesim import traceio
+from tilesim import geometry, traceio
 from tilesim.traceio import (
     WRITE_CHUNK_CELLS,
     ViewingTraceError,
@@ -229,17 +229,41 @@ def visibility_batches(draw):
 SIGNED_ZERO_POSES = [Orientation(y, p) for p in (0.0, -0.0, 90.0, -90.0) for y in (0.0, -0.0)]
 
 
+# Poses 1e-7 degrees from a 4x4 grid's column edge, row edge and seam, where
+# the float32 pass must leave the sample to the float64 chain, and 1e-2
+# degrees from them, outside its band, where it certifies the sample. At
+# n = 1 and n = 33 a FoV sample lies on the pose's own direction.
+EDGE_POSES = [
+    Orientation(yaw, pitch)
+    for d in (1e-7, -1e-7, 1e-2, -1e-2)
+    for yaw, pitch in ((90.0 + d, 10.0), (30.0, 45.0 + d), (-180.0 + d, -20.0))
+]
+POLE_POSES = [Orientation(y, p) for p in (90.0, -90.0) for y in (0.0, 45.0, -135.0)]
+
+
 @given(case=visibility_batches())
 @example(case=(1, FovSpec(), TileGrid(4, 4), SIGNED_ZERO_POSES, CHUNK_SAMPLES + 1, "trace", None))
 @example(case=(33, FovSpec(), TileGrid(4, 4), SIGNED_ZERO_POSES, CHUNK_SAMPLES // 33**2 + 1,
                "trace", None))
+@example(case=(1, FovSpec(), TileGrid(4, 4), EDGE_POSES, 2 * len(EDGE_POSES), "trace", None))
+@example(case=(33, FovSpec(30.0, 20.0), TileGrid(4, 4), EDGE_POSES, 2 * len(EDGE_POSES),
+               "trace", None))
+@example(case=(32, FovSpec(), TileGrid(4, 4), POLE_POSES, CHUNK_SAMPLES // 32**2 + 1,
+               "trace", None))
+@example(case=(32, FovSpec(), TileGrid(8, 8), [Orientation(math.nan, 0.0), Orientation(10.0, 5.0)],
+               3, "trace", None))
+@example(case=(32, FovSpec(), TileGrid(360, 180), EDGE_POSES + POLE_POSES,
+               CHUNK_SAMPLES // 32**2 + 1, "trace", None))
 @settings(max_examples=150, deadline=None)
 def test_tile_visibility_rows_match_the_scalar_kernel(case):
     """Batches of 0, 1, chunk-1, chunk and chunk+1 poses, cycling through a
     few distinct poses so every chunk position is checked against the
     scalar map of its pose. The batch is a trace of its own, a slice of a
     longer trace, a batch gathered by index (with repeats), or a trace of
-    predicted poses built from predict's pairs, as the callers build them."""
+    predicted poses built from predict's pairs, as the callers build them.
+    The examples put samples inside and just outside the float32 pass's
+    band around tile edges, at the poles, in a NaN pose, and on a grid of
+    1-degree tiles."""
     n, fov, grid, pool, length, form, extra = case
     index = np.arange(length) % len(pool)
     if form == "trace":
@@ -259,9 +283,11 @@ def test_tile_visibility_rows_match_the_scalar_kernel(case):
         batch = ViewingTrace(
             np.arange(length), [pairs[i][0] for i in index], [pairs[i][1] for i in index]
         )
-    rows = tile_visibility(batch, fov, grid, n)
+    nan = any(math.isnan(o.yaw) for o in pool)
+    with np.errstate(invalid="ignore" if nan else "warn"):  # a NaN pose's int cast
+        rows = tile_visibility(batch, fov, grid, n)
+        expected = [scalar_tile_visibility(o, fov, grid, n).tobytes() for o in pool]
     assert rows.shape == (length, grid.tile_count)
-    expected = [scalar_tile_visibility(o, fov, grid, n).tobytes() for o in pool]
     for k, row in enumerate(rows):
         assert row.tobytes() == expected[index[k]], (k, pool[index[k]])
 
@@ -306,16 +332,16 @@ def test_tile_visibility_rows_match_the_scalar_kernel_on_runs_of_held_poses(data
 
 
 def test_tile_visibility_scores_each_run_of_identical_poses_once(monkeypatch):
-    """Each chunk pass takes the arctan2 of its poses' directions, so the
-    rows passed to it count the poses scored."""
+    """Each chunk's float32 pass takes its poses' frames, so the frames
+    passed to it count the poses scored."""
     scored = []
-    arctan2 = np.arctan2
+    angles32 = geometry._angles32
 
-    def spy(y, x, **kwargs):
-        scored.append(len(y))
-        return arctan2(y, x, **kwargs)
+    def spy(frames32, *args):
+        scored.append(len(frames32))
+        return angles32(frames32, *args)
 
-    monkeypatch.setattr(np, "arctan2", spy)
+    monkeypatch.setattr(geometry, "_angles32", spy)
     held, other = Orientation(30.0, 10.0), Orientation(-60.0, 5.0)
     grid = TileGrid(4, 4)
     rows = tile_visibility(pose_trace((held,) * 1000), FovSpec(), grid, 32)

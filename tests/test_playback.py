@@ -391,7 +391,7 @@ class TestExperimentDriver:
         assert list(runs) == ["prediction"]
         assert len(runs["prediction"]) == 1
         assert isinstance(runs["prediction"][0], SessionMetrics)
-        assert quality_gain_percent(runs) is None
+        assert quality_gain_percent(segment_rows(runs)) is None
 
     @pytest.mark.parametrize("setting, message", [
         ({"hysteresis": 0.9}, "hysteresis must be >= 1"),
@@ -457,7 +457,7 @@ class TestExperimentDriver:
         )
         # ample bandwidth: transition stays on prediction, which matches
         # prediction-ba at delta = 0
-        assert quality_gain_percent(runs) == 0.0
+        assert quality_gain_percent(segment_rows(runs)) == 0.0
 
 
 class TestPredictionPlans:
