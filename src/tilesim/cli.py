@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -87,7 +88,8 @@ def _write_output(flag: str, path: str, write: Callable):
         raise UsageError(f"{flag}: {e.filename or path}: cannot write: {reason}") from None
 
 
-def _load_config(path: str) -> dict:
+def _load_json_object(path: str) -> dict:
+    """The object a JSON file holds: `run`'s `--config`, `verify`'s summary.json."""
     with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
@@ -134,13 +136,22 @@ class _Number:
 
 
 @dataclass(frozen=True)
-class _Numbers:
-    """A comma-separated list of at least one `item`."""
+class _Listed:
+    """A comma-separated string, or a config file's JSON list, of at least
+    one `item`, each at most once: values are compared after conversion, so
+    `0.5,0.50` and `0,-0` repeat."""
 
-    item: _Number
+    item: Callable
 
-    def __call__(self, text):
-        values = [self.item(x) for x in str(text).split(",") if x.strip()]
+    def __call__(self, value):
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        values = []
+        for cell in filter(None, map(str.strip, str(value).split(","))):
+            x = self.item(cell)
+            if x in values:
+                raise ValueError(f"{cell!r} listed twice")
+            values.append(x)
         if not values:
             raise ValueError("empty list")
         return values
@@ -170,24 +181,6 @@ def _policy(kind: type, name):
     except ValueError:
         valid = ", ".join(p.value for p in kind)
         raise ValueError(f"unknown policy {name!r} (valid: {valid})") from None
-
-
-def _parse_policies(names) -> list[PolicyKind]:
-    """A comma-separated string, or a list in a config file."""
-    if isinstance(names, list):
-        names = ",".join(map(str, names))
-    out = []
-    for name in str(names).split(","):
-        name = name.strip()
-        if not name:
-            continue
-        policy = _policy(PolicyKind, name)
-        if policy in out:
-            raise ValueError(f"policy {name!r} listed twice")
-        out.append(policy)
-    if not out:
-        raise ValueError("empty list")
-    return out
 
 
 def _cache_policy(value):
@@ -256,9 +249,9 @@ POPULARITY_SETTINGS = (
 PREDICT_ERROR_SETTINGS = (
     _TRACES,
     Setting("--intervals", "intervals", "0.5,1.0,1.5,2.0", "comma-separated look-ahead seconds",
-            _Numbers(_Number(float, 0.0))),
+            _Listed(_Number(float, 0.0))),
     Setting("--timeframes", "timeframes", "0.1,1.0", "comma-separated regression windows",
-            _Numbers(_Number(float, 0.0, strict=True))),
+            _Listed(_Number(float, 0.0, strict=True))),
     Setting("--step", "step", 1.5, "trace step seconds", _Number(float, 0.0, strict=True)),
     _OUT,
 )
@@ -273,7 +266,7 @@ RUN_SETTINGS = (
             _Number(float, 0.0, strict=True)),
     Setting("--policies", "policies", "transition",
             "comma-separated: naive,prediction,popularity,prediction-ba,transition",
-            _parse_policies),
+            _Listed(partial(_policy, PolicyKind))),
     Setting("--iterations", "iterations", 1, "runs per policy", _Number(int, 1)),
     Setting("--seed", "seed", 0, "experiment seed", _Number(int)),
     Setting("--cache-policy", "cache_policy", None,
@@ -301,7 +294,7 @@ def _settings(args: argparse.Namespace, table: tuple[Setting, ...]) -> tuple[dic
     config key."""
     doc = {}
     if getattr(args, "config", None) is not None:
-        doc = _read_input("--config", args.config, _load_config)
+        doc = _read_input("--config", args.config, _load_json_object)
         unknown = set(doc) - {s.key for s in table}
         if unknown:
             raise UsageError(f"--config: unknown keys {sorted(unknown)}")
@@ -357,7 +350,7 @@ def cmd_popularity(args: argparse.Namespace) -> int:
     m = _read_input("--manifest", s["manifest"], manifest_mod.load)
     traces = _read_input("--traces", s["traces"], traceio.load_trace_dir)
     heat = popularity.build_heat(
-        traces,
+        traces.values(),
         m.grid,
         s["fov"],
         m.segment_length,
@@ -405,9 +398,8 @@ def prediction_summary_rows(step_rows: list[dict]) -> list[dict]:
 def cmd_predict_error(args: argparse.Namespace) -> int:
     _, s = _settings(args, PREDICT_ERROR_SETTINGS)
     step_rows = []
-    for name in _read_input("--traces", s["traces"], traceio.trace_files):
+    for name, trace in _read_input("--traces", s["traces"], traceio.load_trace_dir).items():
         path = os.path.join(s["traces"], name)
-        trace = _read_input("--traces", path, traceio.load_viewing_trace)
         for interval in s["intervals"]:
             for timeframe in s["timeframes"]:
                 try:
@@ -505,12 +497,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     # Iteration i replays traces[i % len]: run_experiment's check of a
     # replayed trace, here naming its file.
-    for name, trace in zip(traceio.trace_files(run["traces"]), traces[: run["iterations"]]):
+    for name, trace in itertools.islice(traces.items(), run["iterations"]):
         path = os.path.join(run["traces"], name)
         _checked("--traces", lambda t: playback._check_trace(t, run["timeframe"], path), trace)
     runs = playback.run_experiment(
         manifest=m,
-        viewing_traces=traces,
+        viewing_traces=list(traces.values()),
         network_trace=network,
         policies=run["policies"],
         iterations=run["iterations"],
@@ -599,15 +591,9 @@ def _check_summary(path: str, rows: list[dict]) -> list[str]:
     gain against quality_gain_percent. Its `spec` and network average are
     not derived from the rows and go unchecked."""
     try:
-        text = _read_input("--out", path, lambda p: Path(p).read_text(encoding="utf-8"))
+        summary = _read_input("--out", path, _load_json_object)
     except UsageError as e:
         return [str(e)]
-    try:
-        summary = json.loads(text)
-    except ValueError as e:
-        return [f"{path}: not JSON: {e}"]
-    if not isinstance(summary, dict):
-        return [f"{path}: not a JSON object"]
     expected = {
         "policies": json.loads(json.dumps(playback.policy_summary_rows(rows))),
         GAIN_KEY: playback.quality_gain_percent(rows),

@@ -130,8 +130,12 @@ def orthodromic_distance(a: ViewingTrace, b: ViewingTrace) -> np.ndarray:
     stays well-conditioned for nearly-parallel directions, where acos alone
     loses six digits. The dot product and the cross product's squared norm
     are stacked matmuls of a row by a column, which keep the bits of a 1-D
-    np.dot (and so of np.linalg.norm, its sqrt) where a component sum or
-    einsum would not.
+    np.dot (and so of np.linalg.norm, its sqrt). numpy hands both to BLAS,
+    so those bits depend on the BLAS kernel that runs: OpenBLAS's SkylakeX
+    kernel rounds a length-3 dot as fma(a2,b2,fma(a1,b1,a0*b0)), its Haswell
+    and Sandybridge kernels, like a component sum, as the plain sum.
+    `perfbench/reference.json`'s `trace-analysis` digests hold under the
+    first only.
     """
     va, vb = camera_frames(a)[:, 0], camera_frames(b)[:, 0]
     cross = np.cross(va, vb)

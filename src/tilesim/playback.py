@@ -45,6 +45,13 @@ def _column(parse: Callable, cell: Callable | None = None):
     return field(metadata={"parse": parse, "cell": cell})
 
 
+def _levels_cell(cell: str) -> str:
+    """A `levels` cell, unchanged, once each `|`-separated part reads as an int."""
+    for part in cell.split("|"):
+        int(part)
+    return cell
+
+
 @dataclass
 class SegmentRecord:
     """One `segments.csv` row after its `policy` and `iteration` columns: each
@@ -52,7 +59,7 @@ class SegmentRecord:
 
     segment: int = _column(int)
     active: str = _column(str)  # mechanism that chose the levels (transitions record the delegate)
-    levels: tuple[int, ...] = _column(str, cell=lambda levels: "|".join(map(str, levels)))
+    levels: tuple[int, ...] = _column(_levels_cell, cell=lambda levels: "|".join(map(str, levels)))
     bytes_total: int = _column(int)
     bytes_from_cache: int = _column(int)
     bytes_from_origin: int = _column(int)

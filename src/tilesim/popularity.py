@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -30,7 +30,7 @@ class HeatMap:
 
 
 def build_heat(
-    traces: Sequence[ViewingTrace],
+    traces: Iterable[ViewingTrace],
     grid: TileGrid,
     fov: FovSpec,
     segment_length: float,

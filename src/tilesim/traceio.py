@@ -196,14 +196,9 @@ def save_viewing_trace(trace: ViewingTrace, path: str) -> None:
     write_table(path, "%r,%r,%r,0.0\r\n", (trace.t, trace.yaw, trace.pitch), _EULER_HEADER)
 
 
-def trace_files(path: str) -> list[str]:
-    """The names of the *.csv traces in a directory, sorted."""
+def load_trace_dir(path: str) -> dict[str, ViewingTrace]:
+    """Every *.csv trace in a directory, keyed by file name, in name order."""
     names = sorted(n for n in os.listdir(path) if n.endswith(".csv"))
     if not names:
         raise ViewingTraceError(f"{path}: no .csv viewing traces found")
-    return names
-
-
-def load_trace_dir(path: str) -> list[ViewingTrace]:
-    """All *.csv traces under a directory, ordered by file name."""
-    return [load_viewing_trace(os.path.join(path, n)) for n in trace_files(path)]
+    return {n: load_viewing_trace(os.path.join(path, n)) for n in names}

@@ -308,6 +308,25 @@ def test_malformed_network_trace_prints_only_its_error(ws, tmp_path, text, messa
     assert proc.stderr == f"tilesim: error: --network: {network}:{message}\n"
 
 
+@pytest.mark.parametrize("command", ["popularity", "predict-error", "run"])
+def test_each_trace_reader_lists_traces_once(ws, tmp_path, monkeypatch, command):
+    """Each command reads `--traces` through the one loader, which lists the
+    directory once."""
+    manifest = tmp_path / "manifest.json"
+    shutil.copy(ws["manifest"], manifest)
+    flags = {
+        "popularity": ["--manifest", str(manifest), "--samples", "4"],
+        "predict-error": ["--out", str(tmp_path / "out")],
+        "run": ["--manifest", str(manifest), "--network", ws["network"], "--samples", "4",
+                "--out", str(tmp_path / "out")],
+    }[command]
+    listed = []
+    listdir = os.listdir
+    monkeypatch.setattr(os, "listdir", lambda path: listed.append(path) or listdir(path))
+    assert main([command, "--traces", ws["traces"], *flags]) == 0
+    assert listed.count(ws["traces"]) == 1, listed
+
+
 class TestSynth:
     def test_deterministic_and_reports_file_count(self, tmp_path, capsys):
         args = ["synth", "--duration", "40", "--segment-length", "1.5",
@@ -454,9 +473,12 @@ class TestPredictError:
     @pytest.mark.parametrize(
         "flag, value",
         [("--intervals", "nan"), ("--intervals", "-5"), ("--timeframes", "0"),
-         ("--step", "nan")],
+         ("--step", "nan"), ("--intervals", "0.5,0.50"), ("--intervals", "0,-0"),
+         ("--timeframes", "1,1.0")],
     )
     def test_bad_value_names_its_flag(self, ws, tmp_path, capsys, flag, value):
+        """Exit 2 naming the flag, with no output: a value out of range, or
+        one listed twice, compared as numbers."""
         assert main([
             "predict-error", "--traces", ws["traces_linear"],
             "--out", str(tmp_path / "out"), f"{flag}={value}",
@@ -836,9 +858,11 @@ class TestVerify:
              "prediction_error_steps.csv:2: step"),
             ("segments.csv", 2, lambda c: c[:1] + ["9" * 200_000] + c[2:],
              "--out: segments.csv:3: field larger than field limit"),
+            ("segments.csv", 2, lambda c: c[:4] + ["3|x|0"] + c[5:], "segments.csv:3: levels"),
+            ("segments.csv", 2, lambda c: c[:4] + [""] + c[5:], "segments.csv:3: levels"),
         ],
         ids=["bad-cell", "too-few-cells", "extra-cell", "renamed-column", "bad-step-cell",
-             "oversized-cell"],
+             "oversized-cell", "bad-level", "empty-levels"],
     )
     def test_malformed_source_exits_2_naming_file_and_line(
         self, outputs, tmp_path, capsys, name, line, edit, named

@@ -376,7 +376,8 @@ class TestTraceDir:
             )
         (tmp_path / "ignore.txt").write_text("not a trace")
         traces = load_trace_dir(str(tmp_path))
-        assert [t.yaw[0] for t in traces] == [1.0, 2.0, 3.0]
+        assert list(traces) == ["a.csv", "b.csv", "c.csv"]
+        assert [t.yaw[0] for t in traces.values()] == [1.0, 2.0, 3.0]
 
     def test_empty_dir_raises(self, tmp_path):
         with pytest.raises(ViewingTraceError):
