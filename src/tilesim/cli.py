@@ -270,7 +270,7 @@ RUN_SETTINGS = (
     Setting("--iterations", "iterations", 1, "runs per policy", _Number(int, 1)),
     Setting("--seed", "seed", 0, "experiment seed", _Number(int)),
     Setting("--cache-policy", "cache_policy", None,
-            "lru, lfuda, or gdsf; without one there is no cache", _cache_policy),
+            "lru, lfuda, or gdsf; a cache needs a policy and a capacity", _cache_policy),
     Setting("--cache-capacity", "cache_capacity_bytes", 0, "cache bytes; 0 = no cache",
             _Number(int, 0)),
     Setting("--cache-rate", "cache_rate_bps", 100e6, "cache-to-client bit/s",
@@ -320,16 +320,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if not math.isfinite(s["duration"] / s["segment_length"]):
         raise UsageError("--segment-length: too short for --duration")
     grid = s["grid"]
-    m = manifest_mod.synthesize(
-        name=s["name"],
-        duration=s["duration"],
-        segment_length=s["segment_length"],
-        grid=grid,
-        quality_count=s["qualities"],
-        base_bitrate_bps=s["base_bitrate"],
-        variability=s["variability"],
-        seed=s["seed"],
-    )
+    try:
+        m = manifest_mod.synthesize(
+            name=s["name"],
+            duration=s["duration"],
+            segment_length=s["segment_length"],
+            grid=grid,
+            quality_count=s["qualities"],
+            base_bitrate_bps=s["base_bitrate"],
+            variability=s["variability"],
+            seed=s["seed"],
+        )
+    except manifest_mod.ManifestError as e:
+        raise UsageError(f"--base-bitrate: too high: {e}") from None
     _write_output("--out", s["out"], lambda path: manifest_mod.save(m, path))
     files = file_count(
         grid.cols, grid.rows, s["qualities"], s["duration"], s["segment_length"]
@@ -481,6 +484,9 @@ GAIN_KEY = "quality_gain_transition_over_prediction_ba_percent"
 
 def cmd_run(args: argparse.Namespace) -> int:
     spec, run = _settings(args, RUN_SETTINGS)
+    if (run["cache_policy"] is None) != (run["cache_capacity_bytes"] == 0):
+        raise UsageError("--cache-policy, --cache-capacity: a cache needs a policy and "
+                         "a capacity above 0")
     out_dir = run["out"]
     m = _read_input("--manifest", run["manifest"], manifest_mod.load)
     traces = _read_input("--traces", run["traces"], traceio.load_trace_dir)
@@ -489,8 +495,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         network = _checked(
             "--network-scale", lambda f: netsim.scale(network, f), run["network_scale"]
         )
-    needs_popularity = {PolicyKind.POPULARITY, PolicyKind.TRANSITION} & set(run["policies"])
-    if needs_popularity and m.popularity is None:
+    if set(playback.POPULARITY_POLICIES) & set(run["policies"]) and m.popularity is None:
         raise UsageError(
             "--policies: popularity/transition need a manifest with a popularity "
             "trace; run `tilesim popularity` first"

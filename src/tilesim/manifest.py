@@ -91,6 +91,10 @@ class VideoManifest:
             raise ManifestError(
                 "sizes_bytes: sizes must strictly increase with quality"
             )
+        # Byte math sums in int64. Sizes rise with level, so a segment's
+        # top-level total, summed exactly, bounds every assignment's bytes.
+        if 8 * max(map(sum, self.sizes[:, :, -1].tolist()), default=0) >= 2**63:
+            raise ManifestError("sizes_bytes: a segment's top-level bits reach 2**63")
         if self.popularity is not None:
             if self.popularity.shape != (self.segment_count, self.grid.tile_count):
                 raise ManifestError(
@@ -135,7 +139,8 @@ def synthesize(
     per_level = [
         base_bitrate_bps * f * segment_length / 8.0 * u for f in factors
     ]
-    sizes = np.rint(np.stack(per_level, axis=2)).astype(np.int64)
+    # Capped so that the int64 cast cannot wrap; validate() refuses a capped size.
+    sizes = np.rint(np.minimum(np.stack(per_level, axis=2), 2**62)).astype(np.int64)
     sizes = np.maximum(sizes, 1)
     # Rounding could collapse adjacent levels of a tiny ladder; keep them apart.
     for level in range(1, quality_count):

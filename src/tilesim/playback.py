@@ -92,6 +92,8 @@ class SessionMetrics:
 
 # Policies whose selections read the predicted viewport's tile ranking.
 PLANNED_POLICIES = (PolicyKind.PREDICTION, PolicyKind.PREDICTION_BA, PolicyKind.TRANSITION)
+# Policies whose selections read the manifest's popularity trace.
+POPULARITY_POLICIES = (PolicyKind.POPULARITY, PolicyKind.TRANSITION)
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,7 @@ def simulate(
     s = m.segment_length
     if hysteresis < 1.0:
         raise ValueError("hysteresis must be >= 1")
-    if policy in (PolicyKind.POPULARITY, PolicyKind.TRANSITION):
+    if policy in POPULARITY_POLICIES:
         require_popularity(m)
     if policy in PLANNED_POLICIES and plan is None:
         raise ValueError(f"policy {policy.value} needs a prediction plan")

@@ -13,12 +13,15 @@ import csv
 import heapq
 import json
 import math
+import os
 import random
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Hashable, NamedTuple
 
 import numpy as np
 
+import tilesim
 from tilesim import manifest as mf
 from tilesim.adaptation import (
     PolicyKind,
@@ -578,6 +581,14 @@ def staircase_scenario(duration: float, base_bitrate_bps: float = 2e6):
 def record_dicts(metrics) -> list[dict]:
     """Segment records as plain dicts, for exact equality comparison."""
     return [asdict(r) for r in metrics.records]
+
+
+def checkout_env():
+    """Environment for a child interpreter that imports the same ``tilesim``
+    this test process imported, ahead of any other copy on the path."""
+    src = str(Path(tilesim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 # --- helpers only the tests use ----------------------------------------------

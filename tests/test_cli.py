@@ -12,8 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import tilesim
-from helpers import constant_rate_network, linear_gaze, staircase_scenario
+from helpers import checkout_env, constant_rate_network, linear_gaze, staircase_scenario
 from tilesim import manifest as manifest_mod
 from tilesim import cli, netsim, playback, traceio
 from tilesim.cli import RUN_SETTINGS, main
@@ -299,7 +298,7 @@ def test_malformed_network_trace_prints_only_its_error(ws, tmp_path, text, messa
     network = tmp_path / "bad.pps"
     network.write_text(text)
     proc = subprocess.run(
-        [sys.executable, "-W", "always", "-m", "tilesim", "run",
+        [sys.executable, "-W", "always", "-m", "tilesim.cli", "run",
          "--manifest", ws["manifest"], "--traces", ws["traces"],
          "--network", str(network), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=checkout_env(),
@@ -350,7 +349,10 @@ class TestSynth:
         "flag, value",
         [("--duration", "nan"), ("--duration", "inf"), ("--segment-length", "nan"),
          ("--segment-length", "0"), ("--base-bitrate", "nan"), ("--base-bitrate", "0"),
-         ("--base-bitrate", "-1"), ("--base-bitrate", "inf")],
+         ("--base-bitrate", "-1"), ("--base-bitrate", "inf"),
+         # a segment's top-level bits pass 2**63: in segment_bits' int64 sum
+         # (1e18), and already in the int64 cast of the sizes (1e20, 1e308)
+         ("--base-bitrate", "1e18"), ("--base-bitrate", "1e20"), ("--base-bitrate", "1e308")],
     )
     def test_bad_value_names_its_flag(self, tmp_path, capsys, flag, value):
         out = tmp_path / "m.json"
@@ -658,6 +660,10 @@ class TestRun:
             ([], {"iterations": 2.7}, "--config: iterations"),
             ([], {"samples_per_axis": True}, "--config: samples_per_axis"),
             ([], {"hysteresis": True}, "--config: hysteresis"),
+            (["--cache-policy", "lru"], None, "--cache-policy --cache-capacity"),
+            (["--cache-capacity", "1000000000"], None, "--cache-policy --cache-capacity"),
+            ([], {"cache_policy": "lru"}, "--cache-policy --cache-capacity"),
+            ([], {"cache_capacity_bytes": 10**9}, "--cache-policy --cache-capacity"),
         ],
     )
     def test_bad_value_names_its_source(self, ws, tmp_path, capsys, flags, config, named):
@@ -674,6 +680,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert all(word in err for word in named.split()), err
         assert "RuntimeWarning" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_manifest_whose_segment_bits_reach_2_63_names_sizes(self, ws, tmp_path, capsys):
+        """Segment 0's top-level sizes total 2**60 bytes, whose bits reach
+        2**63 and would wrap segment_bits' int64 sum."""
+        doc = json.loads(Path(ws["manifest"]).read_text())
+        sizes = doc["sizes_bytes"][0]
+        sizes[0][-1] += 2**60 - sum(tile[-1] for tile in sizes)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc))
+        assert main([
+            "run", "--manifest", str(manifest), "--traces", ws["traces"],
+            "--network", ws["network"], "--out", str(tmp_path / "out"),
+        ]) == 2
+        assert f"error: --manifest: {manifest}: sizes_bytes: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_zero_quaternion_names_traces_and_file(self, ws, tmp_path, capsys):
@@ -1014,14 +1035,6 @@ class TestVerify:
 
     def test_missing_dir(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path / "nope")]) == 2
-
-
-def checkout_env():
-    """Environment for a child interpreter that imports the same ``tilesim``
-    this test process imported, ahead of any other copy on the path."""
-    src = str(Path(tilesim.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
 
 
 def declared_console_script(name):

@@ -193,6 +193,32 @@ class TestPersistence:
         assert m.popularity is None
 
     @pytest.mark.parametrize(
+        "tops, ok",
+        [((2**59, 2**59 - 1), True), ((2**59, 2**59), False),
+         ((2**62, 2**62), False)],  # an int64 sum of these wraps negative
+    )
+    def test_segment_bits_stay_below_2_63(self, tmp_path, tops, ok):
+        """8 x a segment's top-level byte total, taken exactly, must be below
+        2**63, so that segment_bits' int64 sums cannot wrap."""
+        doc = {
+            "name": "big",
+            "duration": 1.0,
+            "segment_length": 1.0,
+            "grid": {"cols": 2, "rows": 1},
+            "quality_count": 2,
+            "bitrate_factors": [0.25, 1.0],
+            "base_bitrate_bps": 1e6,
+            "sizes_bytes": [[[1, tops[0]], [1, tops[1]]]],
+        }
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        if ok:
+            assert segment_bits(load(str(path)), 0, np.array([1, 1])) == 8 * sum(tops)
+        else:
+            with pytest.raises(ManifestError, match=f"^{re.escape(str(path))}: sizes_bytes: "):
+                load(str(path))
+
+    @pytest.mark.parametrize(
         "mutate, field",
         [
             (lambda d: d.pop("name"), "name"),

@@ -32,7 +32,7 @@ from tilesim.playback import (
     segment_rows,
     simulate,
 )
-from tilesim.synthetic import constant_gaze, two_phase_network
+from tilesim.synthetic import constant_gaze, drifting_gaze, two_phase_network
 
 WIDE = FovSpec(100.0, 100.0)
 QUAD = FovSpec(89.0, 89.0)
@@ -717,3 +717,49 @@ class TestConvergenceToDelegates:
         assert ours[0]["active"] == "prediction"
         assert theirs[0]["active"] == "popularity"
         assert ours[0]["levels"] == theirs[0]["levels"]
+
+
+class TestWholeRunLaws:
+    """Laws of `run_experiment` as a whole, on 12 s of video, three drifting
+    viewers, a link that starves from 4 s to 8 s, so that `transition`
+    switches both ways, and a warmed LRU cache that holds half the video."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        m = synthesize("laws", duration=12.0, segment_length=1.5, grid=TileGrid(4, 4),
+                       variability=0.2, seed=1)
+        m.popularity = np.random.default_rng(2).integers(
+            0, m.quality_count, size=(m.segment_count, m.grid.tile_count)
+        )
+        return dict(
+            manifest=m,
+            viewing_traces=[drifting_gaze(k, 13.0, hz=30.0) for k in range(3)],
+            network_trace=two_phase_network(200e6, 10e6, cut_s=4.0, duration_s=30.0,
+                                            recover_s=8.0),
+            cache_policy=EvictionPolicy.LRU,
+            cache_capacity_bytes=int(m.sizes.sum()) // 2,
+            warm_trace_count=2,
+            samples_per_axis=4,
+        )
+
+    def sessions(self, runs, policy):
+        return [record_dicts(s) for s in runs[policy.value]]
+
+    def test_prefix_stability(self, setup):
+        """Session i of a run does not depend on how many iterations follow."""
+        policies = list(PolicyKind)
+        short = run_experiment(policies=policies, iterations=2, **setup)
+        long = run_experiment(policies=policies, iterations=3, **setup)
+        for policy in policies:
+            assert self.sessions(short, policy) == self.sessions(long, policy)[:2], policy
+
+    def test_policy_independence(self, setup):
+        """A policy's sessions do not depend on which other policies run, or
+        in which order: each session gets its own copy of the warmed cache."""
+        ba, tr, naive = PolicyKind.PREDICTION_BA, PolicyKind.TRANSITION, PolicyKind.NAIVE
+        alone, *others = [
+            self.sessions(run_experiment(policies=policies, iterations=2, **setup), ba)
+            for policies in ([ba], [tr, ba], [ba, naive, tr])
+        ]
+        assert any(r["bytes_from_cache"] for session in alone for r in session)
+        assert others == [alone, alone]
