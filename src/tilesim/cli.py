@@ -79,6 +79,10 @@ def _read_input(flag: str, path: str, load: Callable):
         raise UsageError(f"{flag}: {e}") from None
 
 
+# `--config` and `verify`'s summary.json: a defect is the ValueError `_read_input` reports.
+_read_json_object = partial(traceio.read_json_object, error=ValueError)
+
+
 def _write_output(flag: str, path: str, write: Callable):
     """write(path), with a path that cannot be written reported against `flag`."""
     try:
@@ -86,18 +90,6 @@ def _write_output(flag: str, path: str, write: Callable):
     except OSError as e:
         reason = e.strerror or e
         raise UsageError(f"{flag}: {e.filename or path}: cannot write: {reason}") from None
-
-
-def _load_json_object(path: str) -> dict:
-    """The object a JSON file holds: `run`'s `--config`, `verify`'s summary.json."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    return doc
 
 
 # --- settings ----------------------------------------------------------------
@@ -294,7 +286,7 @@ def _settings(args: argparse.Namespace, table: tuple[Setting, ...]) -> tuple[dic
     config key."""
     doc = {}
     if getattr(args, "config", None) is not None:
-        doc = _read_input("--config", args.config, _load_json_object)
+        doc = _read_input("--config", args.config, _read_json_object)
         unknown = set(doc) - {s.key for s in table}
         if unknown:
             raise UsageError(f"--config: unknown keys {sorted(unknown)}")
@@ -482,6 +474,12 @@ def _write_outputs(out_dir: str, source: str, rows: list[dict]) -> dict[str, lis
 GAIN_KEY = "quality_gain_transition_over_prediction_ba_percent"
 
 
+def _derived_summary(summary_rows: list[dict]) -> dict:
+    """summary.json's fields derived from `segments.csv`, from its per-policy
+    summary rows: `policies` and the gain read off them."""
+    return {"policies": summary_rows, GAIN_KEY: playback.quality_gain_percent(summary_rows)}
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     spec, run = _settings(args, RUN_SETTINGS)
     if (run["cache_policy"] is None) != (run["cache_capacity_bytes"] == 0):
@@ -500,11 +498,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             "--policies: popularity/transition need a manifest with a popularity "
             "trace; run `tilesim popularity` first"
         )
-    # Iteration i replays traces[i % len]: run_experiment's check of a
-    # replayed trace, here naming its file.
-    for name, trace in itertools.islice(traces.items(), run["iterations"]):
-        path = os.path.join(run["traces"], name)
-        _checked("--traces", lambda t: playback._check_trace(t, run["timeframe"], path), trace)
+    # run_experiment's check of its traces, here naming each by its file.
+    named = {os.path.join(run["traces"], name): t for name, t in traces.items()}
+    check = partial(playback.check_traces, iterations=run["iterations"], timeframe=run["timeframe"])
+    _checked("--traces", check, named)
     runs = playback.run_experiment(
         manifest=m,
         viewing_traces=list(traces.values()),
@@ -526,13 +523,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     summary_rows = _write_output(
         "--out", out_dir, lambda out: _write_outputs(out, "segments.csv", rows)
     )["policy_summary.csv"]
-    gain = playback.quality_gain_percent(rows)
-    summary = {
-        "spec": spec,
-        "network_average_bps": network.average_bps(),
-        "policies": summary_rows,
-        GAIN_KEY: gain,
-    }
+    derived = _derived_summary(summary_rows)
+    summary = {"spec": spec, "network_average_bps": network.average_bps(), **derived}
     text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     path = os.path.join(out_dir, "summary.json")
     _write_output("--out", path, lambda p: Path(p).write_text(text, encoding="utf-8"))
@@ -543,8 +535,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{row['policy']:>14}: stall {row['stall_mean']:.3f}s (std {row['stall_std']:.3f}), "
             f"quality {row['quality_mean']:.3f}, savings {row['savings_mean'] * 100:.1f}%"
         )
-    if gain is not None:
-        print(f"transition avg-quality gain over prediction-ba: {gain:+.2f}%")
+    if derived[GAIN_KEY] is not None:
+        print(f"transition avg-quality gain over prediction-ba: {derived[GAIN_KEY]:+.2f}%")
     print(f"wrote segments/policy_summary/popularity_share/estimates CSV + summary.json to {out_dir}")
     return 0
 
@@ -592,17 +584,14 @@ def _compare(path: str, columns: list[str], expected: list[dict]) -> list[str]:
 
 def _check_summary(path: str, rows: list[dict]) -> list[str]:
     """Where `summary.json` disagrees with `segments.csv`'s rows: its
-    `policies` against policy_summary_rows after a JSON round trip, and its
-    gain against quality_gain_percent. Its `spec` and network average are
-    not derived from the rows and go unchecked."""
+    `policies` and gain against `run`'s, from policy_summary_rows, after a
+    JSON round trip. Its `spec` and network average are not derived from
+    the rows and go unchecked."""
     try:
-        summary = _read_input("--out", path, _load_json_object)
+        summary = _read_input("--out", path, _read_json_object)
     except UsageError as e:
         return [str(e)]
-    expected = {
-        "policies": json.loads(json.dumps(playback.policy_summary_rows(rows))),
-        GAIN_KEY: playback.quality_gain_percent(rows),
-    }
+    expected = json.loads(json.dumps(_derived_summary(playback.policy_summary_rows(rows))))
     return [
         f"{path}: {key}: {summary.get(key, 'missing')!r} != recomputed {want!r}"
         for key, want in expected.items()

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import TileGrid
+from .traceio import read_json_object
 
 
 class ManifestError(ValueError):
@@ -253,9 +254,7 @@ def _array(doc: dict, key: str, kind: type) -> np.ndarray:
         raise ManifestError(f"{key}: value out of range") from None
 
 
-def _from_dict(doc) -> VideoManifest:
-    if not isinstance(doc, dict):
-        raise ManifestError("document: expected a JSON object")
+def _from_dict(doc: dict) -> VideoManifest:
     grid_doc = _require(doc, "grid", dict)
     dims = {k: _require(grid_doc, k, int, f"grid.{k}") for k in ("cols", "rows")}
     for k, n in dims.items():
@@ -279,11 +278,7 @@ def _from_dict(doc) -> VideoManifest:
 def load(path: str) -> VideoManifest:
     """Read a manifest written by save(); load(save(m)) == m field-for-field.
     A malformed file raises a ManifestError naming the file and the field."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ManifestError(f"{path}: not valid JSON: {e}") from None
+    doc = read_json_object(path, ManifestError)
     try:
         return _from_dict(doc)
     except ManifestError as e:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -82,8 +82,8 @@ class SessionMetrics:
         return float(sum(r.stall for r in self.records))
 
     @property
-    def avg_quality(self) -> float:
-        return float(np.mean([r.levels for r in self.records]))
+    def avg_quality(self) -> float:  # as policy_summary_rows takes a session's quality
+        return float(np.mean([r.mean_quality for r in self.records]))
 
     @property
     def savings(self) -> np.ndarray:  # read by the benchmark's tracer
@@ -129,6 +129,13 @@ def _check_trace(
             f"{name} spans {span:.3f}s, shorter than the "
             f"{timeframe:.3f}s regression window"
         )
+
+
+def check_traces(traces: Mapping[str, ViewingTrace], iterations: int, timeframe: float) -> None:
+    """Check a run's traces, each named by its key, before any work. Sessions
+    replay the first `iterations`; the rest only warm the cache."""
+    for k, (name, trace) in enumerate(traces.items()):
+        _check_trace(trace, timeframe if k < iterations else None, name)
 
 
 def prediction_plan(
@@ -307,9 +314,8 @@ def run_experiment(
         raise ValueError("iterations must be >= 1")
     if len(set(policies)) != len(policies):
         raise ValueError(f"each policy may be listed once, got {[p.value for p in policies]}")
-    for k, trace in enumerate(viewing_traces):
-        # Sessions replay the first `iterations` traces; the rest only warm.
-        _check_trace(trace, timeframe if k < iterations else None, f"viewing trace {k}")
+    named = {f"viewing trace {k}": t for k, t in enumerate(viewing_traces)}
+    check_traces(named, iterations, timeframe)
 
     @functools.cache
     def plan(k: int) -> PredictionPlan:
@@ -404,21 +410,15 @@ def policy_summary_rows(rows: list[dict]) -> list[dict]:
     return out
 
 
-def quality_gain_percent(rows: list[dict]) -> float | None:
+def quality_gain_percent(summary: list[dict]) -> float | None:
     """Relative mean-quality gain of transition over prediction-ba, in
-    percent, from flattened segment rows alone, so `run` and `verify` share
-    it: a session's quality is the mean of its `levels` cells, read back as
-    ints, as `SessionMetrics.avg_quality` takes it."""
-    quality: dict[str, list[float]] = {}
-    for (policy, _), mine in group_rows(rows, "policy", "iteration").items():
-        levels = [[int(level) for level in r["levels"].split("|")] for r in mine]
-        quality.setdefault(policy, []).append(float(np.mean(levels)))
-    of, over = PolicyKind.TRANSITION.value, PolicyKind.PREDICTION_BA.value
-    if of not in quality or over not in quality:
-        return None
-    ours = float(np.mean(quality[of]))
-    base = float(np.mean(quality[over]))
-    if base == 0.0:
+    percent, read off policy_summary_rows' output: the relative difference
+    of the two policies' `quality_mean`. None when either policy is missing
+    or prediction-ba's quality is 0."""
+    quality = {row["policy"]: row["quality_mean"] for row in summary}
+    ours = quality.get(PolicyKind.TRANSITION.value)
+    base = quality.get(PolicyKind.PREDICTION_BA.value)
+    if ours is None or not base:
         return None
     return (ours - base) / base * 100.0
 

@@ -36,8 +36,6 @@ def select_window(trace: ViewingTrace, now: float, timeframe: float) -> ViewingT
 
 def _fit_axis(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """OLS slope and intercept-at-x=0 for one axis."""
-    if len(x) == 1:
-        return 0.0, float(y[0])
     xm = x.mean()
     dx = x - xm
     denom = float((dx * dx).sum())

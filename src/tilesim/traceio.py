@@ -1,4 +1,5 @@
-"""Viewing-trace file IO, and the table reader and writer packet traces share.
+"""Viewing-trace file IO, the table reader and writer packet traces share, and
+the one reader of a file that holds a JSON object.
 
 Native format: CSV with header ``t_seconds,yaw_deg,pitch_deg,roll_deg``,
 rows sorted by strictly increasing time. roll_deg is read and must be finite,
@@ -15,6 +16,7 @@ them by geometry.each, so each row gets the bits a scalar conversion gives.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import warnings
@@ -110,6 +112,19 @@ def row_line(path: str, skiprows: int, row: int) -> tuple[int, str]:
                 if row == 0:
                     return lineno, text
                 row -= 1
+
+
+def read_json_object(path: str, error: type) -> dict:
+    """The object a JSON file holds; a file that is not valid JSON, or holds
+    another JSON value, raises `error` naming the file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as e:
+            raise error(f"{path}: not valid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: expected a JSON object")
+    return doc
 
 
 def write_table(path: str, row_format: str, columns, header: str = "") -> None:

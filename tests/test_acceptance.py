@@ -32,6 +32,7 @@ from tilesim.manifest import file_count, synthesize
 from tilesim import traceio
 from tilesim.netsim import save_trace
 from tilesim.playback import (
+    policy_summary_rows,
     quality_gain_percent,
     run_experiment,
     segment_rows,
@@ -262,7 +263,7 @@ def test_criterion_09_qoe_orderings():
     q_tr, q_ba = quality(PolicyKind.TRANSITION), quality(PolicyKind.PREDICTION_BA)
     q_pred, q_pop = quality(PolicyKind.PREDICTION), quality(PolicyKind.POPULARITY)
     assert q_tr.mean() > q_ba.mean()
-    gain = quality_gain_percent(segment_rows(runs))
+    gain = quality_gain_percent(policy_summary_rows(segment_rows(runs)))
     assert gain is not None and gain > 0.0
 
     lo = np.minimum(q_pred, q_pop) - 1e-9

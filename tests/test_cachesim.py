@@ -81,6 +81,19 @@ class TestLru:
         assert "b" in c
         assert not c.request("a", 100)
 
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_inclusion(self, seed):
+        """LRU is a stack algorithm: when every object fits the smallest
+        cache, a hit at capacity C1 is a hit at every C2 >= C1."""
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 20, size=int(rng.integers(5, 30))).tolist()
+        capacities = sorted(rng.integers(20, 150, size=int(rng.integers(2, 5))).tolist())
+        caches = [Cache(c, EvictionPolicy.LRU) for c in capacities]
+        for key in rng.integers(0, len(sizes), size=300).tolist():
+            hits = [cache.request(key, sizes[key]) for cache in caches]
+            assert hits == sorted(hits), (key, capacities, hits)
+
 
 class TestLfuda:
     def test_popular_object_outlives_newcomer(self):

@@ -16,6 +16,7 @@ from helpers import checkout_env, constant_rate_network, linear_gaze, staircase_
 from tilesim import manifest as manifest_mod
 from tilesim import cli, netsim, playback, traceio
 from tilesim.cli import RUN_SETTINGS, main
+from tilesim.geometry import TileGrid
 from tilesim.synthetic import constant_gaze, drifting_gaze, two_phase_network
 
 
@@ -201,6 +202,20 @@ def test_manifest_defect_names_flag_file_and_field(ws, tmp_path, capsys, command
         argv += ["--network", ws["network"], "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert f"error: --manifest: {manifest}: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["popularity", "run"])
+def test_manifest_that_is_no_json_object_names_flag_and_file(ws, tmp_path, capsys, command):
+    manifest = tmp_path / "m.json"
+    manifest.write_text("[]")
+    argv = [command, "--manifest", str(manifest), "--traces", ws["traces"]]
+    if command == "run":
+        argv += ["--network", ws["network"], "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"tilesim: error: --manifest: {manifest}: expected a JSON object\n"
+    )
     assert not (tmp_path / "out").exists()
 
 
@@ -728,6 +743,35 @@ class TestRun:
             "--network", ws["network"], "--out", str(tmp_path / "out"),
         ]) == 1
         assert "simulation failed" in capsys.readouterr().err
+
+    def test_gain_is_the_relative_difference_of_the_listed_quality_means(self, tmp_path):
+        """On a 6x4 grid a segment's mean level is rounded, so the mean of a
+        session's levels and the mean of its segments' means can differ in
+        the last bits: summary.json's gain is read off its own `policies`."""
+        m = manifest_mod.synthesize("g", 30.0, 1.5, TileGrid(6, 4), 4, 2e6, variability=0.1,
+                                    seed=1)
+        manifest, traces, network = tmp_path / "m.json", tmp_path / "traces", tmp_path / "net"
+        manifest_mod.save(m, str(manifest))
+        traces.mkdir()
+        for i in range(4):
+            traceio.save_viewing_trace(drifting_gaze(10 + i, 31.0, hz=30.0),
+                                       str(traces / f"v{i}.csv"))
+        netsim.save_trace(two_phase_network(60e6, 8e6, cut_s=10, duration_s=30, recover_s=20),
+                          str(network))
+        assert main(["popularity", "--manifest", str(manifest), "--traces", str(traces),
+                     "--fov", "80x40", "--samples", "16"]) == 0
+        out = tmp_path / "out"
+        assert main([
+            "run", "--manifest", str(manifest), "--traces", str(traces),
+            "--network", str(network), "--policies", "prediction-ba,transition",
+            "--iterations", "5", "--seed", "1", "--cache-policy", "lru",
+            "--cache-capacity", str(int(int(m.sizes.sum()) * 0.05)), "--warm-traces", "2",
+            "--samples", "16", "--out", str(out),
+        ]) == 0
+        doc = json.loads((out / "summary.json").read_text())
+        quality = {row["policy"]: row["quality_mean"] for row in doc["policies"]}
+        ours, base = quality["transition"], quality["prediction-ba"]
+        assert doc[cli.GAIN_KEY] == (ours - base) / base * 100.0
 
     def test_help_shows_each_setting_and_its_default(self, capsys):
         """For every subcommand's table, not only `run`'s."""

@@ -391,7 +391,7 @@ class TestExperimentDriver:
         assert list(runs) == ["prediction"]
         assert len(runs["prediction"]) == 1
         assert isinstance(runs["prediction"][0], SessionMetrics)
-        assert quality_gain_percent(segment_rows(runs)) is None
+        assert quality_gain_percent(policy_summary_rows(segment_rows(runs))) is None
 
     @pytest.mark.parametrize("setting, message", [
         ({"hysteresis": 0.9}, "hysteresis must be >= 1"),
@@ -457,7 +457,7 @@ class TestExperimentDriver:
         )
         # ample bandwidth: transition stays on prediction, which matches
         # prediction-ba at delta = 0
-        assert quality_gain_percent(segment_rows(runs)) == 0.0
+        assert quality_gain_percent(policy_summary_rows(segment_rows(runs))) == 0.0
 
 
 class TestPredictionPlans:
@@ -763,3 +763,23 @@ class TestWholeRunLaws:
         ]
         assert any(r["bytes_from_cache"] for session in alone for r in session)
         assert others == [alone, alone]
+
+    def test_lru_inclusion(self, setup):
+        """LRU is a stack algorithm, and naive and popularity request the
+        same tiles whatever the cache holds. So when every tile fits the
+        smaller cache, each segment takes at least as many bytes from the
+        larger one, in every iteration."""
+        policies = [PolicyKind.NAIVE, PolicyKind.POPULARITY]
+        large = setup["cache_capacity_bytes"]
+        small = large * 3 // 5
+        assert setup["manifest"].sizes.max() <= small
+
+        def cached(capacity):
+            runs = run_experiment(policies=policies, iterations=3,
+                                  **{**setup, "cache_capacity_bytes": capacity})
+            return np.array([[[r["bytes_from_cache"] for r in session]
+                              for session in self.sessions(runs, p)] for p in policies])
+
+        lo, hi = cached(small), cached(large)
+        assert (lo <= hi).all()
+        assert lo.any() and (lo < hi).any()
