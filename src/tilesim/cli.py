@@ -31,7 +31,7 @@ import numpy as np
 from . import manifest as manifest_mod
 from . import netsim, playback, popularity, prediction, traceio
 from .adaptation import PolicyKind
-from .cachesim import EvictionPolicy
+from .cachesim import Cache, EvictionPolicy
 from .geometry import FovSpec, TileGrid
 from .manifest import file_count
 
@@ -508,8 +508,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         network_trace=network,
         policies=run["policies"],
         iterations=run["iterations"],
-        cache_policy=run["cache_policy"],
-        cache_capacity_bytes=run["cache_capacity_bytes"],
+        cache=Cache(run["cache_capacity_bytes"], run["cache_policy"]) if run["cache_policy"] else None,
         seed=run["seed"],
         warm_trace_count=run["warm_traces"],
         fov=run["fov"],

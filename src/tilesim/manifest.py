@@ -117,7 +117,6 @@ def synthesize(
     grid: TileGrid,
     quality_count: int = 3,
     base_bitrate_bps: float = 20e6,
-    bitrate_factors: tuple[float, ...] | None = None,
     variability: float = 0.0,
     seed: int = 0,
 ) -> VideoManifest:
@@ -130,9 +129,7 @@ def synthesize(
     """
     if not 0.0 <= variability < 1.0:
         raise ValueError("variability must be in [0, 1)")
-    factors = bitrate_factors or default_bitrate_factors(quality_count)
-    if len(factors) != quality_count:
-        raise ValueError("need exactly one bitrate factor per quality level")
+    factors = default_bitrate_factors(quality_count)
     segments = count_segments(duration, segment_length)
     tiles = grid.tile_count
     rng = np.random.default_rng(seed)

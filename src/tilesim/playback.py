@@ -32,7 +32,7 @@ from .adaptation import (
     select_prediction_ba,
     transition_step,
 )
-from .cachesim import Cache, EvictionPolicy, viewing_assignments, warm
+from .cachesim import Cache, viewing_assignments, warm
 from .geometry import FovSpec, ViewingTrace, rank_tiles, tile_visibility
 from .manifest import VideoManifest, naive_segment_bytes, segment_bits, segment_requests
 from .netsim import Link, NetworkTrace
@@ -281,8 +281,7 @@ def run_experiment(
     network_trace: NetworkTrace,
     policies: list[PolicyKind],
     iterations: int,
-    cache_policy: EvictionPolicy | None = None,
-    cache_capacity_bytes: int = 0,
+    cache: Cache | None = None,
     seed: int = 0,
     warm_trace_count: int = 30,
     fov: FovSpec = FovSpec(),
@@ -296,12 +295,12 @@ def run_experiment(
     order.
 
     Iteration i replays viewing_traces[i % len] for every policy, so runs are
-    comparable pairwise across policies. The cache is warmed once per
-    iteration, from the viewings of a draw of warm_trace_count traces (all
-    of them when fewer) seeded by (seed, i), and each run gets a copy of its
-    iteration's warmed cache. Each trace's warm-up levels and prediction
-    plan are built once per experiment, and only here: policies that read no
-    visibility build no plan.
+    comparable pairwise across policies. Each iteration warms a copy of
+    `cache` (None: no cache) with the viewings of a draw of warm_trace_count
+    traces (all of them when fewer) seeded by (seed, i), and each run gets a
+    copy of that; `cache` itself never changes. Each trace's warm-up levels
+    and prediction plan are built once per experiment, and only here:
+    policies that read no visibility build no plan.
 
     Whatever the policies, a timeframe <= 0, and an empty trace or a
     replayed trace shorter than the timeframe (named by its index), raise
@@ -329,16 +328,16 @@ def run_experiment(
     runs: dict[str, list[SessionMetrics]] = {p.value: [] for p in policies}
     for i in range(iterations):
         warmed = None
-        if cache_policy is not None and cache_capacity_bytes > 0:
-            warmed = Cache(cache_capacity_bytes, cache_policy)
+        if cache is not None:
+            warmed = cache.copy()
             # Drawing without replacement doubles as the replay order.
             drawn = random.Random(seed * 100003 + i).sample(range(n), min(warm_trace_count, n))
             warm(warmed, manifest, map(levels, drawn))  # lazy: scored inside the warm-up
         for policy in policies:
             planned = plan(i % n) if policy in PLANNED_POLICIES else None
-            cache = warmed.copy() if warmed is not None else None
+            session_cache = warmed.copy() if warmed is not None else None
             runs[policy.value].append(simulate(
-                manifest, network_trace, policy, planned, cache, cache_rate_bps, hysteresis
+                manifest, network_trace, policy, planned, session_cache, cache_rate_bps, hysteresis
             ))
     return runs
 

@@ -69,7 +69,7 @@ def default_budget_bps(manifest: VideoManifest) -> float:
 
 
 def quantize(
-    heat: HeatMap, manifest: VideoManifest, budget_bps: float | None = None
+    heat: HeatMap, manifest: VideoManifest, budget_bps: float
 ) -> np.ndarray:
     """Per segment, assign quality levels by descending heat under the budget.
 
@@ -79,8 +79,6 @@ def quantize(
     like invisible tiles under prediction.
     A budget below the all-lowest bitrate yields all level 0, not an error.
     """
-    if budget_bps is None:
-        budget_bps = default_budget_bps(manifest)
     if heat.heat.shape != (manifest.segment_count, manifest.grid.tile_count):
         raise ValueError(
             f"heat shape {heat.heat.shape} does not match manifest "

@@ -31,28 +31,22 @@ def gaussian_gaze_population(
     count: int,
     duration: float,
     hz: float = 30.0,
-    yaw_mean: float = 0.0,
     yaw_std: float = 30.0,
     pitch_std: float = 10.0,
     seed: int = 0,
 ) -> list[ViewingTrace]:
     """`count` viewers, each staring at a pose drawn from a wrapped normal
-    around (yaw_mean, 0); models a shared content hot spot."""
+    around (0, 0); models a shared content hot spot."""
     rng = np.random.default_rng(seed)
     traces = []
     for _ in range(count):
-        yaw = float(rng.normal(yaw_mean, yaw_std))
+        yaw = float(rng.normal(0.0, yaw_std))
         pitch = float(np.clip(rng.normal(0.0, pitch_std), -90.0, 90.0))
         traces.append(constant_gaze(yaw, pitch, duration, hz))
     return traces
 
 
-def drifting_gaze(
-    seed: int,
-    duration: float,
-    hz: float = 90.0,
-    center_yaw: float = 0.0,
-) -> ViewingTrace:
+def drifting_gaze(seed: int, duration: float, hz: float = 90.0) -> ViewingTrace:
     """A smoothly wandering viewer: one sinusoid with seeded amplitude,
     period, phase, and a gentle pitch sway."""
     rng = np.random.default_rng(seed)
@@ -63,7 +57,7 @@ def drifting_gaze(
     t = _steps(duration, hz) / hz
     return ViewingTrace.from_angles(
         t,
-        center_yaw + amplitude * each(math.sin, 2.0 * math.pi * t / period + phase),
+        amplitude * each(math.sin, 2.0 * math.pi * t / period + phase),
         pitch_amp * each(math.sin, 2.0 * math.pi * t / (period * 1.7)),
     )
 

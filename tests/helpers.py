@@ -887,7 +887,7 @@ def _sampled_oracle(hz, steps, yaw, pitch) -> ViewingTrace:
     return ViewingTrace.from_angles([k / hz for k in range(steps)], yaw, pitch)
 
 
-def drifting_gaze_oracle(seed, duration, hz=90.0, center_yaw=0.0):
+def drifting_gaze_oracle(seed, duration, hz=90.0):
     """`synthetic.drifting_gaze` before it computed its angles as arrays."""
     rng = np.random.default_rng(seed)
     amplitude = float(rng.uniform(20.0, 60.0))
@@ -899,7 +899,7 @@ def drifting_gaze_oracle(seed, duration, hz=90.0, center_yaw=0.0):
         hz,
         steps,
         [
-            center_yaw + amplitude * math.sin(2.0 * math.pi * (k / hz) / period + phase)
+            amplitude * math.sin(2.0 * math.pi * (k / hz) / period + phase)
             for k in range(steps)
         ],
         [pitch_amp * math.sin(2.0 * math.pi * (k / hz) / (period * 1.7)) for k in range(steps)],
@@ -942,8 +942,7 @@ def run_experiment_oracle(
     network_trace,
     policies,
     iterations,
-    cache_policy=None,
-    cache_capacity_bytes=0,
+    cache=None,
     seed=0,
     warm_trace_count=30,
     fov=FovSpec(),
@@ -954,15 +953,16 @@ def run_experiment_oracle(
 ) -> dict[str, list[SessionMetrics]]:
     """`playback.run_experiment` before it warmed one cache per iteration and
     shared one prediction plan per trace: policy is the outer loop, every
-    session gets a freshly warmed cache and predicts its own poses."""
+    session gets a freshly warmed cache of `cache`'s capacity and policy and
+    predicts its own poses. The cache given must be empty."""
     runs = {p.value: [] for p in policies}
     for policy in policies:
         for i in range(iterations):
-            cache = None
-            if cache_policy is not None and cache_capacity_bytes > 0:
-                cache = HeapCache(cache_capacity_bytes, cache_policy)
+            session_cache = None
+            if cache is not None:
+                session_cache = HeapCache(cache.capacity, cache.policy)
                 warm_oracle(
-                    cache, manifest, viewing_traces, fov, seed * 100003 + i,
+                    session_cache, manifest, viewing_traces, fov, seed * 100003 + i,
                     warm_trace_count, samples_per_axis,
                 )
             session = simulate_oracle(
@@ -970,7 +970,7 @@ def run_experiment_oracle(
                 viewing_trace=viewing_traces[i % len(viewing_traces)],
                 network_trace=network_trace,
                 policy=policy,
-                cache=cache,
+                cache=session_cache,
                 cache_rate_bps=cache_rate_bps,
                 fov=fov,
                 timeframe=timeframe,

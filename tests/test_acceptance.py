@@ -37,7 +37,7 @@ from tilesim.playback import (
     run_experiment,
     segment_rows,
 )
-from tilesim.popularity import build_heat, quantize
+from tilesim.popularity import build_heat, default_budget_bps, quantize
 from tilesim.prediction import error_experiment
 from tilesim.synthetic import constant_gaze, gaussian_gaze_population, two_phase_network
 
@@ -237,7 +237,7 @@ def test_criterion_09_qoe_orderings():
     traces += [constant_gaze(yaw, 1.0, 41.0, hz=10.0) for yaw in (78.0, 81.0, 84.0)]
     heat = build_heat(traces, m.grid, fov, m.segment_length, m.duration,
                       samples_per_axis=16)
-    m.popularity = quantize(heat, m)
+    m.popularity = quantize(heat, m, default_budget_bps(m))
     net = two_phase_network(250e6, 2e6, cut_s=20.0, duration_s=300.0)
 
     runs = run_experiment(
@@ -247,8 +247,7 @@ def test_criterion_09_qoe_orderings():
         policies=[PolicyKind.PREDICTION, PolicyKind.POPULARITY,
                   PolicyKind.PREDICTION_BA, PolicyKind.TRANSITION],
         iterations=30,
-        cache_policy=EvictionPolicy.LFUDA,
-        cache_capacity_bytes=int(0.5 * m.sizes.sum()),
+        cache=Cache(int(0.5 * m.sizes.sum()), EvictionPolicy.LFUDA),
         seed=0,
         fov=fov,
         samples_per_axis=16,

@@ -209,7 +209,7 @@ class TestWarm:
         monkeypatch.setattr(playback, "warm", spy)
         playback.run_experiment(
             manifest, traces, constant_rate_network(1e9, 2.0), [PolicyKind.NAIVE], 1,
-            cache_policy=policy, cache_capacity_bytes=capacity, seed=seed,
+            cache=Cache(capacity, policy), seed=seed,
             warm_trace_count=trace_count, fov=FovSpec(100, 100), samples_per_axis=8,
         )
         (cache,) = caches

@@ -1,5 +1,6 @@
 import csv
 import importlib.metadata
+import inspect
 import json
 import math
 import os
@@ -743,6 +744,34 @@ class TestRun:
             "--network", ws["network"], "--out", str(tmp_path / "out"),
         ]) == 1
         assert "simulation failed" in capsys.readouterr().err
+
+    def test_run_defaults_are_run_experiments(self, ws, tmp_path, monkeypatch):
+        """Each default stated both in `RUN_SETTINGS` and in `run_experiment`'s
+        signature is the same value once its setting converts it, and a run on
+        every default (no cache policy, capacity 0) passes `run_experiment`
+        its defaults, `cache=None` among them."""
+        library = inspect.signature(playback.run_experiment).parameters
+        table = {s.key: s for s in RUN_SETTINGS}
+        stated = {"seed": "seed", "warm_traces": "warm_trace_count", "fov": "fov",
+                  "timeframe": "timeframe", "samples_per_axis": "samples_per_axis",
+                  "cache_rate_bps": "cache_rate_bps", "hysteresis": "hysteresis"}
+        for key, param in stated.items():
+            assert table[key].convert(table[key].default) == library[param].default, key
+        calls = []
+
+        def record(**kwargs):
+            calls.append(kwargs)
+            raise ValueError("recorded")
+
+        monkeypatch.setattr(playback, "run_experiment", record)
+        assert main([
+            "run", "--manifest", ws["manifest"], "--traces", ws["traces"],
+            "--network", ws["network"], "--out", str(tmp_path / "out"),
+        ]) == 1
+        (kwargs,) = calls
+        assert kwargs["cache"] is None
+        defaulted = {k: p.default for k, p in library.items() if p.default is not p.empty}
+        assert {k: kwargs[k] for k in defaulted} == defaulted
 
     def test_gain_is_the_relative_difference_of_the_listed_quality_means(self, tmp_path):
         """On a 6x4 grid a segment's mean level is rounded, so the mean of a

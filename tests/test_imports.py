@@ -1,6 +1,7 @@
 """The modules are the package's API: each imports on its own, in a fresh
 interpreter, the package root imports none of them, and none reads
-another's private names."""
+another's private names; a defaulted parameter is a setting some
+program sets."""
 
 import ast
 import pkgutil
@@ -60,3 +61,41 @@ def test_no_module_reads_another_modules_private_name():
                     and isinstance(node.value, ast.Name) and node.value.id in bound):
                 found.append(f"{module}:{node.lineno}: reads {node.value.id}.{node.attr}")
     assert not found
+
+
+def test_every_defaulted_parameter_has_a_program_caller():
+    """Each defaulted parameter of a module-level public function is passed,
+    by keyword or by position, by some call in `src/tilesim` or `perfbench/`:
+    a setting that no program sets is not a setting. Calls match by the
+    callee's name, and `partial(f, ...)` counts as a call of `f`."""
+
+    def name(func):
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    package = Path(tilesim.__path__[0])
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    program = [*package.glob("*.py"), *perfbench.glob("*.py")]
+    passed = {}  # callee name -> (most positional arguments, keywords) over its calls
+    for path in program:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if name(func) == "partial" and args:
+                func, args = args[0], args[1:]
+            most, keywords = passed.get(name(func), (0, set()))
+            passed[name(func)] = (max(most, len(args)), keywords | {k.arg for k in node.keywords})
+    unset = []
+    for module in MODULES:
+        tree = ast.parse((package / f"{module}.py").read_text())
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args
+            defaulted = list(enumerate(p.arg for p in params))[len(params) - len(a.defaults):]
+            defaulted += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+            most, keywords = passed.get(fn.name, (0, set()))
+            unset += [f"{fn.name}.{arg}" for i, arg in defaulted
+                      if arg not in keywords and (i is None or most <= i)]
+    assert not unset

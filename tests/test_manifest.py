@@ -106,13 +106,6 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize("x", 3.0, 1.5, TileGrid(2, 2), variability=1.0)
 
-    def test_factor_count_mismatch(self):
-        with pytest.raises(ValueError):
-            synthesize(
-                "x", 3.0, 1.5, TileGrid(2, 2), quality_count=3,
-                bitrate_factors=(0.5, 1.0),
-            )
-
 
 class TestAccounting:
     def test_segment_bits(self, flat_manifest):

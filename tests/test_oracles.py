@@ -493,6 +493,7 @@ def experiments(draw):
         )
     cache_policy = draw(st.sampled_from([None, *EvictionPolicy]))
     share = draw(st.sampled_from([0.0, 0.01, 0.1, 0.4, 2.0]))
+    capacity = int(share * int(m.sizes.sum()))
     policies = draw(
         st.lists(st.sampled_from(list(PolicyKind)), min_size=1, max_size=4, unique=True)
     )
@@ -506,8 +507,7 @@ def experiments(draw):
         ),
         policies=policies,
         iterations=draw(st.integers(1, len(traces) + 2)),
-        cache_policy=cache_policy,
-        cache_capacity_bytes=int(share * int(m.sizes.sum())),
+        cache=None if cache_policy is None else Cache(capacity, cache_policy),
         seed=draw(st.integers(0, 50)),
         warm_trace_count=draw(
             st.sampled_from([0, 1, len(traces) + 1]) | st.integers(0, len(traces))
@@ -525,8 +525,7 @@ REPEATED_POLICY = dict(  # a policy listed twice, over two differing iterations
     network_trace=constant_rate_network(3e6, 8.0),
     policies=[PolicyKind.PREDICTION, PolicyKind.PREDICTION],
     iterations=2,
-    cache_policy=EvictionPolicy.LRU,
-    cache_capacity_bytes=10**9,
+    cache=Cache(10**9, EvictionPolicy.LRU),
     seed=1,
     warm_trace_count=1,
     samples_per_axis=4,
@@ -858,6 +857,7 @@ def viewing_files(draw) -> bytes:
 @example(data=b"0.0,5e-324,0,0,5e-324\n0.1,0,5e-324,5e-324,5e-324\n0.2,2e-323,-5e-324,1e-323,5e-324\n")
 @example(data=b"t,qw,qx,qy,qz\n0.0,1.7e308,0,0,1.7e308\n0.1,1e308,1e308,-1e308,1e308\n")
 @example(data=b"0.0,-0,1e-300,1e16,1e16\n0.1,1e16,-1e-300,5e-324,-1e16\n")
+@example(data=b'"1.0",0.0,0.0,0.0,1.0')
 def test_load_viewing_trace_matches_the_row_scanner(trace_dir, data):
     path = trace_dir / "trace.csv"
     path.write_bytes(data)
@@ -869,11 +869,26 @@ def test_load_viewing_trace_matches_the_row_scanner(trace_dir, data):
                 np.array([s.o.pitch for s in trace])]
 
     new = _outcome_in_any_blocks(load_viewing_trace, str(path), arrays)
+    if _header_only(data):
+        # The README's rule makes the line a header; the scanner, which
+        # unquoted a quoted first cell, could read it as a row.
+        assert new == (ViewingTraceError, f"{path}: header but no samples"), new
+        return
     old = _outcome(load_viewing_trace_oracle, str(path))
 
     _check_against_scanner(
         str(path), new, old, arrays, ViewingTraceError, _viewing_form_differs(data)
     )
+
+
+def _header_only(data: bytes) -> bool:
+    """Whether an ASCII file's first line is a header by the README's rule
+    (float() rejects its first cell) and holds more than whitespace, and no
+    later line holds a row."""
+    if not data.isascii():
+        return False
+    first, *rest = _lines(data)
+    return bool(first.strip()) and not _is_number(first.split(",")[0]) and not any(rest)
 
 
 def _viewing_form_differs(data: bytes) -> bool:
@@ -1050,7 +1065,6 @@ def test_two_phase_network_matches_the_list_body(ample, starved, duration, cut, 
 
 
 HZ = st.sampled_from([1, 4, 10.0, 30.0, 90.0, 7.3, 120.0])
-GAZE_ANGLES = st.integers(-400, 400) | st.floats(-1e4, 1e4)
 
 
 def assert_same_trace(new: ViewingTrace, old: ViewingTrace) -> None:
@@ -1058,8 +1072,8 @@ def assert_same_trace(new: ViewingTrace, old: ViewingTrace) -> None:
         assert getattr(new, column).tobytes() == getattr(old, column).tobytes(), column
 
 
-@given(args=st.tuples(st.integers(0, 2**32), st.floats(0.0, 20.0), HZ, GAZE_ANGLES))
-@example(args=(1000, 121.0, 90.0, 0.0))  # a dense-churn viewer
+@given(args=st.tuples(st.integers(0, 2**32), st.floats(0.0, 20.0), HZ))
+@example(args=(1000, 121.0, 90.0))  # a dense-churn viewer
 @settings(max_examples=150, deadline=None)
 def test_drifting_gaze_matches_its_scalar_body(args):
     assert_same_trace(drifting_gaze(*args), drifting_gaze_oracle(*args))

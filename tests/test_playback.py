@@ -118,8 +118,8 @@ class TestValidation:
                               ([empty, constant_gaze(0, 0, 7.0)], 0)):
             with pytest.raises(ValueError, match=f"viewing trace {index} is empty"):
                 run_experiment(
-                    m, traces, net, [PolicyKind.NAIVE], 1, cache_policy=EvictionPolicy.LRU,
-                    cache_capacity_bytes=10**8, warm_trace_count=2,
+                    m, traces, net, [PolicyKind.NAIVE], 1,
+                    cache=Cache(10**8, EvictionPolicy.LRU), warm_trace_count=2,
                 )
 
     def test_trace_going_back_in_time_is_refused_by_its_sample(self):
@@ -146,7 +146,7 @@ class TestValidation:
         for trace in (held, repeated):
             prediction_plan(m, trace)
             run_experiment(m, [trace], net, [PolicyKind.NAIVE, PolicyKind.PREDICTION], 1,
-                           cache_policy=EvictionPolicy.LRU, cache_capacity_bytes=10**8)
+                           cache=Cache(10**8, EvictionPolicy.LRU))
 
 
 class TestStallAccounting:
@@ -487,8 +487,7 @@ class TestPredictionPlans:
             network_trace=two_phase_network(300e6, 3e6, cut_s=8.0, duration_s=120.0),
             policies=policies,
             iterations=iterations,
-            cache_policy=EvictionPolicy.LRU,
-            cache_capacity_bytes=10**8,
+            cache=Cache(10**8, EvictionPolicy.LRU),
             warm_trace_count=2,
             samples_per_axis=4,
         )
@@ -578,8 +577,7 @@ class TestReplaysBuildNoPerTraceWork:
             network_trace=two_phase_network(300e6, 3e6, cut_s=8.0, duration_s=120.0),
             policies=list(PolicyKind),
             iterations=7,
-            cache_policy=EvictionPolicy.LRU,
-            cache_capacity_bytes=10**8,
+            cache=Cache(10**8, EvictionPolicy.LRU),
             warm_trace_count=3,
             samples_per_axis=4,
         )
@@ -611,8 +609,7 @@ class TestOneCacheRequestPerTile:
             network_trace=two_phase_network(300e6, 3e6, cut_s=8.0, duration_s=120.0),
             policies=policies,
             iterations=iterations,
-            cache_policy=EvictionPolicy.GDSF,
-            cache_capacity_bytes=int(m.sizes.sum()) // 20,
+            cache=Cache(int(m.sizes.sum()) // 20, EvictionPolicy.GDSF),
             warm_trace_count=warm_traces,
             samples_per_axis=4,
         )
@@ -736,8 +733,7 @@ class TestWholeRunLaws:
             viewing_traces=[drifting_gaze(k, 13.0, hz=30.0) for k in range(3)],
             network_trace=two_phase_network(200e6, 10e6, cut_s=4.0, duration_s=30.0,
                                             recover_s=8.0),
-            cache_policy=EvictionPolicy.LRU,
-            cache_capacity_bytes=int(m.sizes.sum()) // 2,
+            cache=Cache(int(m.sizes.sum()) // 2, EvictionPolicy.LRU),
             warm_trace_count=2,
             samples_per_axis=4,
         )
@@ -770,16 +766,32 @@ class TestWholeRunLaws:
         smaller cache, each segment takes at least as many bytes from the
         larger one, in every iteration."""
         policies = [PolicyKind.NAIVE, PolicyKind.POPULARITY]
-        large = setup["cache_capacity_bytes"]
+        large = setup["cache"].capacity
         small = large * 3 // 5
         assert setup["manifest"].sizes.max() <= small
 
         def cached(capacity):
             runs = run_experiment(policies=policies, iterations=3,
-                                  **{**setup, "cache_capacity_bytes": capacity})
+                                  **{**setup, "cache": Cache(capacity, EvictionPolicy.LRU)})
             return np.array([[[r["bytes_from_cache"] for r in session]
                               for session in self.sessions(runs, p)] for p in policies])
 
         lo, hi = cached(small), cached(large)
         assert (lo <= hi).all()
         assert lo.any() and (lo < hi).any()
+
+    @pytest.mark.parametrize("eviction", list(EvictionPolicy), ids=lambda p: p.value)
+    def test_a_cache_that_stores_nothing_changes_no_row(self, setup, eviction):
+        """A cache of capacity 0 holds no tile, so every policy's rows are
+        those of a run with no cache."""
+        policies = list(PolicyKind)
+        empty, none = (
+            segment_rows(run_experiment(policies=policies, iterations=2, **{**setup, "cache": c}))
+            for c in (Cache(0, eviction), None)
+        )
+        assert empty == none
+
+    def test_the_cache_given_is_not_changed(self, setup):
+        """Every law above warmed copies of the fixture's one cache."""
+        run_experiment(policies=[PolicyKind.NAIVE], iterations=2, **setup)
+        assert len(setup["cache"]) == setup["cache"].occupancy == 0
