@@ -63,6 +63,13 @@ def greedy_levels(
     return levels
 
 
+def _visible_at_top(manifest: VideoManifest, order: np.ndarray) -> np.ndarray:
+    """The tiles in `order` at the top level and every other tile at 0."""
+    levels = np.zeros(manifest.grid.tile_count, dtype=np.int64)
+    levels[order] = manifest.quality_count - 1
+    return levels
+
+
 def select_prediction(
     manifest: VideoManifest,
     segment: int,
@@ -78,9 +85,7 @@ def select_prediction(
     budget means the visible tiles go straight to the top.
     """
     if budget_bps is None:
-        levels = np.zeros(manifest.grid.tile_count, dtype=np.int64)
-        levels[order] = manifest.quality_count - 1
-        return levels
+        return _visible_at_top(manifest, order)
     return greedy_levels(
         manifest.sizes[segment], order, budget_bps * manifest.segment_length
     )
@@ -114,13 +119,11 @@ def select_prediction_ba(
     The smallest shift whose result fits the budget wins (levels floor at 0);
     if even the all-zero result does not fit, it is returned anyway.
     """
-    q = manifest.quality_count
-    desired = np.zeros(manifest.grid.tile_count, dtype=np.int64)
-    desired[order] = q - 1
+    desired = _visible_at_top(manifest, order)
     if budget_bps is None:
         return desired
     cap = budget_bps * manifest.segment_length * (1.0 + _BUDGET_EPS)
-    for shift in range(q):
+    for shift in range(manifest.quality_count):
         shifted = np.maximum(desired - shift, 0)
         if segment_bits(manifest, segment, shifted) <= cap:
             return shifted

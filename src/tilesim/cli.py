@@ -26,8 +26,6 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import manifest as manifest_mod
 from . import netsim, playback, popularity, prediction, traceio
 from .adaptation import PolicyKind
@@ -257,12 +255,13 @@ RUN_SETTINGS = (
     Setting("--network-scale", "network_scale", 1.0, "throughput scale factor",
             _Number(float, 0.0, strict=True)),
     Setting("--policies", "policies", "transition",
-            "comma-separated: naive,prediction,popularity,prediction-ba,transition",
+            f"comma-separated: {','.join(p.value for p in PolicyKind)}",
             _Listed(partial(_policy, PolicyKind))),
     Setting("--iterations", "iterations", 1, "runs per policy", _Number(int, 1)),
     Setting("--seed", "seed", 0, "experiment seed", _Number(int)),
     Setting("--cache-policy", "cache_policy", None,
-            "lru, lfuda, or gdsf; a cache needs a policy and a capacity", _cache_policy),
+            f"{', '.join(p.value for p in EvictionPolicy)}; a cache also needs a capacity",
+            _cache_policy),
     Setting("--cache-capacity", "cache_capacity_bytes", 0, "cache bytes; 0 = no cache",
             _Number(int, 0)),
     Setting("--cache-rate", "cache_rate_bps", 100e6, "cache-to-client bit/s",
@@ -373,21 +372,9 @@ PRED_SUMMARY_COLUMNS = ["trace", "interval", "timeframe", "steps", "mean_deg", "
 
 def prediction_summary_rows(step_rows: list[dict]) -> list[dict]:
     """Aggregate per-step error rows; shared with the verifier."""
-    out = []
-    groups = playback.group_rows(step_rows, "trace", "interval", "timeframe")
-    for (trace, interval, timeframe), mine in groups.items():
-        errors = np.array([r["error_deg"] for r in mine])
-        out.append(
-            {
-                "trace": trace,
-                "interval": interval,
-                "timeframe": timeframe,
-                "steps": int(errors.size),
-                "mean_deg": float(errors.mean()),
-                "std_deg": float(errors.std()),
-            }
-        )
-    return out
+    return playback.aggregate(step_rows, PRED_SUMMARY_COLUMNS, 3, lambda mine: (
+        len(mine), *playback.mean_std([r["error_deg"] for r in mine])
+    ))
 
 
 def cmd_predict_error(args: argparse.Namespace) -> int:
@@ -395,27 +382,12 @@ def cmd_predict_error(args: argparse.Namespace) -> int:
     step_rows = []
     for name, trace in _read_input("--traces", s["traces"], traceio.load_trace_dir).items():
         path = os.path.join(s["traces"], name)
-        for interval in s["intervals"]:
-            for timeframe in s["timeframes"]:
-                try:
-                    errors = prediction.error_experiment(
-                        trace, interval, timeframe, s["step"]
-                    )
-                except ValueError as e:
-                    raise UsageError(
-                        f"--traces: {path} (interval {interval}, timeframe "
-                        f"{timeframe}): {e}"
-                    ) from None
-                for k, err in enumerate(errors):
-                    step_rows.append(
-                        {
-                            "trace": name,
-                            "interval": interval,
-                            "timeframe": timeframe,
-                            "step": k,
-                            "error_deg": float(err),
-                        }
-                    )
+        for interval, timeframe in itertools.product(s["intervals"], s["timeframes"]):
+            experiment = partial(prediction.error_experiment, trace, interval, timeframe)
+            source = f"--traces: {path} (interval {interval}, timeframe {timeframe})"
+            errors = _checked(source, experiment, s["step"]).tolist()
+            step_rows += (dict(zip(STEP_COLUMNS, (name, interval, timeframe, k, err)))
+                          for k, err in enumerate(errors))
     derived = _write_output(
         "--out", s["out"],
         lambda out: _write_outputs(out, "prediction_error_steps.csv", step_rows),

@@ -384,29 +384,34 @@ def group_rows(rows: list[dict], *columns: str) -> dict[tuple, list[dict]]:
     return groups
 
 
+def aggregate(rows: list[dict], columns: list[str], keys: int, reduce: Callable) -> list[dict]:
+    """The one group-by of every derived table: per group of `rows` by the first
+    `keys` columns, first seen first, a row of the key and then reduce(group)."""
+    groups = group_rows(rows, *columns[:keys])
+    return [dict(zip(columns, (*key, *reduce(group)))) for key, group in groups.items()]
+
+
+def mean_std(values: list) -> tuple[float, float] | tuple[None, None]:
+    """numpy's mean and std of `values` as floats; (None, None) for no values."""
+    if not values:
+        return None, None
+    arr = np.array(values, dtype=float)
+    return float(arr.mean()), float(arr.std())
+
+
 def policy_summary_rows(rows: list[dict]) -> list[dict]:
     """Per-policy aggregates, computed only from flattened segment rows so a
     verifier can reproduce them from the CSV alone."""
-    out = []
-    for (policy,), mine in group_rows(rows, "policy").items():
+
+    def reduce(mine: list[dict]) -> tuple:
         runs = group_rows(mine, "iteration")
         iterations = sorted(runs)
-        stalls = np.array([sum(r["stall"] for r in runs[i]) for i in iterations])
-        quality = np.array(
-            [np.mean([r["mean_quality"] for r in runs[i]]) for i in iterations]
-        )
-        out.append(
-            {
-                "policy": policy,
-                "runs": len(iterations),
-                "stall_mean": float(stalls.mean()),
-                "stall_std": float(stalls.std()),
-                "quality_mean": float(quality.mean()),
-                "quality_std": float(quality.std()),
-                "savings_mean": float(np.mean([r["savings"] for r in mine])),
-            }
-        )
-    return out
+        stalls = [sum(r["stall"] for r in runs[i]) for i in iterations]
+        quality = [np.mean([r["mean_quality"] for r in runs[i]]) for i in iterations]
+        savings = float(np.mean([r["savings"] for r in mine]))
+        return len(iterations), *mean_std(stalls), *mean_std(quality), savings
+
+    return aggregate(rows, SUMMARY_COLUMNS, 1, reduce)
 
 
 def quality_gain_percent(summary: list[dict]) -> float | None:
@@ -428,13 +433,9 @@ SHARE_COLUMNS = ["policy", "segment", "popularity_share"]
 def popularity_share_rows(rows: list[dict]) -> list[dict]:
     """Fraction of iterations whose active mechanism was popularity, per
     (policy, segment)."""
-    out = []
-    for (policy, segment), mine in group_rows(rows, "policy", "segment").items():
-        share = float(
-            np.mean([1.0 if r["active"] == "popularity" else 0.0 for r in mine])
-        )
-        out.append({"policy": policy, "segment": segment, "popularity_share": share})
-    return out
+    return aggregate(rows, SHARE_COLUMNS, 2, lambda mine: [float(
+        np.mean([1.0 if r["active"] == "popularity" else 0.0 for r in mine])
+    )])
 
 
 ESTIMATE_COLUMNS = ["policy", "segment", "estimate_mean", "estimate_std"]
@@ -443,21 +444,6 @@ ESTIMATE_COLUMNS = ["policy", "segment", "estimate_mean", "estimate_std"]
 def estimate_rows(rows: list[dict]) -> list[dict]:
     """Mean/std of the bandwidth-estimate trajectory per (policy, segment),
     over the iterations that had an estimate."""
-    out = []
-    for (policy, segment), mine in group_rows(rows, "policy", "segment").items():
-        values = [r["estimate_bps"] for r in mine if r["estimate_bps"] is not None]
-        if values:
-            arr = np.array(values, dtype=float)
-            mean: float | None = float(arr.mean())
-            std: float | None = float(arr.std())
-        else:
-            mean = std = None
-        out.append(
-            {
-                "policy": policy,
-                "segment": segment,
-                "estimate_mean": mean,
-                "estimate_std": std,
-            }
-        )
-    return out
+    return aggregate(rows, ESTIMATE_COLUMNS, 2, lambda mine: mean_std(
+        [r["estimate_bps"] for r in mine if r["estimate_bps"] is not None]
+    ))

@@ -8,6 +8,7 @@ independent derivations.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import copy
 import csv
 import heapq
@@ -15,6 +16,7 @@ import json
 import math
 import os
 import random
+import signal
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Hashable, NamedTuple
@@ -589,6 +591,24 @@ def checkout_env():
     src = str(Path(tilesim.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError inside the block once it has run `seconds` (a
+    SIGALRM timer, so the main thread only): a call that should return at
+    once fails instead of hanging the suite if it does not."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # --- helpers only the tests use ----------------------------------------------

@@ -13,9 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import checkout_env, constant_rate_network, linear_gaze, staircase_scenario
+from helpers import (
+    checkout_env, constant_rate_network, deadline, linear_gaze, staircase_scenario,
+)
 from tilesim import manifest as manifest_mod
-from tilesim import cli, netsim, playback, traceio
+from tilesim import cli, netsim, playback, prediction, traceio
+from tilesim.adaptation import PolicyKind
+from tilesim.cachesim import EvictionPolicy
 from tilesim.cli import RUN_SETTINGS, main
 from tilesim.geometry import TileGrid
 from tilesim.synthetic import constant_gaze, drifting_gaze, two_phase_network
@@ -526,6 +530,21 @@ class TestPredictError:
         err = capsys.readouterr().err
         assert "--traces" in err and "slow.csv" in err
 
+    def test_a_step_too_fine_names_file_step_and_limit(self, tmp_path, capsys):
+        """A step that makes more steps than prediction.MAX_STEPS exits 2 at
+        once, naming the trace file, the step and the limit."""
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        traceio.save_viewing_trace(drifting_gaze(1, 5.0, hz=30.0), str(traces / "a.csv"))
+        with deadline(2.0):
+            code = main([
+                "predict-error", "--traces", str(traces), "--step", "1e-300",
+                "--out", str(tmp_path / "out"),
+            ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(traces / "a.csv") in err and "1e-300" in err and str(prediction.MAX_STEPS) in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("step, named", [
         ([], "a.csv (interval 2.0, timeframe 0.1)"),
@@ -814,6 +833,18 @@ class TestRun:
                 assert setting.flag in entries, (command, setting.flag)
                 if setting.default is not None:
                     assert f"(default: {setting.default})" in entries[setting.flag]
+
+    def test_run_help_lists_every_member_of_both_policy_enums(self, capsys, monkeypatch):
+        """--policies and --cache-policy list their choices from the enums,
+        so a new member cannot be left out of either help text."""
+        monkeypatch.setenv("COLUMNS", "1000")  # no line breaks inside a name
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        options = " ".join(capsys.readouterr().out.split()).split(" options: ")[1]
+        entries = {e.split()[0]: e for e in re.split(r" (?=--[a-z])", options)}
+        for flag, kind in (("--policies", PolicyKind), ("--cache-policy", EvictionPolicy)):
+            help_ = entries[flag].split(maxsplit=2)[2]  # after the flag and its metavar
+            assert {p.value for p in kind} <= set(re.findall(r"[a-z][a-z-]*", help_)), help_
 
     def test_readme_names_each_config_key_that_differs_from_its_flag(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -88,7 +88,7 @@ from tilesim.playback import (
 from tilesim.popularity import HeatMap, build_heat, quantize
 from tilesim.prediction import error_experiment, fit, nearest_sample, predict, select_window
 from tilesim.synthetic import constant_gaze, drifting_gaze, packet_slots, two_phase_network
-from tilesim import geometry, traceio
+from tilesim import geometry, prediction, traceio
 from tilesim.traceio import (
     WRITE_CHUNK_CELLS,
     ViewingTraceError,
@@ -459,7 +459,7 @@ def test_report_group_bys_match_seen_list_scans(rows):
         assert repr(fast(rows)) == repr(slow(rows))
 
 
-@given(rows=st.lists(step_row, min_size=1, max_size=60))
+@given(rows=st.lists(step_row, max_size=60))
 @settings(max_examples=300, deadline=None)
 def test_prediction_summary_matches_seen_list_scan(rows):
     assert repr(prediction_summary_rows(rows)) == repr(prediction_summary_oracle(rows))
@@ -1013,6 +1013,23 @@ def test_error_experiment_matches_the_per_step_loop(args):
         assert str(got.value) == str(e)
         return
     assert error_experiment(*args).tobytes() == expected.tobytes()
+
+
+@given(args=error_experiment_args())
+@settings(max_examples=60, deadline=None)
+def test_the_step_limit_counts_the_per_step_loops_steps(args):
+    """The step count error_experiment works out before it fits anything is
+    the per-step loop's: a limit of exactly that count takes every step, and
+    one step less refuses."""
+    try:
+        count = error_experiment_oracle(*args).size
+    except ValueError:
+        return
+    with mock.patch.object(prediction, "MAX_STEPS", count):
+        assert error_experiment(*args).size == count
+    with mock.patch.object(prediction, "MAX_STEPS", count - 1):
+        with pytest.raises(ValueError, match=f"more than the {count - 1} steps allowed"):
+            error_experiment(*args)
 
 
 # --- set-up generators and trace writers ------------------------------------

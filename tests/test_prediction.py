@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import Orientation, linear_gaze, sinusoid_gaze, trace_of
+from helpers import Orientation, deadline, linear_gaze, sinusoid_gaze, trace_of
+from tilesim import prediction
 from tilesim.geometry import ViewingTrace
 from tilesim.prediction import (
     error_experiment,
@@ -128,6 +129,31 @@ class TestErrorExperiment:
         assert trace.t[-1] - trace.t[0] > interval + 0.1
         with pytest.raises(ValueError, match="no .* step"):
             error_experiment(trace, interval=interval, timeframe=0.1, step=step)
+
+    @pytest.mark.parametrize("step", [1e-300, 5e-324, 1e-9])
+    def test_refuses_a_step_that_makes_too_many_steps(self, step):
+        """The step count is worked out before anything is fitted: too fine a
+        step, even one whose first step index overflows a float, is refused
+        at once with a message naming the step and the limit."""
+        trace = drifting_gaze(1, 5.0, hz=30.0)
+        with deadline(2.0), pytest.raises(ValueError) as refused:
+            error_experiment(trace, interval=0.5, timeframe=0.1, step=step)
+        assert str(refused.value) == (
+            f"step {step}s makes more than the {prediction.MAX_STEPS} steps allowed"
+        )
+
+    def test_the_step_limit_counts_the_steps_taken(self, monkeypatch):
+        """5 s of trace, 0.5 s ahead and 0.1 s behind leave 4.4 s: steps 1 to
+        45 of 0.1 s. A limit of 45 takes them all, and a limit of 44 refuses."""
+        trace = drifting_gaze(1, 5.0, hz=30.0)
+        expected = error_experiment(trace, interval=0.5, timeframe=0.1, step=0.1)
+        assert expected.size == 45
+        monkeypatch.setattr(prediction, "MAX_STEPS", 45)
+        got = error_experiment(trace, interval=0.5, timeframe=0.1, step=0.1)
+        assert got.tobytes() == expected.tobytes()
+        monkeypatch.setattr(prediction, "MAX_STEPS", 44)
+        with pytest.raises(ValueError, match="more than the 44 steps allowed"):
+            error_experiment(trace, interval=0.5, timeframe=0.1, step=0.1)
 
     def test_refuses_a_trace_that_goes_back_in_time(self):
         """Its window and nearest-sample lookups search sorted times, so no
