@@ -125,7 +125,7 @@ class Cache:
 
 
 def quality_bands(scores: np.ndarray, quality_count: int) -> np.ndarray:
-    """Warm-up quality mapping for one pose's visibility scores.
+    """Warm-up quality mapping for one pose's tile_visibility counts.
 
     Visible tiles, sorted by descending score (ties by index), are split into
     quality_count - 1 equal rank bands mapping to levels q-1 down to 1;

@@ -153,9 +153,10 @@ def _pair(kind: type, build: Callable, shape: str) -> Callable:
     def parse(text):
         try:
             a, b = str(text).lower().split("x")
-            return build(kind(a), kind(b))
+            a, b = kind(a), kind(b)
         except ValueError:
             raise ValueError(f"expected {shape}, got {text!r}") from None
+        return build(a, b)
 
     return parse
 

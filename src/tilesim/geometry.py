@@ -257,22 +257,22 @@ def tile_visibility(
     grid: TileGrid,
     samples_per_axis: int = 32,
 ) -> np.ndarray:
-    """Score each tile, for each sample of `poses`, by the fraction of FoV
-    samples that land on it; row k of the (len(poses), tile_count) result is
-    sample k's scores.
+    """Count, for each sample of `poses`, the FoV samples that land on each
+    tile; row k of the (len(poses), tile_count) int64 result is sample k's
+    counts, which sum to samples_per_axis**2.
 
     samples_per_axis**2 directions are cast on a uniform angular grid over the
     FoV rectangle centered on the pose, corners included (samples_per_axis=1
     casts the one direction the pose faces). Offsets are applied along great
     circles of the local camera frame (not a planar projection), each sample
-    contributing 1 / samples_per_axis**2 to the tile its direction falls in.
+    counting once in the tile its direction falls in.
     The batch is scored CHUNK_SAMPLES directions at a time, in two stages.
     A float32 pass (one matmul, arctan2 and arcsin) bins every direction and
     certifies the tile of each one that lies farther than FILTER_BOUND
     radians from every tile edge; the float64 chain bins the rest, the few
     near an edge, a pole or the seam, exactly as the scalar form does. A
-    certified tile is the float64 chain's tile, so every row keeps the
-    scalar form's bits and does not depend on the batch it was scored in.
+    certified tile is the float64 chain's tile, so every row equals the
+    scalar form's and does not depend on the batch it was scored in.
     A run of consecutive poses with bit-identical frames (a viewer holding
     still, a sample-and-hold trace) is scored once.
     """
@@ -314,7 +314,7 @@ def tile_visibility(
     margin = FILTER_BOUND * np.abs(scale)
     scale, shift, low, high = (a.astype(np.float32) for a in (scale, shift, margin, 1.0 - margin))
     frames32 = frames.astype(np.float32)
-    scores = np.empty((len(frames), tiles))
+    counts = np.empty((len(frames), tiles), dtype=np.int64)
     step = max(1, CHUNK_SAMPLES // samples)
     # Three float32 buffers of a chunk's directions, angles and floors. Each
     # chunk takes the front of each as contiguous arrays, and the int32 tiles
@@ -341,7 +341,7 @@ def tile_visibility(
         certified &= inside[1]
         # A certified sample's fractions lie in (margin, 1 - margin), so its
         # floor(u) and floor(v) are a column and row of the grid. Its tile
-        # is exact in int32 (a grid of 2**31 tiles could not hold one score
+        # is exact in int32 (a grid of 2**31 tiles could not hold one count
         # row in memory), and the int64 flat index is offset by `tiles` per
         # pose for one bincount. The other samples count in a last bin,
         # dropped.
@@ -354,8 +354,8 @@ def tile_visibility(
         np.add(row, pose_offsets[:k], out=flat)
         rest = np.flatnonzero(~certified)
         flat.ravel()[rest] = k * tiles
-        counts = np.bincount(flat.ravel(), minlength=k * tiles + 1)
-        scores[start : start + k] = counts[:-1].reshape(k, tiles)
+        binned = np.bincount(flat.ravel(), minlength=k * tiles + 1)
+        counts[start : start + k] = binned[:-1].reshape(k, tiles)
         flagged.append(rest + start * samples)
         pending += rest.size
         # The float64 chain holds about 20 values per sample, so it runs
@@ -363,7 +363,6 @@ def tile_visibility(
         if pending >= CHUNK_SAMPLES // 8 or (pending and start + k == len(frames)):
             pose, sample = np.divmod(np.concatenate(flagged), samples)
             tile = _tiles64(frames, offsets, pose, sample, grid)
-            np.add.at(scores.reshape(-1), pose * tiles + tile, 1.0)
+            np.add.at(counts.reshape(-1), pose * tiles + tile, 1)
             flagged, pending = [], 0
-    scores /= samples
-    return scores[np.cumsum(first) - 1]
+    return counts[np.cumsum(first) - 1]

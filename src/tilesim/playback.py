@@ -212,7 +212,7 @@ def simulate(
     end_prev = 0.0
 
     for seg in range(m.segment_count):
-        dl_start = 0.0 if seg == 0 else max(end_prev, sched_prev)
+        dl_start = max(end_prev, sched_prev)
         order = plan.ranked[seg] if plan is not None else None
         active = policy
         if policy is PolicyKind.TRANSITION:

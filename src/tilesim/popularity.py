@@ -24,7 +24,7 @@ HEAT_BATCH = 256
 
 @dataclass
 class HeatMap:
-    """Accumulated visibility mass per (segment, tile)."""
+    """Per (segment, tile): summed FoV-sample counts / samples_per_axis**2."""
 
     heat: np.ndarray = field(repr=False)  # (segments, tiles)
 
@@ -37,25 +37,25 @@ def build_heat(
     duration: float,
     samples_per_axis: int = 32,
 ) -> HeatMap:
-    """Sum every sample's visibility map into its segment's heat row.
+    """Sum every sample's visibility counts into its segment's heat row.
 
     A sample at time t lands in segment floor(t / segment_length); samples at
-    or past `duration` are ignored. Total heat per segment equals the number
-    of samples that fell into it (each visibility map sums to 1). A trace's
-    samples are scored HEAT_BATCH at a time, one tile_visibility call each,
-    and their maps are added in sample order, so every float sum is the
-    per-sample loop's and memory does not grow with trace length.
+    or past `duration` are ignored. Counts add as integers and are divided
+    by samples_per_axis**2 once, so a segment's heat sums to its sample
+    count and tiles with equal counts tie exactly. A trace's samples are
+    scored HEAT_BATCH at a time, one tile_visibility call each, so memory
+    does not grow with trace length.
     """
     segments = count_segments(duration, segment_length)
-    heat = np.zeros((segments, grid.tile_count))
+    counts = np.zeros((segments, grid.tile_count), dtype=np.int64)
     for trace in traces:
         seg = trace.t // segment_length
         kept = np.flatnonzero((trace.t >= 0) & (trace.t < duration) & (seg < segments))
         for start in range(0, kept.size, HEAT_BATCH):
             batch = kept[start : start + HEAT_BATCH]
-            scores = tile_visibility(trace[batch], fov, grid, samples_per_axis)
-            np.add.at(heat, seg[batch].astype(np.int64), scores)
-    return HeatMap(heat=heat)
+            rows = tile_visibility(trace[batch], fov, grid, samples_per_axis)
+            np.add.at(counts, seg[batch].astype(np.int64), rows)
+    return HeatMap(heat=counts / samples_per_axis**2)
 
 
 def default_budget_bps(manifest: VideoManifest) -> float:

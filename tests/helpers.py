@@ -265,7 +265,7 @@ class HeapCache:
 def visibility_oracle(
     o: Orientation, fov: FovSpec, grid: TileGrid, samples: int
 ) -> np.ndarray:
-    """Dense-sampling visibility via explicit rotation matrices.
+    """Dense-sampling visibility counts via explicit rotation matrices.
 
     Independent derivation: the camera frame is built as Rz(yaw) @ Ry(-pitch)
     and applied to the spherical offsets, instead of the package's
@@ -300,14 +300,13 @@ def visibility_oracle(
     j = np.clip(
         np.floor((90.0 - pitch) * grid.rows / 180.0).astype(int), 0, grid.rows - 1
     )
-    counts = np.bincount(j * grid.cols + i, minlength=grid.tile_count)
-    return counts / float(samples * samples)
+    return np.bincount(j * grid.cols + i, minlength=grid.tile_count)
 
 
 def visibility_map(
     o: Orientation, fov: FovSpec, grid: TileGrid, samples_per_axis: int = 32
 ) -> np.ndarray:
-    """One pose's flat score row from the batched kernel, as
+    """One pose's flat count row from the batched kernel, as
     `prediction_plan` scores it."""
     return tile_visibility(pose_trace([o]), fov, grid, samples_per_axis)[0]
 
@@ -318,7 +317,7 @@ def scalar_tile_visibility(
     """`geometry.tile_visibility` before it scored batches: one pose, its FoV
     offsets recomputed on every call, np.outer per camera axis and the float
     % yaw wrap; its one FoV sample for samples_per_axis=1 is at the FoV's
-    centre. Returns the flat scores."""
+    centre. Returns the flat counts."""
     n = samples_per_axis
     alpha = np.radians(np.linspace(-fov.h_deg / 2.0, fov.h_deg / 2.0, n) if n > 1 else [0.0])
     beta = np.radians(np.linspace(-fov.v_deg / 2.0, fov.v_deg / 2.0, n) if n > 1 else [0.0])
@@ -345,8 +344,7 @@ def scalar_tile_visibility(
     j = np.floor((90.0 - pitch) * grid.rows / 180.0).astype(np.int64)
     np.clip(i, 0, grid.cols - 1, out=i)
     np.clip(j, 0, grid.rows - 1, out=j)
-    counts = np.bincount(j * grid.cols + i, minlength=grid.tile_count)
-    return counts / float(n * n)
+    return np.bincount(j * grid.cols + i, minlength=grid.tile_count)
 
 
 class Sample(NamedTuple):
@@ -534,10 +532,11 @@ def error_experiment_oracle(trace, interval, timeframe, step) -> np.ndarray:
 
 
 def build_heat_oracle(traces, grid, fov, segment_length, duration, samples_per_axis):
-    """`popularity.build_heat`'s heat array before it batched: one scalar map
-    per sample, added into its segment's row."""
+    """`popularity.build_heat`'s heat array before it batched: one scalar
+    count row per sample, added into its segment's row, and the sums divided
+    by samples_per_axis**2 once."""
     segments = mf.count_segments(duration, segment_length)
-    heat = np.zeros((segments, grid.tile_count))
+    counts = np.zeros((segments, grid.tile_count), dtype=np.int64)
     for trace in traces:
         for sample in samples(trace):
             if sample.t < 0 or sample.t >= duration:
@@ -545,8 +544,8 @@ def build_heat_oracle(traces, grid, fov, segment_length, duration, samples_per_a
             seg = int(sample.t // segment_length)
             if seg >= segments:
                 continue
-            heat[seg] += scalar_tile_visibility(sample.o, fov, grid, samples_per_axis)
-    return heat
+            counts[seg] += scalar_tile_visibility(sample.o, fov, grid, samples_per_axis)
+    return counts / samples_per_axis**2
 
 
 def viewing_assignments_oracle(manifest, trace, fov, samples_per_axis):
@@ -668,7 +667,7 @@ def tile_of_direction(o: Orientation, grid: TileGrid) -> tuple[int, int]:
 
 
 def score(scores: np.ndarray, grid: TileGrid, i: int, j: int) -> float:
-    """Visibility score of tile (i, j) in a flat score row over `grid`."""
+    """Visibility count of tile (i, j) in a flat count row over `grid`."""
     return float(scores[flat_index(grid, i, j)])
 
 

@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 from helpers import (
-    checkout_env, constant_rate_network, deadline, linear_gaze, staircase_scenario,
+    build_heat_oracle, checkout_env, constant_rate_network, deadline, linear_gaze,
+    quantize_oracle, staircase_scenario,
 )
 from tilesim import manifest as manifest_mod
-from tilesim import cli, netsim, playback, prediction, traceio
+from tilesim import cli, netsim, playback, popularity, prediction, traceio
 from tilesim.adaptation import PolicyKind
 from tilesim.cachesim import EvictionPolicy
 from tilesim.cli import RUN_SETTINGS, main
-from tilesim.geometry import TileGrid
+from tilesim.geometry import FovSpec, TileGrid
 from tilesim.synthetic import constant_gaze, drifting_gaze, two_phase_network
 
 
@@ -134,6 +135,26 @@ def test_bound_walk_covers_every_table():
     walked = {(p.values[0], p.values[1]) for p in BAD_VALUES}
     assert ("synth", "--seed") in walked and ("synth", "--variability") in walked
     assert {command for command, _ in walked} == set(TABLES) - {"verify"}
+
+
+@pytest.mark.parametrize("command, given, reason", [
+    ("synth", ["--grid", "0x4"], "--grid: grid must be at least 1x1, got 0x4"),
+    ("popularity", ["--fov", "400x100"], "--fov: field of view out of range: 400.0x100.0"),
+    ("popularity", ["--fov", "nanx100"], "--fov: field of view out of range: nanx100.0"),
+    ("run", {"fov": "100x0"}, "--config: fov: field of view out of range: 100.0x0.0"),
+], ids=["grid-0x4", "fov-400x100", "fov-nanx100", "config-fov-100x0"])
+def test_a_pair_out_of_range_exits_2_with_its_reason(
+    tmp_path, monkeypatch, capsys, command, given, reason
+):
+    """A value that parses as two numbers but builds no grid or FoV is
+    reported with the grid's or the FoV's own reason, after its flag or
+    config key."""
+    monkeypatch.chdir(tmp_path)
+    if isinstance(given, dict):
+        (tmp_path / "config.json").write_text(json.dumps(given))
+        given = ["--config", "config.json"]
+    assert main([command, *REQUIRED[command], *given]) == 2
+    assert f"error: {reason}\n" in capsys.readouterr().err
 
 
 def append_undecodable(path):
@@ -444,6 +465,35 @@ class TestPopularity:
         ]) == 0
         plan = manifest_mod.load(str(manifest)).popularity
         assert plan.shape == (27, 16) and (plan == 0).all()
+
+    def test_equal_sample_counts_tie_by_tile_index(self, tmp_path, monkeypatch):
+        """At 3 samples per axis a heat cell is a count over 9, which summed
+        fractions would round: in segment 2, tiles 35 and 36 hold equally
+        many FoV samples, the budget cuts between them, and the lower index
+        goes up. The heat is each segment's exact counts over 9, bit for bit."""
+        manifest, traces = tmp_path / "m.json", tmp_path / "traces"
+        assert main(["synth", "--out", str(manifest), "--duration", "20", "--grid", "8x8",
+                     "--qualities", "2", "--base-bitrate", "2e6"]) == 0
+        traces.mkdir()
+        for seed in range(3):
+            traceio.save_viewing_trace(drifting_gaze(seed, 20.0), str(traces / f"v{seed}.csv"))
+        built = []
+        build_heat = popularity.build_heat
+
+        def spy(*args, **kw):
+            built.append(build_heat(*args, **kw))
+            return built[-1]
+
+        monkeypatch.setattr(popularity, "build_heat", spy)
+        assert main(["popularity", "--manifest", str(manifest), "--traces", str(traces),
+                     "--fov", "80x40", "--samples", "3", "--budget", "36500000"]) == 0
+        m = manifest_mod.load(str(manifest))
+        viewers = traceio.load_trace_dir(str(traces)).values()
+        heat = build_heat_oracle(viewers, m.grid, FovSpec(80, 40), m.segment_length, m.duration, 3)
+        assert built[0].heat.tobytes() == heat.tobytes()
+        assert heat[2, 35] == heat[2, 36]
+        assert np.flatnonzero(m.popularity[2]).tolist() == [27, 28, 35]
+        np.testing.assert_array_equal(m.popularity, quantize_oracle(heat, m, 36.5e6))
 
     def test_zero_quaternion_names_traces_and_file(self, ws, tmp_path, capsys):
         traces = tmp_path / "traces"

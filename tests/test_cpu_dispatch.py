@@ -7,19 +7,20 @@ tile edge could move a sample, and the kernel's float32 pass relies on its
 float32 loops staying within a bound. The prediction errors' orthodromic
 distance takes numpy's `cross` and stacked `matmul`. The first test reruns
 the full-size reference-digest runs, the scalar-kernel oracle, the float32
-pass's bound and the prediction-error oracle in a child process whose
-environment alone sets NPY_DISABLE_CPU_FEATURES to every dispatch group the
-host's numpy reports, so the child runs numpy's baseline loops.
+pass's bound, the exact-heat tie test and the prediction-error oracle in a
+child process whose environment alone sets NPY_DISABLE_CPU_FEATURES to every
+dispatch group the host's numpy reports, so the child runs numpy's baseline
+loops.
 
 A BLAS library that numpy calls picks its own kernels, which that does not
 turn off. The float32 pass rotates with a matmul, and the orthodromic
 distance's stacked matmuls are BLAS dot products. The second test reruns the
-kernel's oracle and bound and the `edge-hits` and `dense-churn` digest runs
-with OpenBLAS also held to its Sandybridge kernel. It leaves out the
-`trace-analysis` digest run: OpenBLAS's Sandybridge and Haswell kernels
-round a length-3 dot as the plain sum where the SkylakeX kernel, under
-which `perfbench/reference.json` was recorded, fuses it, so 52 of the 306
-prediction-error rows differ in their last bit.
+kernel's oracle, bound and exact-heat tie test and the `edge-hits` and
+`dense-churn` digest runs with OpenBLAS also held to its Sandybridge kernel.
+It leaves out the `trace-analysis` digest run: OpenBLAS's Sandybridge and
+Haswell kernels round a length-3 dot as the plain sum where the SkylakeX
+kernel, under which `perfbench/reference.json` was recorded, fuses it, so 52
+of the 306 prediction-error rows differ in their last bit.
 """
 
 import os
@@ -35,6 +36,7 @@ DIGESTS = "tests/test_perfbench.py::test_full_size_run_matches_the_reference_dig
 KERNEL = [
     "tests/test_oracles.py::test_tile_visibility_rows_match_the_scalar_kernel",
     "tests/test_geometry.py::test_float32_pass_angles_stay_within_a_hundredth_of_the_filter_bound",
+    "tests/test_cli.py::TestPopularity::test_equal_sample_counts_tie_by_tile_index",
 ]
 RERUN = [
     DIGESTS,

@@ -287,7 +287,7 @@ def test_tile_visibility_rows_match_the_scalar_kernel(case):
     with np.errstate(invalid="ignore" if nan else "warn"):  # a NaN pose's int cast
         rows = tile_visibility(batch, fov, grid, n)
         expected = [scalar_tile_visibility(o, fov, grid, n).tobytes() for o in pool]
-    assert rows.shape == (length, grid.tile_count)
+    assert rows.shape == (length, grid.tile_count) and rows.dtype == np.int64
     for k, row in enumerate(rows):
         assert row.tobytes() == expected[index[k]], (k, pool[index[k]])
 
@@ -323,7 +323,7 @@ def test_tile_visibility_rows_match_the_scalar_kernel_on_runs_of_held_poses(data
     with np.errstate(invalid="ignore"):  # the NaN pose's int cast
         rows = tile_visibility(pose_trace(batch), fov, grid, n)
         expected = [scalar_tile_visibility(o, fov, grid, n).tobytes() for o in pool]
-    assert rows.shape == (len(batch), grid.tile_count)
+    assert rows.shape == (len(batch), grid.tile_count) and rows.dtype == np.int64
     k = 0
     for i, count in runs:
         for row in rows[k : k + count]:
@@ -394,8 +394,9 @@ def sample_and_hold(trace: ViewingTrace, hz: float, times: int = 9) -> ViewingTr
 
 @pytest.mark.parametrize("n", [3, 7, 32])
 def test_build_heat_matches_the_per_sample_loop_on_dense_traces(n):
-    """Three wandering 90 Hz viewers, so each heat cell sums hundreds of maps
-    whose scores are not dyadic: any change in summation order shows. A
+    """Three wandering 90 Hz viewers, so each heat cell sums hundreds of
+    counts; at n = 3 and 7 their sum over n**2 is not dyadic, and a heat
+    summed as fractions would differ from the exact counts over n**2. A
     still viewer and a 10 Hz viewer held to 90 Hz repeat poses."""
     traces = [drifting_gaze(seed, 3.0, hz=90.0) for seed in range(3)]
     traces += [constant_gaze(40.0, -10.0, 3.0, hz=90.0)]
