@@ -146,10 +146,11 @@ def viewing_assignments(
 ) -> np.ndarray:
     """Per-segment warm-up assignments for one viewer (actual poses, no
     prediction): the pose nearest each segment start drives quality_bands.
-    Every segment's pose is scored in one tile_visibility call."""
-    starts = (seg * manifest.segment_length for seg in range(manifest.segment_count))
-    nearest = np.array([nearest_sample(trace, t) for t in starts], dtype=np.int64)
-    scores = tile_visibility(trace[nearest], fov, manifest.grid, samples_per_axis)
+    One nearest_sample call finds every segment's pose, and one
+    tile_visibility call scores them."""
+    starts = np.arange(manifest.segment_count) * manifest.segment_length
+    poses = trace[nearest_sample(trace, starts)]
+    scores = tile_visibility(poses, fov, manifest.grid, samples_per_axis)
     return np.array([quality_bands(row, manifest.quality_count) for row in scores])
 
 

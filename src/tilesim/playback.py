@@ -36,7 +36,7 @@ from .cachesim import Cache, viewing_assignments, warm
 from .geometry import FovSpec, ViewingTrace, rank_tiles, tile_visibility
 from .manifest import VideoManifest, naive_segment_bytes, segment_bits, segment_requests
 from .netsim import Link, NetworkTrace
-from .prediction import fit, nearest_sample, predict, select_window
+from .prediction import nearest_sample, predict_poses, select_window
 
 
 def _column(parse: Callable, cell: Callable | None = None):
@@ -150,25 +150,21 @@ def prediction_plan(
 
     Segment k's regression window ends at media time max(0, k * s - s), one
     segment length before its playback position k * s, whatever the download
-    timing, and its pose is predicted at k * s. If the window holds no sample
-    (sparse traces), the nearest sample is used as a constant fallback. Every
-    segment's pose is scored in one tile_visibility call, and each row is
-    ranked once.
+    timing, and its pose is predicted at k * s (predict_poses). An empty
+    window (sparse traces) takes the sample nearest its end instead, a
+    constant fallback. All segments' windows are looked up at once, their
+    poses scored in one tile_visibility call, and each row ranked once.
     """
     _check_trace(trace, timeframe)
     m = manifest
     s = m.segment_length
-    targets = [seg * s for seg in range(m.segment_count)]
-    poses = []
-    for target in targets:
-        now = max(0.0, target - s)
-        window = select_window(trace, now, timeframe)
-        if not window:
-            k = nearest_sample(trace, now)
-            window = trace[k : k + 1]
-        poses.append(predict(fit(window, now), target))
-    yaw, pitch = zip(*poses)
-    scores = tile_visibility(ViewingTrace(targets, yaw, pitch), fov, m.grid, samples_per_axis)
+    targets = np.arange(m.segment_count) * s
+    nows = np.maximum(targets - s, 0.0)
+    lo, hi = select_window(trace, nows, timeframe)
+    k, empty = nearest_sample(trace, nows), lo == hi
+    lo, hi = np.where(empty, k, lo), np.where(empty, k + 1, hi)
+    poses = predict_poses(trace, lo, hi, nows, targets)
+    scores = tile_visibility(poses, fov, m.grid, samples_per_axis)
     ranked = tuple(rank_tiles(row) for row in scores)
     for order in ranked:
         order.setflags(write=False)

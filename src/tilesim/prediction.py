@@ -27,11 +27,14 @@ class RegressionModel:
     fit_time: float
 
 
-def select_window(trace: ViewingTrace, now: float, timeframe: float) -> ViewingTrace:
-    """Samples of `trace` with t in [now - timeframe, now]."""
-    lo = int(trace.t.searchsorted(now - timeframe, side="left"))
-    hi = int(trace.t.searchsorted(now, side="right"))
-    return trace[lo:hi]
+def select_window(
+    trace: ViewingTrace, nows: np.ndarray, timeframe: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) of the regression windows ending at each of `nows`:
+    trace[lo[i]:hi[i]] holds the samples with t in [nows[i] - timeframe,
+    nows[i]]. One searchsorted per bound answers every time at once."""
+    lo = trace.t.searchsorted(nows - timeframe, side="left")
+    return lo, trace.t.searchsorted(nows, side="right")
 
 
 def _fit_axis(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -76,16 +79,24 @@ def predict(model: RegressionModel, t_future: float) -> tuple[float, float]:
     )
 
 
-def nearest_sample(trace: ViewingTrace, t: float) -> int:
-    """The index of the trace sample whose timestamp is closest to t (the
-    earlier one on ties)."""
-    pos = int(trace.t.searchsorted(t, side="left"))
-    if pos == 0:
-        return 0
-    if pos == len(trace):
-        return pos - 1
-    before, after = trace.t.item(pos - 1), trace.t.item(pos)
-    return pos if (after - t) < (t - before) else pos - 1
+def nearest_sample(trace: ViewingTrace, times: np.ndarray) -> np.ndarray:
+    """The index of the trace sample whose timestamp is closest to each of
+    `times` (the earlier one on ties; the first or last sample for a time
+    outside the trace), from one searchsorted and one comparison."""
+    pos = trace.t.searchsorted(times, side="left")
+    after, before = np.minimum(pos, len(trace) - 1), np.maximum(pos - 1, 0)
+    return np.where(trace.t[after] - times < times - trace.t[before], after, before)
+
+
+def predict_poses(
+    trace: ViewingTrace, lo: np.ndarray, hi: np.ndarray, nows: np.ndarray, targets: np.ndarray
+) -> ViewingTrace:
+    """The poses predicted at `targets`: pose i fits trace[lo[i]:hi[i]]
+    anchored at nows[i] and evaluates the fit at targets[i]. The one
+    fit-and-predict loop; ValueError (from fit) on an empty window."""
+    windows = zip(lo.tolist(), hi.tolist(), nows.tolist(), targets.tolist())
+    poses = [predict(fit(trace[a:b], now), target) for a, b, now, target in windows]
+    return ViewingTrace(targets, *np.array(poses).reshape(-1, 2).T)
 
 
 # One step per sample of an 18-minute 90 Hz trace: a call at the limit took
@@ -94,22 +105,19 @@ MAX_STEPS = 100_000
 
 
 def error_experiment(
-    trace: ViewingTrace,
-    interval: float,
-    timeframe: float,
-    step: float,
+    trace: ViewingTrace, interval: float, timeframe: float, step: float
 ) -> np.ndarray:
     """Prediction errors along a trace, one per step, in degrees.
 
     Steps through the trace at `step`-second increments, starting at the
     first step whose regression window [now - timeframe, now] lies fully
     inside the trace, and stopping while now + interval is still covered.
-    At each step the window is fitted, the pose at now + interval is
-    predicted, and the orthodromic distance to the actual pose (nearest
-    sample by time) is recorded; all steps' distances are measured in one
-    call. Sampling must be dense enough that every window holds at least
-    one sample, and the lookups by time rely on ViewingTrace's times never
-    decreasing. ValueError when no step fits, or more than MAX_STEPS do.
+    The errors are of the steps the loop lists, at most MAX_STEPS, counted
+    as they are listed. All steps' poses at now + interval are predicted
+    (predict_poses) and their orthodromic distances to the actual poses
+    (nearest sample by time) measured in one call. Every window must hold
+    a sample. ValueError when no step fits, a step past MAX_STEPS fits, or
+    timeframe / step is not finite.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
@@ -118,21 +126,19 @@ def error_experiment(
     t0, t_end = trace.t.item(0), trace.t.item(-1)
     if t_end - t0 <= interval + timeframe:
         raise ValueError("trace shorter than interval + timeframe")
-    # The loop below takes floor(last) - ceil(first) + 1 steps; inf and NaN are too many.
-    first, last = timeframe / step - 1e-9, (t_end + 1e-9 - interval - t0) / step
-    if not last - first < MAX_STEPS + 1 or math.floor(last) - math.ceil(first) >= MAX_STEPS:
-        raise ValueError(f"step {step}s makes more than the {MAX_STEPS} steps allowed")
+    too_many = f"step {step}s makes more than the {MAX_STEPS} steps allowed"
+    if not math.isfinite(timeframe / step):
+        raise ValueError(too_many)
     steps = []
-    k = math.ceil(first)
+    k = math.ceil(timeframe / step - 1e-9)
     while t0 + k * step + interval <= t_end + 1e-9:
+        if len(steps) == MAX_STEPS:
+            raise ValueError(too_many)
         steps.append(t0 + k * step)
         k += 1
     if not steps:
         raise ValueError(f"no {step}s step fits timeframe + interval inside the trace")
-    targets = [now + interval for now in steps]
-    yaw, pitch = zip(*(
-        predict(fit(select_window(trace, now, timeframe), now), target)
-        for now, target in zip(steps, targets)
-    ))
-    actual = np.array([nearest_sample(trace, target) for target in targets], dtype=np.int64)
-    return orthodromic_distance(ViewingTrace(targets, yaw, pitch), trace[actual])
+    nows = np.array(steps)
+    targets = nows + interval
+    predicted = predict_poses(trace, *select_window(trace, nows, timeframe), nows, targets)
+    return orthodromic_distance(predicted, trace[nearest_sample(trace, targets)])

@@ -67,14 +67,11 @@ def _slot_count(rate: float, t0: float, t1: float) -> int:
     return 0 if t1 <= t0 else max(1, int(round(rate * (t1 - t0) / 8.0 / 1500.0)))
 
 
-def packet_slots(
-    rate: float, t0: float, t1: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Millisecond stamps, as an int64 array (`out`, if given), of 1500-byte
-    packet slots spread evenly over (t0, t1] seconds at `rate` bit/s; at least
-    one slot if t1 > t0, none otherwise. Stamp k is t0 * 1000 + k * gap
-    rounded half to even, k = 1 .. packets."""
-    out = np.empty(_slot_count(rate, t0, t1), dtype=np.int64) if out is None else out
+def packet_slots(rate: float, t0: float, t1: float, out: np.ndarray) -> np.ndarray:
+    """Millisecond stamps of 1500-byte packet slots spread evenly over
+    (t0, t1] seconds at `rate` bit/s, written into the int64 array `out` of
+    _slot_count(rate, t0, t1) entries and returned. Stamp k is t0 * 1000 +
+    k * gap rounded half to even, k = 1 .. packets."""
     stamps = np.arange(1, out.size + 1, dtype=np.float64)
     stamps *= (t1 - t0) * 1000.0 / max(1, out.size)  # the gap; an empty span has none
     stamps += t0 * 1000.0

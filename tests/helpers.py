@@ -53,8 +53,8 @@ from tilesim.playback import (
     prediction_plan,
     simulate,
 )
-from tilesim.prediction import fit, nearest_sample, predict, select_window
-from tilesim.synthetic import _steps, constant_gaze, packet_slots
+from tilesim.prediction import fit, predict
+from tilesim.synthetic import _slot_count, _steps, constant_gaze, packet_slots
 from tilesim.traceio import ViewingTraceError
 
 
@@ -501,8 +501,9 @@ def nearest_sample_oracle(trace: list[Sample], t: float) -> Sample:
 
 def error_experiment_oracle(trace, interval, timeframe, step) -> np.ndarray:
     """`prediction.error_experiment` before it measured all steps in one
-    call: per step, the predicted pose built as an Orientation, the actual
-    pose rebuilt as one, and their distance from two 1-D forward vectors."""
+    call: per step, the window and the nearest sample found by bisect, the
+    predicted pose built as an Orientation, and its distance to the actual
+    pose from two 1-D forward vectors."""
     if step <= 0.0:
         raise ValueError("step must be positive")
     if not trace:
@@ -510,17 +511,17 @@ def error_experiment_oracle(trace, interval, timeframe, step) -> np.ndarray:
     t0, t_end = trace.t.item(0), trace.t.item(-1)
     if t_end - t0 <= interval + timeframe:
         raise ValueError("trace shorter than interval + timeframe")
-    errors = []
+    old, errors = samples(trace), []
     k = math.ceil(timeframe / step - 1e-9)
     while t0 + k * step + interval <= t_end + 1e-9:
         now = t0 + k * step
-        model = fit(select_window(trace, now, timeframe), now)
+        model = fit(trace_of(select_window_oracle(old, now, timeframe)), now)
         dt = now + interval - model.fit_time
         predicted = Orientation(
             yaw=model.yaw_intercept + model.yaw_slope * dt,
             pitch=model.pitch_intercept + model.pitch_slope * dt,
         )
-        actual = pose_at(trace, nearest_sample(trace, now + interval))
+        actual = nearest_sample_oracle(old, now + interval).o
         va, vb = np.array(local_frame(predicted)[0]), np.array(local_frame(actual)[0])
         cross = float(np.linalg.norm(np.cross(va, vb)))
         dot = float(np.dot(va, vb))
@@ -643,7 +644,8 @@ def sinusoid_gaze(
 
 def constant_rate_network(bits_per_second: float, duration_s: float) -> NetworkTrace:
     """Evenly spaced packet slots approximating a constant-rate link."""
-    return NetworkTrace(timestamps_ms=packet_slots(bits_per_second, 0.0, duration_s))
+    out = np.empty(_slot_count(bits_per_second, 0.0, duration_s), dtype=np.int64)
+    return NetworkTrace(timestamps_ms=packet_slots(bits_per_second, 0.0, duration_s, out))
 
 
 def tile_coords(grid: TileGrid, flat: int) -> tuple[int, int]:
@@ -1166,16 +1168,14 @@ def simulate_oracle(
 def predicted_map_oracle(m, trace, fov, timeframe, samples_per_axis, seg: int) -> np.ndarray:
     """The score row `simulate_oracle` scores for one segment: the window
     ending at media time max(0, seg * s - s) (or the sample nearest
-    that time if the window is empty), fitted and predicted at seg * s, one
-    single-pose tile_visibility call."""
+    that time if the window is empty), both found by bisect, fitted and
+    predicted at seg * s, one single-pose tile_visibility call."""
     s = m.segment_length
     target = seg * s
     now = max(0.0, target - s)
-    window = select_window(trace, now, timeframe)
-    if not window:
-        k = nearest_sample(trace, now)
-        window = trace[k : k + 1]
-    yaw, pitch = predict(fit(window, now), target)
+    old = samples(trace)
+    window = select_window_oracle(old, now, timeframe) or [nearest_sample_oracle(old, now)]
+    yaw, pitch = predict(fit(trace_of(window), now), target)
     poses = ViewingTrace([target], [yaw], [pitch])
     return tile_visibility(poses, fov, m.grid, samples_per_axis)[0]
 

@@ -1,7 +1,7 @@
 """The modules are the package's API: each imports on its own, in a fresh
 interpreter, the package root imports none of them, and none reads
 another's private names; a defaulted parameter is a setting some
-program sets."""
+program sets, and an imported name is one the module reads."""
 
 import ast
 import pkgutil
@@ -99,3 +99,26 @@ def test_every_defaulted_parameter_has_a_program_caller():
             unset += [f"{fn.name}.{arg}" for i, arg in defaulted
                       if arg not in keywords and (i is None or most <= i)]
     assert not unset
+
+
+def test_every_imported_name_is_read():
+    """Each name a module imports is read somewhere in that module: no stale
+    import outlives the code that used it. `__future__` imports are exempt."""
+    unused = []
+    for module in MODULES:
+        path = Path(tilesim.__path__[0]) / f"{module}.py"
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}  # bound name -> line of its import
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        read = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unused += [f"{module}:{line}: {name}" for name, line in imported.items()
+                   if name not in read]
+    assert not unused

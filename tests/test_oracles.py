@@ -87,7 +87,13 @@ from tilesim.playback import (
 )
 from tilesim.popularity import HeatMap, build_heat, quantize
 from tilesim.prediction import error_experiment, fit, nearest_sample, predict, select_window
-from tilesim.synthetic import constant_gaze, drifting_gaze, packet_slots, two_phase_network
+from tilesim.synthetic import (
+    _slot_count,
+    constant_gaze,
+    drifting_gaze,
+    packet_slots,
+    two_phase_network,
+)
 from tilesim import geometry, prediction, traceio
 from tilesim.traceio import (
     WRITE_CHUNK_CELLS,
@@ -964,22 +970,26 @@ def test_searchsorted_lookups_match_bisect(data):
         | st.integers(-12, 48).map(lambda k: k / 8.0)
         | st.floats(-5.0, 15.0)
     )
-    for _ in range(5):
-        now = data.draw(query)
-        timeframe = data.draw(st.sampled_from([0.25, 0.5, 1.0, 0.1]) | st.floats(0.0, 4.0))
-        window = select_window(trace, now, timeframe)
-        expected = select_window_oracle(old, now, timeframe)
-        assert samples(window) == expected
-        k = nearest_sample(trace, now)
+    nows = np.array(data.draw(st.lists(query, min_size=1, max_size=5)))
+    timeframe = data.draw(st.sampled_from([0.25, 0.5, 1.0, 0.1]) | st.floats(0.0, 4.0))
+    lo, hi = select_window(trace, nows, timeframe)
+    nearest = nearest_sample(trace, nows)
+    assert lo.shape == hi.shape == nearest.shape == nows.shape
+    for now, a, b, k in zip(nows.tolist(), lo.tolist(), hi.tolist(), nearest.tolist()):
+        assert samples(trace[a:b]) == select_window_oracle(old, now, timeframe)
         assert (trace.t[k], pose_at(trace, k)) == nearest_sample_oracle(old, now)
 
 
 @st.composite
 def error_experiment_args(draw):
-    """(trace, interval, timeframe, step) for error_experiment."""
+    """(trace, interval, timeframe, step) for error_experiment. The trace is
+    shifted by 0 or by up to 2e9 s, so times can be epoch-like, where the
+    spacing of floats coarsens each step's time."""
     duration = draw(st.sampled_from([1.5, 4.5, 6.0]))
+    trace = draw(viewing_traces(duration))
+    offset = draw(st.sampled_from([0.0]) | st.floats(0.0, 2e9))
     return (
-        draw(viewing_traces(duration)),
+        ViewingTrace(trace.t + offset, trace.yaw, trace.pitch),
         draw(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
         draw(st.sampled_from([0.1, 0.5, 1.0])),
         draw(st.sampled_from([0.02, 0.25, 1.5]) | st.floats(0.01, 3.0)),
@@ -1016,12 +1026,20 @@ def test_error_experiment_matches_the_per_step_loop(args):
     assert error_experiment(*args).tobytes() == expected.tobytes()
 
 
+# 200 samples over 2.1 s from t = 7.47e7 s, where the per-step loop takes 4
+# steps but a closed-form count of the same steps reads 3.
+LATE_TRACE = ViewingTrace.from_angles(
+    np.linspace(74748640.54270181, 74748642.6427018, 200), np.zeros(200), np.zeros(200)
+)
+
+
 @given(args=error_experiment_args())
+@example(args=(LATE_TRACE, 1.0, 1.0, 1 / 30))
 @settings(max_examples=60, deadline=None)
 def test_the_step_limit_counts_the_per_step_loops_steps(args):
-    """The step count error_experiment works out before it fits anything is
-    the per-step loop's: a limit of exactly that count takes every step, and
-    one step less refuses."""
+    """The steps error_experiment counts against its limit are the per-step
+    loop's: a limit of exactly that count takes every step, and one step
+    less refuses."""
     try:
         count = error_experiment_oracle(*args).size
     except ValueError:
@@ -1058,8 +1076,9 @@ def slot_spans(draw):
 @example(args=(1e6, 2.0, 1.0))
 @settings(max_examples=300, deadline=None)
 def test_packet_slots_match_the_list_body(args):
-    new = packet_slots(*args)
-    assert new.dtype == np.int64
+    out = np.empty(_slot_count(*args), dtype=np.int64)
+    new = packet_slots(*args, out)
+    assert new is out and new.dtype == np.int64
     assert new.tobytes() == np.array(packet_slots_oracle(*args), dtype=np.int64).tobytes()
 
 

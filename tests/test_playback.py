@@ -12,7 +12,7 @@ from helpers import (
     total_bytes,
     viewer_session,
 )
-from tilesim import cachesim, playback
+from tilesim import cachesim, playback, prediction
 from tilesim.adaptation import PolicyKind
 from tilesim.cachesim import Cache, EvictionPolicy, viewing_assignments, warm
 from tilesim.geometry import FovSpec, TileGrid, ViewingTrace
@@ -468,14 +468,14 @@ class TestPredictionPlans:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = {"fit": 0, "tile_visibility": 0}
-        for name in counts:
-            original = getattr(playback, name)
+        for module, name in ((prediction, "fit"), (playback, "tile_visibility")):
+            original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(playback, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return counts
 
     def experiment(self, manifest, policies, iterations):

@@ -23,20 +23,27 @@ def linear_trace(yaw0, yaw_rate, times, pitch0=0.0, pitch_rate=0.0):
 class TestSelectWindow:
     def test_inclusive_boundaries(self):
         trace = linear_trace(0, 0, [0.0, 0.5, 1.0, 1.5])
-        window = select_window(trace, now=1.0, timeframe=0.5)
-        assert window.t.tolist() == [0.5, 1.0]
+        lo, hi = select_window(trace, np.array([1.0, 0.5]), timeframe=0.5)
+        assert trace[lo[0]:hi[0]].t.tolist() == [0.5, 1.0]
+        assert trace[lo[1]:hi[1]].t.tolist() == [0.0, 0.5]
 
     def test_excludes_future_samples(self):
         trace = linear_trace(0, 0, [0.0, 0.5, 1.0, 1.5])
-        window = select_window(trace, now=1.4, timeframe=0.5)
-        assert window.t.tolist() == [1.0]
+        lo, hi = select_window(trace, np.array([1.4, -0.1]), timeframe=0.5)
+        assert trace[lo[0]:hi[0]].t.tolist() == [1.0]
+        assert lo[1] == hi[1] == 0
 
     def test_returns_views(self):
+        """One (lo, hi) pair per time, whose windows are read-only views."""
         trace = linear_trace(0, 0, [0.0, 0.5, 1.0, 1.5])
-        window = select_window(trace, now=1.0, timeframe=0.5)
-        assert isinstance(window, ViewingTrace)
-        assert np.shares_memory(window.t, trace.t)
-        assert not window.t.flags.writeable
+        nows = np.array([1.0, 1.5, 0.0])
+        lo, hi = select_window(trace, nows, timeframe=0.5)
+        assert lo.shape == hi.shape == nows.shape
+        for a, b in zip(lo.tolist(), hi.tolist()):
+            window = trace[a:b]
+            assert isinstance(window, ViewingTrace)
+            assert np.shares_memory(window.t, trace.t)
+            assert not window.t.flags.writeable
 
 
 class TestFitPredict:
